@@ -4,9 +4,11 @@ The simulator is the independent oracle for everything the linear and
 weakly-nonlinear analyses predict: growth rates, saturated branch
 amplitudes, and jump behavior.  Fields are deviations from the uniform
 steady state, so both boundary-condition variants are homogeneous.  Time
-stepping is IMEX: diffusion implicit (Crank-Nicolson, prefactored
-tridiagonal Cholesky solves per component) and reaction explicit
-(second-order Heun with a diffusion-consistent predictor).  Fixed points of
+stepping is IMEX: diffusion implicit (Crank-Nicolson; the three tridiagonal
+per-component Cholesky factors are prefactored once and stacked into one
+block-diagonal band, so each half-step is a single LAPACK ``pbtrs`` solve)
+and reaction explicit (second-order Heun with a diffusion-consistent
+predictor).  Fixed points of
 the scheme are exact steady states of the semi-discrete system, so
 saturated amplitudes carry spatial discretization error only.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import GridTooCoarse, InsufficientData, StepUnstable
 from .model import (
@@ -49,6 +51,8 @@ __all__ = [
 MIN_GRID_POINTS = 16
 #: zero-mean projection keeps |mean(u_i)| at or below this at recorded times
 MEAN_TOL = 1e-12
+
+(_pbtrs,) = get_lapack_funcs(("pbtrs",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,22 @@ def _banded_cholesky(grid: Grid, coeff: float) -> np.ndarray:
     return cholesky_banded(ab)
 
 
+def _stacked_band(grid: Grid, coeffs) -> np.ndarray:
+    """Upper band of the block-diagonal Cholesky factor, one block per coefficient.
+
+    Each block is :func:`_banded_cholesky` of ``I - coeff * Laplacian``.  The
+    superdiagonal entry that would couple the last row of one block to the
+    first row of the next is zeroed, so one ``pbtrs`` solve of the stacked
+    (3N,) right-hand side performs the per-component solves with the same
+    arithmetic.
+    """
+    ab = np.asfortranarray(
+        np.concatenate([_banded_cholesky(grid, c) for c in coeffs], axis=1)
+    )
+    ab[0, grid.N :: grid.N] = 0.0
+    return ab
+
+
 class Stepper:
     """Prefactored IMEX integrator for one (parameters, grid, dt) triple.
 
@@ -262,8 +282,8 @@ class Stepper:
         self.project = project
         self._A = linearization_matrix(p)
         d = (p.d1, p.d2, p.d3)
-        self._full = [_banded_cholesky(grid, self.dt * di) for di in d]
-        self._half = [_banded_cholesky(grid, 0.5 * self.dt * di) for di in d]
+        self._full = _stacked_band(grid, [self.dt * di for di in d])
+        self._half = _stacked_band(grid, [0.5 * self.dt * di for di in d])
         self._d = np.array(d)
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
@@ -275,11 +295,20 @@ class Stepper:
             out -= out.mean(axis=1, keepdims=True)
         return out
 
-    def _solve(self, factors, rhs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rhs)
-        for i in range(3):
-            out[i] = cho_solve_banded((factors[i], False), rhs[i])
-        return out
+    def _solve(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve the three diffusion systems at once; ``rhs`` is overwritten.
+
+        Raises
+        ------
+        StepUnstable
+            If ``rhs`` is not finite.
+        """
+        if not np.isfinite(rhs).all():
+            raise StepUnstable("non-finite solve input", last_state=None)
+        x, info = _pbtrs(band, rhs.reshape(-1), overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"pbtrs returned info = {info}")
+        return x.reshape(rhs.shape)
 
     def step_array(self, u: np.ndarray) -> np.ndarray:
         """Advance a raw (3, N) array by one step (no bookkeeping).
@@ -287,23 +316,23 @@ class Stepper:
         Raises
         ------
         StepUnstable
-            If the update overflows (the quadratic reaction can blow up in
-            finite time when the state leaves the stable region).
+            If a solve input or the new state is not finite (the quadratic
+            reaction can blow up in finite time when the state leaves the
+            stable region).  ``last_state`` is None; :meth:`step` and
+            :func:`simulate` attach it.
         """
         dt = self.dt
         with np.errstate(over="ignore", invalid="ignore"):
             r0 = self.reaction(u)
-            if not np.all(np.isfinite(r0)):
-                raise StepUnstable("reaction term overflowed", last_state=None)
             predictor = self._solve(self._full, u + dt * r0)
             lap_u = self._d[:, None] * laplacian_apply(self.grid, u)
             r1 = self.reaction(predictor)
-            if not np.all(np.isfinite(r1)):
-                raise StepUnstable("reaction term overflowed", last_state=None)
             rhs = u + 0.5 * dt * (lap_u + r0 + r1)
             out = self._solve(self._half, rhs)
         if self.project:
             out -= out.mean(axis=1, keepdims=True)
+        if not np.isfinite(out).all():
+            raise StepUnstable("non-finite field values", last_state=None)
         return out
 
     def step(self, state: FieldState) -> FieldState:
@@ -312,22 +341,19 @@ class Stepper:
         Raises
         ------
         StepUnstable
-            If the new state contains non-finite values; the exception
-            carries the last good state.
+            As :meth:`step_array`; the exception carries the last good
+            state.
         """
         try:
             u_new = self.step_array(state.u)
-        except StepUnstable:
-            raise StepUnstable(
-                f"reaction term overflowed during step at t = {state.t}",
-                last_state=state,
-            ) from None
-        if not np.all(np.isfinite(u_new)):
-            raise StepUnstable(
-                f"non-finite field values after step at t = {state.t + self.dt}",
-                last_state=state,
-            )
+        except StepUnstable as exc:
+            raise _unstable_at(exc, state) from None
         return FieldState(t=state.t + self.dt, u=u_new)
+
+
+def _unstable_at(exc: StepUnstable, state: FieldState) -> StepUnstable:
+    """``exc`` re-raised with the last good state attached."""
+    return StepUnstable(f"{exc} in the step from t = {state.t}", last_state=state)
 
 
 def amplitude(p: ModelParams, grid: Grid, u: np.ndarray) -> float:
@@ -389,18 +415,9 @@ def simulate(
     steps_taken = 0
     for k in range(1, n_steps + 1):
         try:
-            u_new = stepper.step_array(u)
-        except StepUnstable:
-            raise StepUnstable(
-                f"reaction term overflowed during step at t = {t}",
-                last_state=FieldState(t=t, u=u),
-            ) from None
-        if not np.all(np.isfinite(u_new)):
-            raise StepUnstable(
-                f"non-finite field values after step at t = {t + dt}",
-                last_state=FieldState(t=t, u=u),
-            )
-        u = u_new
+            u = stepper.step_array(u)
+        except StepUnstable as exc:
+            raise _unstable_at(exc, FieldState(t=t, u=u)) from None
         steps_taken = k
         t = initial.t + k * dt
         if k % record_every == 0 or k == n_steps:

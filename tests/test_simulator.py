@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from mtphase import (
     AmplitudeSeries,
+    BoundaryCondition,
     GridTooCoarse,
     ModelParams,
     StepUnstable,
@@ -142,6 +144,92 @@ def test_step_unstable_raised_with_last_state(unstable_params):
         simulate(unstable_params, g, st, t_end=50.0, dt=dt_max(unstable_params, g))
     assert excinfo.value.last_state is not None
     assert np.all(np.isfinite(excinfo.value.last_state.u))
+
+
+def test_stepper_step_raises_with_last_state(unstable_params):
+    g = make_grid(unstable_params, 32)
+    stepper = Stepper(unstable_params, g, dt=dt_max(unstable_params, g))
+    state = initial_state(unstable_params, g, kind="aligned", amplitude=1e6)
+    with pytest.raises(StepUnstable) as excinfo:
+        for _ in range(10_000):
+            state = stepper.step(state)
+    last = excinfo.value.last_state
+    assert last is state
+    assert np.all(np.isfinite(last.u))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_array_rejects_non_finite_input(unstable_params, bad):
+    g = make_grid(unstable_params, 32)
+    stepper = Stepper(unstable_params, g, dt=dt_max(unstable_params, g))
+    u = np.zeros((3, g.N))
+    u[1, 5] = bad
+    with pytest.raises(StepUnstable):
+        stepper.step_array(u)
+
+
+def _per_component_stepper(stepper):
+    """``stepper``'s scheme with one ``cho_solve_banded`` call per component."""
+    p, grid, dt = stepper.p, stepper.grid, stepper.dt
+    d = np.array([p.d1, p.d2, p.d3])
+    inv_dx2 = 1.0 / grid.dx**2
+
+    def factors(scale):
+        out = []
+        for coeff in scale * d:
+            ab = np.zeros((2, grid.N))
+            ab[1, :] = 1.0 + 2.0 * coeff * inv_dx2
+            ab[0, 1:] = -coeff * inv_dx2
+            if p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
+                ab[1, [0, -1]] = 1.0 + coeff * inv_dx2
+            out.append(cholesky_banded(ab))
+        return out
+
+    full, half = factors(dt), factors(0.5 * dt)
+
+    def solve(chol, rhs):
+        return np.stack([cho_solve_banded((c, False), r) for c, r in zip(chol, rhs)])
+
+    def step(u):
+        r0 = stepper.reaction(u)
+        predictor = solve(full, u + dt * r0)
+        lap_u = d[:, None] * laplacian_apply(grid, u)
+        r1 = stepper.reaction(predictor)
+        out = solve(half, u + 0.5 * dt * (lap_u + r0 + r1))
+        if stepper.project:
+            out -= out.mean(axis=1, keepdims=True)
+        return out
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "bc, N, options",
+    [
+        ("dirichlet", 64, {}),
+        ("dirichlet", 128, {}),
+        ("dirichlet", 512, {}),
+        ("neumann-zero-average", 64, {"project": True}),
+        ("neumann-zero-average", 64, {"project": False}),
+        ("dirichlet", 64, {"linear_only": True}),
+    ],
+    ids=["dirichlet-64", "dirichlet-128", "dirichlet-512", "neumann-projected",
+         "neumann-unprojected", "dirichlet-linear"],
+)
+def test_stacked_solve_matches_per_component_solves(unstable_params, bc, N, options):
+    # The block-diagonal band solve must reproduce the per-component solves
+    # bit for bit, over many steps of the nonlinear dynamics.
+    p = unstable_params.replace(bc=bc)
+    g = make_grid(p, N)
+    stepper = Stepper(p, g, dt=dt_max(p, g), **options)
+    reference_step = _per_component_stepper(stepper)
+    u = initial_state(p, g, kind="random", amplitude=1e-2, seed=3).u
+    ref = u.copy()
+    for _ in range(1000):
+        u = stepper.step_array(u)
+        ref = reference_step(ref)
+    assert np.array_equal(u, ref)
+    assert np.abs(u).max() > 0.0
 
 
 def test_chunked_restart_reproduces_single_run(unstable_params):
