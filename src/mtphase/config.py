@@ -29,6 +29,9 @@ Sections and keys
     ``directory`` (default ``out``) and ``formats`` (default ``csv``; only
     CSV output is supported).
 
+Every real number must be finite: ``nan``, ``inf`` and ``-inf`` are
+rejected as validation errors of their key.
+
 An *axis spec* is either a bare parameter name (``d1``) meaning that field
 is set to the coordinate directly, or a comma list ``name:weight,...``
 (``d1:1,d2:1,d3:0.5``) meaning each named field is set to ``weight *
@@ -40,6 +43,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, UnknownKey, ValidationError
@@ -150,6 +154,18 @@ class RunConfig:
         )
 
 
+def _finite_float(text: str) -> float:
+    """``float(text)`` that also rejects nan and infinities with ``ValueError``.
+
+    Every real-valued config entry is read through this, so a non-finite
+    value is reported as a validation error of its key.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _axis_as_direction(axis):
     if isinstance(axis, str):
         return axis
@@ -175,7 +191,7 @@ def _parse_axis(section: str, key: str, text: str):
         if name not in _AXIS_FIELDS:
             raise ValidationError(key, f"unknown parameter {name!r} in axis spec")
         try:
-            w = float(weight)
+            w = _finite_float(weight)
         except ValueError:
             raise ValidationError(
                 key, f"bad weight {weight!r} for {name!r} in axis spec"
@@ -210,7 +226,7 @@ def _parse_ic(text: str) -> tuple[str, float]:
     if not amp:
         return kind, 0.0 if kind == "zero" else 1e-4
     try:
-        amplitude = float(amp)
+        amplitude = _finite_float(amp)
     except ValueError:
         raise ValidationError("ic", f"bad initial-condition amplitude {amp!r}") from None
     return kind, amplitude
@@ -236,10 +252,10 @@ class _Section:
         if raw is None:
             return default
         try:
-            return float(raw)
+            return _finite_float(raw)
         except ValueError:
             raise ValidationError(
-                key, f"[{self.name}] {key}: not a number: {raw!r}"
+                key, f"[{self.name}] {key}: not a finite number: {raw!r}"
             ) from None
 
     def integer(self, key: str, default: int | None = None) -> int | None:
@@ -330,7 +346,7 @@ def parse_config_text(text: str) -> RunConfig:
                 _parse_axis("analysis", "ray", ray_text) if ray_text else None
             ),
             ray_bracket=(
-                _parse_pair("analysis", "bracket", bracket_text, float)
+                _parse_pair("analysis", "bracket", bracket_text, _finite_float)
                 if bracket_text
                 else None
             ),
@@ -374,9 +390,9 @@ def parse_config_text(text: str) -> RunConfig:
             )
         sweep = SweepConfig(
             axis1=_parse_axis("sweep", "axis1", sec.require("axis1")),
-            range1=_parse_pair("sweep", "range1", sec.require("range1"), float),
+            range1=_parse_pair("sweep", "range1", sec.require("range1"), _finite_float),
             axis2=_parse_axis("sweep", "axis2", sec.require("axis2")),
-            range2=_parse_pair("sweep", "range2", sec.require("range2"), float),
+            range2=_parse_pair("sweep", "range2", sec.require("range2"), _finite_float),
             resolution=resolution,
         )
 

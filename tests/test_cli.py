@@ -72,6 +72,14 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert "model2" in capsys.readouterr().err
 
 
+def test_non_finite_config_value_is_config_error(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text(CANONICAL.replace("dt = auto", "dt = nan"))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "dt" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "stable.ini"
     path.write_text(CANONICAL.replace("bracket = 0.05,1.0", "bracket = 0.3,0.9"))

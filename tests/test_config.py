@@ -163,6 +163,26 @@ def test_bad_values_rejected():
         parse_config_text(MINIMAL + "\n[sweep]\naxis1 = d1\nrange1 = 0.1,0.5\n")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("k1 = 1.0", "k1 = {}"),  # [model] number
+        ("dt = 0.005", "dt = {}"),  # [simulate] number
+        ("T = 12.5", "T = {}"),
+        ("range1 = 0.1,0.5", "range1 = 0.1,{}"),  # pair
+        ("bracket = 0.1,2.0", "bracket = {},2.0"),
+        ("ray = d1:1,d2:2,d3:0.5", "ray = d1:1,d2:{},d3:0.5"),  # axis weight
+        ("ic = aligned:0.01", "ic = aligned:{}"),  # initial-condition amplitude
+    ],
+    ids=["model", "dt", "T", "range1", "bracket", "axis-weight", "ic-amplitude"],
+)
+def test_non_finite_numbers_rejected(old, new, bad):
+    assert old in FULL
+    with pytest.raises(ValidationError):
+        parse_config_text(FULL.replace(old, new.format(bad)))
+
+
 def test_axis_field_names_validated():
     with pytest.raises(ValidationError):
         parse_config_text(MINIMAL + "\n[analysis]\nray = q9:1\nbracket = 0.1,1.0\n")
