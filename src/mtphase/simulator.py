@@ -385,8 +385,11 @@ def simulate(
 ) -> SimulationResult:
     """Integrate to ``t_end``, recording the critical-mode amplitude.
 
-    The amplitude is recorded every ``record_every`` steps (and at the final
-    time).  With ``stop_on_saturation`` the run ends early once the total
+    Steps have size ``dt``, except that the last one is shortened so that
+    the run ends exactly at ``t_end``.  When ``(t_end - t0)/dt`` is within
+    1e-12 of a whole number, every step is a full one and the run ends at
+    ``t0 + n*dt``.  The amplitude is recorded every ``record_every`` steps
+    (and at the final time).  With ``stop_on_saturation`` the run ends early once the total
     spread (max minus min) of the last ``saturation_window`` recordings
     falls below ``saturation_tol``.  Choose the tolerance well below the
     change expected per window during the slow initial plateau, or start
@@ -406,7 +409,9 @@ def simulate(
     e1 = laplacian_mode(p, 1).evaluate(grid.x)
     proj_den = float(e1 @ e1) * float(omega @ omega_star)
 
-    n_steps = max(int(np.ceil((t_end - initial.t) / dt - 1e-12)), 0)
+    span = (t_end - initial.t) / dt
+    n_steps = max(int(np.ceil(span - 1e-12)), 0)
+    shorten_last = n_steps - span > 1e-12
     times = [initial.t]
     ys = [float(e1 @ (omega_star @ initial.u)) / proj_den]
     u = initial.u.copy()
@@ -414,12 +419,17 @@ def simulate(
     saturated = False
     steps_taken = 0
     for k in range(1, n_steps + 1):
+        last_short = shorten_last and k == n_steps
+        if last_short:
+            stepper = Stepper(
+                p, grid, t_end - t, linear_only=linear_only, project=project
+            )
         try:
             u = stepper.step_array(u)
         except StepUnstable as exc:
             raise _unstable_at(exc, FieldState(t=t, u=u)) from None
         steps_taken = k
-        t = initial.t + k * dt
+        t = t_end if last_short else initial.t + k * dt
         if k % record_every == 0 or k == n_steps:
             times.append(t)
             ys.append(float(e1 @ (omega_star @ u)) / proj_den)

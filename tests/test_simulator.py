@@ -312,7 +312,10 @@ def test_simulate_records_final_time(unstable_params):
     g = make_grid(p, 32)
     ic = initial_state(p, g, kind="zero")
     result = simulate(p, g, ic, t_end=1.0, dt=0.03, record_every=7)
-    # 34 steps of 0.03 cover 1.0 (ceil), final time is recorded exactly once.
+    # 33 steps of 0.03 and a last one of 0.01 end exactly at 1.0, which is
+    # recorded exactly once.
     assert result.steps == 34
-    assert result.series.times[-1] == pytest.approx(34 * 0.03, rel=1e-12)
+    assert result.series.times[-1] == 1.0
+    assert result.final_state.t == 1.0
+    assert np.count_nonzero(result.series.times == 1.0) == 1
     assert result.series.y.shape == result.series.times.shape
