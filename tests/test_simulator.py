@@ -158,12 +158,19 @@ def test_stepper_step_raises_with_last_state(unstable_params):
     assert np.all(np.isfinite(last.u))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_step_array_rejects_non_finite_input(unstable_params, bad):
+@pytest.mark.parametrize("case", ["nan-entry", "laplacian-overflow"])
+def test_step_array_rejects_non_finite_solve_input(unstable_params, case):
     g = make_grid(unstable_params, 32)
-    stepper = Stepper(unstable_params, g, dt=dt_max(unstable_params, g))
-    u = np.zeros((3, g.N))
-    u[1, 5] = bad
+    if case == "nan-entry":
+        stepper = Stepper(unstable_params, g, dt=dt_max(unstable_params, g))
+        u = np.zeros((3, g.N))
+        u[1, 5] = np.nan
+    else:
+        # A finite sawtooth whose discrete Laplacian overflows while the
+        # linear reaction term stays finite.
+        stepper = Stepper(unstable_params, g, dt=dt_max(unstable_params, g), linear_only=True)
+        u = np.zeros((3, g.N))
+        u[:, ::2], u[:, 1::2] = 1e306, -1e306
     with pytest.raises(StepUnstable):
         stepper.step_array(u)
 
