@@ -8,9 +8,9 @@ stepping is IMEX: diffusion implicit (Crank-Nicolson; the three tridiagonal
 per-component Cholesky factors are prefactored once and stacked into one
 block-diagonal band, so each half-step is a single LAPACK ``pbtrs`` solve)
 and reaction explicit (second-order Heun with a diffusion-consistent
-predictor).  Fixed points of
-the scheme are exact steady states of the semi-discrete system, so
-saturated amplitudes carry spatial discretization error only.
+predictor).  Fixed points of the scheme are exact steady states of the
+semi-discrete system, so saturated amplitudes carry spatial discretization
+error only.
 """
 
 from __future__ import annotations
@@ -229,7 +229,8 @@ def _stacked_band(grid: Grid, coeffs) -> np.ndarray:
     superdiagonal entry that would couple the last row of one block to the
     first row of the next is zeroed, so one ``pbtrs`` solve of the stacked
     (3N,) right-hand side performs the per-component solves with the same
-    arithmetic.
+    arithmetic.  The band is Fortran-ordered so that ``pbtrs`` takes it
+    without a copy on every call.
     """
     ab = np.asfortranarray(
         np.concatenate([_banded_cholesky(grid, c) for c in coeffs], axis=1)
@@ -352,7 +353,7 @@ class Stepper:
 
 
 def _unstable_at(exc: StepUnstable, state: FieldState) -> StepUnstable:
-    """``exc`` re-raised with the last good state attached."""
+    """A copy of ``exc`` that carries the last good state."""
     return StepUnstable(f"{exc} in the step from t = {state.t}", last_state=state)
 
 
@@ -389,12 +390,12 @@ def simulate(
     the run ends exactly at ``t_end``.  When ``(t_end - t0)/dt`` is within
     1e-12 of a whole number, every step is a full one and the run ends at
     ``t0 + n*dt``.  The amplitude is recorded every ``record_every`` steps
-    (and at the final time).  With ``stop_on_saturation`` the run ends early once the total
-    spread (max minus min) of the last ``saturation_window`` recordings
-    falls below ``saturation_tol``.  Choose the tolerance well below the
-    change expected per window during the slow initial plateau, or start
-    from an aligned state with a known projection, to avoid stopping before
-    the transient has developed.
+    (and at the final time).  With ``stop_on_saturation`` the run ends
+    early once the total spread (max minus min) of the last
+    ``saturation_window`` recordings falls below ``saturation_tol``.
+    Choose the tolerance well below the change expected per window during
+    the slow initial plateau, or start from an aligned state with a known
+    projection, to avoid stopping before the transient has developed.
 
     Returns
     -------
