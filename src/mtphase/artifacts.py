@@ -32,7 +32,7 @@ from .output import (
 )
 from .simulator import initial_state, make_grid, simulate
 from .spectral import mode_spectra
-from .sweep import region_evaluator, sweep
+from .sweep import sweep
 from .threshold import find_threshold, trace_threshold_curve
 from .transition import classify_transition
 
@@ -127,16 +127,14 @@ def run_simulate(
     return [series_path, state_path]
 
 
-def run_phase_diagram(
-    config: RunConfig, out_dir: str, workers: int | None = None
-) -> list[str]:
+def run_phase_diagram(config: RunConfig, out_dir: str) -> list[str]:
     """Sweep the configured slice; write region grid and critical polyline.
 
     The polyline CSV is written empty (header only) when the critical curve
     does not cross the requested window.
     """
     plane = config.plane()
-    cells = sweep(plane, config.sweep.resolution, region_evaluator, workers=workers)
+    cells = sweep(plane, config.sweep.resolution)
     grid_rows = [
         [
             cell.i,
@@ -156,7 +154,7 @@ def run_phase_diagram(
     )
 
     try:
-        curve = trace_threshold_curve(plane, M_max=config.analysis.M_max)
+        curve = trace_threshold_curve(plane)
         curve_rows = [
             [k, tp.plane_coords[0], tp.plane_coords[1]]
             for k, tp in enumerate(curve)

@@ -34,9 +34,9 @@ Subcommands
 ``verify``
     The numbered verification suite; one line per criterion.
 
-Set ``MTPHASE_WORKERS`` to control sweep parallelism when ``--workers``
-is not given; set ``MTPHASE_DEBUG=1`` to re-raise unexpected exceptions
-with a traceback.
+``--workers`` and ``MTPHASE_WORKERS`` are accepted for compatibility and
+have no effect: a sweep runs in one process, one batch per grid row.  Set
+``MTPHASE_DEBUG=1`` to re-raise unexpected exceptions with a traceback.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 metavar="N",
-                help="parallel worker processes (default: MTPHASE_WORKERS or CPU count)",
+                help="accepted for compatibility; has no effect",
             )
         if seed:
             sp.add_argument(
@@ -169,8 +169,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_phase_diagram(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    return _finish(out, config, artifacts.run_phase_diagram(config, out,
-                                                            workers=args.workers))
+    return _finish(out, config, artifacts.run_phase_diagram(config, out))
 
 
 def _parse_only(text: str | None) -> list[int] | None:
@@ -194,9 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config.plane()
     out = _out_dir(args, config)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    results = run_all(
-        seed=seed, config=config, workers=args.workers, only=_parse_only(args.only)
-    )
+    results = run_all(seed=seed, config=config, only=_parse_only(args.only))
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.index:2d} {status} {r.name}: {r.detail} [{r.seconds:.2f} s]")

@@ -27,6 +27,7 @@ from .errors import K1NotPositive, NonPositiveParameter, ValidationError
 __all__ = [
     "BoundaryCondition",
     "ModelParams",
+    "ParamBatch",
     "SteadyState",
     "ConditionReport",
     "validate_params",
@@ -36,6 +37,7 @@ __all__ = [
     "diffusion_matrix",
     "quadratic_nonlinearity",
     "check_conditions",
+    "cond2_margin",
 ]
 
 
@@ -59,8 +61,22 @@ class BoundaryCondition(str, Enum):
 _POSITIVE_FIELDS = ("k1", "k3", "k5", "k7", "C1", "E", "d1", "d2", "d3", "ell")
 
 
+class _DerivedConstants:
+    """``K1`` and ``K2`` of one parameter point, or of every point of a batch."""
+
+    @property
+    def K1(self):
+        """Feasibility combination ``C1*k1*k7 - k3*k5*E`` (must be > 0)."""
+        return self.C1 * self.k1 * self.k7 - self.k3 * self.k5 * self.E
+
+    @property
+    def K2(self):
+        """Derived decay constant ``k1*(1 + C1*k1*k3/K1)``."""
+        return self.k1 * (1.0 + self.C1 * self.k1 * self.k3 / self.K1)
+
+
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_DerivedConstants):
     """Validated control parameters of the model.
 
     Construction fails with :class:`NonPositiveParameter` or
@@ -94,18 +110,6 @@ class ModelParams:
         if not isinstance(self.bc, BoundaryCondition):
             object.__setattr__(self, "bc", BoundaryCondition.parse(str(self.bc)))
 
-    # -- derived constants -------------------------------------------------
-
-    @property
-    def K1(self) -> float:
-        """Feasibility combination ``C1*k1*k7 - k3*k5*E`` (must be > 0)."""
-        return self.C1 * self.k1 * self.k7 - self.k3 * self.k5 * self.E
-
-    @property
-    def K2(self) -> float:
-        """Derived decay constant ``k1*(1 + C1*k1*k3/K1)``."""
-        return self.k1 * (1.0 + self.C1 * self.k1 * self.k3 / self.K1)
-
     @property
     def diffusion(self) -> np.ndarray:
         return np.array([self.d1, self.d2, self.d3])
@@ -116,6 +120,53 @@ class ModelParams:
 
     def to_record(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True)
+class ParamBatch(_DerivedConstants):
+    """Parameter points as a struct of arrays: one (n,) float array per field.
+
+    Unlike :class:`ModelParams` a batch is not validated on construction;
+    :meth:`feasible` tells which of its points :class:`ModelParams` would
+    accept.
+    """
+
+    k1: np.ndarray
+    k3: np.ndarray
+    k5: np.ndarray
+    k7: np.ndarray
+    C1: np.ndarray
+    E: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
+    ell: np.ndarray
+    bc: BoundaryCondition = BoundaryCondition.DIRICHLET
+
+    @classmethod
+    def from_record(cls, raw: Mapping[str, Any]) -> "ParamBatch":
+        """Batch from a mapping like :func:`validate_params` takes, whose
+        values may be floats or equal-length arrays (broadcast together)."""
+        values, bc = _record_fields(raw, lambda v: np.atleast_1d(np.asarray(v, dtype=float)))
+        return cls(*np.broadcast_arrays(*values.values()), bc=bc)
+
+    def __len__(self) -> int:
+        return len(self.k1)
+
+    def feasible(self) -> np.ndarray:
+        """Mask of the points with every field finite and > 0, and K1 > 0."""
+        ok = np.ones(len(self), dtype=bool)
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            ok &= np.isfinite(value) & (value > 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return ok & (self.K1 > 0.0)
+
+    def select(self, index) -> "ParamBatch":
+        """The points at ``index`` (a mask or index array) as a new batch."""
+        return ParamBatch(
+            *(getattr(self, n)[index] for n in _POSITIVE_FIELDS), bc=self.bc
+        )
 
 
 @dataclass(frozen=True)
@@ -167,23 +218,31 @@ def validate_params(raw: Mapping[str, Any] | ModelParams, **overrides: Any) -> M
     """
     if isinstance(raw, ModelParams):
         return raw.replace(**overrides) if overrides else raw
+    kwargs, bc = _record_fields({**raw, **overrides}, float)
+    return ModelParams(bc=bc, **kwargs)
+
+
+def _record_fields(
+    raw: Mapping[str, Any], convert
+) -> tuple[dict[str, Any], BoundaryCondition]:
+    """Numeric fields of a raw record, each passed through ``convert``, and its bc."""
     record = dict(raw)
-    record.update(overrides)
     kwargs: dict[str, Any] = {}
     for name in _POSITIVE_FIELDS:
         if name not in record:
             raise ValidationError(name, "missing required parameter")
+        value = record.pop(name)
         try:
-            kwargs[name] = float(record.pop(name))
+            kwargs[name] = convert(value)
         except (TypeError, ValueError):
-            raise ValidationError(name, f"not a number: {record[name]!r}") from None
+            raise ValidationError(name, f"not a number: {value!r}") from None
     bc = record.pop("bc", BoundaryCondition.DIRICHLET)
     if record:
         unknown = ", ".join(sorted(record))
         raise ValidationError(unknown, "unknown parameter field(s)")
     if not isinstance(bc, BoundaryCondition):
         bc = BoundaryCondition.parse(str(bc))
-    return ModelParams(bc=bc, **kwargs)
+    return kwargs, bc
 
 
 def steady_state(p: ModelParams) -> SteadyState:
@@ -211,16 +270,22 @@ def reaction_rhs(p: ModelParams, state: Any) -> np.ndarray:
     return np.stack([f1, f2, f3])
 
 
-def linearization_matrix(p: ModelParams) -> np.ndarray:
-    """Jacobian of the reaction part at the steady state."""
+def linearization_matrix(p: ModelParams | ParamBatch) -> np.ndarray:
+    """Jacobian of the reaction part at the steady state.
+
+    For a :class:`ParamBatch` of n points it is the (n, 3, 3) stack of
+    their Jacobians.
+    """
     a = p.E / p.k1  # steady-state free tubulin
-    return np.array(
+    zero = 0.0 * a  # shaped like the other entries
+    jac = np.array(
         [
-            [-p.k7 * a, p.k5 * a, 0.0],
+            [-p.k7 * a, p.k5 * a, zero],
             [p.k7 * a, -p.k5 * a, p.k1],
             [-p.k3 * a, p.C1, -p.K2],
         ]
     )
+    return jac if jac.ndim == 2 else np.moveaxis(jac, -1, 0)
 
 
 def diffusion_matrix(p: ModelParams) -> np.ndarray:
@@ -260,12 +325,18 @@ def check_conditions(p: ModelParams, rho1: float | None = None) -> ConditionRepo
     cond1_ok = (
         abs(q1 - p.C1) > _COND_RTOL * scale and abs(q2 - p.C1) > _COND_RTOL * scale
     )
+    margin = cond2_margin(p)
     return ConditionReport(
         cond0_ok=K1 > 0.0,
         cond1_ok=cond1_ok,
-        cond2_ok=q1 - p.C1 > 0.0,
+        cond2_ok=margin > 0.0,
         K1=K1,
-        k5K2_minus_C1=q1 - p.C1,
+        k5K2_minus_C1=margin,
         cond1_lhs_rhs=(q1, q2),
         rho1=rho1,
     )
+
+
+def cond2_margin(p: ModelParams | ParamBatch):
+    """``k5*K2 - C1``: the stability-exchange condition (cond2) is that it is > 0."""
+    return p.k5 * p.K2 - p.C1

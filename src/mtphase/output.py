@@ -4,7 +4,7 @@ Every subcommand serializes its reports through this module so that the
 on-disk schema stays fixed and bit-stable: floats are written with 17
 significant digits (full binary round-trip), newlines are ``\\n``, and the
 column sets below are the versioned contract.  All files are written by the
-calling (main) process; worker processes only return values.
+calling process.
 
 Schemas
 -------

@@ -18,6 +18,7 @@ from .errors import NotAnEigenvalue
 from .model import (
     BoundaryCondition,
     ModelParams,
+    ParamBatch,
     diffusion_matrix,
     linearization_matrix,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "laplacian_eigenvalue",
     "laplacian_mode",
     "mode_matrix",
+    "mode_matrices",
     "char_poly_coeffs",
     "solve_spectrum",
     "companion_roots",
@@ -105,6 +107,22 @@ def mode_matrix(p: ModelParams, rho: float) -> np.ndarray:
     return linearization_matrix(p) - rho * diffusion_matrix(p)
 
 
+def mode_matrices(p: ModelParams | ParamBatch, rho) -> np.ndarray:
+    """Stack of blocks ``A - rho * diag(d1, d2, d3)``, entry for entry equal
+    to :func:`mode_matrix`.
+
+    The points of a :class:`ParamBatch` and the array ``rho`` broadcast
+    together: one value of ``rho`` per point, or many modes of one point.
+    """
+    rho = np.asarray(rho, dtype=float)
+    jac = linearization_matrix(p)
+    shape = np.broadcast_shapes(jac.shape[:-2], rho.shape)
+    blocks = np.array(np.broadcast_to(jac, shape + (3, 3)))
+    for i, d in enumerate((p.d1, p.d2, p.d3)):
+        blocks[..., i, i] -= rho * d
+    return blocks
+
+
 def char_poly_coeffs(Emat: np.ndarray) -> tuple[float, float, float]:
     """Coefficients (p2, p1, p0) of det(sigma*I - E) = sigma^3 + p2*sigma^2 + p1*sigma + p0.
 
@@ -124,11 +142,20 @@ def char_poly_coeffs(Emat: np.ndarray) -> tuple[float, float, float]:
     return float(p2), float(p1), p0
 
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
 def _sorted_eigs(values: np.ndarray) -> np.ndarray:
-    """Descending real part; ties broken by ascending imaginary part."""
+    """Descending real part; ties broken by ascending imaginary part.
+
+    A stack is sorted along its last axis.
+    """
     values = np.asarray(values, dtype=complex)
-    order = np.lexsort((values.imag, -values.real))
-    return values[order]
+    order = np.lexsort((values.imag, -values.real), axis=-1)
+    if values.ndim == 1:  # a fifth of solve_spectrum's time for one block
+        return values[order]
+    return np.take_along_axis(values, order, axis=-1)
 
 
 def solve_spectrum(Emat: np.ndarray) -> np.ndarray:
@@ -140,11 +167,15 @@ def solve_spectrum(Emat: np.ndarray) -> np.ndarray:
     ``-rho*d`` and the characteristic coefficients would otherwise lose the
     tiny separations to rounding.  Complex eigenvalues appear as exact
     conjugate pairs.
+
+    ``Emat`` may also be a (..., 3, 3) stack: one LAPACK call then solves
+    every block, and each row of the result is that block's spectrum,
+    bit-identical to solving the block alone.
     """
     e = np.asarray(Emat, dtype=float)
-    mu = np.trace(e) / 3.0
-    centered = e - mu * np.eye(3)
-    return _sorted_eigs(np.linalg.eigvals(centered) + mu)
+    mu = np.trace(e, axis1=-2, axis2=-1) / 3.0
+    centered = e - mu[..., None, None] * _EYE3
+    return _sorted_eigs(np.linalg.eigvals(centered) + mu[..., None])
 
 
 def companion_roots(p2: float, p1: float, p0: float) -> np.ndarray:

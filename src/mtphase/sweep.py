@@ -1,34 +1,35 @@
-"""Order-preserving parallel sweeps over two-axis parameter slices.
+"""Stability-region sweeps over two-axis parameter slices.
 
-A sweep evaluates a callable on every cell of a regular grid laid over a
-:class:`~mtphase.threshold.ParameterPlane`.  Evaluation runs on a worker
-pool, but the returned rows are always in grid (row-major) order and cell
-values never depend on the worker count, so sweep output is reproducible
-byte-for-byte.  A cell whose evaluation fails with a domain error is
-recorded with the error message in its ``error`` field and the sweep
-continues; unexpected exceptions propagate.
+A sweep classifies every cell of a regular grid laid over a
+:class:`~mtphase.threshold.ParameterPlane`.  Each grid row is one batch:
+its feasible points go to :func:`~mtphase.threshold.classify_region`
+together, as one stack of principal-mode blocks, and each value equals the
+one a single-point classification gives.  Rows come back in grid
+(row-major) order, so sweep output is reproducible byte-for-byte.  A cell
+whose parameters are infeasible is built through the scalar
+:meth:`~mtphase.threshold.ParameterPlane.at`, and the name and message of
+the domain error it raises are recorded in the cell's ``error`` field; the
+sweep continues.  Unexpected exceptions propagate.
 
-Workers only compute and return values; all file writing stays in the
-calling process.
+Everything runs in the calling process.  The ``workers`` argument,
+``--workers`` and ``MTPHASE_WORKERS`` are still accepted but change
+nothing.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, MTPhaseError
-from .model import ModelParams
-from .threshold import ParameterPlane, classify_region
+from .threshold import ParameterPlane, RegionReport, classify_region
 
 __all__ = [
     "SweepCell",
     "resolve_workers",
-    "region_evaluator",
     "sweep",
 ]
 
@@ -37,7 +38,7 @@ __all__ = [
 class SweepCell:
     """One evaluated grid cell.
 
-    ``values`` holds the evaluator's outputs (empty when the cell failed)
+    ``values`` holds the region classification (empty when the cell failed)
     and ``error`` the name and message of the domain error, if any.
     """
 
@@ -50,7 +51,10 @@ class SweepCell:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Determine the worker count: argument, MTPHASE_WORKERS, or CPU count."""
+    """Determine the worker count: argument, MTPHASE_WORKERS, or CPU count.
+
+    Sweeps no longer use the count; it is kept for callers that report it.
+    """
     if workers is not None:
         return max(int(workers), 1)
     env = os.environ.get("MTPHASE_WORKERS")
@@ -64,9 +68,7 @@ def resolve_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def region_evaluator(p: ModelParams) -> dict[str, object]:
-    """Stability-region classification of one parameter point."""
-    report = classify_region(p)
+def _region_values(report: RegionReport) -> dict[str, object]:
     return {
         "region": report.region.value,
         "sigma11_re": report.sigma11.real,
@@ -75,21 +77,9 @@ def region_evaluator(p: ModelParams) -> dict[str, object]:
     }
 
 
-_WORKER_PLANE: ParameterPlane | None = None
-_WORKER_EVALUATOR: Callable[[ModelParams], Mapping[str, object]] | None = None
-
-
-def _init_worker(plane: ParameterPlane, evaluator) -> None:
-    global _WORKER_PLANE, _WORKER_EVALUATOR
-    _WORKER_PLANE = plane
-    _WORKER_EVALUATOR = evaluator
-
-
-def _run_cell(task: tuple[int, int, float, float]) -> SweepCell:
-    i, j, s, t = task
+def _scalar_cell(plane: ParameterPlane, i: int, j: int, s: float, t: float) -> SweepCell:
     try:
-        p = _WORKER_PLANE.at(s, t)
-        values = dict(_WORKER_EVALUATOR(p))
+        values = _region_values(classify_region(plane.at(s, t)))
         error = None
     except MTPhaseError as exc:
         values = {}
@@ -100,10 +90,9 @@ def _run_cell(task: tuple[int, int, float, float]) -> SweepCell:
 def sweep(
     plane: ParameterPlane,
     resolution: tuple[int, int],
-    evaluator: Callable[[ModelParams], Mapping[str, object]] = region_evaluator,
     workers: int | None = None,
 ) -> list[SweepCell]:
-    """Evaluate ``evaluator`` on a ``resolution``-point grid over ``plane``.
+    """Classify the stability region on a ``resolution``-point grid over ``plane``.
 
     Parameters
     ----------
@@ -112,18 +101,14 @@ def sweep(
     resolution : tuple of int
         Number of grid points along each axis; the grid includes both range
         endpoints (a single point falls on the lower end).
-    evaluator : callable
-        Module-level callable mapping a parameter point to a column → value
-        mapping.  Must be importable (picklable) so it can cross process
-        boundaries.
     workers : int, optional
-        Pool size; defaults to ``MTPHASE_WORKERS`` or the CPU count.  With
-        one worker (or a single cell) everything runs in-process.
+        Accepted for compatibility and ignored: the sweep runs in-process,
+        one batch per grid row.
 
     Returns
     -------
     list of SweepCell
-        Cells in row-major grid order, independent of worker count.
+        Cells in row-major grid order.
     """
     n1, n2 = resolution
     if n1 <= 0 or n2 <= 0:
@@ -134,22 +119,17 @@ def sweep(
     coords2 = np.linspace(plane.range2[0], plane.range2[1], n2) if n2 > 1 else [
         plane.range2[0]
     ]
-    tasks = [
-        (i, j, float(coords1[i]), float(coords2[j]))
-        for i in range(n1)
-        for j in range(n2)
-    ]
+    ts = [float(t) for t in coords2]
 
-    n_workers = min(resolve_workers(workers), len(tasks))
-    if n_workers <= 1:
-        _init_worker(plane, evaluator)
-        try:
-            return [_run_cell(task) for task in tasks]
-        finally:
-            _init_worker(None, None)
-
-    chunk = max(len(tasks) // (4 * n_workers), 1)
-    with Pool(
-        processes=n_workers, initializer=_init_worker, initargs=(plane, evaluator)
-    ) as pool:
-        return pool.map(_run_cell, tasks, chunksize=chunk)
+    cells: list[SweepCell] = []
+    for i, s in enumerate(float(s) for s in coords1):
+        row = plane.row(s, ts)
+        feasible = row.feasible()
+        reports = iter(classify_region(row.select(feasible)))
+        for j, t in enumerate(ts):
+            if feasible[j]:
+                values = _region_values(next(reports))
+                cells.append(SweepCell(i, j, s, t, values, error=None))
+            else:
+                cells.append(_scalar_cell(plane, i, j, s, t))
+    return cells

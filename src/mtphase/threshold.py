@@ -25,10 +25,11 @@ from .errors import (
     NoSignChange,
     StepCollapse,
 )
-from .model import ModelParams, check_conditions, validate_params
+from .model import ModelParams, ParamBatch, check_conditions, cond2_margin, validate_params
 from .spectral import (
     char_poly_coeffs,
     laplacian_eigenvalue,
+    mode_matrices,
     mode_matrix,
     solve_spectrum,
 )
@@ -51,6 +52,13 @@ SIGMA_ZERO_BAND = 1e-8
 _TANGENT_TOL = 1e-8
 
 
+def _axis_fields(axis: str | Mapping[str, float], value) -> dict:
+    """The fields an axis sets at coordinate ``value`` (a float or an array)."""
+    if isinstance(axis, str):
+        return {axis: value}
+    return {name: weight * value for name, weight in axis.items()}
+
+
 @dataclass(frozen=True)
 class ParameterRay:
     """A one-dimensional path through parameter space.
@@ -68,11 +76,7 @@ class ParameterRay:
 
     def at(self, s: float) -> ModelParams:
         record = self.base.to_record()
-        if isinstance(self.direction, str):
-            record[self.direction] = s
-        else:
-            for name, weight in self.direction.items():
-                record[name] = weight * s
+        record.update(_axis_fields(self.direction, s))
         return validate_params(record)
 
 
@@ -86,19 +90,18 @@ class ParameterPlane:
     axis2: str | Mapping[str, float]
     range2: tuple[float, float]
 
-    @staticmethod
-    def _apply(record: dict, axis: str | Mapping[str, float], value: float) -> None:
-        if isinstance(axis, str):
-            record[axis] = value
-        else:
-            for name, weight in axis.items():
-                record[name] = weight * value
+    def _record(self, s, t) -> dict:
+        record = self.base.to_record()
+        record.update(_axis_fields(self.axis1, s))
+        record.update(_axis_fields(self.axis2, t))
+        return record
 
     def at(self, s: float, t: float) -> ModelParams:
-        record = self.base.to_record()
-        self._apply(record, self.axis1, s)
-        self._apply(record, self.axis2, t)
-        return validate_params(record)
+        return validate_params(self._record(s, t))
+
+    def row(self, s: float, t: np.ndarray) -> ParamBatch:
+        """The points ``(s, t[j])`` as one unvalidated batch."""
+        return ParamBatch.from_record(self._record(s, np.asarray(t, dtype=float)))
 
 
 class Region(str, Enum):
@@ -107,6 +110,9 @@ class Region(str, Enum):
     STABLE = "stable"
     CRITICAL = "critical"
     UNSTABLE = "unstable"
+
+
+_REGIONS = (Region.STABLE, Region.CRITICAL, Region.UNSTABLE)
 
 
 @dataclass(frozen=True)
@@ -234,26 +240,36 @@ def find_threshold(
     return point
 
 
-def classify_region(p: ModelParams, sigma_band: float = SIGMA_ZERO_BAND) -> RegionReport:
+def classify_region(
+    p: ModelParams | ParamBatch, sigma_band: float = SIGMA_ZERO_BAND
+) -> RegionReport | list[RegionReport]:
     """Stable / critical / unstable according to the leading eigenvalue.
 
     ``cond2_ok`` reports whether the stability-exchange condition holds;
     when it does not, the classification is outside the supported theory
     but the eigenvalue sign is still reported.
+
+    A :class:`ParamBatch` of feasible points gets one report per point, from
+    one eigenvalue call on the stack of their principal-mode blocks; a
+    single point is classified as a batch of one.
     """
-    sigma = solve_spectrum(mode_matrix(p, laplacian_eigenvalue(1, p.ell)))
-    sigma11 = complex(sigma[0])
-    if abs(sigma11.real) <= sigma_band:
-        region = Region.CRITICAL
-    elif sigma11.real > 0.0:
-        region = Region.UNSTABLE
-    else:
-        region = Region.STABLE
-    return RegionReport(
-        region=region,
-        sigma11=sigma11,
-        cond2_ok=check_conditions(p).cond2_ok,
-    )
+    batch = ParamBatch.from_record(p.to_record()) if isinstance(p, ModelParams) else p
+    # rho_1 per distinct ell through the scalar formula: NumPy squares an
+    # array as x*x, which differs from Python's float pow in the last bit
+    # for about one value in 1,200
+    ells = batch.ell.tolist()
+    rho_of = {ell: laplacian_eigenvalue(1, ell) for ell in set(ells)}
+    rho1 = np.array([rho_of[ell] for ell in ells], dtype=float)
+    sigma11 = solve_spectrum(mode_matrices(batch, rho1))[:, 0]
+    re = sigma11.real
+    side = np.where(np.abs(re) <= sigma_band, 1, np.where(re > 0.0, 2, 0))
+    reports = [
+        RegionReport(region=_REGIONS[k], sigma11=sigma, cond2_ok=ok)
+        for k, sigma, ok in zip(
+            side.tolist(), sigma11.tolist(), (cond2_margin(batch) > 0.0).tolist()
+        )
+    ]
+    return reports[0] if isinstance(p, ModelParams) else reports
 
 
 def _scaling_cross_check(p: ModelParams, m: int) -> bool:
@@ -443,16 +459,16 @@ def trace_threshold_curve(
     plane: ParameterPlane,
     n_points: int = 100,
     initial_step: float = 1e-2,
-    M_max: int = 50,
 ) -> list[ThresholdPoint]:
     """Trace the critical curve det E1 = 0 through a 2-parameter window.
 
     Pseudo-arclength continuation in window-normalized coordinates with step
     halving on corrector failure; each accepted vertex is re-polished with
-    :func:`find_threshold` along the axis in which the determinant varies
-    faster.  Returns the polyline ordered along the curve.  Raises
-    :class:`CurveLeftDomain` if no crossing exists in the window and
-    :class:`StepCollapse` (with partial results) if continuation stalls.
+    :func:`find_threshold` (without its stability report) along the axis in
+    which the determinant varies faster.  Returns the polyline ordered along
+    the curve.  Raises :class:`CurveLeftDomain` if no crossing exists in the
+    window and :class:`StepCollapse` (with partial results) if continuation
+    stalls.
     """
     (a1, b1), (a2, b2) = plane.range1, plane.range2
     span1, span2 = b1 - a1, b2 - a2
@@ -480,7 +496,7 @@ def trace_threshold_curve(
     for u, v in coords:
         s = a1 + u * span1
         t = a2 + v * span2
-        tp = _polish_vertex(plane, F, (u, v), (s, t), M_max)
+        tp = _polish_vertex(plane, F, (u, v), (s, t))
         points.append(tp)
     if collapsed_f or collapsed_b:
         raise StepCollapse(
@@ -494,7 +510,6 @@ def _polish_vertex(
     F,
     uv: tuple[float, float],
     st: tuple[float, float],
-    M_max: int,
 ) -> ThresholdPoint:
     """Re-verify one continuation vertex with a bracketing 1-D root solve."""
     (a1, b1), (a2, b2) = plane.range1, plane.range2
@@ -514,7 +529,7 @@ def _polish_vertex(
         direction=axis,
         bracket=_expand_bracket(lambda c: det_principal_mode(fixed(c)), coord, 1e-4 * abs(span)),
     )
-    tp = find_threshold(ray, M_max=M_max)
+    tp = find_threshold(ray, attach_report=False)
     if abs(g[0]) >= abs(g[1]):
         tp.plane_coords = (tp.ray_coord, t)
     else:

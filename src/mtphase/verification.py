@@ -770,8 +770,7 @@ def criterion_11_convergence_orders(seed: int = DEFAULT_SEED) -> tuple[bool, str
     )
 
 
-def _artifact_pipeline(config: RunConfig, out_dir: str, seed: int,
-                       workers: int | None) -> list[str]:
+def _artifact_pipeline(config: RunConfig, out_dir: str, seed: int) -> list[str]:
     from . import artifacts
 
     files: list[str] = []
@@ -780,7 +779,7 @@ def _artifact_pipeline(config: RunConfig, out_dir: str, seed: int,
     files += artifacts.run_threshold(config, out_dir)
     files += artifacts.run_transition(config, out_dir)
     files += artifacts.run_simulate(config, out_dir, seed=seed)
-    files += artifacts.run_phase_diagram(config, out_dir, workers=workers)
+    files += artifacts.run_phase_diagram(config, out_dir)
     write_manifest(out_dir, config_sha256(config), files)
     return files
 
@@ -788,7 +787,6 @@ def _artifact_pipeline(config: RunConfig, out_dir: str, seed: int,
 def criterion_12_reproducibility(
     seed: int = DEFAULT_SEED,
     config: RunConfig | None = None,
-    workers: int | None = None,
 ) -> tuple[bool, str]:
     """Two identically seeded pipeline runs produce byte-identical CSVs."""
     cfg = config if config is not None else default_verify_config()
@@ -797,8 +795,7 @@ def criterion_12_reproducibility(
         names: list[list[str]] = []
         for out_dir in dirs:
             os.makedirs(out_dir)
-            files = _artifact_pipeline(cfg, out_dir, seed=cfg.simulate.seed,
-                                       workers=workers)
+            files = _artifact_pipeline(cfg, out_dir, seed=cfg.simulate.seed)
             names.append(sorted(os.path.basename(f) for f in files))
         if names[0] != names[1]:
             return False, f"runs wrote different file sets: {names[0]} vs {names[1]}"
@@ -843,7 +840,6 @@ CRITERIA: tuple[tuple[int, str, Callable[..., tuple[bool, str]]], ...] = (
 def run_all(
     seed: int = DEFAULT_SEED,
     config: RunConfig | None = None,
-    workers: int | None = None,
     only: Sequence[int] | None = None,
 ) -> list[CriterionResult]:
     """Run the numbered criteria (optionally a subset) and time each one."""
@@ -853,7 +849,7 @@ def run_all(
             continue
         start = time.perf_counter()
         if func is criterion_12_reproducibility:
-            passed, detail = func(seed, config=config, workers=workers)
+            passed, detail = func(seed, config=config)
         else:
             passed, detail = func(seed)
         results.append(

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from mtphase import (
     K1NotPositive,
+    MTPhaseError,
     NonPositiveParameter,
+    ParamBatch,
+    ValidationError,
     check_conditions,
+    laplacian_eigenvalue,
     linearization_matrix,
+    mode_matrices,
+    mode_matrix,
     quadratic_nonlinearity,
     reaction_rhs,
     steady_state,
@@ -107,6 +113,42 @@ def test_infeasible_combination_rejected():
             dict(k1=1.0, k3=2.0, k5=2.0, k7=1.0, C1=1.0, E=1.0,
                  d1=0.3, d2=0.3, d3=0.3, ell=3.0)
         )
+
+
+def test_non_numeric_parameter_rejected():
+    base = dict(k1=1.0, k3=1.0, k5=1.0, k7=2.0, C1=1.0, E=1.0,
+                d1=0.3, d2=0.3, d3=0.3, ell=3.0)
+    with pytest.raises(ValidationError, match="not a number: 'fast'"):
+        validate_params({**base, "k3": "fast"})
+
+
+def test_param_batch_matches_single_points():
+    base = dict(k1=1.0, k3=1.0, k5=1.0, k7=2.0, C1=1.0, E=1.0,
+                d1=0.3, d2=0.3, d3=0.3, ell=3.0)
+    k7 = np.array([2.0, 0.5, 1.0, 3.7, np.nan, np.inf, 1.5])
+    d2 = np.array([0.3, 0.2, 0.1, 0.0, 0.3, 0.3, -1e-300])
+    batch = ParamBatch.from_record({**base, "k7": k7, "d2": d2})
+    points = []
+    for j in range(len(batch)):
+        try:
+            points.append(validate_params({**base, "k7": k7[j], "d2": d2[j]}))
+        except MTPhaseError:
+            points.append(None)
+    assert batch.feasible().tolist() == [p is not None for p in points]
+
+    ok = batch.select(batch.feasible())
+    feasible = [p for p in points if p is not None]
+    rho = np.array([laplacian_eigenvalue(2, p.ell) for p in feasible])
+    assert np.array_equal(
+        linearization_matrix(ok), [linearization_matrix(p) for p in feasible]
+    )
+    assert np.array_equal(
+        mode_matrices(ok, rho), [mode_matrix(p, r) for p, r in zip(feasible, rho)]
+    )
+    rhos = [laplacian_eigenvalue(m, 3.0) for m in range(1, 6)]
+    assert np.array_equal(
+        mode_matrices(feasible[0], rhos), [mode_matrix(feasible[0], r) for r in rhos]
+    )
 
 
 def test_check_conditions_canonical(canonical_threshold):
