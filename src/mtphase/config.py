@@ -343,11 +343,11 @@ def parse_config_text(text: str) -> RunConfig:
             M_max=sec.integer("M_max", 50),
             tol=sec.number("tol", 1e-10),
             ray_direction=(
-                _parse_axis("analysis", "ray", ray_text) if ray_text else None
+                _parse_axis("analysis", "ray", ray_text) if ray_text is not None else None
             ),
             ray_bracket=(
                 _parse_pair("analysis", "bracket", bracket_text, _finite_float)
-                if bracket_text
+                if bracket_text is not None
                 else None
             ),
         )
@@ -402,10 +402,15 @@ def parse_config_text(text: str) -> RunConfig:
         formats = tuple(
             part.strip() for part in sec.get("formats", "csv").split(",") if part.strip()
         )
+        if not formats:
+            raise ValidationError("formats", "[output] formats has no entries")
         for fmt in formats:
             if fmt != "csv":
                 raise ValidationError("formats", f"unsupported output format {fmt!r}")
-        output = OutputConfig(directory=sec.get("directory", "out"), formats=formats)
+        directory = sec.get("directory", "out").strip()
+        if not directory:
+            raise ValidationError("directory", "[output] directory is empty")
+        output = OutputConfig(directory=directory, formats=formats)
 
     return RunConfig(
         params=params, analysis=analysis, simulate=simulate, sweep=sweep, output=output

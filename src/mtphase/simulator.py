@@ -9,12 +9,26 @@ per-component Cholesky factors are prefactored once and stacked into one
 block-diagonal band, so each half-step is a single LAPACK ``pbtrs`` solve)
 and reaction explicit (second-order Heun with a diffusion-consistent
 predictor).  Fixed points of the scheme are exact steady states of the
-semi-discrete system, so saturated amplitudes carry spatial discretization
-error only.
+semi-discrete system for every step size, so saturated amplitudes carry
+spatial discretization error only.
+
+:func:`simulate` has two paths.  The fixed path takes steps of one size
+``dt`` (the last one shortened to end at ``t_end``); transient runs and
+temporal-convergence checks use it.  Saturation runs
+(``stop_on_saturation=True``) step on the geometric ladder ``dt * 2**k``
+with one prefactored :class:`Stepper` per rung: the IMEX Euler predictor
+and the corrector form an embedded 1(2) pair (Ascher, Ruuth & Wetton,
+SIAM J. Numer. Anal. 32, 1995), whose difference is a free local error
+estimate, and the rung follows it with a ceiling at the stability edge
+(after Söderlind, ACM TOMS 29, 2003).  They stop on the semi-discrete
+residual ``D lap u + A u + F(u)`` turned into an estimated distance to
+the steady state.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +52,15 @@ __all__ = [
     "SimulationResult",
     "AmplitudeFit",
     "MIN_GRID_POINTS",
+    "LADDER_TOL",
+    "LADDER_FLOOR",
     "make_grid",
     "laplacian_apply",
     "dt_max",
     "initial_state",
     "Stepper",
+    "CriticalMode",
+    "critical_mode",
     "amplitude",
     "simulate",
     "fit_amplitude_dynamics",
@@ -51,6 +69,13 @@ __all__ = [
 MIN_GRID_POINTS = 16
 #: zero-mean projection keeps |mean(u_i)| at or below this at recorded times
 MEAN_TOL = 1e-12
+#: step ladder of saturation runs: a step is rejected when its local error
+#: estimate ||corrector - predictor||_inf exceeds this times ||u||_inf
+LADDER_TOL = 1e-3
+#: lowest rung of the ladder: steps never fall below dt * 2**LADDER_FLOOR
+LADDER_FLOOR = -10
+#: accepted steps in each half of the residual window of the saturation stop
+_STOP_WINDOW = 10
 
 (_pbtrs,) = get_lapack_funcs(("pbtrs",), (np.empty(0),))
 
@@ -156,10 +181,23 @@ class AmplitudeSeries:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """Outcome of :func:`simulate` with its step diagnostics.
+
+    ``steps`` counts the accepted steps the result is made of, and
+    ``rejected`` the steps the ladder threw away: each rejected step and
+    each step undone with a failed rung.  ``dt_range`` is the smallest and
+    largest of the accepted steps (NaN when no step was taken).  ``residual`` is
+    ``||D lap u + A u + F(u)||_inf`` at the final state, mean-projected
+    with the reaction term; it vanishes exactly at a steady state.
+    """
+
     final_state: FieldState
     series: AmplitudeSeries
     saturated: bool
     steps: int
+    rejected: int
+    dt_range: tuple[float, float]
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -311,6 +349,43 @@ class Stepper:
             raise ValueError(f"pbtrs returned info = {info}")
         return x.reshape(rhs.shape)
 
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """Semi-discrete residual ``D lap u + R(u)``, the time derivative at ``u``.
+
+        It vanishes exactly at the steady states of the semi-discrete system
+        and is mean-projected whenever the reaction term is.
+        """
+        return self._d[:, None] * laplacian_apply(self.grid, u) + self.reaction(u)
+
+    def advance(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step with its by-products: ``(new state, predictor, residual)``.
+
+        The predictor is the first-order IMEX Euler state; the new state is
+        the second-order corrector, so ``new state - predictor`` estimates
+        the local error of the first-order method at no extra cost.  The
+        residual is :meth:`residual` at ``u``, already formed for the
+        corrector's right-hand side.
+
+        Raises
+        ------
+        StepUnstable
+            As :meth:`step_array`.
+        """
+        dt = self.dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            r0 = self.reaction(u)
+            predictor = self._solve(self._full, u + dt * r0)
+            lap_u = self._d[:, None] * laplacian_apply(self.grid, u)
+            residual = lap_u + r0
+            r1 = self.reaction(predictor)
+            rhs = u + 0.5 * dt * (residual + r1)
+            out = self._solve(self._half, rhs)
+        if self.project:
+            out -= out.mean(axis=1, keepdims=True)
+        if not np.isfinite(out).all():
+            raise StepUnstable("non-finite field values", last_state=None)
+        return out, predictor, residual
+
     def step_array(self, u: np.ndarray) -> np.ndarray:
         """Advance a raw (3, N) array by one step (no bookkeeping).
 
@@ -322,19 +397,7 @@ class Stepper:
             stable region).  ``last_state`` is None; :meth:`step` and
             :func:`simulate` attach it.
         """
-        dt = self.dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            r0 = self.reaction(u)
-            predictor = self._solve(self._full, u + dt * r0)
-            lap_u = self._d[:, None] * laplacian_apply(self.grid, u)
-            r1 = self.reaction(predictor)
-            rhs = u + 0.5 * dt * (lap_u + r0 + r1)
-            out = self._solve(self._half, rhs)
-        if self.project:
-            out -= out.mean(axis=1, keepdims=True)
-        if not np.isfinite(out).all():
-            raise StepUnstable("non-finite field values", last_state=None)
-        return out
+        return self.advance(u)[0]
 
     def step(self, state: FieldState) -> FieldState:
         """Advance one step, checking for numerical blow-up.
@@ -357,18 +420,68 @@ def _unstable_at(exc: StepUnstable, state: FieldState) -> StepUnstable:
     return StepUnstable(f"{exc} in the step from t = {state.t}", last_state=state)
 
 
-def amplitude(p: ModelParams, grid: Grid, u: np.ndarray) -> float:
-    """Critical-mode amplitude of a (3, N) deviation field.
+@dataclass(frozen=True)
+class CriticalMode:
+    """The critical mode ``omega * e1(x)`` on a grid, and its amplitude.
 
-    Discrete biorthogonal projection ``<u, e1 omega*> / <e1 omega, e1
-    omega*>``; the discrete sine/cosine orthogonality makes this exact for
-    fields expanded in grid modes.
+    Built by :func:`critical_mode`; the mode vectors are evaluated once, so
+    :meth:`amplitude` is cheap to call along a trajectory.
     """
+
+    omega: np.ndarray
+    omega_star: np.ndarray
+    e1: np.ndarray
+    denominator: float
+
+    def amplitude(self, u: np.ndarray) -> float:
+        """Biorthogonal projection ``<u, e1 omega*> / <e1 omega, e1 omega*>``.
+
+        The discrete sine/cosine orthogonality makes this exact for fields
+        expanded in grid modes.
+        """
+        return float(self.e1 @ (self.omega_star @ u)) / self.denominator
+
+    @property
+    def max_norm(self) -> float:
+        """``||omega * e1||_inf``, the field size of a unit amplitude."""
+        return float(np.abs(self.omega).max() * np.abs(self.e1).max())
+
+
+def critical_mode(p: ModelParams, grid: Grid) -> CriticalMode:
+    """The critical mode of ``p`` sampled on ``grid``."""
     omega, omega_star, _ = principal_mode_vectors(p)
     e1 = laplacian_mode(p, 1).evaluate(grid.x)
-    numerator = float(e1 @ (omega_star @ u))
     denominator = float(e1 @ e1) * float(omega @ omega_star)
-    return numerator / denominator
+    return CriticalMode(omega, omega_star, e1, denominator)
+
+
+def amplitude(p: ModelParams, grid: Grid, u: np.ndarray) -> float:
+    """Critical-mode amplitude of one (3, N) deviation field."""
+    return critical_mode(p, grid).amplitude(u)
+
+
+def _decay_distance(norms: deque, dt: float) -> float:
+    """Distance to the steady state estimated from a decaying norm, or ``inf``.
+
+    ``norms`` holds one norm of the residual ``D lap u + R(u)`` at up to
+    ``2*_STOP_WINDOW + 1`` consecutive states one step ``dt`` apart.  Near a
+    stable steady state the residual decays like ``exp(-lam*t)`` and the
+    distance is about ``norm/lam``.  The rate is the slower one of the two
+    half windows, so components still decaying fast in the first half
+    cannot make the estimate optimistic.  A zero norm gives 0; a window
+    that is not full, or a norm that does not decay in both halves, gives
+    ``inf``.
+    """
+    w = _STOP_WINDOW
+    last = norms[-1]
+    if last == 0.0:
+        return 0.0
+    if len(norms) < 2 * w + 1 or not (norms[0] > 0.0 and norms[w] > 0.0):
+        return math.inf
+    ratio = max(norms[w] / norms[0], last / norms[w])
+    if not ratio < 1.0:
+        return math.inf
+    return last * (w * dt) / -math.log(ratio)
 
 
 def simulate(
@@ -380,70 +493,165 @@ def simulate(
     record_every: int = 10,
     stop_on_saturation: bool = False,
     saturation_tol: float = 1e-8,
-    saturation_window: int = 100,
     linear_only: bool = False,
     project: bool | None = None,
 ) -> SimulationResult:
     """Integrate to ``t_end``, recording the critical-mode amplitude.
 
-    Steps have size ``dt``, except that the last one is shortened so that
-    the run ends exactly at ``t_end``.  When ``(t_end - t0)/dt`` is within
-    1e-12 of a whole number, every step is a full one and the run ends at
-    ``t0 + n*dt``.  The amplitude is recorded every ``record_every`` steps
-    (and at the final time).  With ``stop_on_saturation`` the run ends
-    early once the total spread (max minus min) of the last
-    ``saturation_window`` recordings falls below ``saturation_tol``.
-    Choose the tolerance well below the change expected per window during
-    the slow initial plateau, or start from an aligned state with a known
-    projection, to avoid stopping before the transient has developed.
+    Fixed path (``stop_on_saturation=False``): every step has size ``dt``,
+    except that the last one is shortened so that the run ends exactly at
+    ``t_end``.  When ``(t_end - t0)/dt`` is within 1e-12 of a whole number,
+    every step is a full one and the run ends at ``t0 + n*dt``.
+
+    Saturation runs (``stop_on_saturation=True``) step on the ladder
+    ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0, with one
+    :class:`Stepper` per rung.  The predictor (IMEX Euler) and the corrector
+    form an embedded 1(2) pair, so ``||corrector - predictor||_inf`` is a
+    free local error estimate.  A step whose estimate exceeds ``LADDER_TOL``
+    times the new field's max norm, or that blows up, is rejected and
+    retried one rung lower.  After a step whose estimate is below an eighth
+    of that, the run climbs one rung: the estimate scales like ``dt**2``,
+    so the doubled step is predicted to pass with a factor of two to spare.
+    A rung that fails after a climb has exposed the scheme's stability
+    edge, not a fast transient: it becomes a ceiling for the rest of the
+    run, and every step taken on it is undone, because an unstable mode
+    can grow over many accepted steps before the estimate sees it.  A rung
+    that fails where the run started or after a rejection only moves the
+    run down.  On the floor rung an over-tolerance step is accepted and a
+    blow-up raises.  The last step is shortened to end at ``t_end`` as on
+    the fixed path.
+
+    The run stops once the estimated max-norm distance to the steady state
+    is at most ``saturation_tol`` times the field's max norm.  The estimate
+    divides the residual ``||D lap u + A u + F(u)||_inf`` (mean-projected
+    with the reaction term) by its decay rate over the last ``2 *
+    _STOP_WINDOW`` steps on one rung.  The critical-mode part of the
+    residual, which is the slowest part near a threshold and can hide under
+    faster decaying parts, gives a second estimate, and the larger one
+    counts.  Fixed points of the scheme are the semi-discrete steady states
+    for every step size, so the ladder changes the time taken, not the
+    saturated state.  Near an unstable steady state, such as the trivial
+    state of a slowly growing run, the residual may decay for a while too:
+    start from an aligned state of known projection, or keep
+    ``saturation_tol`` well below the relative growth expected.  A run that
+    decays to the trivial state does not stop early, because the relative
+    distance does not shrink.
+
+    The amplitude is recorded every ``record_every`` accepted steps and at
+    the final time.
 
     Returns
     -------
     SimulationResult
-        Final state, amplitude series, a saturation flag, and the number of
-        steps taken.
+        Final state, amplitude series, a saturation flag and step
+        diagnostics.
+
+    Raises
+    ------
+    StepUnstable
+        If a step blows up on the fixed path or on the floor rung; it
+        carries the last good state.
     """
     if dt is None:
         dt = 0.5 * dt_max(p, grid)
-    stepper = Stepper(p, grid, dt, linear_only=linear_only, project=project)
-    omega, omega_star, _ = principal_mode_vectors(p)
-    e1 = laplacian_mode(p, 1).evaluate(grid.x)
-    proj_den = float(e1 @ e1) * float(omega @ omega_star)
+    adaptive = stop_on_saturation
+    ladder: dict[int, Stepper] = {}
 
-    span = (t_end - initial.t) / dt
-    n_steps = max(int(np.ceil(span - 1e-12)), 0)
-    shorten_last = n_steps - span > 1e-12
-    times = [initial.t]
-    ys = [float(e1 @ (omega_star @ initial.u)) / proj_den]
+    def rung_stepper(k: int) -> Stepper:
+        if k not in ladder:
+            ladder[k] = Stepper(
+                p, grid, math.ldexp(dt, k), linear_only=linear_only, project=project
+            )
+        return ladder[k]
+
+    mode = critical_mode(p, grid)
     u = initial.u.copy()
     t = initial.t
+    times = [t]
+    ys = [mode.amplitude(u)]
     saturated = False
-    steps_taken = 0
-    for k in range(1, n_steps + 1):
-        last_short = shorten_last and k == n_steps
+    accepted = rejected = 0
+    used: Counter[float] = Counter()  # accepted steps per step size
+    rung, ceiling, climbed = 0, math.inf, False
+    # On one rung: t = base + count*h from the state u0 held at base, n_left
+    # steps to t_end (the last one shortened when short_last), and residual
+    # norms for the stop.
+    residuals: deque[float] = deque(maxlen=2 * _STOP_WINDOW + 1)
+    critical: deque[float] = deque(maxlen=2 * _STOP_WINDOW + 1)
+    changed = True
+    while True:
+        if changed:
+            base, count, u0, recorded_at_base = t, 0, u, len(times)
+            h = rung_stepper(rung).dt
+            span = (t_end - base) / h
+            n_left = max(int(np.ceil(span - 1e-12)), 0)
+            short_last = n_left - span > 1e-12
+            residuals.clear()
+            critical.clear()
+            changed = False
+        if count == n_left:
+            break
+        last_short = short_last and count + 1 == n_left
         if last_short:
-            stepper = Stepper(
-                p, grid, t_end - t, linear_only=linear_only, project=project
-            )
+            stepper = Stepper(p, grid, t_end - t, linear_only=linear_only, project=project)
+        else:
+            stepper = rung_stepper(rung)
         try:
-            u = stepper.step_array(u)
+            u_new, predictor, residual = stepper.advance(u)
         except StepUnstable as exc:
-            raise _unstable_at(exc, FieldState(t=t, u=u)) from None
-        steps_taken = k
-        t = t_end if last_short else initial.t + k * dt
-        if k % record_every == 0 or k == n_steps:
+            if not adaptive or rung == LADDER_FLOOR:
+                raise _unstable_at(exc, FieldState(t=t, u=u)) from None
+            accept = False
+        else:
+            if adaptive:
+                scale = float(np.abs(u_new).max())
+                error = float(np.abs(u_new - predictor).max())
+            accept = not adaptive or error <= LADDER_TOL * scale or rung == LADDER_FLOOR
+        if not accept:
+            rejected += 1
+            if climbed:
+                # undo every step on the failed rung
+                ceiling = rung
+                accepted -= count
+                rejected += count
+                used[h] -= count
+                t, u = base, u0
+                del times[recorded_at_base:], ys[recorded_at_base:]
+            rung, climbed, changed = rung - 1, False, True
+            continue
+        u = u_new
+        count += 1
+        t = t_end if last_short else base + count * h
+        accepted += 1
+        used[stepper.dt] += 1
+        recorded = accepted % record_every == 0 or count == n_left
+        if recorded:
             times.append(t)
-            ys.append(float(e1 @ (omega_star @ u)) / proj_den)
-            if stop_on_saturation and len(ys) > saturation_window:
-                window = ys[-(saturation_window + 1) :]
-                if max(window) - min(window) < saturation_tol:
-                    saturated = True
-                    break
+            ys.append(mode.amplitude(u))
+        if not adaptive:
+            continue
+        residuals.append(float(np.abs(residual).max()))
+        critical.append(abs(mode.amplitude(residual)))
+        distance = max(
+            _decay_distance(residuals, h), _decay_distance(critical, h) * mode.max_norm
+        )
+        if distance <= saturation_tol * scale:
+            saturated = True
+            if not recorded:
+                times.append(t)
+                ys.append(mode.amplitude(u))
+            break
+        if 8.0 * error <= LADDER_TOL * scale and rung + 1 < ceiling:
+            rung, climbed, changed = rung + 1, True, True
+    sizes = [size for size, n in used.items() if n]
     return SimulationResult(
         final_state=FieldState(t=t, u=u),
         series=AmplitudeSeries(times=np.array(times), y=np.array(ys)),
         saturated=saturated,
-        steps=steps_taken,
+        steps=accepted,
+        rejected=rejected,
+        dt_range=(min(sizes), max(sizes)) if sizes else (math.nan, math.nan),
+        residual=float(np.abs(rung_stepper(0).residual(u)).max()),
     )
 
 

@@ -43,6 +43,7 @@ from .output import read_manifest, write_manifest
 from .simulator import (
     Stepper,
     amplitude,
+    critical_mode,
     dt_max,
     initial_state,
     laplacian_apply,
@@ -227,9 +228,7 @@ def _evolve_outcome(
     or ``("timeout", t_max)``.
     """
     stepper = Stepper(p, grid, dt)
-    omega, omega_star, _ = principal_mode_vectors(p)
-    e1 = laplacian_mode(p, 1).evaluate(grid.x)
-    den = float(e1 @ e1) * float(omega @ omega_star)
+    mode = critical_mode(p, grid)
     u = initial_state(p, grid, kind="aligned", amplitude=y0).u
     n_steps = int(np.ceil(t_max / dt))
     k = 0
@@ -240,7 +239,7 @@ def _evolve_outcome(
                 k += 1
         except StepUnstable:
             return "grew", k * dt
-        y = float(e1 @ (omega_star @ u)) / den
+        y = mode.amplitude(u)
         if abs(y) >= grow_factor * abs(y0):
             return "grew", k * dt
         if abs(y) <= decay_to:

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtphase import (
+    ConfigError,
     ParseError,
     UnknownKey,
     ValidationError,
     config_sha256,
+    main,
     parse_config,
     parse_config_text,
     serialize_config,
@@ -214,3 +224,100 @@ def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as excinfo:
         parse_config_text(bad)
     assert "line" in str(excinfo.value).lower() or ":" in str(excinfo.value)
+
+
+CANONICAL_LINES = (Path(__file__).parents[1] / "configs" / "canonical.ini").read_text().splitlines()
+#: indices of the ``key = value`` lines of canonical.ini
+_ENTRIES = [i for i, line in enumerate(CANONICAL_LINES) if "=" in line and not line.startswith("#")]
+
+
+def _section_of(index: int) -> str:
+    return next(line for line in reversed(CANONICAL_LINES[:index]) if line.startswith("["))
+
+
+def _mutate(edits) -> tuple[str, bool]:
+    """canonical.ini with ``edits`` applied; also whether a duplicate was added."""
+    lines = [[line] for line in CANONICAL_LINES]
+    tail = []
+    duplicate = False
+    for index, kind in edits:
+        line = CANONICAL_LINES[index]
+        key = line.split("=", 1)[0].strip()
+        if kind == "empty":
+            lines[index][0] = f"{key} ="
+        elif kind == "comma":
+            lines[index][0] = f"{key} = ,"
+        elif kind == "duplicate-key":
+            lines[index].append(line)
+            duplicate = True
+        else:  # duplicate-section
+            tail += ["", _section_of(index), line]
+            duplicate = True
+    return "\n".join([line for group in lines for line in group] + tail) + "\n", duplicate
+
+
+_KINDS = ["empty", "comma", "duplicate-key", "duplicate-section"]
+
+
+def _check_mangled(edits) -> None:
+    """Parsing succeeds or raises a configuration error; the CLI never exits 4.
+
+    Duplicates raise a ParseError, which the INI reader reports first;
+    other edits parse or raise a ValidationError.  ``steady-state`` then
+    exits 0 or 2, writing into the configured output directory.
+    """
+    text, duplicate = _mutate(edits)
+    try:
+        parse_config_text(text)
+    except ParseError:
+        assert duplicate
+        expected = 2
+    except ValidationError:
+        assert not duplicate
+        expected = 2
+    else:
+        assert not duplicate
+        expected = 0
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "run.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        cwd = os.getcwd()
+        os.chdir(work)  # the [output] directory, mangled or not, lands here
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = main(["steady-state", "--config", path])
+        finally:
+            os.chdir(cwd)
+    assert rc == expected
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("index", _ENTRIES, ids=lambda i: CANONICAL_LINES[i].split("=")[0].strip())
+def test_each_mangled_canonical_entry_is_a_config_error(index, kind):
+    _check_mangled([(index, kind)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_ENTRIES), st.sampled_from(_KINDS)), min_size=2, max_size=4))
+def test_mangled_canonical_config_is_a_config_error(edits):
+    _check_mangled(edits)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("directory = results", "directory =", "directory"),
+        ("formats = csv", "formats = ,", "formats"),
+        ("ray = d1:1,d2:2,d3:0.5", "ray =", "ray"),
+        ("bracket = 0.1,2.0", "bracket =", "bracket"),
+    ],
+)
+def test_empty_values_rejected(old, new, key):
+    # Before, these were accepted: an empty directory made every subcommand
+    # fail with an internal error, and an empty ray or bracket dropped the
+    # ray despite the rule that both are given together.
+    assert old in FULL
+    with pytest.raises(ValidationError) as excinfo:
+        parse_config_text(FULL.replace(old, new))
+    assert excinfo.value.field == key

@@ -7,13 +7,16 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from mtphase import (
+    LADDER_FLOOR,
     AmplitudeSeries,
     BoundaryCondition,
+    FieldState,
     GridTooCoarse,
     ModelParams,
     StepUnstable,
     Stepper,
     amplitude,
+    critical_mode,
     dt_max,
     fit_amplitude_dynamics,
     initial_state,
@@ -26,6 +29,7 @@ from mtphase import (
     quadratic_nonlinearity,
     simulate,
 )
+from mtphase.verification import _newton_steady_state
 
 
 @pytest.fixture(scope="module")
@@ -326,3 +330,147 @@ def test_simulate_records_final_time(unstable_params):
     assert result.final_state.t == 1.0
     assert np.count_nonzero(result.series.times == 1.0) == 1
     assert result.series.y.shape == result.series.times.shape
+
+
+# ---------------------------------------------------------------------------
+# step ladder of saturation runs
+
+
+@pytest.fixture(scope="module")
+def saturating_params(canonical_threshold):
+    # The README example: the canonical threshold unfolded to k7 = 2.2,
+    # where the run saturates on the Dirichlet mixed branch.
+    return canonical_threshold.lambda0.replace(k7=2.2)
+
+
+def _relative_distance(u, ref):
+    return float(np.abs(u - ref).max() / np.abs(ref).max())
+
+
+def test_ladder_saturates_from_an_unstable_first_rung(saturating_params):
+    # 40 x dt_max is beyond the scheme's stability edge: the fixed path
+    # blows up, the ladder falls to stable rungs and still saturates on
+    # the semi-discrete steady state.
+    p = saturating_params
+    g = make_grid(p, 64)
+    dt = 40.0 * dt_max(p, g)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    with pytest.raises(StepUnstable):
+        simulate(p, g, ic, t_end=2000.0, dt=dt)
+    tol = 1e-6
+    result = simulate(p, g, ic, t_end=2000.0, dt=dt, stop_on_saturation=True,
+                      saturation_tol=tol)
+    assert result.saturated
+    assert result.rejected >= 1
+    assert result.dt_range[0] < dt
+    ref = _newton_steady_state(p, g, result.series.y[-1])
+    assert _relative_distance(result.final_state.u, ref) <= 20.0 * tol
+    assert result.residual <= 1e-6
+
+
+def test_ladder_keeps_zero_average_runs_on_the_zero_mean_subspace():
+    # The zero-average model has no attracting nontrivial steady state near
+    # its thresholds (its transitions are jumps and runs above threshold
+    # blow up), so this run starts below threshold, inside the repeller,
+    # and decays toward the trivial state.  The relative distance to that
+    # state does not shrink, so the run goes on to t_end.
+    p = ModelParams(
+        k1=1.0, k3=1.0, k5=1.0, k7=2.0, C1=1.0, E=1.0,
+        d1=0.3, d2=0.3, d3=0.3, ell=4.0, bc="neumann-zero-average",
+    )
+    g = make_grid(p, 48)
+    dt = 40.0 * dt_max(p, g)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    with pytest.raises(StepUnstable):
+        simulate(p, g, ic, t_end=200.0, dt=dt)
+    result = simulate(p, g, ic, t_end=200.0, dt=dt, stop_on_saturation=True,
+                      saturation_tol=1e-6)
+    assert not result.saturated
+    assert result.final_state.t == 200.0
+    assert result.rejected >= 1
+    assert np.abs(result.final_state.u.mean(axis=1)).max() <= 1e-12
+    assert np.abs(result.final_state.u).max() < 0.1 * np.abs(ic.u).max()
+
+
+def test_ladder_run_started_on_the_steady_state_stops_at_once(saturating_params):
+    p = saturating_params
+    g = make_grid(p, 64)
+    ref = _newton_steady_state(p, g, 0.42)
+    tol = 1e-6
+    result = simulate(p, g, FieldState(t=0.0, u=ref.copy()), t_end=2000.0,
+                      stop_on_saturation=True, saturation_tol=tol)
+    assert result.saturated
+    assert result.steps < 100
+    assert _relative_distance(result.final_state.u, ref) <= 20.0 * tol
+
+
+@pytest.mark.parametrize(
+    "N, offset, tol",
+    [(64, 0.0, 1e-8), (64, 1e-7, 1e-8), (64, 1e-5, 1e-6), (128, 1e-5, 1e-6), (64, 1e-3, 1e-6)],
+    ids=["on-state", "1e-7-off", "1e-5-off", "1e-5-off-N128", "1e-3-off"],
+)
+def test_saturation_stop_distance_estimate_is_not_optimistic(saturating_params, N, offset, tol):
+    # Started on or near the steady state, off along a profile that excites
+    # fast and slow modes alike.  Fast decaying parts of the residual must
+    # not hide the slow part, and the steps a failed climb took must not
+    # leave a slow perturbation behind: the field where the run stops lies
+    # within twice the tolerance of the steady state.
+    p = saturating_params
+    g = make_grid(p, N)
+    ref = _newton_steady_state(p, g, 0.42)
+    e1 = laplacian_mode(p, 1).evaluate(g.x)
+    start = ref + offset * np.abs(ref).max() * np.stack([e1, e1, e1])
+    result = simulate(p, g, FieldState(t=0.0, u=start), t_end=4000.0,
+                      stop_on_saturation=True, saturation_tol=tol)
+    assert result.saturated
+    assert _relative_distance(result.final_state.u, ref) <= 2.0 * tol
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_ladder_blow_up_raises_on_the_floor_rung(unstable_params, bc, monkeypatch):
+    p = unstable_params.replace(bc=bc)
+    g = make_grid(p, 32)
+    dt = dt_max(p, g)
+    sizes = []
+    advance = Stepper.advance
+
+    def spy(self, u):
+        sizes.append(self.dt)
+        return advance(self, u)
+
+    monkeypatch.setattr(Stepper, "advance", spy)
+    st = initial_state(p, g, kind="aligned", amplitude=1e6)
+    with pytest.raises(StepUnstable) as excinfo:
+        simulate(p, g, st, t_end=50.0, dt=dt, stop_on_saturation=True)
+    last = excinfo.value.last_state
+    assert last is not None and np.all(np.isfinite(last.u))
+    floor = dt * 2.0**LADDER_FLOOR
+    assert sizes[-1] == floor
+    assert min(sizes) == floor
+    assert len(sizes) < 10_000
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_fixed_path_equals_chained_step_array(unstable_params, bc):
+    # stop_on_saturation=False pins the ladder to rung 0: the run is the
+    # plain chain of step_array calls, with the last step shortened to end
+    # at t_end, bit for bit.
+    p = unstable_params.replace(bc=bc)
+    g = make_grid(p, 32)
+    ic = initial_state(p, g, kind="random", amplitude=1e-2, seed=2)
+    dt, t_end = 0.03, 1.0
+    result = simulate(p, g, ic, t_end=t_end, dt=dt, record_every=5)
+    stepper = Stepper(p, g, dt)
+    mode = critical_mode(p, g)
+    u, ys = ic.u.copy(), [mode.amplitude(ic.u)]
+    for k in range(1, 34):
+        u = stepper.step_array(u)
+        if k % 5 == 0:
+            ys.append(mode.amplitude(u))
+    u = Stepper(p, g, t_end - 33 * dt).step_array(u)
+    ys.append(mode.amplitude(u))
+    assert np.array_equal(result.final_state.u, u)
+    assert np.array_equal(result.series.y, np.array(ys))
+    assert result.steps == 34 and result.rejected == 0
+    assert result.dt_range == (t_end - 33 * dt, dt)
+    assert result.residual == float(np.abs(stepper.residual(u)).max())
