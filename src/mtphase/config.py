@@ -407,7 +407,7 @@ def parse_config_text(text: str) -> RunConfig:
         for fmt in formats:
             if fmt != "csv":
                 raise ValidationError("formats", f"unsupported output format {fmt!r}")
-        directory = sec.get("directory", "out").strip()
+        directory = sec.get("directory", "out")
         if not directory:
             raise ValidationError("directory", "[output] directory is empty")
         output = OutputConfig(directory=directory, formats=formats)

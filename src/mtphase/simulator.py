@@ -12,17 +12,11 @@ predictor).  Fixed points of the scheme are exact steady states of the
 semi-discrete system for every step size, so saturated amplitudes carry
 spatial discretization error only.
 
-:func:`simulate` has two paths.  The fixed path takes steps of one size
-``dt`` (the last one shortened to end at ``t_end``); transient runs and
-temporal-convergence checks use it.  Saturation runs
-(``stop_on_saturation=True``) step on the geometric ladder ``dt * 2**k``
-with one prefactored :class:`Stepper` per rung: the IMEX Euler predictor
-and the corrector form an embedded 1(2) pair (Ascher, Ruuth & Wetton,
-SIAM J. Numer. Anal. 32, 1995), whose difference is a free local error
-estimate, and the rung follows it with a ceiling at the stability edge
-(after Söderlind, ACM TOMS 29, 2003).  They stop on the semi-discrete
-residual ``D lap u + A u + F(u)`` turned into an estimated distance to
-the steady state.
+:func:`simulate` has two paths: fixed steps of size ``dt``, and for
+saturation runs an error-controlled ladder ``dt * 2**k`` that uses the
+IMEX Euler predictor and the corrector as an embedded 1(2) pair (Ascher,
+Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995; the controller follows
+Söderlind, ACM TOMS 29, 2003) and stops on the semi-discrete residual.
 """
 
 from __future__ import annotations
@@ -74,7 +68,8 @@ MEAN_TOL = 1e-12
 LADDER_TOL = 1e-3
 #: lowest rung of the ladder: steps never fall below dt * 2**LADDER_FLOOR
 LADDER_FLOOR = -10
-#: accepted steps in each half of the residual window of the saturation stop
+#: the saturation stop measures the residual's decay over this many steps,
+#: after as many more on the same rung
 _STOP_WINDOW = 10
 
 (_pbtrs,) = get_lapack_funcs(("pbtrs",), (np.empty(0),))
@@ -466,22 +461,20 @@ def _decay_distance(norms: deque, dt: float) -> float:
     ``norms`` holds one norm of the residual ``D lap u + R(u)`` at up to
     ``2*_STOP_WINDOW + 1`` consecutive states one step ``dt`` apart.  Near a
     stable steady state the residual decays like ``exp(-lam*t)`` and the
-    distance is about ``norm/lam``.  The rate is the slower one of the two
-    half windows, so components still decaying fast in the first half
-    cannot make the estimate optimistic.  A zero norm gives 0; a window
-    that is not full, or a norm that does not decay in both halves, gives
+    distance is about ``norm/lam``.  The rate ``lam`` comes from the second
+    half of the window only: the first half lets faster components decay,
+    and a sum of decaying exponentials decays ever more slowly, so the
+    later rate is the slower one.  A zero norm gives 0; a window that is
+    not full, or a norm that does not decay over the second half, gives
     ``inf``.
     """
     w = _STOP_WINDOW
     last = norms[-1]
     if last == 0.0:
         return 0.0
-    if len(norms) < 2 * w + 1 or not (norms[0] > 0.0 and norms[w] > 0.0):
+    if len(norms) <= 2 * w or not last < norms[w]:
         return math.inf
-    ratio = max(norms[w] / norms[0], last / norms[w])
-    if not ratio < 1.0:
-        return math.inf
-    return last * (w * dt) / -math.log(ratio)
+    return last * (w * dt) / math.log(norms[w] / last)
 
 
 def simulate(
@@ -524,8 +517,9 @@ def simulate(
     The run stops once the estimated max-norm distance to the steady state
     is at most ``saturation_tol`` times the field's max norm.  The estimate
     divides the residual ``||D lap u + A u + F(u)||_inf`` (mean-projected
-    with the reaction term) by its decay rate over the last ``2 *
-    _STOP_WINDOW`` steps on one rung.  The critical-mode part of the
+    with the reaction term) by its decay rate over the last
+    ``_STOP_WINDOW`` steps, once the run has spent ``2 * _STOP_WINDOW``
+    steps on one rung.  The critical-mode part of the
     residual, which is the slowest part near a threshold and can hide under
     faster decaying parts, gives a second estimate, and the larger one
     counts.  Fixed points of the scheme are the semi-discrete steady states

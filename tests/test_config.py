@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtphase import (
-    ConfigError,
     ParseError,
     UnknownKey,
     ValidationError,
