@@ -12,7 +12,7 @@ import os
 
 from .config import RunConfig
 from .errors import CurveLeftDomain, NoSignChange
-from .model import check_conditions, steady_state
+from .model import steady_state
 from .output import (
     CRITICAL_CURVE_COLUMNS,
     FINAL_STATE_COLUMNS,
@@ -67,27 +67,32 @@ def run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
     return [path]
 
 
-def _located_threshold(config: RunConfig):
+def _located_threshold(config: RunConfig, attach_report: bool = True):
     return find_threshold(
-        config.ray(), tol=config.analysis.tol, M_max=config.analysis.M_max
+        config.ray(),
+        tol=config.analysis.tol,
+        M_max=config.analysis.M_max,
+        attach_report=attach_report,
     )
 
 
 def run_threshold(config: RunConfig, out_dir: str) -> list[str]:
-    """Locate the threshold on the configured ray; write ``threshold.csv``."""
+    """Locate the threshold on the configured ray; write ``threshold.csv``.
+
+    Of the exchange-of-stability report only ``cond2_ok`` is written.
+    """
     tp = _located_threshold(config)
-    cond2_ok = check_conditions(tp.lambda0).cond2_ok
     path = write_csv(
         os.path.join(out_dir, "threshold.csv"),
         THRESHOLD_COLUMNS,
-        [threshold_row(tp, cond2_ok)],
+        [threshold_row(tp, tp.stability_report.cond2_ok)],
     )
     return [path]
 
 
 def run_transition(config: RunConfig, out_dir: str) -> list[str]:
     """Classify the transition at the located threshold; write ``transition.csv``."""
-    tp = _located_threshold(config)
+    tp = _located_threshold(config, attach_report=False)
     report = classify_transition(tp)
     path = write_csv(
         os.path.join(out_dir, "transition.csv"),

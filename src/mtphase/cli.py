@@ -21,8 +21,8 @@ Subcommands
 ``spectrum``
     Eigenvalues and (adjoint) eigenvectors for modes 1..M_max.
 ``threshold``
-    Critical point on the configured parameter ray, with the
-    exchange-of-stability report.
+    Critical point on the configured parameter ray, with whether the
+    stability-exchange condition (cond2) holds there.
 ``transition``
     Transition classification and branch coefficients at the threshold.
 ``simulate``
@@ -136,40 +136,23 @@ def _finish(out_dir: str, config: RunConfig, files: list[str]) -> int:
     return 0
 
 
-def _cmd_steady_state(args: argparse.Namespace) -> int:
+#: subcommand -> name of its runner in ``artifacts``, looked up per call
+_ARTIFACT_RUNNERS = {
+    "steady-state": "run_steady_state",
+    "spectrum": "run_spectrum",
+    "threshold": "run_threshold",
+    "transition": "run_transition",
+    "simulate": "run_simulate",
+    "phase-diagram": "run_phase_diagram",
+}
+
+
+def _cmd_artifacts(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    return _finish(out, config, artifacts.run_steady_state(config, out))
-
-
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    return _finish(out, config, artifacts.run_spectrum(config, out))
-
-
-def _cmd_threshold(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    return _finish(out, config, artifacts.run_threshold(config, out))
-
-
-def _cmd_transition(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    return _finish(out, config, artifacts.run_transition(config, out))
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    return _finish(out, config, artifacts.run_simulate(config, out, seed=args.seed))
-
-
-def _cmd_phase_diagram(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    return _finish(out, config, artifacts.run_phase_diagram(config, out))
+    run = getattr(artifacts, _ARTIFACT_RUNNERS[args.command])
+    options = {"seed": args.seed} if args.command == "simulate" else {}
+    return _finish(out, config, run(config, out, **options))
 
 
 def _parse_only(text: str | None) -> list[int] | None:
@@ -210,23 +193,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if n_failed == 0 else 3
 
 
-_COMMANDS = {
-    "steady-state": _cmd_steady_state,
-    "spectrum": _cmd_spectrum,
-    "threshold": _cmd_threshold,
-    "transition": _cmd_transition,
-    "simulate": _cmd_simulate,
-    "phase-diagram": _cmd_phase_diagram,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        return _cmd_artifacts(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,10 @@ saturation runs an error-controlled ladder ``dt * 2**k`` that uses the
 IMEX Euler predictor and the corrector as an embedded 1(2) pair (Ascher,
 Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995; the controller follows
 Söderlind, ACM TOMS 29, 2003) and stops on the semi-discrete residual.
+
+Amplitudes are biorthogonal projections onto the critical mode, built from
+the closed-form eigenpair of :mod:`mtphase.spectral`; the simulator uses
+nothing of the threshold or transition analyses it is checking.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from .model import (
     quadratic_nonlinearity,
     steady_state,
 )
-from .spectral import laplacian_mode
-from .transition import principal_mode_vectors
+from .spectral import laplacian_mode, principal_mode_vectors
 
 __all__ = [
     "Grid",

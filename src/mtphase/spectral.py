@@ -3,8 +3,11 @@
 Expanding deviations in the Laplacian eigenbasis decouples the linearized
 dynamics into independent 3x3 blocks ``E(rho_m) = A - rho_m * D`` per spatial
 mode ``m``.  This module builds those blocks, solves their characteristic
-cubics, and evaluates the closed-form eigenvectors / adjoint eigenvectors
-used by the threshold and transition analyses.
+cubics, and is the one place that writes out the closed-form eigenvector
+omega and adjoint eigenvector omega*.  :func:`eigenvector` and
+:func:`adjoint_eigenvector` check them against the block;
+:func:`principal_mode_vectors` gives the critical pair at sigma = 0 that the
+transition analysis and the simulator's amplitude projection contract.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "adjoint_eigenvector",
     "mode_spectra",
     "principal_eigenvalue",
+    "principal_mode_vectors",
 ]
 
 
@@ -281,11 +285,26 @@ def _deflated_roots(p2: float, p1: float, p0: float, x: float) -> np.ndarray:
     return np.array([complex(x)] + pair)
 
 
-def _xy(p: ModelParams, rho: float, sigma: complex):
+def _shorthands(p: ModelParams, rho: float, sigma: complex):
+    """``a = E/k1``, ``X``, ``Y``, ``q = X*Y - k5*k7*a**2`` and ``omega_3 = q/k1``
+    of the closed forms."""
     a = p.E / p.k1
     x = p.d1 * rho + p.k7 * a + sigma
     y = p.d2 * rho + p.k5 * a + sigma
-    return a, x, y
+    q = x * y - p.k5 * p.k7 * a * a
+    return a, x, y, q, q / p.k1
+
+
+def _eigenpair(p: ModelParams, rho: float, sigma: complex):
+    """Closed-form ``(omega, omega*)`` of ``mode_matrix(p, rho)`` at sigma,
+    unchecked; :func:`eigenvector` and :func:`adjoint_eigenvector` give the
+    formulas and check them."""
+    a, x, y, q, w3 = _shorthands(p, rho, sigma)
+    omega = np.array([p.k5 * a, x, w3])
+    omega_star = np.array(
+        [a * (p.C1 * p.k7 - p.k3 * y), p.C1 * x - p.k3 * p.k5 * a * a, q]
+    )
+    return omega, omega_star
 
 
 def eigenvector(
@@ -302,8 +321,7 @@ def eigenvector(
     first component is a positive constant, so the vector never degenerates.
     Raises :class:`NotAnEigenvalue` when the residual check fails.
     """
-    a, x, y = _xy(p, rho, sigma)
-    omega = np.array([p.k5 * a, x, (x * y - p.k5 * p.k7 * a * a) / p.k1])
+    omega, _ = _eigenpair(p, rho, sigma)
     _check_residual(mode_matrix(p, rho), sigma, omega, tol, adjoint=False)
     return omega
 
@@ -318,16 +336,30 @@ def adjoint_eigenvector(
     constraint ``C1*k7 = k3*(k5*a + d2*rho)`` the first component vanishes at
     sigma = 0.
     """
-    a, x, y = _xy(p, rho, sigma)
-    omega_star = np.array(
-        [
-            a * (p.C1 * p.k7 - p.k3 * y),
-            p.C1 * x - p.k3 * p.k5 * a * a,
-            x * y - p.k5 * p.k7 * a * a,
-        ]
-    )
+    _, omega_star = _eigenpair(p, rho, sigma)
     _check_residual(mode_matrix(p, rho), sigma, omega_star, tol, adjoint=True)
     return omega_star
+
+
+def principal_mode_vectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """Critical eigenvector, adjoint eigenvector and rho_1 at zero eigenvalue.
+
+    Evaluates the closed forms at exactly sigma = 0 rather than at the tiny
+    residual eigenvalue left by root finding; at a genuine threshold these
+    are the critical eigenpair, and the formal evaluation also lets the
+    algebraic identity checks run at parameter points that are not exact
+    thresholds, which is why no residual check is made.
+
+    Returns
+    -------
+    omega, omega_star : ndarray
+        Unnormalized critical and adjoint eigenvectors (real).
+    rho1 : float
+        Principal Laplacian eigenvalue ``(pi/ell)**2``.
+    """
+    rho1 = laplacian_eigenvalue(1, p.ell)
+    omega, omega_star = _eigenpair(p, rho1, 0.0)
+    return omega, omega_star, rho1
 
 
 # Absolute residual floor per unit matrix-norm cubed (~1e4 machine epsilons).
@@ -390,13 +422,10 @@ def _polish_sigma(p: ModelParams, rho: float, sigma: complex, iters: int = 2) ->
     would reintroduce.  The step is capped so a value that is not already
     near a root is returned unchanged (no silent jumps between roots).
     """
-    a = p.E / p.k1
     z = -(p.K2 + p.d3 * rho)
     s = sigma
     for _ in range(iters):
-        x = p.d1 * rho + p.k7 * a + s
-        y = p.d2 * rho + p.k5 * a + s
-        w3 = (x * y - p.k5 * p.k7 * a * a) / p.k1
+        a, x, y, _, w3 = _shorthands(p, rho, s)
         f = -p.k3 * a * p.k5 * a + p.C1 * x + (z - s) * w3
         fp = p.C1 + (z - s) * (x + y) / p.k1 - w3
         if f == 0.0 or abs(fp) < 1e-300:

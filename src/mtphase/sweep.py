@@ -113,16 +113,12 @@ def sweep(
     n1, n2 = resolution
     if n1 <= 0 or n2 <= 0:
         raise ValueError(f"resolution must be positive, got {resolution!r}")
-    coords1 = np.linspace(plane.range1[0], plane.range1[1], n1) if n1 > 1 else [
-        plane.range1[0]
-    ]
-    coords2 = np.linspace(plane.range2[0], plane.range2[1], n2) if n2 > 1 else [
-        plane.range2[0]
-    ]
-    ts = [float(t) for t in coords2]
+    # np.linspace also for one point, so a -0.0 lower end gives the same
+    # coordinate 0.0 whatever the resolution
+    ts = np.linspace(*plane.range2, n2).tolist()
 
     cells: list[SweepCell] = []
-    for i, s in enumerate(float(s) for s in coords1):
+    for i, s in enumerate(np.linspace(*plane.range1, n1).tolist()):
         row = plane.row(s, ts)
         feasible = row.feasible()
         reports = iter(classify_region(row.select(feasible)))

@@ -31,6 +31,7 @@ from .spectral import (
     laplacian_eigenvalue,
     mode_matrices,
     mode_matrix,
+    principal_eigenvalue,
     solve_spectrum,
 )
 
@@ -218,8 +219,7 @@ def find_threshold(
         s_root, f_root = _polish_root(f, s_root, f(s_root), h)
 
     p_root = ray.at(s_root)
-    sigma = solve_spectrum(mode_matrix(p_root, laplacian_eigenvalue(1, p_root.ell)))
-    sigma11 = complex(sigma[0])
+    sigma11 = principal_eigenvalue(p_root)
     if abs(sigma11.imag) > sigma_band:
         raise ComplexCrossing(
             f"leading eigenvalue at threshold is complex: {sigma11!r}"

@@ -10,6 +10,12 @@ equation ``dy/dt = sigma11*y + b*y**3`` whose coefficient sign separates a
 continuous supercritical pitchfork (type I), a jump with metastable trivial
 state (type II), and a cubic-degenerate case this package does not resolve
 (type III).
+
+Every coefficient here is a contraction of eigendata that
+:mod:`mtphase.spectral` supplies: the critical pair omega, omega* from
+``principal_mode_vectors`` and the interaction mode's spectrum.  Each
+contraction divides by a bilinear pairing ``omega . omega*``, and one guard
+raises :class:`Resonance` when a pair is near-defective.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from .errors import (
 )
 from .model import BoundaryCondition, ModelParams, quadratic_nonlinearity
 from .spectral import (
+    _spectrum_at,
     laplacian_eigenvalue,
     laplacian_mode,
-    mode_spectra,
     principal_eigenvalue,
+    principal_mode_vectors,
 )
 from .threshold import ThresholdPoint, det_principal_mode
 
@@ -43,7 +50,6 @@ __all__ = [
     "CubicReduction",
     "TransitionReport",
     "PredictedState",
-    "principal_mode_vectors",
     "quadratic_coefficient",
     "center_manifold_coefficients",
     "cubic_reduction",
@@ -211,42 +217,13 @@ def _as_threshold_point(tp: ThresholdPoint | ModelParams) -> ThresholdPoint:
     )
 
 
-def principal_mode_vectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
-    """Critical eigenvector, adjoint eigenvector and rho_1 at zero eigenvalue.
-
-    Evaluates the closed forms at exactly sigma = 0 rather than at the tiny
-    residual eigenvalue left by root finding; at a genuine threshold these
-    are the critical eigenpair, and the formal evaluation also lets the
-    algebraic identity checks run at parameter points that are not exact
-    thresholds.
-
-    Returns
-    -------
-    omega, omega_star : ndarray
-        Unnormalized critical and adjoint eigenvectors (real).
-    rho1 : float
-        Principal Laplacian eigenvalue ``(pi/ell)**2``.
-    """
-    rho1 = laplacian_eigenvalue(1, p.ell)
-    a = p.E / p.k1
-    x = p.d1 * rho1 + p.k7 * a
-    y = p.d2 * rho1 + p.k5 * a
-    omega = np.array([p.k5 * a, x, (x * y - p.k5 * p.k7 * a * a) / p.k1])
-    omega_star = np.array(
-        [
-            a * (p.C1 * p.k7 - p.k3 * y),
-            p.C1 * x - p.k3 * p.k5 * a * a,
-            x * y - p.k5 * p.k7 * a * a,
-        ]
-    )
-    return omega, omega_star, rho1
-
-
-def _biorth(p: ModelParams, omega: np.ndarray, omega_star: np.ndarray) -> float:
-    pairing = float(omega @ omega_star)
+def _biorth(omega: np.ndarray, omega_star: np.ndarray, name: str):
+    """Bilinear pairing ``omega . omega*``; raises :class:`Resonance` when the
+    pair is near-defective."""
+    pairing = omega @ omega_star
     if abs(pairing) <= _BIORTH_RTOL * np.linalg.norm(omega) * np.linalg.norm(omega_star):
         raise Resonance(
-            "critical eigenpair is near-defective (omega . omega* ~ 0); "
+            f"{name} is near-defective (omega . omega* ~ 0); "
             "the reduced amplitude equation is not available"
         )
     return pairing
@@ -286,7 +263,7 @@ def quadratic_coefficient(
     p = _params_of(tp)
     _require_bc(p, BoundaryCondition.DIRICHLET, "the quadratic branch coefficient")
     omega, omega_star, _ = principal_mode_vectors(p)
-    pairing = _biorth(p, omega, omega_star)
+    pairing = float(_biorth(omega, omega_star, "critical eigenpair"))
     projected = float(quadratic_nonlinearity(p, omega) @ omega_star)
     closed = (8.0 / (3.0 * np.pi)) * projected / pairing
 
@@ -335,7 +312,7 @@ def center_manifold_coefficients(
 
 
 def _interaction_coefficients(p: ModelParams) -> CenterManifoldCoefficients:
-    ms = mode_spectra(p, _INTERACTION_MODE)[-1]
+    ms = _spectrum_at(p, laplacian_mode(p, _INTERACTION_MODE), tol=1e-10)
     omega, _, _ = principal_mode_vectors(p)
     driving = quadratic_nonlinearity(p, omega)
     cross_projection = p.ell / 4.0  # <e1^2, e2>
@@ -348,13 +325,9 @@ def _interaction_coefficients(p: ModelParams) -> CenterManifoldCoefficients:
                 f"interaction eigenvalue sigma_2{i + 1} = {s!r} is inside the "
                 f"resonance guard ({EPSILON_RESONANCE})"
             )
-        pairing = ms.omega[i] @ ms.omega_star[i]
-        if abs(pairing) <= _BIORTH_RTOL * np.linalg.norm(ms.omega[i]) * np.linalg.norm(
-            ms.omega_star[i]
-        ):
-            raise Resonance(
-                f"interaction eigenpair for sigma_2{i + 1} is near-defective"
-            )
+        pairing = _biorth(
+            ms.omega[i], ms.omega_star[i], f"interaction eigenpair for sigma_2{i + 1}"
+        )
         coeffs[i] = -cross_projection * (driving @ ms.omega_star[i]) / (
             s * norm_sq * pairing
         )
@@ -392,7 +365,7 @@ def cubic_reduction(tp: ThresholdPoint | ModelParams) -> CubicReduction:
     )
     cmf = _interaction_coefficients(p)
     omega, omega_star, _ = principal_mode_vectors(p)
-    pairing = _biorth(p, omega, omega_star)
+    pairing = float(_biorth(omega, omega_star, "critical eigenpair"))
 
     cross_projection = p.ell / 4.0
     b1 = complex(0.0)
@@ -467,7 +440,7 @@ def transition_number_simplified(
     reduction = cubic_reduction(p)
     b2 = reduction.projected_components[1]
     omega, omega_star, _ = principal_mode_vectors(p)
-    pairing = _biorth(p, omega, omega_star)
+    pairing = float(_biorth(omega, omega_star, "critical eigenpair"))
     raw = -(p.k3 * p.k5 * rho1 / p.k7) * (
         p.k5 * p.d1 + p.k7 * p.d2 + p.d1 * p.d2 * rho1
     ) * b2

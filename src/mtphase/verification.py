@@ -59,12 +59,12 @@ from .spectral import (
     mode_matrix,
     mode_spectra,
     principal_eigenvalue,
+    principal_mode_vectors,
 )
 from .threshold import ParameterRay, find_threshold
 from .transition import (
     DEGENERATE_BAND,
     classify_transition,
-    principal_mode_vectors,
     transition_number,
     transition_number_simplified,
 )

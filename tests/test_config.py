@@ -18,6 +18,7 @@ from mtphase import (
     UnknownKey,
     ValidationError,
     config_sha256,
+    default_verify_config,
     main,
     parse_config,
     parse_config_text,
@@ -225,7 +226,17 @@ def test_parse_error_reports_line_number():
     assert "line" in str(excinfo.value).lower() or ":" in str(excinfo.value)
 
 
-CANONICAL_LINES = (Path(__file__).parents[1] / "configs" / "canonical.ini").read_text().splitlines()
+CANONICAL_INI = Path(__file__).parents[1] / "configs" / "canonical.ini"
+CANONICAL_LINES = CANONICAL_INI.read_text().splitlines()
+
+
+def test_canonical_ini_matches_builtin_config():
+    # configs/canonical.ini says it matches the built-in `mtphase verify` setup
+    assert config_sha256(parse_config(CANONICAL_INI)) == config_sha256(
+        default_verify_config()
+    )
+
+
 #: indices of the ``key = value`` lines of canonical.ini
 _ENTRIES = [i for i, line in enumerate(CANONICAL_LINES) if "=" in line and not line.startswith("#")]
 

@@ -9,18 +9,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtphase import (
+    MTPhaseError,
     NotAnEigenvalue,
+    ParameterRay,
     adjoint_eigenvector,
     char_poly_coeffs,
     companion_roots,
     cubic_roots,
     eigenvector,
+    find_threshold,
     laplacian_eigenvalue,
     laplacian_mode,
     linearization_matrix,
     mode_matrix,
     mode_spectra,
     principal_eigenvalue,
+    principal_mode_vectors,
     solve_spectrum,
 )
 
@@ -189,6 +193,31 @@ def test_eigenvector_rejects_non_eigenvalue(canonical_params):
         eigenvector(canonical_params, rho, 12345.0)
     with pytest.raises(NotAnEigenvalue):
         adjoint_eigenvector(canonical_params, rho, 12345.0)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_principal_mode_vectors_are_the_checked_eigenpair(bc, random_params_factory):
+    # The unchecked sigma = 0 pair equals the checked one bit for bit at
+    # thresholds, so skipping the residual check there skips nothing.
+    rng = np.random.default_rng(61)
+    found = 0
+    while found < 20:
+        base = random_params_factory(rng, bc)
+        weights = 10.0 ** rng.uniform(-1.0, 0.0, 3)
+        ray = ParameterRay(
+            base=base,
+            direction={"d1": weights[0], "d2": weights[1], "d3": weights[2]},
+            bracket=(1e-3, 100.0),
+        )
+        try:
+            p = find_threshold(ray, attach_report=False).lambda0
+        except MTPhaseError:
+            continue
+        found += 1
+        omega, omega_star, rho1 = principal_mode_vectors(p)
+        assert rho1 == laplacian_eigenvalue(1, p.ell)
+        assert np.array_equal(omega, eigenvector(p, rho1, 0.0))
+        assert np.array_equal(omega_star, adjoint_eigenvector(p, rho1, 0.0))
 
 
 def test_principal_eigenvalue_is_top_of_first_mode(random_params_factory):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtphase import (
@@ -158,6 +158,8 @@ _windows = st.tuples(st.floats(-0.5, 3.5), st.floats(-0.5, 3.5))
         st.tuples(st.integers(1, 9), st.integers(1, 9)),
     ),
 )
+# a -0.0 lower end gives coordinate 0.0 on a one-point axis, as on longer ones
+@example(bc="dirichlet", window1=(-0.0, 0.0), window2=(0.0, 0.0), resolution=(1, 1))
 def test_row_batches_equal_single_point_cells_on_random_windows(
     bc, window1, window2, resolution
 ):

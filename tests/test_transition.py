@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,22 @@ from mtphase import (
     ModelParams,
     OutOfTheory,
     ParameterRay,
+    Resonance,
     TransitionType,
     classify_transition,
     find_threshold,
     laplacian_eigenvalue,
+    mode_spectra,
+    parse_config,
     predicted_state,
     principal_mode_vectors,
     quadratic_coefficient,
     transition_number,
     transition_number_simplified,
 )
+from mtphase.transition import _biorth
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +112,25 @@ def test_transition_number_accepts_params_and_threshold(jump_threshold):
     via_point = transition_number(jump_threshold)
     via_params = transition_number(jump_threshold.lambda0)
     assert via_params == pytest.approx(via_point, rel=1e-12)
+
+
+def test_resonant_interaction_mode_raises():
+    # With every diffusivity divided by 4 the mode-2 block at rho_2 = 4*rho_1
+    # is the principal block of the threshold, so sigma_21 is zero.
+    config = parse_config(CONFIGS / "neumann-jump.ini")
+    p = find_threshold(config.ray(), tol=config.analysis.tol, attach_report=False).lambda0
+    resonant = p.replace(d1=p.d1 / 4.0, d2=p.d2 / 4.0, d3=p.d3 / 4.0)
+    assert abs(mode_spectra(resonant, 2)[1].sigma[0]) < 1e-12
+    with pytest.raises(Resonance, match="sigma_21"):
+        transition_number(resonant)
+
+
+def test_pairing_guard_rejects_near_orthogonal_pair():
+    omega = np.array([1.0, 2.0, 0.0])
+    omega_star = np.array([2.0, -1.0 + 1e-14, 3.0])
+    with pytest.raises(Resonance, match="test pair is near-defective"):
+        _biorth(omega, omega_star, "test pair")
+    assert _biorth(omega, omega, "test pair") == 5.0
 
 
 def test_predicted_state_profiles(canonical_threshold):
