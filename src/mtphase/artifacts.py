@@ -8,11 +8,12 @@ suite reuses them directly for the reproducibility check.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 from .config import RunConfig
 from .errors import CurveLeftDomain, NoSignChange
-from .model import steady_state
+from .model import check_conditions, steady_state
 from .output import (
     CRITICAL_CURVE_COLUMNS,
     FINAL_STATE_COLUMNS,
@@ -67,32 +68,32 @@ def run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
     return [path]
 
 
-def _located_threshold(config: RunConfig, attach_report: bool = True):
+def _located_threshold(config: RunConfig):
     return find_threshold(
         config.ray(),
         tol=config.analysis.tol,
         M_max=config.analysis.M_max,
-        attach_report=attach_report,
+        attach_report=False,
     )
 
 
 def run_threshold(config: RunConfig, out_dir: str) -> list[str]:
     """Locate the threshold on the configured ray; write ``threshold.csv``.
 
-    Of the exchange-of-stability report only ``cond2_ok`` is written.
+    Of the exchange-of-stability conditions only ``cond2_ok`` is written.
     """
     tp = _located_threshold(config)
     path = write_csv(
         os.path.join(out_dir, "threshold.csv"),
         THRESHOLD_COLUMNS,
-        [threshold_row(tp, tp.stability_report.cond2_ok)],
+        [threshold_row(tp, check_conditions(tp.lambda0).cond2_ok)],
     )
     return [path]
 
 
 def run_transition(config: RunConfig, out_dir: str) -> list[str]:
     """Classify the transition at the located threshold; write ``transition.csv``."""
-    tp = _located_threshold(config, attach_report=False)
+    tp = _located_threshold(config)
     report = classify_transition(tp)
     path = write_csv(
         os.path.join(out_dir, "transition.csv"),
@@ -139,20 +140,19 @@ def run_phase_diagram(config: RunConfig, out_dir: str) -> list[str]:
     does not cross the requested window.
     """
     plane = config.plane()
-    cells = sweep(plane, config.sweep.resolution)
+    grid = sweep(plane, config.sweep.resolution)
+    cells = zip(
+        itertools.product(enumerate(grid.coord1.tolist()), enumerate(grid.coord2.tolist())),
+        grid.region.ravel().tolist(),
+        grid.sigma11.real.ravel().tolist(),
+        grid.sigma11.imag.ravel().tolist(),
+        grid.cond2_ok.ravel().tolist(),
+    )
     grid_rows = [
-        [
-            cell.i,
-            cell.j,
-            cell.coord1,
-            cell.coord2,
-            cell.values.get("region"),
-            cell.values.get("sigma11_re"),
-            cell.values.get("sigma11_im"),
-            cell.values.get("cond2_ok"),
-            cell.error,
-        ]
-        for cell in cells
+        [i, j, s, t, region, re, im, ok, None]
+        if (i, j) not in grid.errors
+        else [i, j, s, t, None, None, None, None, grid.errors[i, j]]
+        for ((i, s), (j, t)), region, re, im, ok in cells
     ]
     grid_path = write_csv(
         os.path.join(out_dir, "phase-diagram.csv"), PHASE_DIAGRAM_COLUMNS, grid_rows

@@ -34,9 +34,8 @@ Subcommands
 ``verify``
     The numbered verification suite; one line per criterion.
 
-``--workers`` and ``MTPHASE_WORKERS`` are accepted for compatibility and
-have no effect: a sweep runs in one process, one batch per grid row.  Set
-``MTPHASE_DEBUG=1`` to re-raise unexpected exceptions with a traceback.
+Set ``MTPHASE_DEBUG=1`` to re-raise unexpected exceptions with a
+traceback.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
 
     def add(name: str, help_text: str, *, config_required: bool = True,
-            workers: bool = False, seed: bool = False):
+            seed: bool = False):
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument(
             "--config",
@@ -80,13 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="output directory (default: [output] directory from the config)",
         )
-        if workers:
-            sp.add_argument(
-                "--workers",
-                type=int,
-                metavar="N",
-                help="accepted for compatibility; has no effect",
-            )
         if seed:
             sp.add_argument(
                 "--seed",
@@ -101,12 +93,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add("threshold", "critical point on the configured parameter ray")
     add("transition", "transition type and branch coefficients at the threshold")
     add("simulate", "time integration with amplitude tracking", seed=True)
-    add("phase-diagram", "parameter-plane sweep and critical curve", workers=True)
+    add("phase-diagram", "parameter-plane sweep and critical curve")
     verify = add(
         "verify",
         "run the numbered verification suite",
         config_required=False,
-        workers=True,
         seed=True,
     )
     verify.add_argument(

@@ -154,13 +154,14 @@ class ParamBatch(_DerivedConstants):
         return len(self.k1)
 
     def feasible(self) -> np.ndarray:
-        """Mask of the points with every field finite and > 0, and K1 > 0."""
+        """Mask of the points :class:`ModelParams` accepts: every field
+        finite and > 0, and K1 not <= 0 (a NaN K1 from overflow passes)."""
         ok = np.ones(len(self), dtype=bool)
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             ok &= np.isfinite(value) & (value > 0.0)
         with np.errstate(invalid="ignore", over="ignore"):
-            return ok & (self.K1 > 0.0)
+            return ok & ~(self.K1 <= 0.0)
 
     def select(self, index) -> "ParamBatch":
         """The points at ``index`` (a mask or index array) as a new batch."""

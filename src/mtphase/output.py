@@ -42,7 +42,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
@@ -57,7 +56,6 @@ __all__ = [
     "format_value",
     "write_csv",
     "sha256_file",
-    "RunManifest",
     "write_manifest",
     "read_manifest",
     "steady_state_row",
@@ -108,20 +106,8 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Recorded identity of one run: config, version, outputs."""
-
-    config_sha256: str
-    version: str
-    created_utc: str
-    checksums: tuple[tuple[str, str], ...]
-
-
-def write_manifest(
-    out_dir: str, config_hash: str, files: Sequence[str]
-) -> RunManifest:
-    """Write ``manifest.txt`` listing every output file with its checksum.
+def write_manifest(out_dir: str, config_hash: str, files: Sequence[str]) -> str:
+    """Write ``manifest.txt`` listing every output file; returns its path.
 
     ``files`` are paths inside ``out_dir``; they are recorded under their
     base names, sorted, so the manifest is independent of write order.
@@ -132,9 +118,9 @@ def write_manifest(
     """
     created = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     entries: dict[str, str] = {}
-    existing = os.path.join(out_dir, MANIFEST_NAME)
-    if os.path.exists(existing):
-        previous = read_manifest(existing)
+    path = os.path.join(out_dir, MANIFEST_NAME)
+    if os.path.exists(path):
+        previous = read_manifest(path)
         if (
             previous.get("config_sha256") == config_hash
             and previous.get("version") == __version__
@@ -144,24 +130,14 @@ def write_manifest(
                 for key, value in previous.items()
                 if key.startswith("sha256:")
             }
-    entries.update(
-        (os.path.basename(path), sha256_file(path)) for path in files
-    )
-    checksums = tuple(sorted(entries.items()))
-    manifest = RunManifest(
-        config_sha256=config_hash,
-        version=__version__,
-        created_utc=created,
-        checksums=checksums,
-    )
-    path = os.path.join(out_dir, MANIFEST_NAME)
+    entries.update((os.path.basename(name), sha256_file(name)) for name in files)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"config_sha256 = {manifest.config_sha256}\n")
-        handle.write(f"version = {manifest.version}\n")
-        handle.write(f"created_utc = {manifest.created_utc}\n")
-        for name, digest in manifest.checksums:
+        handle.write(f"config_sha256 = {config_hash}\n")
+        handle.write(f"version = {__version__}\n")
+        handle.write(f"created_utc = {created}\n")
+        for name, digest in sorted(entries.items()):
             handle.write(f"sha256:{name} = {digest}\n")
-    return manifest
+    return path
 
 
 def read_manifest(path: str) -> dict[str, str]:

@@ -156,18 +156,6 @@ class FieldState:
     t: float
     u: np.ndarray
 
-    @property
-    def u1(self) -> np.ndarray:
-        return self.u[0]
-
-    @property
-    def u2(self) -> np.ndarray:
-        return self.u[1]
-
-    @property
-    def u3(self) -> np.ndarray:
-        return self.u[2]
-
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
@@ -489,8 +477,6 @@ def simulate(
     record_every: int = 10,
     stop_on_saturation: bool = False,
     saturation_tol: float = 1e-8,
-    linear_only: bool = False,
-    project: bool | None = None,
 ) -> SimulationResult:
     """Integrate to ``t_end``, recording the critical-mode amplitude.
 
@@ -556,9 +542,7 @@ def simulate(
 
     def rung_stepper(k: int) -> Stepper:
         if k not in ladder:
-            ladder[k] = Stepper(
-                p, grid, math.ldexp(dt, k), linear_only=linear_only, project=project
-            )
+            ladder[k] = Stepper(p, grid, math.ldexp(dt, k))
         return ladder[k]
 
     mode = critical_mode(p, grid)
@@ -590,7 +574,7 @@ def simulate(
             break
         last_short = short_last and count + 1 == n_left
         if last_short:
-            stepper = Stepper(p, grid, t_end - t, linear_only=linear_only, project=project)
+            stepper = Stepper(p, grid, t_end - t)
         else:
             stepper = rung_stepper(rung)
         try:

@@ -1,59 +1,64 @@
 """Stability-region sweeps over two-axis parameter slices.
 
 A sweep classifies every cell of a regular grid laid over a
-:class:`~mtphase.threshold.ParameterPlane`.  Each grid row is one batch:
-its feasible points go to :func:`~mtphase.threshold.classify_region`
-together, as one stack of principal-mode blocks, and each value equals the
-one a single-point classification gives.  Rows come back in grid
-(row-major) order, so sweep output is reproducible byte-for-byte.  A cell
-whose parameters are infeasible is built through the scalar
+:class:`~mtphase.threshold.ParameterPlane` and returns the result as
+arrays, one element per cell.  Each grid row is one batch: its feasible
+points go to :func:`~mtphase.threshold.classify_region` together, as one
+stack of principal-mode blocks, and each value equals the one a
+single-point classification gives.  A cell whose parameters are
+infeasible is built through the scalar
 :meth:`~mtphase.threshold.ParameterPlane.at`, and the name and message of
-the domain error it raises are recorded in the cell's ``error`` field; the
-sweep continues.  Unexpected exceptions propagate.
+the domain error it raises are recorded in the grid's error map; the
+sweep continues.  Unexpected exceptions propagate.  Sweep output is
+reproducible byte-for-byte.
 
-Everything runs in the calling process.  The ``workers`` argument,
-``--workers`` and ``MTPHASE_WORKERS`` are still accepted but change
-nothing.
+Everything runs in the calling process.  :func:`resolve_workers`,
+``MTPHASE_WORKERS`` and the ``workers`` argument of :func:`sweep` change
+nothing; they remain only because the benchmark in ``perfbench/`` calls
+them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, MTPhaseError
-from .threshold import ParameterPlane, RegionReport, classify_region
+from .threshold import ParameterPlane, classify_region
 
 __all__ = [
-    "SweepCell",
+    "PhaseGrid",
     "resolve_workers",
     "sweep",
 ]
 
 
 @dataclass(frozen=True)
-class SweepCell:
-    """One evaluated grid cell.
+class PhaseGrid:
+    """The stability regions of an ``(n1, n2)`` grid over a parameter plane.
 
-    ``values`` holds the region classification (empty when the cell failed)
-    and ``error`` the name and message of the domain error, if any.
+    Cell ``(i, j)`` lies at ``(coord1[i], coord2[j])``.  ``region`` holds
+    region values as strings, ``sigma11`` the leading principal-mode
+    eigenvalue and ``cond2_ok`` whether the stability-exchange condition
+    holds.  ``errors`` maps each cell whose parameters are infeasible to
+    ``"ErrorName: message"``; such a cell holds ``""``, NaN and False.
     """
 
-    i: int
-    j: int
-    coord1: float
-    coord2: float
-    values: Mapping[str, object]
-    error: str | None
+    coord1: np.ndarray
+    coord2: np.ndarray
+    region: np.ndarray
+    sigma11: np.ndarray
+    cond2_ok: np.ndarray
+    errors: dict[tuple[int, int], str]
 
 
 def resolve_workers(workers: int | None) -> int:
     """Determine the worker count: argument, MTPHASE_WORKERS, or CPU count.
 
-    Sweeps no longer use the count; it is kept for callers that report it.
+    Sweeps do not use the count; it is kept for the benchmark, which
+    reports it.
     """
     if workers is not None:
         return max(int(workers), 1)
@@ -68,30 +73,11 @@ def resolve_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _region_values(report: RegionReport) -> dict[str, object]:
-    return {
-        "region": report.region.value,
-        "sigma11_re": report.sigma11.real,
-        "sigma11_im": report.sigma11.imag,
-        "cond2_ok": report.cond2_ok,
-    }
-
-
-def _scalar_cell(plane: ParameterPlane, i: int, j: int, s: float, t: float) -> SweepCell:
-    try:
-        values = _region_values(classify_region(plane.at(s, t)))
-        error = None
-    except MTPhaseError as exc:
-        values = {}
-        error = f"{type(exc).__name__}: {exc}"
-    return SweepCell(i=i, j=j, coord1=s, coord2=t, values=values, error=error)
-
-
 def sweep(
     plane: ParameterPlane,
     resolution: tuple[int, int],
     workers: int | None = None,
-) -> list[SweepCell]:
+) -> PhaseGrid:
     """Classify the stability region on a ``resolution``-point grid over ``plane``.
 
     Parameters
@@ -102,30 +88,39 @@ def sweep(
         Number of grid points along each axis; the grid includes both range
         endpoints (a single point falls on the lower end).
     workers : int, optional
-        Accepted for compatibility and ignored: the sweep runs in-process,
-        one batch per grid row.
+        Ignored: the sweep runs in-process, one batch per grid row.  Kept
+        because the benchmark passes it.
 
     Returns
     -------
-    list of SweepCell
-        Cells in row-major grid order.
+    PhaseGrid
+        Coordinates, ``(n1, n2)`` arrays of the classification and the
+        errors of the infeasible cells.
     """
     n1, n2 = resolution
     if n1 <= 0 or n2 <= 0:
         raise ValueError(f"resolution must be positive, got {resolution!r}")
     # np.linspace also for one point, so a -0.0 lower end gives the same
     # coordinate 0.0 whatever the resolution
-    ts = np.linspace(*plane.range2, n2).tolist()
-
-    cells: list[SweepCell] = []
-    for i, s in enumerate(np.linspace(*plane.range1, n1).tolist()):
-        row = plane.row(s, ts)
+    coord1 = np.linspace(*plane.range1, n1)
+    coord2 = np.linspace(*plane.range2, n2)
+    ts = coord2.tolist()
+    region = np.full((n1, n2), "", dtype=object)
+    sigma11 = np.full((n1, n2), np.nan, dtype=complex)
+    cond2_ok = np.zeros((n1, n2), dtype=bool)
+    errors: dict[tuple[int, int], str] = {}
+    for i, s in enumerate(coord1.tolist()):
+        row = plane.row(s, coord2)
         feasible = row.feasible()
-        reports = iter(classify_region(row.select(feasible)))
-        for j, t in enumerate(ts):
-            if feasible[j]:
-                values = _region_values(next(reports))
-                cells.append(SweepCell(i, j, s, t, values, error=None))
+        report = classify_region(row.select(feasible))
+        region[i, feasible] = report.region
+        sigma11[i, feasible] = report.sigma11
+        cond2_ok[i, feasible] = report.cond2_ok
+        for j in np.flatnonzero(~feasible).tolist():
+            try:
+                plane.at(s, ts[j])
+            except MTPhaseError as exc:
+                errors[i, j] = f"{type(exc).__name__}: {exc}"
             else:
-                cells.append(_scalar_cell(plane, i, j, s, t))
-    return cells
+                raise RuntimeError(f"feasible() rejected the valid point {(s, ts[j])!r}")
+    return PhaseGrid(coord1, coord2, region, sigma11, cond2_ok, errors)

@@ -6,6 +6,10 @@ thresholds along parameter rays, classifies parameter points as stable /
 critical / unstable, verifies that exactly one real eigenvalue crosses zero
 while every other mode stays strictly stable, and traces the critical curve
 through two-parameter slices by pseudo-arclength continuation.
+
+:func:`classify_region` takes one point or a :class:`ParamBatch`; a batch
+is classified with one eigenvalue call and reported as arrays, which is
+how a sweep classifies a grid row.
 """
 
 from __future__ import annotations
@@ -113,14 +117,24 @@ class Region(str, Enum):
     UNSTABLE = "unstable"
 
 
-_REGIONS = (Region.STABLE, Region.CRITICAL, Region.UNSTABLE)
+#: the values of Region.STABLE, CRITICAL and UNSTABLE, indexed by side 0, 1, 2
+_REGION_VALUES = np.array([r.value for r in Region])
 
 
 @dataclass(frozen=True)
 class RegionReport:
-    region: Region
-    sigma11: complex
-    cond2_ok: bool
+    """Region, leading principal-mode eigenvalue and cond2 of a classification.
+
+    For one :class:`ModelParams` the fields are a :class:`Region`, a complex
+    and a bool.  For a :class:`ParamBatch` of n points they are (n,) arrays,
+    as the batch's own fields are: the region values as strings
+    (``"stable"``, ``"critical"``, ``"unstable"``), complex ``sigma11`` and
+    boolean ``cond2_ok``.
+    """
+
+    region: Region | np.ndarray
+    sigma11: complex | np.ndarray
+    cond2_ok: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -242,16 +256,18 @@ def find_threshold(
 
 def classify_region(
     p: ModelParams | ParamBatch, sigma_band: float = SIGMA_ZERO_BAND
-) -> RegionReport | list[RegionReport]:
+) -> RegionReport:
     """Stable / critical / unstable according to the leading eigenvalue.
 
     ``cond2_ok`` reports whether the stability-exchange condition holds;
     when it does not, the classification is outside the supported theory
     but the eigenvalue sign is still reported.
 
-    A :class:`ParamBatch` of feasible points gets one report per point, from
-    one eigenvalue call on the stack of their principal-mode blocks; a
-    single point is classified as a batch of one.
+    A :class:`ParamBatch` of feasible points is classified by one
+    eigenvalue call on the stack of their principal-mode blocks, and its
+    report holds one array element per point.  A single point is
+    classified as a batch of one, and its report holds element 0 as
+    scalars.
     """
     batch = ParamBatch.from_record(p.to_record()) if isinstance(p, ModelParams) else p
     # rho_1 per distinct ell through the scalar formula: NumPy squares an
@@ -263,13 +279,16 @@ def classify_region(
     sigma11 = solve_spectrum(mode_matrices(batch, rho1))[:, 0]
     re = sigma11.real
     side = np.where(np.abs(re) <= sigma_band, 1, np.where(re > 0.0, 2, 0))
-    reports = [
-        RegionReport(region=_REGIONS[k], sigma11=sigma, cond2_ok=ok)
-        for k, sigma, ok in zip(
-            side.tolist(), sigma11.tolist(), (cond2_margin(batch) > 0.0).tolist()
+    report = RegionReport(
+        region=_REGION_VALUES[side], sigma11=sigma11, cond2_ok=cond2_margin(batch) > 0.0
+    )
+    if isinstance(p, ModelParams):
+        return RegionReport(
+            region=Region(report.region[0]),
+            sigma11=complex(report.sigma11[0]),
+            cond2_ok=bool(report.cond2_ok[0]),
         )
-    ]
-    return reports[0] if isinstance(p, ModelParams) else reports
+    return report
 
 
 def _scaling_cross_check(p: ModelParams, m: int) -> bool:

@@ -1,11 +1,20 @@
-"""Shared fixtures: canonical parameter points and random-parameter factory."""
+"""Shared fixtures: canonical parameter points and random-parameter factory.
+
+Also loads the hypothesis profile every property test runs under.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mtphase import ModelParams, ParameterRay, find_threshold
+
+# the same examples on every run, and no replay of failures stored by
+# earlier runs, so one tree passes or fails the same way each time
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

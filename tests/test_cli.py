@@ -5,10 +5,18 @@ from __future__ import annotations
 import csv
 import os
 
+import numpy as np
 import pytest
 
-from mtphase import main, read_manifest, sha256_file
-from mtphase.output import MANIFEST_NAME
+from mtphase import (
+    MTPhaseError,
+    classify_region,
+    main,
+    parse_config,
+    read_manifest,
+    sha256_file,
+)
+from mtphase.output import MANIFEST_NAME, PHASE_DIAGRAM_COLUMNS, format_value
 
 CANONICAL = """\
 [model]
@@ -139,16 +147,36 @@ def test_simulate_seed_determinism(config_path, tmp_path):
     assert read(out1) != read(out3)
 
 
-def test_phase_diagram_worker_independence(config_path, tmp_path):
-    out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
-    assert main(["phase-diagram", "--config", config_path, "--out", out1,
-                 "--workers", "1"]) == 0
-    assert main(["phase-diagram", "--config", config_path, "--out", out2,
-                 "--workers", "3"]) == 0
-    for name in ("phase-diagram.csv", "critical-curve.csv"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
-        assert a == b
+@pytest.mark.parametrize(
+    "range1, range2, error",
+    [
+        ((-0.1, 0.4), (1.5, 2.5), "NonPositiveParameter"),  # first row: d <= 0
+        ((0.08, 0.4), (0.2, 2.5), "K1NotPositive"),  # first column: k7 = 0.2
+    ],
+)
+def test_phase_diagram_rows_are_the_grid_in_row_major_order(tmp_path, range1, range2, error):
+    path = tmp_path / "edge.ini"
+    path.write_text(CANONICAL.replace("range1 = 0.08,0.4", "range1 = %r,%r" % range1)
+                    .replace("range2 = 1.5,2.5", "range2 = %r,%r" % range2))
+    out = str(tmp_path / "pd")
+    assert main(["phase-diagram", "--config", str(path), "--out", out]) == 0
+
+    plane = parse_config(str(path)).plane()
+    expected = []
+    for i, s in enumerate(np.linspace(*range1, 4).tolist()):
+        for j, t in enumerate(np.linspace(*range2, 3).tolist()):
+            try:
+                r = classify_region(plane.at(s, t))
+                cells = [r.region.value, r.sigma11.real, r.sigma11.imag, r.cond2_ok, None]
+            except MTPhaseError as exc:
+                cells = [None] * 4 + [f"{type(exc).__name__}: {exc}"]
+            expected.append([format_value(v) for v in [i, j, s, t, *cells]])
+    with open(os.path.join(out, "phase-diagram.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == PHASE_DIAGRAM_COLUMNS
+    assert rows[1:] == expected
+    assert {row[-1].split(":")[0] for row in expected} == {"", error}
+    assert {row[4] for row in expected} == {"", "stable", "unstable"}
 
 
 def test_verify_subset_and_csv(tmp_path):

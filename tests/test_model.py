@@ -151,6 +151,16 @@ def test_param_batch_matches_single_points():
     )
 
 
+def test_param_batch_feasible_where_model_params_accepts_nan_k1():
+    # C1*k1*k7 and k3*k5*E both overflow to inf, so K1 is NaN, which
+    # ModelParams does not reject; the sweep relies on the two agreeing
+    big = dict(k1=1e200, k3=1e200, k5=1e200, k7=1e200, C1=1.0, E=1.0,
+               d1=1.0, d2=1.0, d3=1.0, ell=3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(validate_params(big).K1)
+    assert ParamBatch.from_record(big).feasible().tolist() == [True]
+
+
 def test_check_conditions_canonical(canonical_threshold):
     report = check_conditions(canonical_threshold.lambda0)
     assert report.cond0_ok and report.cond1_ok and report.cond2_ok

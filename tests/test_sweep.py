@@ -1,4 +1,4 @@
-"""Parameter-plane sweeps: ordering, row batches against single points, errors."""
+"""Parameter-plane sweeps: grid layout, row batches against single points, errors."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from mtphase import (
     ModelParams,
     MTPhaseError,
     ParameterPlane,
-    SweepCell,
+    PhaseGrid,
     classify_region,
     laplacian_eigenvalue,
     mode_matrix,
@@ -52,51 +52,61 @@ def test_resolve_workers_precedence(monkeypatch):
 
 
 def test_sweep_is_row_major_on_the_grid(small_plane):
-    cells = sweep(small_plane, (3, 2), workers=1)
-    assert len(cells) == 6
-    coords = [(c.i, c.j) for c in cells]
-    assert coords == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-    s_vals = np.unique([c.coord1 for c in cells])
-    t_vals = np.unique([c.coord2 for c in cells])
-    assert np.allclose(s_vals, np.linspace(0.08, 0.4, 3))
-    assert np.allclose(t_vals, np.linspace(1.5, 2.5, 2))
+    grid = sweep(small_plane, (3, 2), workers=1)
+    assert np.array_equal(grid.coord1, np.linspace(0.08, 0.4, 3))
+    assert np.array_equal(grid.coord2, np.linspace(1.5, 2.5, 2))
+    # cell (i, j) is the point (coord1[i], coord2[j])
+    _assert_grid_equals_reference(grid, small_plane, (3, 2))
 
 
 def test_sweep_single_point_resolution(small_plane):
-    cells = sweep(small_plane, (1, 1), workers=1)
-    assert len(cells) == 1
-    assert cells[0].coord1 == pytest.approx(0.08)
-    assert cells[0].coord2 == pytest.approx(1.5)
+    grid = sweep(small_plane, (1, 1), workers=1)
+    assert grid.coord1.tolist() == [0.08]
+    assert grid.coord2.tolist() == [1.5]
+    assert grid.region.shape == (1, 1)
 
 
 def test_sweep_classifies_both_regions(small_plane):
-    cells = sweep(small_plane, (4, 3), workers=1)
-    regions = {c.values["region"] for c in cells if c.error is None}
-    assert "stable" in regions and "unstable" in regions
-    for c in cells:
-        assert c.error is None
-        assert isinstance(c.values["sigma11_re"], float)
-        assert isinstance(c.values["cond2_ok"], bool)
+    grid = sweep(small_plane, (4, 3), workers=1)
+    assert grid.errors == {}
+    assert {"stable", "unstable"} <= set(grid.region.ravel().tolist())
+    assert grid.sigma11.dtype == complex and np.isfinite(grid.sigma11).all()
+    assert grid.cond2_ok.dtype == bool
 
 
-def _scalar_cells(plane: ParameterPlane, resolution) -> list[SweepCell]:
-    """The grid built one point at a time from ``classify_region(plane.at(s, t))``."""
-    cells = []
-    for i, s in enumerate(np.linspace(*plane.range1, resolution[0]).tolist()):
-        for j, t in enumerate(np.linspace(*plane.range2, resolution[1]).tolist()):
+def _reference_grid(plane: ParameterPlane, resolution) -> dict:
+    """The grid's fields built one point at a time from
+    ``classify_region(plane.at(s, t))``, with the sweep's fill values."""
+    coord1 = np.linspace(*plane.range1, resolution[0])
+    coord2 = np.linspace(*plane.range2, resolution[1])
+    region = np.full(resolution, "", dtype=object)
+    sigma11 = np.full(resolution, np.nan, dtype=complex)
+    cond2_ok = np.zeros(resolution, dtype=bool)
+    errors = {}
+    for i, s in enumerate(coord1.tolist()):
+        for j, t in enumerate(coord2.tolist()):
             try:
                 report = classify_region(plane.at(s, t))
             except MTPhaseError as exc:
-                cells.append(SweepCell(i, j, s, t, {}, f"{type(exc).__name__}: {exc}"))
+                errors[i, j] = f"{type(exc).__name__}: {exc}"
                 continue
-            values = {
-                "region": report.region.value,
-                "sigma11_re": report.sigma11.real,
-                "sigma11_im": report.sigma11.imag,
-                "cond2_ok": report.cond2_ok,
-            }
-            cells.append(SweepCell(i, j, s, t, values, None))
-    return cells
+            region[i, j] = report.region.value
+            sigma11[i, j] = report.sigma11
+            cond2_ok[i, j] = report.cond2_ok
+    return dict(coord1=coord1, coord2=coord2, region=region, sigma11=sigma11,
+                cond2_ok=cond2_ok, errors=errors)
+
+
+def _assert_grid_equals_reference(grid: PhaseGrid, plane: ParameterPlane, resolution):
+    """Every field equal to the per-point reference; floats bit for bit."""
+    ref = _reference_grid(plane, resolution)
+    for name in ("coord1", "coord2", "sigma11", "cond2_ok"):
+        got, want = getattr(grid, name), ref[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert grid.region.shape == ref["region"].shape
+    assert grid.region.tolist() == ref["region"].tolist()
+    assert grid.errors == ref["errors"]
 
 
 def _reference_sigma11(p: ModelParams) -> complex:
@@ -109,11 +119,12 @@ def _reference_sigma11(p: ModelParams) -> complex:
 
 
 # Each plane crosses the critical curve and has cells with K1 <= 0 (small
-# k7) and with non-positive diffusivities.
+# k7) and with non-positive diffusivities.  On the Dirichlet plane
+# (C1 = 3) cond2 fails for k7 > 5/6.
 EDGE_PLANES = {
     "dirichlet": ParameterPlane(
         base=ModelParams(
-            k1=1.0, k3=1.0, k5=1.0, k7=2.0, C1=1.0, E=1.0,
+            k1=1.0, k3=1.0, k5=1.0, k7=2.0, C1=3.0, E=1.0,
             d1=1.0, d2=1.0, d3=1.0, ell=float(np.pi),
         ),
         axis1="k7", range1=(0.2, 3.0), axis2=D_RAY, range2=(-0.1, 0.4),
@@ -128,20 +139,24 @@ EDGE_PLANES = {
 @pytest.mark.parametrize("bc", sorted(EDGE_PLANES))
 def test_row_batches_equal_single_point_cells(bc):
     plane = EDGE_PLANES[bc]
-    cells = sweep(plane, (23, 21))
-    assert cells == _scalar_cells(plane, (23, 21))
+    grid = sweep(plane, (23, 21))
+    _assert_grid_equals_reference(grid, plane, (23, 21))
 
-    errors = {c.error.split(":")[0] for c in cells if c.error}
-    assert errors == {"NonPositiveParameter", "K1NotPositive"}
-    assert {c.values["region"] for c in cells if not c.error} >= {"stable", "unstable"}
-    for c in cells:
-        if not c.error:
-            p = plane.at(c.coord1, c.coord2)
-            assert p.bc.value == bc
-            sigma11 = _reference_sigma11(p)
-            assert (c.values["sigma11_re"], c.values["sigma11_im"]) == (
-                sigma11.real, sigma11.imag
-            )
+    assert {e.split(":")[0] for e in grid.errors.values()} == {
+        "NonPositiveParameter", "K1NotPositive"
+    }
+    assert {"stable", "unstable"} <= set(grid.region.ravel().tolist())
+    if bc == "dirichlet":
+        assert set(grid.cond2_ok[grid.region != ""].tolist()) == {True, False}
+    for i, s in enumerate(grid.coord1.tolist()):
+        for j, t in enumerate(grid.coord2.tolist()):
+            if (i, j) not in grid.errors:
+                p = plane.at(s, t)
+                assert p.bc.value == bc
+                sigma11 = _reference_sigma11(p)
+                assert (grid.sigma11[i, j].real, grid.sigma11[i, j].imag) == (
+                    sigma11.real, sigma11.imag
+                )
 
 
 _windows = st.tuples(st.floats(-0.5, 3.5), st.floats(-0.5, 3.5))
@@ -167,4 +182,4 @@ def test_row_batches_equal_single_point_cells_on_random_windows(
     plane = ParameterPlane(
         base=edge.base, axis1=edge.axis1, range1=window1, axis2=edge.axis2, range2=window2
     )
-    assert sweep(plane, resolution) == _scalar_cells(plane, resolution)
+    _assert_grid_equals_reference(sweep(plane, resolution), plane, resolution)
