@@ -69,12 +69,7 @@ def run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
 
 
 def _located_threshold(config: RunConfig):
-    return find_threshold(
-        config.ray(),
-        tol=config.analysis.tol,
-        M_max=config.analysis.M_max,
-        attach_report=False,
-    )
+    return find_threshold(config.ray(), tol=config.analysis.tol, attach_report=False)
 
 
 def run_threshold(config: RunConfig, out_dir: str) -> list[str]:

@@ -309,15 +309,13 @@ def quadratic_nonlinearity(p: ModelParams, w: Any) -> np.ndarray:
 _COND_RTOL = 1e-12
 
 
-def check_conditions(p: ModelParams, rho1: float | None = None) -> ConditionReport:
+def check_conditions(p: ModelParams) -> ConditionReport:
     """Evaluate the feasibility, regularity and stability-exchange conditions.
 
-    ``rho1`` is the first Laplacian eigenvalue for the chosen boundary
-    condition; if omitted it is computed from the domain length (both
-    supported variants share ``(pi/ell)**2``).
+    ``rho1`` is the first Laplacian eigenvalue, ``(pi/ell)**2`` for both
+    supported boundary conditions.
     """
-    if rho1 is None:
-        rho1 = (np.pi / p.ell) ** 2
+    rho1 = (np.pi / p.ell) ** 2
     K1 = p.K1
     K2 = p.K2
     q1 = p.k5 * K2

@@ -12,11 +12,14 @@ predictor).  Fixed points of the scheme are exact steady states of the
 semi-discrete system for every step size, so saturated amplitudes carry
 spatial discretization error only.
 
-:func:`simulate` has two paths: fixed steps of size ``dt``, and for
-saturation runs an error-controlled ladder ``dt * 2**k`` that uses the
-IMEX Euler predictor and the corrector as an embedded 1(2) pair (Ascher,
-Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995; the controller follows
-Söderlind, ACM TOMS 29, 2003) and stops on the semi-discrete residual.
+:func:`simulate` is the one time-stepping loop of the package;
+:class:`Stepper` takes single steps.  It has two paths: fixed steps of
+size ``dt``, and for saturation runs an error-controlled ladder
+``dt * 2**k`` that uses the IMEX Euler predictor and the corrector as an
+embedded 1(2) pair (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995;
+the controller follows Söderlind, ACM TOMS 29, 2003) and stops on the
+semi-discrete residual.  A blow-up raises :class:`StepUnstable` carrying
+the last good state.
 
 Amplitudes are biorthogonal projections onto the critical mode, built from
 the closed-form eigenpair of :mod:`mtphase.spectral`; the simulator uses
@@ -58,14 +61,11 @@ __all__ = [
     "Stepper",
     "CriticalMode",
     "critical_mode",
-    "amplitude",
     "simulate",
     "fit_amplitude_dynamics",
 ]
 
 MIN_GRID_POINTS = 16
-#: zero-mean projection keeps |mean(u_i)| at or below this at recorded times
-MEAN_TOL = 1e-12
 #: step ladder of saturation runs: a step is rejected when its local error
 #: estimate ||corrector - predictor||_inf exceeds this times ||u||_inf
 LADDER_TOL = 1e-3
@@ -282,29 +282,17 @@ class Stepper:
     linear_only : bool, optional
         Drop the quadratic nonlinearity (linearized dynamics), used by
         growth-rate oracles.
-    project : bool, optional
-        Project the spatial mean out of the reaction term and the state
-        (zero-average Neumann only).  Defaults to True for zero-average
-        Neumann runs and False for Dirichlet.
+
+    Under zero-average Neumann conditions the spatial mean is projected out
+    of the reaction term and the state (``project`` is True).
     """
 
-    def __init__(
-        self,
-        p: ModelParams,
-        grid: Grid,
-        dt: float,
-        linear_only: bool = False,
-        project: bool | None = None,
-    ) -> None:
+    def __init__(self, p: ModelParams, grid: Grid, dt: float, linear_only: bool = False) -> None:
         self.p = p
         self.grid = grid
         self.dt = float(dt)
         self.linear_only = linear_only
-        if project is None:
-            project = p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE
-        if project and p.bc is not BoundaryCondition.NEUMANN_ZERO_AVERAGE:
-            raise ValueError("mean projection only applies to zero-average Neumann runs")
-        self.project = project
+        self.project = p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE
         self._A = linearization_matrix(p)
         d = (p.d1, p.d2, p.d3)
         self._full = _stacked_band(grid, [self.dt * di for di in d])
@@ -380,30 +368,10 @@ class Stepper:
         StepUnstable
             If a solve input or the new state is not finite (the quadratic
             reaction can blow up in finite time when the state leaves the
-            stable region).  ``last_state`` is None; :meth:`step` and
-            :func:`simulate` attach it.
+            stable region).  ``last_state`` is None; :func:`simulate`
+            attaches it.
         """
         return self.advance(u)[0]
-
-    def step(self, state: FieldState) -> FieldState:
-        """Advance one step, checking for numerical blow-up.
-
-        Raises
-        ------
-        StepUnstable
-            As :meth:`step_array`; the exception carries the last good
-            state.
-        """
-        try:
-            u_new = self.step_array(state.u)
-        except StepUnstable as exc:
-            raise _unstable_at(exc, state) from None
-        return FieldState(t=state.t + self.dt, u=u_new)
-
-
-def _unstable_at(exc: StepUnstable, state: FieldState) -> StepUnstable:
-    """A copy of ``exc`` that carries the last good state."""
-    return StepUnstable(f"{exc} in the step from t = {state.t}", last_state=state)
 
 
 @dataclass(frozen=True)
@@ -439,11 +407,6 @@ def critical_mode(p: ModelParams, grid: Grid) -> CriticalMode:
     e1 = laplacian_mode(p, 1).evaluate(grid.x)
     denominator = float(e1 @ e1) * float(omega @ omega_star)
     return CriticalMode(omega, omega_star, e1, denominator)
-
-
-def amplitude(p: ModelParams, grid: Grid, u: np.ndarray) -> float:
-    """Critical-mode amplitude of one (3, N) deviation field."""
-    return critical_mode(p, grid).amplitude(u)
 
 
 def _decay_distance(norms: deque, dt: float) -> float:
@@ -581,7 +544,9 @@ def simulate(
             u_new, predictor, residual = stepper.advance(u)
         except StepUnstable as exc:
             if not adaptive or rung == LADDER_FLOOR:
-                raise _unstable_at(exc, FieldState(t=t, u=u)) from None
+                raise StepUnstable(
+                    f"{exc} in the step from t = {t}", last_state=FieldState(t=t, u=u)
+                ) from None
             accept = False
         else:
             if adaptive:

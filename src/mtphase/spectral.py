@@ -198,16 +198,17 @@ def companion_roots(p2: float, p1: float, p0: float) -> np.ndarray:
     return _sorted_eigs(np.linalg.eigvals(companion))
 
 
-def cubic_roots(p2: float, p1: float, p0: float, polish: bool = True) -> np.ndarray:
-    """Closed-form roots of ``x^3 + p2 x^2 + p1 x + p0`` (trigonometric /
-    Cardano form), same ordering convention as :func:`solve_spectrum`.
+def cubic_roots(p2: float, p1: float, p0: float) -> np.ndarray:
+    """Roots of ``x^3 + p2 x^2 + p1 x + p0`` from the closed form
+    (trigonometric / Cardano), same ordering convention as
+    :func:`solve_spectrum`.
 
     Serves as an independent cross-check of the companion-matrix path.
-    With ``polish`` (default) only the isolated real root of the closed form
-    is kept: Newton steps that reduce ``|f|`` tighten it to full precision,
-    and the other two roots come from the deflated quadratic, solved
-    without cancellation.  A near-double pair is thus resolved to its true
-    spacing, which the closed form (error ~ sqrt(eps) there) cannot do.
+    Only the isolated real root of the closed form is kept: Newton steps
+    that reduce ``|f|`` tighten it to full precision, and the other two
+    roots come from the deflated quadratic, solved without cancellation.
+    A near-double pair is thus resolved to its true spacing, which the
+    closed form (error ~ sqrt(eps) there) cannot do.
     """
     # depressed cubic t^3 + p t + q with x = t - p2/3
     shift = p2 / 3.0
@@ -218,31 +219,19 @@ def cubic_roots(p2: float, p1: float, p0: float, polish: bool = True) -> np.ndar
         # three distinct real roots: trigonometric form (p < 0 here)
         r = np.sqrt(-p / 3.0)
         theta = np.arccos(np.clip(3.0 * q / (2.0 * p * r), -1.0, 1.0))
-        k = np.arange(3)
-        t = 2.0 * r * np.cos((theta - 2.0 * np.pi * k) / 3.0)
-        roots = t.astype(complex) - shift
+        t = 2.0 * r * np.cos((theta - 2.0 * np.pi * np.arange(3)) / 3.0)
         # the extreme root sits at an extremum of cos: insensitive to theta
         isolated = float(t[np.argmax(np.abs(t))]) - shift
     elif p == 0.0 and q == 0.0:
         return np.full(3, -shift + 0.0j)
     else:
-        # one real root, possibly a complex pair: Cardano with a
-        # cancellation-free cube root choice
+        # one real root: Cardano with a cancellation-free cube root choice;
+        # u + v is stationary where u = v, so it stays accurate
         s = np.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
         u = np.cbrt(-q / 2.0 - s) if q >= 0.0 else np.cbrt(-q / 2.0 + s)
         v = -p / (3.0 * u) if u != 0.0 else 0.0
-        t_real = u + v
-        half = -t_real / 2.0
-        imag = np.sqrt(3.0) / 2.0 * abs(u - v)
-        if disc < 0.0:
-            pair = np.array([half - 1j * imag, half + 1j * imag])
-        else:
-            pair = np.array([half, half], dtype=complex)
-        roots = np.concatenate(([t_real], pair)).astype(complex) - shift
-        # u + v is stationary where u = v, so t_real stays accurate
-        isolated = float(t_real) - shift
-    if polish:
-        roots = _deflated_roots(p2, p1, p0, isolated)
+        isolated = float(u + v) - shift
+    roots = _deflated_roots(p2, p1, p0, isolated)
     roots = np.where(np.abs(roots.imag) == 0.0, roots.real + 0.0j, roots)
     return _sorted_eigs(roots)
 
@@ -307,9 +296,7 @@ def _eigenpair(p: ModelParams, rho: float, sigma: complex):
     return omega, omega_star
 
 
-def eigenvector(
-    p: ModelParams, rho: float, sigma: complex, tol: float = 1e-10
-) -> np.ndarray:
+def eigenvector(p: ModelParams, rho: float, sigma: complex) -> np.ndarray:
     """Closed-form eigenvector of ``mode_matrix(p, rho)`` for eigenvalue sigma.
 
     With ``a = E/k1``, ``X = d1*rho + k7*a + sigma`` and
@@ -322,13 +309,11 @@ def eigenvector(
     Raises :class:`NotAnEigenvalue` when the residual check fails.
     """
     omega, _ = _eigenpair(p, rho, sigma)
-    _check_residual(mode_matrix(p, rho), sigma, omega, tol, adjoint=False)
+    _check_residual(mode_matrix(p, rho), sigma, omega, adjoint=False)
     return omega
 
 
-def adjoint_eigenvector(
-    p: ModelParams, rho: float, sigma: complex, tol: float = 1e-10
-) -> np.ndarray:
+def adjoint_eigenvector(p: ModelParams, rho: float, sigma: complex) -> np.ndarray:
     """Closed-form eigenvector of the transposed mode matrix.
 
     ``omega* = (a*(C1*k7 - k3*Y), C1*X - k3*k5*a**2, X*Y - k5*k7*a**2)`` with
@@ -337,7 +322,7 @@ def adjoint_eigenvector(
     sigma = 0.
     """
     _, omega_star = _eigenpair(p, rho, sigma)
-    _check_residual(mode_matrix(p, rho), sigma, omega_star, tol, adjoint=True)
+    _check_residual(mode_matrix(p, rho), sigma, omega_star, adjoint=True)
     return omega_star
 
 
@@ -362,6 +347,9 @@ def principal_mode_vectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray, floa
     return omega, omega_star, rho1
 
 
+#: relative eigenpair residual above which sigma is not an eigenvalue
+_RESIDUAL_TOL = 1e-10
+
 # Absolute residual floor per unit matrix-norm cubed (~1e4 machine epsilons).
 # The formula vectors inherit an irreducible defect of order
 # |char'(sigma)| * ulp(sigma), which grows with the cube of the matrix scale;
@@ -369,9 +357,7 @@ def principal_mode_vectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray, floa
 _RESIDUAL_FLOOR = 2e-12
 
 
-def _check_residual(
-    emat: np.ndarray, sigma: complex, vec: np.ndarray, tol: float, adjoint: bool
-) -> None:
+def _check_residual(emat: np.ndarray, sigma: complex, vec: np.ndarray, adjoint: bool) -> None:
     norm = np.linalg.norm(vec)
     scale = max(1.0, float(np.abs(emat).sum(axis=1).max()))
     if norm == 0.0:
@@ -380,7 +366,7 @@ def _check_residual(
         )
     mat = emat.T if adjoint else emat
     residual = np.linalg.norm(mat @ vec - sigma * vec)
-    if residual > tol * norm * scale + _RESIDUAL_FLOOR * scale**3:
+    if residual > _RESIDUAL_TOL * norm * scale + _RESIDUAL_FLOOR * scale**3:
         raise NotAnEigenvalue(
             f"sigma={sigma} is not an eigenvalue "
             f"(relative {'adjoint ' if adjoint else ''}residual {residual / (norm * scale):.3e})"
@@ -437,7 +423,7 @@ def _polish_sigma(p: ModelParams, rho: float, sigma: complex, iters: int = 2) ->
     return s
 
 
-def _spectrum_at(p: ModelParams, mode: LaplacianMode, tol: float) -> ModeSpectrum:
+def _spectrum_at(p: ModelParams, mode: LaplacianMode) -> ModeSpectrum:
     polished = [
         _polish_sigma(p, mode.rho, complex(s))
         for s in solve_spectrum(mode_matrix(p, mode.rho))
@@ -449,12 +435,12 @@ def _spectrum_at(p: ModelParams, mode: LaplacianMode, tol: float) -> ModeSpectru
         s = complex(s)
         if s.imag == 0.0:
             s = s.real
-        omega[i] = eigenvector(p, mode.rho, s, tol)
-        omega_star[i] = adjoint_eigenvector(p, mode.rho, s, tol)
+        omega[i] = eigenvector(p, mode.rho, s)
+        omega_star[i] = adjoint_eigenvector(p, mode.rho, s)
     return ModeSpectrum(mode=mode, sigma=sigma, omega=omega, omega_star=omega_star)
 
 
-def mode_spectra(p: ModelParams, M_max: int, tol: float = 1e-10) -> list[ModeSpectrum]:
+def mode_spectra(p: ModelParams, M_max: int) -> list[ModeSpectrum]:
     """Complete spectra of modes ``m = 1..M_max`` (deterministic order).
 
     Eigenvalues are Newton-polished against the closed-form eigenvector
@@ -463,7 +449,7 @@ def mode_spectra(p: ModelParams, M_max: int, tol: float = 1e-10) -> list[ModeSpe
     """
     if M_max < 1:
         raise ValueError(f"M_max must be >= 1, got {M_max}")
-    return [_spectrum_at(p, laplacian_mode(p, m), tol) for m in range(1, M_max + 1)]
+    return [_spectrum_at(p, laplacian_mode(p, m)) for m in range(1, M_max + 1)]
 
 
 def principal_eigenvalue(p: ModelParams) -> complex:

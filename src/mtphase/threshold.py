@@ -55,6 +55,12 @@ __all__ = [
 
 SIGMA_ZERO_BAND = 1e-8
 _TANGENT_TOL = 1e-8
+#: modes 1..REPORT_MODES are checked by the stability-exchange report
+REPORT_MODES = 50
+#: first continuation step of the curve tracer, in window-normalized units
+_INITIAL_STEP = 1e-2
+#: widenings (and retreats from infeasible ends) of a vertex's polish bracket
+_BRACKET_TRIES = 40
 
 
 def _axis_fields(axis: str | Mapping[str, float], value) -> dict:
@@ -202,8 +208,6 @@ def _polish_root(f, s: float, fa_s: float, h: float) -> tuple[float, float]:
 def find_threshold(
     ray: ParameterRay,
     tol: float = 1e-10,
-    M_max: int = 50,
-    sigma_band: float = SIGMA_ZERO_BAND,
     attach_report: bool = True,
 ) -> ThresholdPoint:
     """Locate a sign change of the principal determinant on the ray.
@@ -213,7 +217,9 @@ def find_threshold(
     polishes the root.  Raises :class:`NoSignChange` when the bracket does
     not straddle the critical set and :class:`ComplexCrossing` when the
     leading eigenvalue at the root has imaginary part above the zero band
-    (a Hopf-like crossing the real-transition theory does not cover).
+    ``SIGMA_ZERO_BAND`` (a Hopf-like crossing the real-transition theory
+    does not cover).  With ``attach_report`` the point carries its
+    :func:`stability_exchange_report`.
     """
     a, b = ray.bracket
     f = lambda s: det_principal_mode(ray.at(s))
@@ -234,7 +240,7 @@ def find_threshold(
 
     p_root = ray.at(s_root)
     sigma11 = principal_eigenvalue(p_root)
-    if abs(sigma11.imag) > sigma_band:
+    if abs(sigma11.imag) > SIGMA_ZERO_BAND:
         raise ComplexCrossing(
             f"leading eigenvalue at threshold is complex: {sigma11!r}"
         )
@@ -250,14 +256,14 @@ def find_threshold(
         near_tangential=abs(deriv) < _TANGENT_TOL,
     )
     if attach_report:
-        point.stability_report = stability_exchange_report(point, M_max=M_max)
+        point.stability_report = stability_exchange_report(point)
     return point
 
 
-def classify_region(
-    p: ModelParams | ParamBatch, sigma_band: float = SIGMA_ZERO_BAND
-) -> RegionReport:
+def classify_region(p: ModelParams | ParamBatch) -> RegionReport:
     """Stable / critical / unstable according to the leading eigenvalue.
+
+    A point is critical when ``|Re sigma_11| <= SIGMA_ZERO_BAND``.
 
     ``cond2_ok`` reports whether the stability-exchange condition holds;
     when it does not, the classification is outside the supported theory
@@ -278,7 +284,7 @@ def classify_region(
     rho1 = np.array([rho_of[ell] for ell in ells], dtype=float)
     sigma11 = solve_spectrum(mode_matrices(batch, rho1))[:, 0]
     re = sigma11.real
-    side = np.where(np.abs(re) <= sigma_band, 1, np.where(re > 0.0, 2, 0))
+    side = np.where(np.abs(re) <= SIGMA_ZERO_BAND, 1, np.where(re > 0.0, 2, 0))
     report = RegionReport(
         region=_REGION_VALUES[side], sigma11=sigma11, cond2_ok=cond2_margin(batch) > 0.0
     )
@@ -315,18 +321,15 @@ def _scaling_cross_check(p: ModelParams, m: int) -> bool:
     return bool(ok_down and ok_up)
 
 
-def stability_exchange_report(
-    tp: ThresholdPoint | ModelParams,
-    M_max: int = 50,
-    sigma_band: float = SIGMA_ZERO_BAND,
-) -> StabilityExchangeReport:
+def stability_exchange_report(tp: ThresholdPoint | ModelParams) -> StabilityExchangeReport:
     """Verify that only the principal eigenvalue sits at zero.
 
     Checks, at the threshold parameters: the leading mode-1 eigenvalue lies
-    in the zero band and is simple; the other two mode-1 eigenvalues and all
-    eigenvalues of modes ``2..M_max`` have negative real part; every mode
-    block has negative trace and positive second characteristic coefficient;
-    and the diffusion-rescaling identity relating mode blocks holds.
+    in the zero band ``SIGMA_ZERO_BAND`` and is simple; the other two mode-1
+    eigenvalues and all eigenvalues of modes ``2..REPORT_MODES`` have
+    negative real part; every mode block has negative trace and positive
+    second characteristic coefficient; and the diffusion-rescaling identity
+    relating mode blocks holds.
     """
     p = tp.lambda0 if isinstance(tp, ThresholdPoint) else tp
     cond = check_conditions(p)
@@ -335,7 +338,7 @@ def stability_exchange_report(
     max_re_higher = -np.inf
     traces_negative = True
     p1_positive = True
-    for m in range(1, M_max + 1):
+    for m in range(1, REPORT_MODES + 1):
         emat = mode_matrix(p, laplacian_eigenvalue(m, p.ell))
         sig = solve_spectrum(emat)
         p2, p1, _ = char_poly_coeffs(emat)
@@ -349,7 +352,7 @@ def stability_exchange_report(
             max_re_higher = max(max_re_higher, float(sig[0].real))
     sigma11 = complex(s1[0])
 
-    sigma11_in_band = abs(sigma11.real) <= sigma_band and abs(sigma11.imag) <= sigma_band
+    sigma11_in_band = abs(sigma11.real) <= SIGMA_ZERO_BAND and abs(sigma11.imag) <= SIGMA_ZERO_BAND
     sigma11_simple = bool(np.all(np.abs(s1[1:] - sigma11) > 1e-6))
     re12, re13 = float(s1[1].real), float(s1[2].real)
     mode1_rest_stable = re12 < 0.0 and re13 < 0.0
@@ -357,7 +360,7 @@ def stability_exchange_report(
     max_re_higher = float(max_re_higher)
     higher_modes_stable = max_re_higher < 0.0
 
-    scaling_consistent = all(_scaling_cross_check(p, m) for m in (2, min(M_max, 50)))
+    scaling_consistent = all(_scaling_cross_check(p, m) for m in (2, REPORT_MODES))
 
     skipped = not cond.cond2_ok
     checks = (
@@ -384,7 +387,7 @@ def stability_exchange_report(
         cond2_ok=cond.cond2_ok,
         skipped=skipped,
         passed=None if skipped else bool(checks),
-        M_max=M_max,
+        M_max=REPORT_MODES,
     )
 
 
@@ -433,14 +436,14 @@ def _correct(F, x_pred: np.ndarray, g_unit: np.ndarray, h: float):
     return None
 
 
-def _march(F, x0: np.ndarray, tau0: np.ndarray, h0: float, budget: int):
+def _march(F, x0: np.ndarray, tau0: np.ndarray, budget: int):
     """Follow the zero curve from x0 in direction tau0 until it exits [0,1]^2.
 
     Returns ``(points, collapsed)`` where ``collapsed`` signals that the step
     control gave up before leaving the window.
     """
     points: list[np.ndarray] = []
-    x, tau, h = x0.copy(), tau0.copy(), h0
+    x, tau, h = x0.copy(), tau0.copy(), _INITIAL_STEP
     h_min, h_max = 1e-6, 0.05
     while len(points) < budget:
         stepped = False
@@ -474,11 +477,7 @@ def _march(F, x0: np.ndarray, tau0: np.ndarray, h0: float, budget: int):
     return points, False
 
 
-def trace_threshold_curve(
-    plane: ParameterPlane,
-    n_points: int = 100,
-    initial_step: float = 1e-2,
-) -> list[ThresholdPoint]:
+def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> list[ThresholdPoint]:
     """Trace the critical curve det E1 = 0 through a 2-parameter window.
 
     Pseudo-arclength continuation in window-normalized coordinates with step
@@ -507,8 +506,8 @@ def trace_threshold_curve(
     tau0 = np.array([-g0[1], g0[0]]) / n0
 
     budget = max(n_points - 1, 0)
-    fwd, collapsed_f = _march(F, x0, tau0, initial_step, budget)
-    back, collapsed_b = _march(F, x0, -tau0, initial_step, max(budget - len(fwd), 0))
+    fwd, collapsed_f = _march(F, x0, tau0, budget)
+    back, collapsed_b = _march(F, x0, -tau0, max(budget - len(fwd), 0))
     coords = [*reversed(back), x0, *fwd]
 
     points: list[ThresholdPoint] = []
@@ -557,11 +556,35 @@ def _polish_vertex(
 
 
 def _expand_bracket(f, center: float, h: float) -> tuple[float, float]:
-    lo, hi = center - h, center + h
-    f_lo, f_hi = f(lo), f(hi)
-    for _ in range(40):
-        if np.sign(f_lo) * np.sign(f_hi) < 0:
-            return lo, hi
-        lo, hi = center - (center - lo) * 2.0, center + (hi - center) * 2.0
-        f_lo, f_hi = f(lo), f(hi)
+    """Ends ``(lo, hi)`` around ``center`` between which ``f`` changes sign.
+
+    Both ends start ``h`` from the centre and move out, doubling their
+    distance, until the signs differ.  The critical curve may run up to the
+    edge of the feasible set, so an end whose parameters are infeasible
+    moves halfway back toward the centre instead and does not move out
+    again.  Raises :class:`NoSignChange` after ``_BRACKET_TRIES`` rounds
+    without a sign change.
+    """
+
+    def value(x: float) -> float:
+        try:
+            return f(x)
+        except (NonPositiveParameter, K1NotPositive):
+            return np.nan
+
+    ends = [center - h, center + h]
+    values = [value(x) for x in ends]
+    outward = [True, True]
+    for _ in range(_BRACKET_TRIES):
+        if np.sign(values[0]) * np.sign(values[1]) < 0:
+            return ends[0], ends[1]
+        for k in (0, 1):
+            if np.isnan(values[k]):
+                outward[k] = False
+                ends[k] = center + (ends[k] - center) * 0.5
+            elif outward[k]:
+                ends[k] = center + (ends[k] - center) * 2.0
+            else:
+                continue
+            values[k] = value(ends[k])
     raise NoSignChange(f"could not bracket a root around {center!r}")

@@ -312,7 +312,7 @@ def center_manifold_coefficients(
 
 
 def _interaction_coefficients(p: ModelParams) -> CenterManifoldCoefficients:
-    ms = _spectrum_at(p, laplacian_mode(p, _INTERACTION_MODE), tol=1e-10)
+    ms = _spectrum_at(p, laplacian_mode(p, _INTERACTION_MODE))
     omega, _, _ = principal_mode_vectors(p)
     driving = quadratic_nonlinearity(p, omega)
     cross_projection = p.ell / 4.0  # <e1^2, e2>

@@ -10,6 +10,14 @@ behavior where the cubic coefficient is positive, the constrained
 closed-form identity for the transition number, simulator convergence
 orders, and byte-level reproducibility of the artifact pipeline.
 
+Every simulated check runs through :func:`mtphase.simulator.simulate`:
+criteria 7 and 9 and the spatial part of 11 on its step ladder, the
+temporal part of 11 on its fixed path.  The oracles stay independent of
+the stepper: a Newton solve of the semi-discrete steady state (criteria
+8 and 11) and a Radau integration of the semi-discrete system (the
+temporal reference of criterion 11) share only the exact Jacobian of
+:func:`_rhs_jacobian`.
+
 Each criterion is a standalone function returning ``(passed, detail)``;
 :func:`run_all` wraps them with timing and collects
 :class:`CriterionResult` records.  All randomness is drawn from seeded
@@ -42,7 +50,6 @@ from .model import (
 from .output import read_manifest, write_manifest
 from .simulator import (
     Stepper,
-    amplitude,
     critical_mode,
     dt_max,
     initial_state,
@@ -210,41 +217,36 @@ def _solve_sigma(make_p: Callable[[float], ModelParams], target: float,
     return make_p(coord)
 
 
-def _evolve_outcome(
-    p: ModelParams,
-    grid,
-    y0: float,
-    dt: float,
-    grow_factor: float = 10.0,
-    decay_to: float = 1e-8,
-    t_max: float = 1500.0,
-    check_every: int = 20,
-) -> tuple[str, float]:
-    """Integrate from an aligned state until growth, decay, or timeout.
+def _rhs_jacobian(p: ModelParams, grid, u: np.ndarray) -> np.ndarray:
+    """Exact Jacobian of the semi-discrete right-hand side at ``u``, (3N, 3N).
 
-    Returns ``("grew", t)`` once ``|y|`` reaches ``grow_factor * |y0|``
-    (a finite-time overflow also counts: the state left the small-amplitude
-    window growing), ``("decayed", t)`` once ``|y|`` falls to ``decay_to``,
-    or ``("timeout", t_max)``.
+    The right-hand side is ``D lap u + A u + F(u)`` (:meth:`Stepper.residual`
+    on the flattened field).  ``F`` is quadratic, so its derivative along
+    ``v`` is ``(F(u + v) - F(u - v)) / 2`` with no truncation error.  Under
+    zero-average Neumann conditions the right-hand side is mean-projected,
+    and so is each block row of the Jacobian.
     """
-    stepper = Stepper(p, grid, dt)
-    mode = critical_mode(p, grid)
-    u = initial_state(p, grid, kind="aligned", amplitude=y0).u
-    n_steps = int(np.ceil(t_max / dt))
-    k = 0
-    while k < n_steps:
-        try:
-            for _ in range(check_every):
-                u = stepper.step_array(u)
-                k += 1
-        except StepUnstable:
-            return "grew", k * dt
-        y = mode.amplitude(u)
-        if abs(y) >= grow_factor * abs(y0):
-            return "grew", k * dt
-        if abs(y) <= decay_to:
-            return "decayed", k * dt
-    return "timeout", t_max
+    N = grid.N
+    A = linearization_matrix(p)
+    d = p.diffusion
+    lap = laplacian_apply(grid, np.eye(N)).T
+    jac = np.zeros((3 * N, 3 * N))
+    for j in range(3):
+        unit = np.zeros((3, N))
+        unit[j] = 1.0
+        local = A[:, j, None] + 0.5 * (
+            quadratic_nonlinearity(p, u + unit) - quadratic_nonlinearity(p, u - unit)
+        )
+        for i in range(3):
+            block = np.diag(local[i])
+            if i == j:
+                block += d[i] * lap
+            jac[i * N:(i + 1) * N, j * N:(j + 1) * N] = block
+    if p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
+        for i in range(3):
+            rows = jac[i * N:(i + 1) * N]
+            rows -= rows.mean(axis=0)
+    return jac
 
 
 def _newton_steady_state(p: ModelParams, grid, y_init: float) -> np.ndarray:
@@ -252,13 +254,11 @@ def _newton_steady_state(p: ModelParams, grid, y_init: float) -> np.ndarray:
 
     Independent of the time stepper: solves ``D lap u + A u + F(u) = 0``
     directly, starting from the aligned first-mode profile with amplitude
-    ``y_init``.  The Jacobian is exact: ``F`` is quadratic, so its
-    derivative along ``v`` is ``(F(u + v) - F(u - v)) / 2`` with no
-    truncation error.  Under zero-average Neumann conditions the reaction
-    term is mean-projected exactly as in :class:`Stepper` and the state is
-    kept on the zero-mean subspace.  The projected Jacobian is singular on
-    the full space, so each update solves it bordered by the three
-    component-mean constraints.
+    ``y_init``, with the exact Jacobian of :func:`_rhs_jacobian`.  Under
+    zero-average Neumann conditions the reaction term is mean-projected
+    exactly as in :class:`Stepper` and the state is kept on the zero-mean
+    subspace.  The projected Jacobian is singular on the full space, so
+    each update solves it bordered by the three component-mean constraints.
 
     Raises
     ------
@@ -274,7 +274,6 @@ def _newton_steady_state(p: ModelParams, grid, y_init: float) -> np.ndarray:
     omega, _, _ = principal_mode_vectors(p)
     e1 = laplacian_mode(p, 1).evaluate(grid.x)
     u = y_init * omega[:, None] * e1[None, :]
-    lap = laplacian_apply(grid, np.eye(N)).T
     means = np.kron(np.eye(3), np.ones((1, N)))  # one row per component
 
     def rhs(v: np.ndarray) -> np.ndarray:
@@ -285,23 +284,9 @@ def _newton_steady_state(p: ModelParams, grid, y_init: float) -> np.ndarray:
 
     for _ in range(_NEWTON_MAX_ITER):
         r = rhs(u).reshape(-1)
-        jac = np.zeros((n, n))
-        for j in range(3):
-            unit = np.zeros((3, N))
-            unit[j] = 1.0
-            local = A[:, j, None] + 0.5 * (
-                quadratic_nonlinearity(p, u + unit) - quadratic_nonlinearity(p, u - unit)
-            )
-            for i in range(3):
-                block = np.diag(local[i])
-                if i == j:
-                    block += d[i] * lap
-                jac[i * N:(i + 1) * N, j * N:(j + 1) * N] = block
+        jac = _rhs_jacobian(p, grid, u)
         try:
             if project:
-                for i in range(3):
-                    rows = jac[i * N:(i + 1) * N]
-                    rows -= rows.mean(axis=0)
                 bordered = np.block([[jac, means.T], [means, np.zeros((3, 3))]])
                 rhs_vec = np.concatenate([-r, -means @ u.reshape(-1)])
                 du = np.linalg.solve(bordered, rhs_vec)[:n]
@@ -439,7 +424,7 @@ def criterion_5_exchange_of_stability(seed: int = DEFAULT_SEED) -> tuple[bool, s
             bracket=(1e-3, 100.0),
         )
         try:
-            tp = find_threshold(ray, M_max=50)
+            tp = find_threshold(ray)
         except MTPhaseError:
             continue
         conds = check_conditions(tp.lambda0)
@@ -633,11 +618,12 @@ def criterion_8_pitchfork_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         p = _solve_sigma(ray.at, target, bracket)
         grid = make_grid(p, 96)
         stepper = Stepper(p, grid, dt_max(p, grid))
+        mode = critical_mode(p, grid)
         solved, fixed = [], []
         try:
             for y_pred in predicted:
                 u = _newton_steady_state(p, grid, y_pred)
-                solved.append(amplitude(p, grid, u))
+                solved.append(mode.amplitude(u))
                 fixed.append(float(np.abs(stepper.step_array(u) - u).max() / np.abs(u).max()))
         except (NumericalError, StepUnstable) as exc:
             return False, "; ".join(parts + [f"sigma11={target}: {exc}"])
@@ -658,13 +644,40 @@ def criterion_8_pitchfork_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     )
 
 
+def _jump_outcome(p: ModelParams, grid, y0: float, t_max: float) -> tuple[str, float]:
+    """Run an aligned start of amplitude ``y0`` on the step ladder and read its fate.
+
+    ``("grew", t)`` at the first recorded ``|y| >= 10 |y0|``, or where the
+    run blows up on the floor rung (the state left the small-amplitude
+    window growing); ``("decayed", t)`` at the first recorded
+    ``|y| <= 1e-8``; otherwise ``("timeout", t)`` at the final time, a
+    saturated stop included.  Every accepted step is recorded.
+    """
+    ic = initial_state(p, grid, kind="aligned", amplitude=y0)
+    try:
+        result = simulate(
+            p, grid, ic, t_end=t_max, dt=dt_max(p, grid), record_every=1,
+            stop_on_saturation=True,
+        )
+    except StepUnstable as exc:
+        return "grew", exc.last_state.t
+    y = np.abs(result.series.y)
+    grew = y >= 10.0 * abs(y0)
+    hits = np.flatnonzero(grew | (y <= 1e-8))
+    if hits.size == 0:
+        return "timeout", result.final_state.t
+    k = hits[0]
+    return ("grew" if grew[k] else "decayed"), float(result.series.times[k])
+
+
 def criterion_9_jump_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Jump behavior where the cubic coefficient is positive.
 
     At a frozen zero-average point with a strongly positive transition
     number, slightly below threshold: an aligned state at twice the repeller
-    amplitude must grow tenfold, one at half the repeller amplitude must
-    decay to 1e-8.
+    amplitude must grow tenfold within t = 400, one at half the repeller
+    amplitude must decay to 1e-8 within t = 1500.  Both runs go through
+    :func:`simulate` on its step ladder.
     """
     ray = _jump_ray()
     tp = find_threshold(ray, attach_report=False)
@@ -675,10 +688,9 @@ def criterion_9_jump_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     p = _solve_sigma(ray.at, target, (tp.ray_coord, 2.0 * tp.ray_coord))
     y_star = float(np.sqrt(-target / b))
     grid = make_grid(p, 64)
-    dt = dt_max(p, grid)
 
-    outcome_hi, t_hi = _evolve_outcome(p, grid, 2.0 * y_star, dt, t_max=400.0)
-    outcome_lo, t_lo = _evolve_outcome(p, grid, 0.5 * y_star, dt, t_max=1500.0)
+    outcome_hi, t_hi = _jump_outcome(p, grid, 2.0 * y_star, t_max=400.0)
+    outcome_lo, t_lo = _jump_outcome(p, grid, 0.5 * y_star, t_max=1500.0)
     passed = outcome_hi == "grew" and outcome_lo == "decayed"
     return passed, (
         f"b={b:.4f}, repeller amplitude {y_star:.4f} at sigma11={target}; "
@@ -732,7 +744,7 @@ def criterion_11_convergence_orders(seed: int = DEFAULT_SEED) -> tuple[bool, str
     p = _solve_sigma(lambda c: tp.lambda0.replace(k7=c), 0.02, (2.0, 3.5))
 
     grid_ref = make_grid(p, 512)
-    y_ref = amplitude(p, grid_ref, _newton_steady_state(p, grid_ref, 0.26))
+    y_ref = critical_mode(p, grid_ref).amplitude(_newton_steady_state(p, grid_ref, 0.26))
     errs, dxs = [], []
     for N in (24, 32, 48):
         grid = make_grid(p, N)
@@ -755,7 +767,24 @@ def criterion_11_convergence_orders(seed: int = DEFAULT_SEED) -> tuple[bool, str
     def y_at(dt: float) -> float:
         return simulate(p, grid, ic, t_end=T, dt=dt, record_every=10**9).series.y[-1]
 
-    y_fine = y_at(0.000625)
+    # temporal reference: the semi-discrete system integrated by Radau (imported
+    # here so that `import mtphase` does not load scipy.integrate)
+    from scipy.integrate import solve_ivp
+
+    shape = ic.u.shape
+    rhs = Stepper(p, grid, dt_max(p, grid)).residual
+    reference = solve_ivp(
+        lambda t, y: rhs(y.reshape(shape)).reshape(-1),
+        (0.0, T),
+        ic.u.reshape(-1),
+        method="Radau",
+        rtol=1e-10,
+        atol=1e-13,
+        jac=lambda t, y: _rhs_jacobian(p, grid, y.reshape(shape)),
+    )
+    if not reference.success:
+        return False, f"Radau temporal reference failed: {reference.message}"
+    y_fine = critical_mode(p, grid).amplitude(reference.y[:, -1].reshape(shape))
     errs_t = [abs(y_at(dt) - y_fine) for dt in (0.02, 0.01, 0.005)]
     temporal = [float(np.log2(errs_t[i] / errs_t[i + 1])) for i in range(2)]
 
@@ -765,7 +794,7 @@ def criterion_11_convergence_orders(seed: int = DEFAULT_SEED) -> tuple[bool, str
         f"spatial orders {spatial[0]:.3f}, {spatial[1]:.3f} "
         f"(N=24/32/48 vs Newton reference at N=512); "
         f"temporal orders {temporal[0]:.3f}, {temporal[1]:.3f} "
-        f"(dt=0.02/0.01/0.005 vs dt=6.25e-4); band [1.8, 2.2]"
+        f"(dt=0.02/0.01/0.005 vs Radau reference, rtol 1e-10); band [1.8, 2.2]"
     )
 
 

@@ -26,9 +26,9 @@ BUDGET_SECONDS = {
     6: 0.1,
     7: 180.0,
     8: 180.0,
-    9: 120.0,
+    9: 30.0,
     10: 5.0,
-    11: 120.0,
+    11: 30.0,
     12: 180.0,
 }
 

@@ -13,6 +13,7 @@ from mtphase import (
     classify_region,
     main,
     parse_config,
+    principal_eigenvalue,
     read_manifest,
     sha256_file,
 )
@@ -177,6 +178,28 @@ def test_phase_diagram_rows_are_the_grid_in_row_major_order(tmp_path, range1, ra
     assert rows[1:] == expected
     assert {row[-1].split(":")[0] for row in expected} == {"", error}
     assert {row[4] for row in expected} == {"", "stable", "unstable"}
+
+
+@pytest.mark.parametrize(
+    "range1, range2", [((-0.1, 0.4), (0.6, 2.5)), ((-0.05, 0.6), (0.5, 3.0))]
+)
+def test_critical_curve_up_to_the_infeasible_edge(tmp_path, range1, range2):
+    # In these windows the critical curve runs toward d = 0, where the
+    # bracket of a vertex's polish reaches negative diffusivities.  The
+    # tracer must keep to feasible points and finish the curve.
+    path = tmp_path / "edge.ini"
+    path.write_text(CANONICAL.replace("range1 = 0.08,0.4", "range1 = %r,%r" % range1)
+                    .replace("range2 = 1.5,2.5", "range2 = %r,%r" % range2))
+    out = str(tmp_path / "pd")
+    assert main(["phase-diagram", "--config", str(path), "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, MANIFEST_NAME))
+    plane = parse_config(str(path)).plane()
+    with open(os.path.join(out, "critical-curve.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 100
+    for row in rows:
+        p = plane.at(float(row["coord1"]), float(row["coord2"]))  # raises if infeasible
+        assert abs(principal_eigenvalue(p).real) <= 1e-8
 
 
 def test_verify_subset_and_csv(tmp_path):
