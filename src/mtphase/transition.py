@@ -11,11 +11,18 @@ continuous supercritical pitchfork (type I), a jump with metastable trivial
 state (type II), and a cubic-degenerate case this package does not resolve
 (type III).
 
-Every coefficient here is a contraction of eigendata that
-:mod:`mtphase.spectral` supplies: the critical pair omega, omega* from
-``principal_mode_vectors`` and the interaction mode's spectrum.  Each
-contraction divides by a bilinear pairing ``omega . omega*``, and one guard
-raises :class:`Resonance` when a pair is near-defective.
+Every coefficient here is a contraction with the critical pair omega,
+omega* that :func:`mtphase.spectral.principal_mode_vectors` supplies, divided
+by the bilinear pairing ``omega . omega*``; one guard raises
+:class:`Resonance` when that pair is near-defective.  The slaved second
+harmonic enters ``b`` through one linear solve ``v = -1/2 * E2^-1 F(omega)``
+against the mode-2 block ``E2``, so ``b`` is evaluated as the closed form
+``-1/4 * 2G(omega, E2^-1 F(omega)).omega* / (omega.omega*)`` (``2G`` being
+the symmetric bilinear form of ``F``) and no eigenvector of ``E2`` is formed;
+a second guard raises :class:`Resonance` when ``E2`` has an eigenvalue near
+zero.  Degeneracy of ``b`` and of the Dirichlet quadratic coefficient is
+judged relative to the magnitudes of the terms each is summed from, so it
+does not depend on the unit of time.
 """
 
 from __future__ import annotations
@@ -28,31 +35,27 @@ import numpy as np
 from .errors import (
     ComplexCrossing,
     DegenerateCoefficient,
-    NumericalError,
     OutOfTheory,
     Resonance,
     ValidationError,
 )
 from .model import BoundaryCondition, ModelParams, quadratic_nonlinearity
 from .spectral import (
-    _spectrum_at,
     laplacian_eigenvalue,
     laplacian_mode,
+    mode_matrix,
     principal_eigenvalue,
     principal_mode_vectors,
+    solve_spectrum,
 )
 from .threshold import ThresholdPoint, det_principal_mode
 
 __all__ = [
     "TransitionType",
     "QuadraticCoefficient",
-    "CenterManifoldCoefficients",
-    "CubicReduction",
     "TransitionReport",
     "PredictedState",
     "quadratic_coefficient",
-    "center_manifold_coefficients",
-    "cubic_reduction",
     "transition_number",
     "transition_number_simplified",
     "classify_transition",
@@ -61,14 +64,14 @@ __all__ = [
 
 #: interaction eigenvalues closer to zero than this cannot be slaved reliably
 EPSILON_RESONANCE = 1e-6
-#: |transition number| at or below this band is classified type III
+#: |b| at or below this fraction of its summed term magnitudes is type III
 DEGENERATE_BAND = 1e-10
-#: |quadratic coefficient| at or below this floor aborts the Dirichlet branch
+#: |F(omega).omega*| at or below this fraction of its summed term magnitudes
+#: aborts the Dirichlet branch
 QUADRATIC_FLOOR = 1e-12
 
 _INTERACTION_MODE = 2
 _BIORTH_RTOL = 1e-12
-_IMAG_RTOL = 1e-9
 #: tolerated imaginary part of the leading eigenvalue in state predictions
 SIGMA_IMAG_BAND = 1e-8
 
@@ -99,42 +102,6 @@ class QuadraticCoefficient:
     @property
     def value(self) -> float:
         return self.closed_form
-
-
-@dataclass(frozen=True)
-class CenterManifoldCoefficients:
-    """Quadratic slaving coefficients of the interaction harmonic.
-
-    For the zero-average Neumann problem the only harmonic driven at second
-    order is mode 2; its amplitudes follow ``y_{2,i} = coeffs[i] * y**2`` to
-    leading order, where ``y`` is the critical-mode amplitude.  ``sigma``,
-    ``omega`` and ``omega_star`` hold the interaction mode's eigenvalues and
-    (adjoint) eigenvectors, row ``i`` belonging to ``sigma[i]``.
-    """
-
-    interaction_mode: int
-    coeffs: np.ndarray
-    sigma: np.ndarray
-    omega: np.ndarray
-    omega_star: np.ndarray
-
-
-@dataclass(frozen=True)
-class CubicReduction:
-    """Assembled cubic term of the Neumann reduced amplitude equation.
-
-    ``transition_number`` is the coefficient ``b`` in
-    ``dy/dt = sigma11*y + b*y**3``.  ``interaction_vector`` is the
-    three-component vector contracted with the adjoint eigenvector to form
-    it, and ``projected_components`` holds the two independent scalar sums
-    (first and second reactant pairings with the slaved harmonic) that the
-    vector is built from.
-    """
-
-    transition_number: float
-    interaction_vector: np.ndarray
-    projected_components: tuple[float, float]
-    coefficients: CenterManifoldCoefficients
 
 
 @dataclass(frozen=True)
@@ -257,14 +224,16 @@ def quadratic_coefficient(
     Raises
     ------
     DegenerateCoefficient
-        If the closed-form value is below ``QUADRATIC_FLOOR`` in magnitude,
-        in which case the transcritical branch prediction does not apply.
+        If the projection ``F(omega).omega*`` is at or below
+        ``QUADRATIC_FLOOR`` times the summed magnitude of its terms, in which
+        case the transcritical branch prediction does not apply.
     """
     p = _params_of(tp)
     _require_bc(p, BoundaryCondition.DIRICHLET, "the quadratic branch coefficient")
     omega, omega_star, _ = principal_mode_vectors(p)
     pairing = float(_biorth(omega, omega_star, "critical eigenpair"))
-    projected = float(quadratic_nonlinearity(p, omega) @ omega_star)
+    driving = quadratic_nonlinearity(p, omega)
+    projected = float(driving @ omega_star)
     closed = (8.0 / (3.0 * np.pi)) * projected / pairing
 
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
@@ -276,131 +245,83 @@ def quadratic_coefficient(
     numerator = float(np.sum(w * (omega_star @ pointwise) * e1))
     quadrature = numerator / ((p.ell / 2.0) * pairing)
 
-    if abs(closed) <= QUADRATIC_FLOOR:
+    if abs(projected) <= QUADRATIC_FLOOR * np.abs(driving * omega_star).sum():
         raise DegenerateCoefficient(
             f"quadratic branch coefficient {closed!r} is numerically zero"
         )
     return QuadraticCoefficient(closed_form=closed, quadrature=quadrature)
 
 
-def center_manifold_coefficients(
-    tp: ThresholdPoint | ModelParams,
-) -> CenterManifoldCoefficients:
-    """Slaving coefficients of the second harmonic (zero-average Neumann).
+def _slaved_sums(p: ModelParams, omega: np.ndarray) -> tuple[float, float]:
+    """Pairings ``(B^1, B^2)`` of the critical mode with the slaved second harmonic.
 
-    The second-order response of the stable harmonic ``cos(2*pi*x/ell)`` to
-    the critical mode is ``y_{2,i} = c_i * y**2`` with
+    For the zero-average Neumann problem the only harmonic driven at second
+    order is ``cos(2*pi*x/ell)``; its amplitude vector follows ``v * y**2``
+    to leading order, where ``y`` is the critical-mode amplitude and
 
-    ``c_i = -<e1^2, e2> * (F(omega).omega*_{2,i})
-            / (sigma_{2,i} * <e2, e2> * (omega_{2,i}.omega*_{2,i}))``
+    ``v = -(<e1^2, e2> / <e2, e2>) * E2^-1 F(omega) = -1/2 * E2^-1 F(omega)``
 
-    where ``<e1^2, e2> = ell/4`` and ``<e2, e2> = ell/2`` in the cosine
-    basis.  All products of complex eigendata are bilinear (no conjugation).
+    with ``E2 = mode_matrix(p, rho_2)``, ``<e1^2, e2> = ell/4`` and
+    ``<e2, e2> = ell/2`` in the cosine basis.  The slaved harmonic feeds back
+    through the quadratic nonlinearity in the two sums
+    ``B^1 = <e1^2, e2> * (omega^1 v^3 + omega^3 v^1)`` and
+    ``B^2 = <e1^2, e2> * (omega^2 v^3 + omega^3 v^2)``.
 
     Raises
     ------
     Resonance
-        If any interaction eigenvalue is within ``EPSILON_RESONANCE`` of
-        zero, or an interaction eigenpair is near-defective; the slaving
-        denominators are then unreliable.
+        If an eigenvalue of ``E2`` is within ``EPSILON_RESONANCE`` of zero;
+        the second harmonic is then not slaved and ``E2`` is near-singular.
     """
-    p = _params_of(tp)
-    _require_bc(
-        p, BoundaryCondition.NEUMANN_ZERO_AVERAGE, "center-manifold slaving"
-    )
-    return _interaction_coefficients(p)
-
-
-def _interaction_coefficients(p: ModelParams) -> CenterManifoldCoefficients:
-    ms = _spectrum_at(p, laplacian_mode(p, _INTERACTION_MODE))
-    omega, _, _ = principal_mode_vectors(p)
-    driving = quadratic_nonlinearity(p, omega)
-    cross_projection = p.ell / 4.0  # <e1^2, e2>
-    norm_sq = ms.mode.norm_sq  # <e2, e2> = ell/2
-    coeffs = np.empty(3, dtype=complex)
-    for i in range(3):
-        s = complex(ms.sigma[i])
+    e2 = mode_matrix(p, laplacian_eigenvalue(_INTERACTION_MODE, p.ell))
+    for i, s in enumerate(solve_spectrum(e2)):
         if abs(s) <= EPSILON_RESONANCE:
             raise Resonance(
-                f"interaction eigenvalue sigma_2{i + 1} = {s!r} is inside the "
-                f"resonance guard ({EPSILON_RESONANCE})"
+                f"interaction eigenvalue sigma_2{i + 1} = {complex(s)!r} is inside "
+                f"the resonance guard ({EPSILON_RESONANCE})"
             )
-        pairing = _biorth(
-            ms.omega[i], ms.omega_star[i], f"interaction eigenpair for sigma_2{i + 1}"
-        )
-        coeffs[i] = -cross_projection * (driving @ ms.omega_star[i]) / (
-            s * norm_sq * pairing
-        )
-    return CenterManifoldCoefficients(
-        interaction_mode=_INTERACTION_MODE,
-        coeffs=coeffs,
-        sigma=ms.sigma,
-        omega=ms.omega,
-        omega_star=ms.omega_star,
-    )
+    v = -0.5 * np.linalg.solve(e2, quadratic_nonlinearity(p, omega))
+    cross_projection = p.ell / 4.0  # <e1^2, e2>
+    b1 = cross_projection * (omega[0] * v[2] + omega[2] * v[0])
+    b2 = cross_projection * (omega[1] * v[2] + omega[2] * v[1])
+    return float(b1), float(b2)
 
 
-def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) > _IMAG_RTOL * max(1.0, abs(value.real)):
-        raise NumericalError(
-            f"{what} has a non-negligible imaginary part: {value!r}"
-        )
-    return float(value.real)
+def _cubic_coefficient(p: ModelParams) -> tuple[float, float]:
+    """Transition number ``b`` and the sum of the magnitudes of its terms.
 
-
-def cubic_reduction(tp: ThresholdPoint | ModelParams) -> CubicReduction:
-    """Assemble the cubic term of the Neumann reduced amplitude equation.
-
-    The slaved second harmonic feeds back into the critical mode through the
-    quadratic nonlinearity.  With ``b^j_i = omega^j * omega^3_{2,i} +
-    omega^3 * omega^j_{2,i}`` the two independent sums are
-    ``B^j = <e1^2, e2> * sum_i b^j_i * c_i`` and the interaction vector is
-    ``(k5*B^2 - k7*B^1, -k5*B^2 + k7*B^1, -k3*B^1)``; contracting with the
-    adjoint eigenvector and normalizing by ``<e1, e1> * (omega.omega*)``
-    gives the transition number.
+    ``b`` contracts the interaction vector
+    ``(k5*B^2 - k7*B^1, -k5*B^2 + k7*B^1, -k3*B^1)`` with the adjoint
+    eigenvector and normalizes by ``<e1, e1> * (omega.omega*)``.  The second
+    value is the same contraction with every term taken in magnitude: it
+    scales with the parameters exactly as ``b`` does, so the type-III band
+    compares ``|b|`` with it rather than with an absolute number.
     """
-    p = _params_of(tp)
     _require_bc(
         p, BoundaryCondition.NEUMANN_ZERO_AVERAGE, "the cubic reduced equation"
     )
-    cmf = _interaction_coefficients(p)
     omega, omega_star, _ = principal_mode_vectors(p)
-    pairing = float(_biorth(omega, omega_star, "critical eigenpair"))
-
-    cross_projection = p.ell / 4.0
-    b1 = complex(0.0)
-    b2 = complex(0.0)
-    for i in range(3):
-        w2 = cmf.omega[i]
-        b1 += (omega[0] * w2[2] + omega[2] * w2[0]) * cmf.coeffs[i]
-        b2 += (omega[1] * w2[2] + omega[2] * w2[1]) * cmf.coeffs[i]
-    b1 *= cross_projection
-    b2 *= cross_projection
-
+    norm = (p.ell / 2.0) * float(_biorth(omega, omega_star, "critical eigenpair"))
+    b1, b2 = _slaved_sums(p, omega)
     cross = p.k5 * b2 - p.k7 * b1
     vector = np.array([cross, -cross, -p.k3 * b1])
-    raw = vector @ omega_star
-    value = _real_part(complex(raw / ((p.ell / 2.0) * pairing)), "transition number")
-    return CubicReduction(
-        transition_number=value,
-        interaction_vector=np.array(
-            [
-                _real_part(complex(vector[0]), "interaction vector component 1"),
-                _real_part(complex(vector[1]), "interaction vector component 2"),
-                _real_part(complex(vector[2]), "interaction vector component 3"),
-            ]
-        ),
-        projected_components=(
-            _real_part(complex(b1), "first projected component"),
-            _real_part(complex(b2), "second projected component"),
-        ),
-        coefficients=cmf,
-    )
+    magnitude = np.abs(vector * omega_star).sum() / abs(norm)
+    return float(vector @ omega_star / norm), float(magnitude)
 
 
 def transition_number(tp: ThresholdPoint | ModelParams) -> float:
-    """Cubic coefficient ``b`` of ``dy/dt = sigma11*y + b*y**3`` (Neumann)."""
-    return cubic_reduction(tp).transition_number
+    """Cubic coefficient ``b`` of ``dy/dt = sigma11*y + b*y**3`` (Neumann).
+
+    Evaluated with one 3x3 solve against the mode-2 block (see
+    :func:`_slaved_sums`); no eigenvector of that block is formed.
+
+    Raises
+    ------
+    Resonance
+        If the mode-2 block has an eigenvalue within ``EPSILON_RESONANCE`` of
+        zero, or the critical eigenpair is near-defective.
+    """
+    return _cubic_coefficient(_params_of(tp))[0]
 
 
 def transition_number_simplified(
@@ -437,10 +358,9 @@ def transition_number_simplified(
             "parameters do not satisfy the adjoint-degeneracy constraint "
             f"C1*k7 = k3*(k5 + rho1*d2) ({lhs!r} vs {rhs!r})"
         )
-    reduction = cubic_reduction(p)
-    b2 = reduction.projected_components[1]
     omega, omega_star, _ = principal_mode_vectors(p)
     pairing = float(_biorth(omega, omega_star, "critical eigenpair"))
+    _, b2 = _slaved_sums(p, omega)
     raw = -(p.k3 * p.k5 * rho1 / p.k7) * (
         p.k5 * p.d1 + p.k7 * p.d2 + p.d1 * p.d2 * rho1
     ) * b2
@@ -452,8 +372,10 @@ def classify_transition(tp: ThresholdPoint | ModelParams) -> TransitionReport:
 
     Dirichlet thresholds are transcritical-mixed whenever the quadratic
     coefficient is nonzero (it is checked against ``QUADRATIC_FLOOR``).
-    Neumann thresholds classify by the sign of the transition number, with
-    magnitudes at or below ``DEGENERATE_BAND`` declared type III.
+    Neumann thresholds classify by the sign of the transition number; one
+    at or below ``DEGENERATE_BAND`` times the summed magnitude of its terms
+    is declared type III.  Both tests are relative, so the verdict does not
+    depend on the unit of time.
     """
     point = _as_threshold_point(tp)
     p = point.lambda0
@@ -471,8 +393,8 @@ def classify_transition(tp: ThresholdPoint | ModelParams) -> TransitionReport:
             omega_star=omega_star,
             rho1=rho1,
         )
-    value = transition_number(point)
-    if abs(value) <= DEGENERATE_BAND:
+    value, magnitude = _cubic_coefficient(p)
+    if abs(value) <= DEGENERATE_BAND * magnitude:
         kind = TransitionType.TYPE_III
     elif value < 0.0:
         kind = TransitionType.TYPE_I

@@ -70,7 +70,7 @@ from .spectral import (
 )
 from .threshold import ParameterRay, find_threshold
 from .transition import (
-    DEGENERATE_BAND,
+    TransitionType,
     classify_transition,
     transition_number,
     transition_number_simplified,
@@ -543,11 +543,11 @@ def criterion_8_pitchfork_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     A seeded search over 250 random Neumann zero-average thresholds reports
     the range of the transition number ``b``, split into genuine thresholds
     (stability-exchange report passes) and the rest.  The first genuine
-    threshold with ``b < 0`` is used if one turns up, otherwise the frozen
-    jump point (``b > 0``).  The pitchfork pair ``+/- sqrt(-sigma11/b)``
-    is checked on the side of the threshold where
-    :meth:`TransitionReport.branch_amplitudes` places it: above it for
-    type I, below it (the repeller ring) for type II.  At ``|sigma11|`` =
+    threshold that :func:`classify_transition` calls type I (``b < 0``) is
+    used if one turns up, otherwise the frozen jump point (``b > 0``).  The
+    pitchfork pair ``+/- sqrt(-sigma11/b)`` is checked on the side of the
+    threshold where :meth:`TransitionReport.branch_amplitudes` places it:
+    above it for type I, below it (the repeller ring) for type II.  At ``|sigma11|`` =
     0.01 and 0.005 both branches are solved by a mean-projected Newton
     solve at N = 96.  Each solved state must be a fixed point of
     :meth:`Stepper.step_array` (the scheme's fixed points are exactly the
@@ -577,12 +577,13 @@ def criterion_8_pitchfork_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
                 bracket=(1e-3, 50.0),
             )
             tp = find_threshold(ray)
-            b = transition_number(tp)
+            report = classify_transition(tp)
         except MTPhaseError:
             continue
+        b = report.transition_number
         if tp.stability_report.passed:
             genuine.append(b)
-            if b < -DEGENERATE_BAND:
+            if report.transition_type is TransitionType.TYPE_I:
                 found = (ray, tp)
         else:
             other.append(b)
@@ -692,10 +693,11 @@ def criterion_9_jump_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     outcome_hi, t_hi = _jump_outcome(p, grid, 2.0 * y_star, t_max=400.0)
     outcome_lo, t_lo = _jump_outcome(p, grid, 0.5 * y_star, t_max=1500.0)
     passed = outcome_hi == "grew" and outcome_lo == "decayed"
+    reached = " to 1e-8" if outcome_lo == "decayed" else ""
     return passed, (
         f"b={b:.4f}, repeller amplitude {y_star:.4f} at sigma11={target}; "
         f"IC at 2.0x: {outcome_hi} (t={t_hi:.1f}), "
-        f"IC at 0.5x: {outcome_lo} to 1e-8 (t={t_lo:.1f})"
+        f"IC at 0.5x: {outcome_lo}{reached} (t={t_lo:.1f})"
     )
 
 

@@ -1,9 +1,12 @@
 """Shared fixtures: canonical parameter points and random-parameter factory.
 
-Also loads the hypothesis profile every property test runs under.
+Also loads the hypothesis profile every property test runs under, and turns
+every warning raised by a test in this directory into an error.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,16 @@ from mtphase import ModelParams, ParameterRay, find_threshold
 # earlier runs, so one tree passes or fails the same way each time
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+_TESTS_DIR = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    # a warning (an unclosed file, a deprecated call) fails the test that
+    # raised it; tests collected from other directories are left alone
+    for item in items:
+        if _TESTS_DIR in Path(item.path).resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture(scope="session")

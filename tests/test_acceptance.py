@@ -11,10 +11,11 @@ differ only in its timestamp).
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
-from mtphase import main, read_manifest, run_all
+from mtphase import main, read_manifest, run_all, verification
 from mtphase.output import MANIFEST_NAME
 
 BUDGET_SECONDS = {
@@ -79,6 +80,25 @@ def test_criterion_09_jump_behavior_via_simulation():
     _run(9)
 
 
+@pytest.mark.parametrize(
+    "outcome_lo, passed, tail",
+    [
+        ("decayed", True, "IC at 0.5x: decayed to 1e-8 (t=814.8)"),
+        ("grew", False, "IC at 0.5x: grew (t=814.8)"),
+        ("timeout", False, "IC at 0.5x: timeout (t=814.8)"),
+    ],
+)
+def test_criterion_09_detail_names_the_outcome(monkeypatch, outcome_lo, passed, tail):
+    # "to 1e-8" is the decay threshold; it belongs to "decayed" only
+    outcomes = iter([("grew", 7.9), (outcome_lo, 814.8)])
+    monkeypatch.setattr(
+        verification, "_jump_outcome", lambda *args, **kwargs: next(outcomes)
+    )
+    verdict, detail = verification.criterion_9_jump_behavior()
+    assert verdict is passed
+    assert detail.endswith(f"; IC at 2.0x: grew (t=7.9), {tail}")
+
+
 def test_criterion_10_constrained_transition_number_identity():
     _run(10)
 
@@ -94,7 +114,7 @@ def test_criterion_12_artifact_reproducibility(tmp_path):
     dirs = [str(tmp_path / "r1"), str(tmp_path / "r2")]
     for out in dirs:
         assert main(["verify", "--only", "12", "--out", out]) == 0
-    csv_bytes = [open(os.path.join(d, "verify.csv"), "rb").read() for d in dirs]
+    csv_bytes = [(Path(d) / "verify.csv").read_bytes() for d in dirs]
     assert csv_bytes[0] == csv_bytes[1]
     manifests = [
         {

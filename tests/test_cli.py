@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_simulate_seed_determinism(config_path, tmp_path):
     assert main(["simulate", "--config", config_path, "--out", out1, "--seed", "9"]) == 0
     assert main(["simulate", "--config", config_path, "--out", out2, "--seed", "9"]) == 0
     assert main(["simulate", "--config", config_path, "--out", out3, "--seed", "10"]) == 0
-    read = lambda d: open(os.path.join(d, "simulate.csv"), "rb").read()
+    read = lambda d: (Path(d) / "simulate.csv").read_bytes()
     assert read(out1) == read(out2)
     assert read(out1) != read(out3)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_write_csv_quotes_fields_with_commas(tmp_path):
 def test_write_csv_uses_unix_newlines(tmp_path):
     path = str(tmp_path / "t.csv")
     write_csv(path, ["a"], [[1], [2]])
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert b"\r" not in raw
     assert raw.count(b"\n") == 3
 

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtphase import (
     ModelParams,
+    MTPhaseError,
     OutOfTheory,
     ParameterRay,
     Resonance,
@@ -21,10 +24,12 @@ from mtphase import (
     predicted_state,
     principal_mode_vectors,
     quadratic_coefficient,
+    quadratic_nonlinearity,
     transition_number,
     transition_number_simplified,
 )
 from mtphase.transition import _biorth
+from mtphase.verification import _random_params
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -112,6 +117,85 @@ def test_transition_number_accepts_params_and_threshold(jump_threshold):
     via_point = transition_number(jump_threshold)
     via_params = transition_number(jump_threshold.lambda0)
     assert via_params == pytest.approx(via_point, rel=1e-12)
+
+
+def _eigen_expansion_transition_number(p: ModelParams) -> float:
+    """Oracle for ``b``: the slaved harmonic from the full mode-2 eigen-expansion.
+
+    ``v = -1/2 * sum_i omega_2i (omega*_2i . F(omega)) / (sigma_2i omega_2i . omega*_2i)``
+    and ``b = 1/2 * 2G(omega, v) . omega* / (omega . omega*)``, with the
+    bilinear form taken by polarization, ``2G(u, v) = F(u+v) - F(u) - F(v)``.
+    """
+    omega, omega_star, _ = principal_mode_vectors(p)
+    ms = mode_spectra(p, 2)[1]
+    driving = quadratic_nonlinearity(p, omega)
+    v = -0.5 * sum(
+        ms.omega[i] * (ms.omega_star[i] @ driving)
+        / (ms.sigma[i] * (ms.omega[i] @ ms.omega_star[i]))
+        for i in range(3)
+    )
+    F = lambda w: quadratic_nonlinearity(p, w)
+    bilinear = F(omega + v) - F(omega) - F(v)
+    b = 0.5 * (bilinear @ omega_star) / (omega @ omega_star)
+    assert abs(b.imag) <= 1e-12 * abs(b.real)
+    return float(b.real)
+
+
+def test_transition_number_matches_eigen_expansion():
+    # criterion 8's parameter ranges; each threshold on a proportional
+    # diffusivity ray, as there
+    rng = np.random.default_rng(20140)
+    checked = 0
+    while checked < 200:
+        base = _random_params(
+            rng,
+            rate_range=(0.316, 10.0),
+            diff_range=(0.1, 1.0),
+            ell_range=(3.0, 10.0),
+            bc="neumann-zero-average",
+            k1_margin=0.05,
+        )
+        ray = ParameterRay(
+            base=base,
+            direction={"d1": base.d1, "d2": base.d2, "d3": base.d3},
+            bracket=(1e-3, 50.0),
+        )
+        try:
+            p = find_threshold(ray, attach_report=False).lambda0
+        except MTPhaseError:
+            continue
+        reference = _eigen_expansion_transition_number(p)
+        assert transition_number(p) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        checked += 1
+
+
+_TIME_SCALED = ("k1", "k3", "k5", "k7", "C1", "E", "d1", "d2", "d3")
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+@settings(max_examples=25, deadline=None)
+@example(exponent=-6.0)
+@example(exponent=6.0)
+@given(exponent=st.floats(-6.0, 6.0))
+def test_classification_is_independent_of_the_time_unit(
+    bc, exponent, canonical_threshold, jump_threshold
+):
+    # Multiplying every rate and diffusivity by lam rescales time: the
+    # threshold stays a threshold, alpha scales as lam**2 and b as lam**3,
+    # and the verdict must not change.
+    p = (canonical_threshold if bc == "dirichlet" else jump_threshold).lambda0
+    lam = 10.0**exponent
+    scaled = p.replace(**{k: lam * getattr(p, k) for k in _TIME_SCALED})
+    unit, report = classify_transition(p), classify_transition(scaled)
+    assert report.transition_type is unit.transition_type
+    if bc == "dirichlet":
+        assert report.quadratic_coeff / lam**2 == pytest.approx(
+            unit.quadratic_coeff, rel=1e-14
+        )
+    else:
+        assert report.transition_number / lam**3 == pytest.approx(
+            unit.transition_number, rel=1e-14
+        )
 
 
 def test_resonant_interaction_mode_raises():
