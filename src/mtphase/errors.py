@@ -86,6 +86,10 @@ class CurveLeftDomain(NumericalError):
     parameter window."""
 
 
+class SignPatternBroken(NumericalError):
+    """A characteristic coefficient breaks the certificate's sign pattern."""
+
+
 class StepCollapse(NumericalError):
     """Curve continuation had to shrink its step below the minimum.
 

@@ -195,8 +195,7 @@ class ConditionReport:
         ``C1 != d2*d3*rho1**2 + d2*K2*rho1``; when either equality holds the
         critical manifold may fail to be a regular hypersurface.
     ``cond2_ok``
-        stability-exchange condition ``k5*K2 - C1 > 0`` under which a real
-        principal eigenvalue crosses zero first.
+        ``cond2_margin(p) > 0`` (see :func:`cond2_margin`).
     """
 
     cond0_ok: bool
@@ -337,5 +336,8 @@ def check_conditions(p: ModelParams) -> ConditionReport:
 
 
 def cond2_margin(p: ModelParams | ParamBatch):
-    """``k5*K2 - C1``: the stability-exchange condition (cond2) is that it is > 0."""
+    """``k5*K2 - C1``; cond2 is that it is > 0.  The form assumes the time
+    unit k1 = E = 1 of the shipped configs; ``a*k5*K2 - C1*k1`` (a = E/k1)
+    is the homogeneous one.  The stability-exchange report does not use it.
+    """
     return p.k5 * p.K2 - p.C1

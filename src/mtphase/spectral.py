@@ -105,8 +105,7 @@ def mode_matrix(p: ModelParams, rho: float) -> np.ndarray:
 
     Because ``rho`` and the diffusion rates enter only through the products
     ``d_i * rho``, scaling the diffusion vector by ``rho_1/rho_m`` and
-    evaluating at ``rho_m`` reproduces the block at ``rho_1`` with the
-    original diffusion (used to compare modes against the principal one).
+    evaluating at ``rho_m`` reproduces the block at ``rho_1``.
     """
     return linearization_matrix(p) - rho * diffusion_matrix(p)
 

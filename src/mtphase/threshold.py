@@ -1,11 +1,12 @@
-"""Instability-threshold location and stability-exchange verification.
+"""Instability-threshold location and the exchange-of-stability certificate.
 
 The uniform steady state loses stability where the principal-mode block
 ``E(rho_1) = A - rho_1 D`` becomes singular.  This module finds those
 thresholds along parameter rays, classifies parameter points as stable /
-critical / unstable, verifies that exactly one real eigenvalue crosses zero
-while every other mode stays strictly stable, and traces the critical curve
-through two-parameter slices by pseudo-arclength continuation.
+critical / unstable, certifies for every mode that exactly one real
+eigenvalue crosses zero while all others stay strictly stable, and traces
+the critical curve through two-parameter slices by pseudo-arclength
+continuation.
 
 :func:`classify_region` takes one point or a :class:`ParamBatch`; a batch
 is classified with one eigenvalue call and reported as arrays, which is
@@ -14,6 +15,7 @@ how a sweep classifies a grid row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -27,11 +29,11 @@ from .errors import (
     K1NotPositive,
     NonPositiveParameter,
     NoSignChange,
+    SignPatternBroken,
     StepCollapse,
 )
-from .model import ModelParams, ParamBatch, check_conditions, cond2_margin, validate_params
+from .model import ModelParams, ParamBatch, cond2_margin, linearization_matrix, validate_params
 from .spectral import (
-    char_poly_coeffs,
     laplacian_eigenvalue,
     mode_matrices,
     mode_matrix,
@@ -55,8 +57,9 @@ __all__ = [
 
 SIGMA_ZERO_BAND = 1e-8
 _TANGENT_TOL = 1e-8
-#: modes 1..REPORT_MODES are checked by the stability-exchange report
-REPORT_MODES = 50
+#: a certificate value at or below this fraction of its summed term
+#: magnitudes is not told apart from zero
+_CERT_BAND = 1e-12
 #: first continuation step of the curve tracer, in window-normalized units
 _INITIAL_STEP = 1e-2
 #: widenings (and retreats from infeasible ends) of a vertex's polish bracket
@@ -143,33 +146,25 @@ class RegionReport:
     cond2_ok: bool | np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityExchangeReport:
-    """Numerical checks that exactly the principal eigenvalue crosses zero.
+    """Certificate that exactly the principal eigenvalue crosses zero, for
+    every mode; :func:`stability_exchange_report` decides each flag.  No
+    eigenvalue is kept (the threshold has sigma11): a run may hold one
+    report per threshold."""
 
-    When the stability-exchange condition (cond2) is violated the analytic
-    argument does not apply; the report is then marked ``skipped`` and
-    ``passed`` is None.
-    """
-
-    sigma11: complex
     sigma11_in_band: bool
     sigma11_simple: bool
     mode1_rest_stable: bool
-    re_sigma12: float
-    re_sigma13: float
     higher_modes_stable: bool
-    max_re_higher: float
+    higher_margin: float
     traces_negative: bool
     p1_positive: bool
-    scaling_consistent: bool
     cond2_ok: bool
-    skipped: bool
-    passed: bool | None
-    M_max: int
+    passed: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class ThresholdPoint:
     """A located zero of the principal-mode determinant along a ray."""
 
@@ -265,9 +260,7 @@ def classify_region(p: ModelParams | ParamBatch) -> RegionReport:
 
     A point is critical when ``|Re sigma_11| <= SIGMA_ZERO_BAND``.
 
-    ``cond2_ok`` reports whether the stability-exchange condition holds;
-    when it does not, the classification is outside the supported theory
-    but the eigenvalue sign is still reported.
+    ``cond2_ok`` is :func:`~mtphase.model.cond2_margin` > 0.
 
     A :class:`ParamBatch` of feasible points is classified by one
     eigenvalue call on the stack of their principal-mode blocks, and its
@@ -297,97 +290,89 @@ def classify_region(p: ModelParams | ParamBatch) -> RegionReport:
     return report
 
 
-def _scaling_cross_check(p: ModelParams, m: int) -> bool:
-    """Mode-m block equals the principal block at rescaled diffusion.
-
-    Checked in both substitution directions: shrinking the diffusion vector
-    by ``rho_1/rho_m`` and evaluating at ``rho_m`` reproduces the principal
-    block, and inflating it by ``rho_m/rho_1`` at ``rho_1`` reproduces the
-    mode-m block (which therefore lies strictly on the stable side).
-    """
-    rho1 = laplacian_eigenvalue(1, p.ell)
-    rho_m = laplacian_eigenvalue(m, p.ell)
-    e1 = mode_matrix(p, rho1)
-    em = mode_matrix(p, rho_m)
-    scale = np.abs(e1).max()
-
-    shrink = rho1 / rho_m
-    p_shrunk = p.replace(d1=p.d1 * shrink, d2=p.d2 * shrink, d3=p.d3 * shrink)
-    ok_down = np.abs(mode_matrix(p_shrunk, rho_m) - e1).max() <= 1e-14 * scale
-
-    inflate = rho_m / rho1
-    p_inflated = p.replace(d1=p.d1 * inflate, d2=p.d2 * inflate, d3=p.d3 * inflate)
-    ok_up = np.abs(mode_matrix(p_inflated, rho1) - em).max() <= 1e-14 * np.abs(em).max()
-    return bool(ok_down and ok_up)
+def _rho_coefficients(g, P, T, d):
+    """Ascending coefficients in rho of q2, q1 and q0, from the negated
+    diagonal ``g`` of A, ``P[k] = A[i][j]*A[j][i]`` for the pair (i, j)
+    without k and the two 3-cycle products ``T`` of A.  Passed
+    ``(|g|, -|P|, -|T|, d)`` it gives the summed term magnitudes."""
+    (g0, g1, g2), (d0, d1, d2) = g, d
+    minors = (g1 * g2 - P[0], g0 * g2 - P[1], g0 * g1 - P[2])
+    q1 = (
+        sum(minors),
+        g0 * (d1 + d2) + g1 * (d0 + d2) + g2 * (d0 + d1),
+        d1 * d2 + d0 * d2 + d0 * d1,
+    )
+    q0 = (
+        # g0*g1*g2 and g2*P[2] cancel exactly for the model's A
+        g0 * g1 * g2 - g2 * P[2] - g0 * P[0] - g1 * P[1] - T[0] - T[1],
+        d0 * minors[0] + d1 * minors[1] + d2 * minors[2],
+        d1 * d2 * g0 + d0 * d2 * g1 + d0 * d1 * g2,
+        d0 * d1 * d2,
+    )
+    return (g0 + g1 + g2, d0 + d1 + d2), q1, q0
 
 
 def stability_exchange_report(tp: ThresholdPoint | ModelParams) -> StabilityExchangeReport:
-    """Verify that only the principal eigenvalue sits at zero.
+    """Certify that only the principal eigenvalue sits at zero, in every mode.
 
-    Checks, at the threshold parameters: the leading mode-1 eigenvalue lies
-    in the zero band ``SIGMA_ZERO_BAND`` and is simple; the other two mode-1
-    eigenvalues and all eigenvalues of modes ``2..REPORT_MODES`` have
-    negative real part; every mode block has negative trace and positive
-    second characteristic coefficient; and the diffusion-rescaling identity
-    relating mode blocks holds.
+    One solve of the mode-1 block gives sigma11, which must lie in the zero
+    band ``SIGMA_ZERO_BAND`` and be simple, and the other two, which must be
+    stable.  The other checks read ``s^3 + q2 s^2 + q1 s + q0``, the
+    characteristic polynomial of ``A - rho D``, with q2, q1 and q0 as
+    polynomials in rho.  A's diagonal is negative and ``det A = a*K1 > 0``,
+    so, highest power first, their signs are (+, +), (+, +, +-) and
+    (+, +, +-, -); :class:`SignPatternBroken` is raised if not.  Then
+    ``traces_negative`` is q2(rho_1) > 0 (q2 increases), ``p1_positive`` is
+    q1(rho_1) > 0 (at most one positive root, so q1 > 0 on [rho_1, oo)),
+    and ``higher_modes_stable`` is Routh-Hurwitz for every m >= 2: q0(rho_2)
+    > 0, which covers all m as q0 has exactly one positive root, and
+    ``R = q1*q2 - q0 > 0``.  R is a cubic with positive rho^3 and rho^2
+    coefficients, so over m >= 2 it is smallest at m = 2 or next to its local
+    minimum.  Each value is taken relative to its summed term magnitudes and
+    must exceed ``_CERT_BAND``; ``higher_margin`` is the smallest relative
+    q0(rho_2) or R(m^2 rho_1).  ``cond2_ok`` does not enter ``passed``.
     """
     p = tp.lambda0 if isinstance(tp, ThresholdPoint) else tp
-    cond = check_conditions(p)
-
-    s1 = None
-    max_re_higher = -np.inf
-    traces_negative = True
-    p1_positive = True
-    for m in range(1, REPORT_MODES + 1):
-        emat = mode_matrix(p, laplacian_eigenvalue(m, p.ell))
-        sig = solve_spectrum(emat)
-        p2, p1, _ = char_poly_coeffs(emat)
-        if -p2 >= 0.0:  # trace = -p2
-            traces_negative = False
-        if p1 <= 0.0:
-            p1_positive = False
-        if m == 1:
-            s1 = sig
-        else:
-            max_re_higher = max(max_re_higher, float(sig[0].real))
+    rho1 = laplacian_eigenvalue(1, p.ell)
+    s1 = solve_spectrum(mode_matrix(p, rho1))
     sigma11 = complex(s1[0])
 
-    sigma11_in_band = abs(sigma11.real) <= SIGMA_ZERO_BAND and abs(sigma11.imag) <= SIGMA_ZERO_BAND
-    sigma11_simple = bool(np.all(np.abs(s1[1:] - sigma11) > 1e-6))
-    re12, re13 = float(s1[1].real), float(s1[2].real)
-    mode1_rest_stable = re12 < 0.0 and re13 < 0.0
-
-    max_re_higher = float(max_re_higher)
-    higher_modes_stable = max_re_higher < 0.0
-
-    scaling_consistent = all(_scaling_cross_check(p, m) for m in (2, REPORT_MODES))
-
-    skipped = not cond.cond2_ok
-    checks = (
-        sigma11_in_band
-        and sigma11_simple
-        and mode1_rest_stable
-        and higher_modes_stable
-        and traces_negative
-        and p1_positive
-        and scaling_consistent
+    A = linearization_matrix(p).tolist()
+    g = [-A[0][0], -A[1][1], -A[2][2]]
+    P = [A[1][2] * A[2][1], A[0][2] * A[2][0], A[0][1] * A[1][0]]
+    T = [A[0][1] * A[1][2] * A[2][0], A[0][2] * A[1][0] * A[2][1]]
+    d = (p.d1, p.d2, p.d3)
+    q2, q1, q0 = _rho_coefficients(g, P, T, d)
+    m2, m1, m0 = _rho_coefficients(
+        [abs(x) for x in g], [-abs(x) for x in P], [-abs(x) for x in T], d
+    )
+    if not (min(*q2, *q1[1:], *q0[2:]) > 0.0 and q0[0] < 0.0):
+        raise SignPatternBroken(f"coefficients in rho: q2 {q2}, q1 {q1}, q0 {q0}")
+    at = lambda c, x: sum(ck * x**k for k, ck in enumerate(c))
+    # R' = 3 c3 rho^2 + 2 c2 rho + c1 with c3, c2 > 0 has a root at rho > 0,
+    # R's local minimum, only when c1 < 0; the modes around it join m = 2
+    c1 = q1[1] * q2[0] + q1[0] * q2[1] - q0[1]
+    c2 = q1[2] * q2[0] + q1[1] * q2[1] - q0[2]
+    c3 = q1[2] * q2[1] - q0[3]
+    modes = [2]
+    if c1 < 0.0:
+        m_min = math.isqrt(int(-c1 / (c2 + math.sqrt(c2 * c2 - 3.0 * c3 * c1)) / rho1))
+        modes += range(max(m_min - 1, 3), m_min + 3)
+    R = lambda x: (at(q1, x) * at(q2, x) - at(q0, x)) / (at(m1, x) * at(m2, x) + at(m0, x))
+    higher_margin = min(at(q0, 4.0 * rho1) / at(m0, 4.0 * rho1), *(R(m * m * rho1) for m in modes))
+    flags = dict(
+        sigma11_in_band=abs(sigma11.real) <= SIGMA_ZERO_BAND and abs(sigma11.imag) <= SIGMA_ZERO_BAND,
+        sigma11_simple=bool(np.all(np.abs(s1[1:] - sigma11) > 1e-6)),
+        mode1_rest_stable=bool(s1[1].real < 0.0 and s1[2].real < 0.0),
+        higher_modes_stable=bool(higher_margin > _CERT_BAND),
+        traces_negative=bool(at(q2, rho1) > _CERT_BAND * at(m2, rho1)),
+        p1_positive=bool(at(q1, rho1) > _CERT_BAND * at(m1, rho1)),
     )
     return StabilityExchangeReport(
-        sigma11=sigma11,
-        sigma11_in_band=sigma11_in_band,
-        sigma11_simple=sigma11_simple,
-        mode1_rest_stable=mode1_rest_stable,
-        re_sigma12=re12,
-        re_sigma13=re13,
-        higher_modes_stable=higher_modes_stable,
-        max_re_higher=max_re_higher,
-        traces_negative=traces_negative,
-        p1_positive=p1_positive,
-        scaling_consistent=scaling_consistent,
-        cond2_ok=cond.cond2_ok,
-        skipped=skipped,
-        passed=None if skipped else bool(checks),
-        M_max=REPORT_MODES,
+        higher_margin=float(higher_margin),
+        cond2_ok=bool(cond2_margin(p) > 0.0),
+        passed=all(flags.values()),
+        **flags,
     )
 
 

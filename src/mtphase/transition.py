@@ -104,14 +104,16 @@ class QuadraticCoefficient:
         return self.closed_form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionReport:
     """Everything the package can say about one threshold crossing.
 
     Exactly one of ``quadratic_coeff`` / ``transition_number`` is set,
     according to the boundary condition.  ``omega`` / ``omega_star`` are the
     critical eigenvector and its adjoint at the threshold (zero eigenvalue),
-    shared by every amplitude prediction.
+    shared by every amplitude prediction.  They and ``rho1`` are evaluated
+    from the threshold when read, not stored: a run may hold one report per
+    threshold.
     """
 
     threshold: ThresholdPoint
@@ -120,9 +122,10 @@ class TransitionReport:
     quadratic_coeff: float | None
     quadratic_coeff_quadrature: float | None
     transition_number: float | None
-    omega: np.ndarray
-    omega_star: np.ndarray
-    rho1: float
+
+    omega = property(lambda self: principal_mode_vectors(self.threshold.lambda0)[0])
+    omega_star = property(lambda self: principal_mode_vectors(self.threshold.lambda0)[1])
+    rho1 = property(lambda self: principal_mode_vectors(self.threshold.lambda0)[2])
 
     @property
     def degenerate(self) -> bool:
@@ -379,7 +382,6 @@ def classify_transition(tp: ThresholdPoint | ModelParams) -> TransitionReport:
     """
     point = _as_threshold_point(tp)
     p = point.lambda0
-    omega, omega_star, rho1 = principal_mode_vectors(p)
     if p.bc is BoundaryCondition.DIRICHLET:
         qc = quadratic_coefficient(point)
         return TransitionReport(
@@ -389,9 +391,6 @@ def classify_transition(tp: ThresholdPoint | ModelParams) -> TransitionReport:
             quadratic_coeff=qc.closed_form,
             quadratic_coeff_quadrature=qc.quadrature,
             transition_number=None,
-            omega=omega,
-            omega_star=omega_star,
-            rho1=rho1,
         )
     value, magnitude = _cubic_coefficient(p)
     if abs(value) <= DEGENERATE_BAND * magnitude:
@@ -407,9 +406,6 @@ def classify_transition(tp: ThresholdPoint | ModelParams) -> TransitionReport:
         quadratic_coeff=None,
         quadratic_coeff_quadrature=None,
         transition_number=value,
-        omega=omega,
-        omega_star=omega_star,
-        rho1=rho1,
     )
 
 

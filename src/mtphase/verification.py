@@ -63,10 +63,12 @@ from .spectral import (
     cubic_roots,
     laplacian_eigenvalue,
     laplacian_mode,
+    mode_matrices,
     mode_matrix,
     mode_spectra,
     principal_eigenvalue,
     principal_mode_vectors,
+    solve_spectrum,
 )
 from .threshold import ParameterRay, find_threshold
 from .transition import (
@@ -408,7 +410,8 @@ def criterion_4_canonical_threshold(seed: int = DEFAULT_SEED) -> tuple[bool, str
 
 
 def criterion_5_exchange_of_stability(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
-    """Only the principal eigenvalue crosses at 100 random admissible thresholds."""
+    """Only the principal eigenvalue crosses at 100 random admissible thresholds;
+    the certificate agrees flag by flag with the eigenvalues of modes 1..50."""
     rng = np.random.default_rng([seed, 5])
     accepted = 0
     attempts = 0
@@ -427,26 +430,29 @@ def criterion_5_exchange_of_stability(seed: int = DEFAULT_SEED) -> tuple[bool, s
             tp = find_threshold(ray)
         except MTPhaseError:
             continue
-        conds = check_conditions(tp.lambda0)
-        if not (conds.cond0_ok and conds.cond1_ok and conds.cond2_ok):
-            continue
-        report = tp.stability_report
-        if report is None or report.skipped:
+        if not check_conditions(tp.lambda0).cond1_ok:  # cond0 holds for valid params
             continue
         accepted += 1
-        worst_band = max(worst_band, abs(tp.sigma11))
-        worst_higher = max(worst_higher, report.max_re_higher)
-        if not (
-            abs(tp.sigma11) <= 1e-8
-            and report.re_sigma12 < 0.0
-            and report.re_sigma13 < 0.0
-            and report.higher_modes_stable
-        ):
+        rho = laplacian_eigenvalue(np.arange(1, 51), tp.lambda0.ell)
+        s = solve_spectrum(mode_matrices(tp.lambda0, rho))
+        higher = float(s[1:, 0].real.max())
+        worst_band = max(worst_band, abs(s[0, 0]))
+        worst_higher = max(worst_higher, higher)
+        flags = {
+            "sigma11_in_band": abs(s[0, 0]) <= 1e-8,
+            "sigma11_simple": np.all(np.abs(s[0, 1:] - s[0, 0]) > 1e-6),
+            "mode1_rest_stable": np.all(s[0, 1:].real < 0.0),
+            "higher_modes_stable": higher < 0.0,
+            "traces_negative": np.all(s.sum(axis=1).real < 0.0),
+            "p1_positive": np.all((s[:, 0] * s[:, 1] + s[:, 2] * (s[:, 0] + s[:, 1])).real > 0.0),
+        }
+        report = tp.stability_report
+        differ = [name for name, value in flags.items() if getattr(report, name) is not bool(value)]
+        if differ or not (report.passed and all(flags.values())):
             return False, (
-                f"stability exchange failed at threshold #{accepted}: "
-                f"sigma11={tp.sigma11!r}, re(sigma12)={report.re_sigma12:.3e}, "
-                f"re(sigma13)={report.re_sigma13:.3e}, "
-                f"max higher-mode Re={report.max_re_higher:.3e}"
+                f"stability exchange failed at threshold #{accepted}: sigma11={s[0, 0]!r}, "
+                f"re(sigma12)={s[0, 1].real:.3e}, re(sigma13)={s[0, 2].real:.3e}, "
+                f"max higher-mode Re={higher:.3e}, flags unlike the eigenvalues: {differ}"
             )
     if accepted < 100:
         return False, f"only {accepted} admissible thresholds found in {attempts} draws"
