@@ -8,7 +8,6 @@ suite reuses them directly for the reproducibility check.
 
 from __future__ import annotations
 
-import itertools
 import os
 
 from .config import RunConfig
@@ -23,12 +22,11 @@ from .output import (
     STEADY_STATE_COLUMNS,
     THRESHOLD_COLUMNS,
     TRANSITION_COLUMNS,
-    series_rows,
-    spectrum_rows,
-    state_rows,
-    steady_state_row,
-    threshold_row,
-    transition_row,
+    phase_diagram_blocks,
+    spectrum_columns,
+    steady_state_columns,
+    threshold_columns,
+    transition_columns,
     write_csv,
 )
 from .simulator import initial_state, make_grid, simulate
@@ -54,7 +52,7 @@ def run_steady_state(config: RunConfig, out_dir: str) -> list[str]:
     path = write_csv(
         os.path.join(out_dir, "steady-state.csv"),
         STEADY_STATE_COLUMNS,
-        [steady_state_row(p, ss)],
+        [steady_state_columns(p, ss)],
     )
     return [path]
 
@@ -63,7 +61,7 @@ def run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
     """Write ``spectrum.csv`` with modes 1..M_max (three branches each)."""
     spectra = mode_spectra(config.params, config.analysis.M_max)
     path = write_csv(
-        os.path.join(out_dir, "spectrum.csv"), SPECTRUM_COLUMNS, spectrum_rows(spectra)
+        os.path.join(out_dir, "spectrum.csv"), SPECTRUM_COLUMNS, [spectrum_columns(spectra)]
     )
     return [path]
 
@@ -81,7 +79,7 @@ def run_threshold(config: RunConfig, out_dir: str) -> list[str]:
     path = write_csv(
         os.path.join(out_dir, "threshold.csv"),
         THRESHOLD_COLUMNS,
-        [threshold_row(tp, check_conditions(tp.lambda0).cond2_ok)],
+        [threshold_columns(tp, check_conditions(tp.lambda0).cond2_ok)],
     )
     return [path]
 
@@ -93,7 +91,7 @@ def run_transition(config: RunConfig, out_dir: str) -> list[str]:
     path = write_csv(
         os.path.join(out_dir, "transition.csv"),
         TRANSITION_COLUMNS,
-        [transition_row(report)],
+        [transition_columns(report)],
     )
     return [path]
 
@@ -118,12 +116,12 @@ def run_simulate(
     series_path = write_csv(
         os.path.join(out_dir, "simulate.csv"),
         SIMULATE_COLUMNS,
-        series_rows(result.series.times, result.series.y),
+        [[result.series.times, result.series.y]],
     )
     state_path = write_csv(
         os.path.join(out_dir, "final-state.csv"),
         FINAL_STATE_COLUMNS,
-        state_rows(grid.x, result.final_state.u),
+        [[grid.x, *result.final_state.u]],
     )
     return [series_path, state_path]
 
@@ -136,33 +134,22 @@ def run_phase_diagram(config: RunConfig, out_dir: str) -> list[str]:
     """
     plane = config.plane()
     grid = sweep(plane, config.sweep.resolution)
-    cells = zip(
-        itertools.product(enumerate(grid.coord1.tolist()), enumerate(grid.coord2.tolist())),
-        grid.region.ravel().tolist(),
-        grid.sigma11.real.ravel().tolist(),
-        grid.sigma11.imag.ravel().tolist(),
-        grid.cond2_ok.ravel().tolist(),
-    )
-    grid_rows = [
-        [i, j, s, t, region, re, im, ok, None]
-        if (i, j) not in grid.errors
-        else [i, j, s, t, None, None, None, None, grid.errors[i, j]]
-        for ((i, s), (j, t)), region, re, im, ok in cells
-    ]
     grid_path = write_csv(
-        os.path.join(out_dir, "phase-diagram.csv"), PHASE_DIAGRAM_COLUMNS, grid_rows
+        os.path.join(out_dir, "phase-diagram.csv"),
+        PHASE_DIAGRAM_COLUMNS,
+        phase_diagram_blocks(grid),
     )
 
     try:
         curve = trace_threshold_curve(plane)
-        curve_rows = [
-            [k, tp.plane_coords[0], tp.plane_coords[1]]
-            for k, tp in enumerate(curve)
-            if tp.plane_coords is not None
+        vertices = [
+            (k, *tp.plane_coords) for k, tp in enumerate(curve) if tp.plane_coords is not None
         ]
     except (CurveLeftDomain, NoSignChange):
-        curve_rows = []
+        vertices = []
     curve_path = write_csv(
-        os.path.join(out_dir, "critical-curve.csv"), CRITICAL_CURVE_COLUMNS, curve_rows
+        os.path.join(out_dir, "critical-curve.csv"),
+        CRITICAL_CURVE_COLUMNS,
+        [list(zip(*vertices))] if vertices else [],
     )
     return [grid_path, curve_path]

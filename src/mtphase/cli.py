@@ -174,7 +174,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     csv_path = write_csv(
         os.path.join(out, "verify.csv"),
         VERIFY_COLUMNS,
-        [[r.index, r.name, r.passed, r.detail] for r in results],
+        [[[r.index for r in results], [r.name for r in results],
+          [r.passed for r in results], [r.detail for r in results]]],
     )
     write_manifest(out, config_sha256(config), [csv_path])
     n_failed = sum(not r.passed for r in results)

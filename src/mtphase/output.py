@@ -1,10 +1,18 @@
 """CSV artifact writers and the reproducible run manifest.
 
-Every subcommand serializes its reports through this module so that the
-on-disk schema stays fixed and bit-stable: floats are written with 17
-significant digits (full binary round-trip), newlines are ``\\n``, and the
-column sets below are the versioned contract.  All files are written by the
-calling process.
+Every subcommand serializes its reports through :func:`write_csv` so that
+the on-disk schema stays fixed and bit-stable: floats are written with 17
+significant digits (full binary round-trip), bools as ``true``/``false``,
+newlines are ``\\n``, and the column sets below are the versioned
+contract.  All files are written by the calling process.
+
+Writers hand :func:`write_csv` columns, not rows, in one or more blocks of
+rows.  :func:`format_column` renders a whole column at once by its dtype
+(float, bool, integer or string arrays) and falls back to
+:func:`format_value`, the one scalar rule, cell by cell for anything else;
+either way a cell reads exactly as :func:`format_value` renders it.  The
+phase diagram is streamed one grid row per block
+(:func:`phase_diagram_blocks`), so its text is never held whole in memory.
 
 Schemas
 -------
@@ -42,28 +50,30 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+from collections import defaultdict
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .model import ModelParams, SteadyState
 from .spectral import ModeSpectrum
+from .sweep import PhaseGrid
 from .threshold import ThresholdPoint
 from .version import __version__
 
 __all__ = [
     "format_value",
+    "format_column",
     "write_csv",
     "sha256_file",
     "write_manifest",
     "read_manifest",
-    "steady_state_row",
-    "spectrum_rows",
-    "threshold_row",
-    "transition_row",
-    "series_rows",
-    "state_rows",
+    "steady_state_columns",
+    "spectrum_columns",
+    "threshold_columns",
+    "transition_columns",
+    "phase_diagram_blocks",
     "MANIFEST_NAME",
 ]
 
@@ -83,17 +93,46 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write rows to ``path`` with a header line; returns the path.
+def format_column(column) -> list[str]:
+    """Render a column of cells, each exactly as :func:`format_value` would.
 
-    Cells are rendered with :func:`format_value` (full-precision floats)
-    and quoted minimally, so free-text fields may contain commas.
+    A NumPy array of floats (at most 64 bits), bools, integers or strings
+    is rendered in one pass over ``tolist()``; any other column, such as
+    a list or an object array, cell by cell.
+    """
+    dtype = getattr(column, "dtype", None)
+    kind = "O" if dtype is None else dtype.kind
+    if kind == "f" and dtype.itemsize <= 8:
+        return [format(x, ".17g") for x in column.tolist()]
+    if kind == "b":
+        return ["true" if x else "false" for x in column.tolist()]
+    if kind in "iu":
+        return list(map(str, column.tolist()))
+    if kind == "U":
+        return column.tolist()
+    return [format_value(cell) for cell in column]
+
+
+def write_csv(
+    path: str, columns: Sequence[str], blocks: Iterable[Sequence]
+) -> str:
+    """Write a header line and then ``blocks`` of rows to ``path``; returns the path.
+
+    Each block is a sequence of ``len(columns)`` equal-length columns,
+    one per header name, and stands for that many rows.  Blocks are
+    consumed one at a time, so a generator streams a large table.  Cells
+    are rendered with :func:`format_column` (full-precision floats) and
+    quoted minimally, so free-text fields may contain commas.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_value(cell) for cell in row])
+        for block in blocks:
+            if len(block) != len(columns):
+                raise ValueError(
+                    f"a block of {len(block)} columns under {len(columns)} names"
+                )
+            writer.writerows(zip(*map(format_column, block), strict=True))
     return path
 
 
@@ -157,9 +196,16 @@ def _param_cells(p: ModelParams) -> list:
     return [p.k1, p.k3, p.k5, p.k7, p.C1, p.E, p.d1, p.d2, p.d3]
 
 
-def steady_state_row(p: ModelParams, ss: SteadyState) -> list:
-    """One row of ``steady-state.csv``."""
-    return _param_cells(p) + [p.ell, p.bc.value, ss.Mg, ss.Ms, ss.Df, p.K1, p.K2]
+def _one_row(cells: Sequence) -> list[list]:
+    """The columns of a single-row table."""
+    return [[cell] for cell in cells]
+
+
+def steady_state_columns(p: ModelParams, ss: SteadyState) -> list[list]:
+    """The columns of ``steady-state.csv`` (one row)."""
+    return _one_row(
+        _param_cells(p) + [p.ell, p.bc.value, ss.Mg, ss.Ms, ss.Df, p.K1, p.K2]
+    )
 
 
 STEADY_STATE_COLUMNS = (
@@ -173,18 +219,20 @@ SPECTRUM_COLUMNS = (
 ).split(",")
 
 
-def spectrum_rows(spectra: Sequence[ModeSpectrum]) -> list[list]:
-    """Long-format rows of ``spectrum.csv``: one per (mode, branch)."""
-    rows = []
-    for spec in spectra:
-        for i in range(3):
-            row = [spec.mode.m, spec.mode.rho, i + 1,
-                   spec.sigma[i].real, spec.sigma[i].imag]
-            for vec in (spec.omega[i], spec.omega_star[i]):
-                for component in vec:
-                    row.extend([component.real, component.imag])
-            rows.append(row)
-    return rows
+def spectrum_columns(spectra: Sequence[ModeSpectrum]) -> list[np.ndarray]:
+    """Long-format columns of ``spectrum.csv``: one row per (mode, branch)."""
+    sigma = np.concatenate([spec.sigma for spec in spectra])
+    columns = [
+        np.repeat([spec.mode.m for spec in spectra], 3),
+        np.repeat([spec.mode.rho for spec in spectra], 3),
+        np.tile([1, 2, 3], len(spectra)),
+        sigma.real,
+        sigma.imag,
+    ]
+    for name in ("omega", "omega_star"):
+        for component in np.concatenate([getattr(spec, name) for spec in spectra]).T:
+            columns.extend([component.real, component.imag])
+    return columns
 
 
 THRESHOLD_COLUMNS = (
@@ -192,10 +240,10 @@ THRESHOLD_COLUMNS = (
 ).split(",")
 
 
-def threshold_row(tp: ThresholdPoint, cond2_ok: bool) -> list:
-    """One row of ``threshold.csv``."""
+def threshold_columns(tp: ThresholdPoint, cond2_ok: bool) -> list[list]:
+    """The columns of ``threshold.csv`` (one row)."""
     p = tp.lambda0
-    return (
+    return _one_row(
         [tp.ray_coord]
         + _param_cells(p)
         + [p.ell, tp.detE1, tp.sigma11.real, tp.sigma11.imag, cond2_ok]
@@ -209,9 +257,9 @@ TRANSITION_COLUMNS = (
 ).split(",")
 
 
-def transition_row(report) -> list:
-    """One row of ``transition.csv`` (fields not applicable stay empty)."""
-    return [
+def transition_columns(report) -> list[list]:
+    """The columns of ``transition.csv`` (one row; fields not applicable stay empty)."""
+    return _one_row([
         report.bc.value,
         report.transition_type.value,
         report.threshold.sigma11.real,
@@ -222,29 +270,48 @@ def transition_row(report) -> list:
         report.transition_number,
         *[float(c) for c in report.omega],
         *[float(c) for c in report.omega_star],
-    ]
+    ])
 
 
 SIMULATE_COLUMNS = ["t", "y"]
 FINAL_STATE_COLUMNS = ["x", "u1", "u2", "u3"]
 
-
-def series_rows(times: np.ndarray, y: np.ndarray) -> list[list]:
-    """Rows of ``simulate.csv``."""
-    return [[float(t), float(v)] for t, v in zip(times, y)]
-
-
-def state_rows(x: np.ndarray, u: np.ndarray) -> list[list]:
-    """Rows of ``final-state.csv`` from grid coordinates and a (3, N) field."""
-    return [
-        [float(x[j]), float(u[0, j]), float(u[1, j]), float(u[2, j])]
-        for j in range(x.size)
-    ]
-
-
 PHASE_DIAGRAM_COLUMNS = (
     "i,j,coord1,coord2,region,sigma11_re,sigma11_im,cond2_ok,error".split(",")
 )
+
+
+def phase_diagram_blocks(grid: PhaseGrid) -> Iterator[list[np.ndarray]]:
+    """The blocks of ``phase-diagram.csv``: one per grid row, in row-major order.
+
+    Each index and axis coordinate is formatted once, and the text of
+    one grid row at a time is built.  The cell of an infeasible point has
+    blank region, eigenvalue and ``cond2_ok`` fields and the error message.
+    """
+    n2 = grid.coord2.size
+    j_text = np.array(format_column(np.arange(n2)))
+    t_text = np.array(format_column(grid.coord2))
+    no_error = np.full(n2, "")
+    errors: dict[int, dict[int, str]] = defaultdict(dict)
+    for (i, j), message in grid.errors.items():
+        errors[i][j] = message
+    for i, s_text in enumerate(format_column(grid.coord1)):
+        cells = [
+            grid.region[i].astype(str), grid.sigma11[i].real, grid.sigma11[i].imag,
+            grid.cond2_ok[i],
+        ]
+        if i in errors:
+            row_errors = errors[i]
+            cells = [
+                np.array(["" if j in row_errors else text
+                          for j, text in enumerate(format_column(column))])
+                for column in cells
+            ]
+            messages = np.array([row_errors.get(j, "") for j in range(n2)])
+        else:
+            messages = no_error
+        yield [np.full(n2, str(i)), j_text, np.full(n2, s_text), t_text, *cells, messages]
+
 
 CRITICAL_CURVE_COLUMNS = ["index", "coord1", "coord2"]
 

@@ -27,6 +27,7 @@ does not depend on the unit of time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -206,6 +207,18 @@ def _require_bc(p: ModelParams, bc: BoundaryCondition, what: str) -> None:
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count.
+
+    The arrays are shared between calls, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def quadratic_coefficient(
     tp: ThresholdPoint | ModelParams, n_nodes: int = 64
 ) -> QuadraticCoefficient:
@@ -239,7 +252,7 @@ def quadratic_coefficient(
     projected = float(driving @ omega_star)
     closed = (8.0 / (3.0 * np.pi)) * projected / pairing
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _gauss_legendre(n_nodes)
     x = 0.5 * p.ell * (nodes + 1.0)
     w = 0.5 * p.ell * weights
     e1 = laplacian_mode(p, 1).evaluate(x)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtphase import read_manifest, sha256_file, write_csv, write_manifest
-from mtphase.output import MANIFEST_NAME, format_value
+from mtphase import (
+    parse_config,
+    read_manifest,
+    run_phase_diagram,
+    sha256_file,
+    sweep,
+    write_csv,
+    write_manifest,
+)
+from mtphase.output import (
+    MANIFEST_NAME,
+    PHASE_DIAGRAM_COLUMNS,
+    format_column,
+    format_value,
+)
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 @settings(max_examples=300, deadline=None)
@@ -32,7 +50,7 @@ def test_format_value_special_cases():
 
 def test_write_csv_quotes_fields_with_commas(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_csv(path, ["a", "b"], [[1.5, "hello, world"], [2.0, 'say "hi"']])
+    write_csv(path, ["a", "b"], [[[1.5, 2.0], ["hello, world", 'say "hi"']]])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["a", "b"], ["1.5", "hello, world"], ["2", 'say "hi"']]
@@ -40,10 +58,95 @@ def test_write_csv_quotes_fields_with_commas(tmp_path):
 
 def test_write_csv_uses_unix_newlines(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_csv(path, ["a"], [[1], [2]])
+    write_csv(path, ["a"], [[[1, 2]]])
     raw = Path(path).read_bytes()
     assert b"\r" not in raw
     assert raw.count(b"\n") == 3
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), max_size=40),
+    st.lists(st.booleans(), max_size=40),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+    st.lists(st.none() | st.text(alphabet='ab ,"\''), max_size=40),
+)
+def test_format_column_matches_format_value(floats, bools, ints, objects):
+    columns = [
+        np.array(floats, dtype=np.float64),
+        np.array(bools, dtype=bool),
+        np.array(ints, dtype=np.int64),
+        np.array(objects, dtype=object),
+        objects,
+        np.array([s or "" for s in objects], dtype=str),
+    ]
+    for column in columns:
+        assert format_column(column) == [format_value(v) for v in column]
+
+
+def test_format_column_edge_floats():
+    column = np.array(_EDGE_FLOATS)
+    assert format_column(column) == [format_value(v) for v in column]
+    assert format_column(column)[:4] == ["0", "-0", "4.9406564584124654e-324",
+                                         "-4.9406564584124654e-324"]
+
+
+def test_write_csv_rejects_a_block_of_the_wrong_width(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[[1, 2]]])
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[[1, 2], [3]]])
+
+
+def _phase_diagram_oracle(grid) -> bytes:
+    """phase-diagram.csv as the row-by-row writer produced it."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(PHASE_DIAGRAM_COLUMNS)
+    cells = zip(
+        itertools.product(enumerate(grid.coord1.tolist()), enumerate(grid.coord2.tolist())),
+        grid.region.ravel().tolist(),
+        grid.sigma11.real.ravel().tolist(),
+        grid.sigma11.imag.ravel().tolist(),
+        grid.cond2_ok.ravel().tolist(),
+    )
+    for ((i, s), (j, t)), region, re_, im, ok in cells:
+        if (i, j) in grid.errors:
+            row = [i, j, s, t, None, None, None, None, grid.errors[i, j]]
+        else:
+            row = [i, j, s, t, region, re_, im, ok, None]
+        writer.writerow([format_value(cell) for cell in row])
+    return handle.getvalue().encode("utf-8")
+
+
+_INFEASIBLE_WINDOW = {"range1": "-0.1,0.4", "range2": "0.2,3.0"}
+
+
+@pytest.mark.parametrize(
+    "name, window",
+    [("canonical", {}), ("neumann-jump", {}), ("canonical", _INFEASIBLE_WINDOW)],
+)
+def test_phase_diagram_csv_matches_the_row_writer(tmp_path, name, window):
+    text = (CONFIGS / f"{name}.ini").read_text()
+    for key, value in {**window, "resolution": "40,40"}.items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1
+    path = tmp_path / "window.ini"
+    path.write_text(text)
+    config = parse_config(str(path))
+    run_phase_diagram(config, str(tmp_path))
+    grid = sweep(config.plane(), config.sweep.resolution)
+    written = (tmp_path / "phase-diagram.csv").read_bytes()
+    assert written == _phase_diagram_oracle(grid)
+    if window:
+        errors = set(grid.errors.values())
+        assert {e.split(":")[0] for e in errors} == {"NonPositiveParameter", "K1NotPositive"}
+        assert any("," in e for e in errors)
+        assert b'"' in written
 
 
 def test_manifest_round_trip(tmp_path):

@@ -28,7 +28,7 @@ from mtphase import (
     transition_number,
     transition_number_simplified,
 )
-from mtphase.transition import _biorth
+from mtphase.transition import _biorth, _gauss_legendre
 from mtphase.verification import _random_params
 
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -73,6 +73,16 @@ def test_quadratic_coefficient_quadrature_node_invariance(canonical_threshold):
     a = quadratic_coefficient(canonical_threshold, n_nodes=32)
     b = quadratic_coefficient(canonical_threshold, n_nodes=128)
     assert a.quadrature == pytest.approx(b.quadrature, rel=1e-12)
+
+
+def test_gauss_legendre_rule_is_computed_once_and_read_only():
+    nodes, weights = _gauss_legendre(64)
+    assert _gauss_legendre(64)[0] is nodes
+    fresh = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
 
 
 def test_transcritical_branch_amplitudes(canonical_threshold):
