@@ -183,6 +183,14 @@ def det_principal_mode(p: ModelParams) -> float:
     return float(np.linalg.det(mode_matrix(p, laplacian_eigenvalue(1, p.ell))))
 
 
+def _fd_step(scale: float, s: float) -> float:
+    """Finite-difference step ``scale * max(1, |s|)`` at ray coordinate ``s``,
+    capped at ``|s|/2`` so that ``s - h`` and ``s + h`` keep the sign of
+    ``s`` (every field a ray sets is ``weight * s`` and must stay > 0).
+    The cap binds only for ``|s| < 2 * scale``."""
+    return min(scale * max(1.0, abs(s)), 0.5 * abs(s))
+
+
 def _polish_root(f, s: float, fa_s: float, h: float) -> tuple[float, float]:
     """A few secant steps to push |f| toward machine accuracy."""
     s0, f0 = s - h, f(s - h)
@@ -230,8 +238,7 @@ def find_threshold(
         )
     else:
         s_root = brentq(f, a, b, xtol=1e-14 * max(1.0, abs(a), abs(b)), rtol=tol)
-        h = 1e-7 * max(1.0, abs(s_root))
-        s_root, f_root = _polish_root(f, s_root, f(s_root), h)
+        s_root, f_root = _polish_root(f, s_root, f(s_root), _fd_step(1e-7, s_root))
 
     p_root = ray.at(s_root)
     sigma11 = principal_eigenvalue(p_root)
@@ -240,7 +247,7 @@ def find_threshold(
             f"leading eigenvalue at threshold is complex: {sigma11!r}"
         )
 
-    h = 1e-6 * max(1.0, abs(s_root))
+    h = _fd_step(1e-6, s_root)
     deriv = (f(s_root + h) - f(s_root - h)) / (2.0 * h)
     point = ThresholdPoint(
         lambda0=p_root,

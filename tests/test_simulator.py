@@ -26,7 +26,9 @@ from mtphase import (
     mode_spectra,
     principal_mode_vectors,
     quadratic_nonlinearity,
+    reaction_rhs,
     simulate,
+    steady_state,
 )
 from mtphase.verification import _newton_steady_state
 
@@ -227,6 +229,82 @@ def test_stacked_solve_matches_per_component_solves(unstable_params, bc, N, opti
         ref = reference_step(ref)
     assert np.array_equal(u, ref)
     assert np.abs(u).max() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the step against dense operators built independently of the simulator
+
+
+@pytest.fixture(scope="module")
+def generic_rates():
+    # the rates of neumann-jump.ini: no two alike, so a swapped index shows
+    return dict(k1=4.9669, k3=0.4280, k5=6.4185, k7=0.4256, C1=4.3293, E=0.9599,
+                d1=1.7390, d2=1.4256, d3=0.3804, ell=4.828)
+
+
+def _dense_laplacian(grid):
+    """The 3-point Laplacian as an explicit tridiagonal N x N matrix."""
+    n = grid.N
+    L = np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    if grid.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
+        L[0, 0] = L[-1, -1] = -1.0
+    return L / grid.dx**2
+
+
+def _dense_terms(p, grid, u):
+    """``diag(d) (x) L u`` and the reaction part from the absolute-field model."""
+    diffusion = p.diffusion[:, None] * (u @ _dense_laplacian(grid).T)
+    reaction = reaction_rhs(p, steady_state(p).as_array()[:, None] + u)
+    return diffusion, reaction
+
+
+def _project(v, p):
+    if p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
+        return v - v.mean(axis=1, keepdims=True)
+    return v
+
+
+@pytest.mark.parametrize("size", [1e-2, 1.0])
+@pytest.mark.parametrize("N", [16, 64, 512])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_residual_matches_dense_operators(generic_rates, bc, N, size):
+    p = ModelParams(bc=bc, **generic_rates)
+    g = make_grid(p, N)
+    u = size * np.random.default_rng(N).uniform(-1.0, 1.0, size=(3, N))
+    diffusion, reaction = _dense_terms(p, g, u)
+    expected = _project(diffusion + reaction, p)
+    scale = max(np.abs(diffusion).max(), np.abs(reaction).max())
+    stepper = Stepper(p, g, dt_max(p, g))
+    _, _, from_advance = stepper.advance(u)
+    for residual in (stepper.residual(u), from_advance):
+        assert np.abs(residual - expected).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_advance_solves_the_scheme_equations(generic_rates, bc):
+    # Predictor (I - dt K) v = u + dt R(u); corrector
+    # (I - dt/2 K) w = (I + dt/2 K) u + dt/2 (R(u) + R(v)), with
+    # K = diag(d) (x) L and R mean-projected on Neumann, then w projected.
+    p = ModelParams(bc=bc, **generic_rates)
+    N = 32
+    g = make_grid(p, N)
+    dt = dt_max(p, g)
+    u = _project(0.3 * np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, N)), p)
+    K = np.kron(np.diag(p.diffusion), _dense_laplacian(g))
+    eye = np.eye(3 * N)
+
+    def R(v):
+        return _project(_dense_terms(p, g, v)[1], p).reshape(-1)
+
+    flat = u.reshape(-1)
+    predictor = np.linalg.solve(eye - dt * K, flat + dt * R(u))
+    rhs = (eye + 0.5 * dt * K) @ flat + 0.5 * dt * (R(u) + R(predictor.reshape(3, N)))
+    new = _project(np.linalg.solve(eye - 0.5 * dt * K, rhs).reshape(3, N), p)
+    got_new, got_predictor, _ = Stepper(p, g, dt).advance(u)
+    scale = np.abs(u).max()
+    assert np.abs(got_predictor - predictor.reshape(3, N)).max() <= 1e-12 * scale
+    assert np.abs(got_new - new).max() <= 1e-12 * scale
+    assert np.abs(got_new - u).max() > 1e-6 * scale  # the step did move the state
 
 
 def test_chunked_restart_reproduces_single_run(unstable_params):

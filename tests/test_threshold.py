@@ -63,6 +63,34 @@ def test_no_sign_change_raised_on_stable_bracket(canonical_params):
         find_threshold(ray)
 
 
+def test_threshold_at_a_tiny_ray_coordinate(canonical_params, canonical_threshold):
+    # d = s * 1e7 puts the canonical threshold at s ~ 1.7e-8, below the
+    # finite-difference steps 1e-7 and 1e-6: they are capped at s/2, so
+    # every determinant is evaluated at a positive coordinate.
+    ray = ParameterRay(
+        base=canonical_params,
+        direction={"d1": 1e7, "d2": 1e7, "d3": 1e7},
+        bracket=(1e-9, 1e-7),
+    )
+    tp = find_threshold(ray)
+    roots = np.roots([1.0, 5.0, 5.0, -1.0])
+    d_star = max(r.real for r in roots if abs(r.imag) < 1e-12)
+    assert tp.ray_coord == pytest.approx(d_star / 1e7, rel=1e-9)
+    # the derivative along s is 1e7 times the one along d; the capped
+    # central difference spans half the coordinate
+    assert tp.crossing_derivative == pytest.approx(
+        1e7 * canonical_threshold.crossing_derivative, rel=1e-2
+    )
+    assert tp.stability_report.passed
+
+
+@pytest.mark.parametrize("s", [2e-6, -2e-6, 1e-3, 0.17, 1.0, -3.5, 1e4])
+def test_finite_difference_steps_uncapped_from_two_micro(s):
+    # the cap changes nothing at |s| >= 2e-6, so no shipped result moves
+    for scale in (1e-7, 1e-6):
+        assert mtphase.threshold._fd_step(scale, s) == scale * max(1.0, abs(s))
+
+
 def test_classify_region_three_sides(canonical_ray, canonical_threshold):
     d_star = canonical_threshold.ray_coord
     assert classify_region(canonical_ray.at(0.7 * d_star)).region is Region.UNSTABLE
