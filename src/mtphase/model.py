@@ -16,13 +16,14 @@ All analysis downstream works in deviation variables
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import K1NotPositive, NonPositiveParameter, ValidationError
+from .errors import ConfigError, K1NotPositive, NonPositiveParameter, ValidationError
 
 __all__ = [
     "BoundaryCondition",
@@ -164,6 +165,26 @@ class ParamBatch(_DerivedConstants):
             ok &= np.isfinite(value) & (value > 0.0)
         with np.errstate(invalid="ignore", over="ignore"):
             return ok & ~(self.K1 <= 0.0)
+
+    def domain_errors(self, index: Sequence[int]) -> list[ConfigError]:
+        """The error :class:`ModelParams` raises for each point at ``index``
+        (infeasible points), built without raising: a
+        :class:`NonPositiveParameter` for the first field, in
+        ``_POSITIVE_FIELDS`` order, that is not finite and > 0, otherwise a
+        :class:`K1NotPositive`.  Field values and K1 are the floats
+        :class:`ModelParams` would check, bit for bit."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            K1 = self.K1[index].tolist()
+        columns = [getattr(self, name)[index].tolist() for name in _POSITIVE_FIELDS]
+        out: list[ConfigError] = []
+        for k, values in enumerate(zip(*columns)):
+            for name, value in zip(_POSITIVE_FIELDS, values):
+                if not (math.isfinite(value) and value > 0.0):
+                    out.append(NonPositiveParameter(name, value))
+                    break
+            else:
+                out.append(K1NotPositive(K1[k]))
+        return out
 
     def select(self, index) -> "ParamBatch":
         """The points at ``index`` (a mask or index array) as a new batch."""

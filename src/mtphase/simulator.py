@@ -52,6 +52,12 @@ saturation run of the README example (s)       0.229   0.153
 tier-1 test run (s)                            26.8    22.1
 =============================================  ======  ======
 
+``import mtphase`` loads NumPy and no SciPy module.  ``scipy.linalg`` is
+imported when the first :class:`Stepper` is built, which fetches
+``cholesky_banded`` and the ``pbtrs`` wrapper once through
+:func:`_banded_lapack`, so only the commands that step (``mtphase
+simulate`` and ``mtphase verify``) pay for that import, about 0.25 s.
+
 Amplitudes are biorthogonal projections onto the critical mode, built from
 the closed-form eigenpair of :mod:`mtphase.spectral`; the simulator uses
 nothing of the threshold or transition analyses it is checking.
@@ -59,12 +65,12 @@ nothing of the threshold or transition analyses it is checking.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, get_lapack_funcs
 
 from .errors import GridTooCoarse, InsufficientData, StepUnstable
 from .model import (
@@ -107,7 +113,19 @@ LADDER_FLOOR = -10
 #: after as many more on the same rung
 _STOP_WINDOW = 10
 
-(_pbtrs,) = get_lapack_funcs(("pbtrs",), (np.empty(0),))
+
+@functools.cache
+def _banded_lapack():
+    """SciPy's ``cholesky_banded`` and float64 LAPACK ``pbtrs`` wrapper.
+
+    ``scipy.linalg`` is imported on the first call, when the first
+    :class:`Stepper` is built, so that ``import mtphase`` loads no SciPy
+    module.
+    """
+    from scipy.linalg import cholesky_banded, get_lapack_funcs
+
+    (pbtrs,) = get_lapack_funcs(("pbtrs",), (np.empty(0),))
+    return cholesky_banded, pbtrs
 
 
 @dataclass(frozen=True)
@@ -290,6 +308,7 @@ def _banded_cholesky(grid: Grid, coeff: float) -> np.ndarray:
     if grid.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
         ab[1, 0] = 1.0 + coeff * inv_dx2
         ab[1, -1] = 1.0 + coeff * inv_dx2
+    cholesky_banded, _ = _banded_lapack()
     return cholesky_banded(ab)
 
 
@@ -347,6 +366,7 @@ class Stepper:
         self._full = _stacked_band(grid, [self.dt * di for di in d])
         self._half = _stacked_band(grid, [0.5 * self.dt * di for di in d])
         self._diffusion = np.array(d)[:, None].repeat(grid.N, axis=1)
+        _, self._pbtrs = _banded_lapack()
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
         """Reaction part ``A u + F(u)`` (mean-projected when enabled)."""
@@ -361,7 +381,7 @@ class Stepper:
         A non-finite ``rhs`` gives a non-finite solution, which
         :meth:`advance` rejects.
         """
-        x, info = _pbtrs(band, rhs.reshape(-1), overwrite_b=1)
+        x, info = self._pbtrs(band, rhs.reshape(-1), overwrite_b=1)
         if info != 0:
             raise ValueError(f"pbtrs returned info = {info}")
         return x.reshape(rhs.shape)

@@ -5,10 +5,11 @@ A sweep classifies every cell of a regular grid laid over a
 arrays, one element per cell.  Each grid row is one batch: its feasible
 points go to :func:`~mtphase.threshold.classify_region` together, as one
 stack of principal-mode blocks, and each value equals the one a
-single-point classification gives.  A cell whose parameters are
-infeasible is built through the scalar
-:meth:`~mtphase.threshold.ParameterPlane.at`, and the name and message of
-the domain error it raises are recorded in the grid's error map; the
+single-point classification gives.  For a cell whose parameters are
+infeasible, the grid's error map records the name and message of the
+domain error the scalar :meth:`~mtphase.threshold.ParameterPlane.at`
+would raise, built from the row's arrays by
+:meth:`~mtphase.model.ParamBatch.domain_errors` without raising it; the
 sweep continues.  Unexpected exceptions propagate.  Sweep output is
 reproducible byte-for-byte.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MTPhaseError
+from .errors import ConfigError
 from .threshold import ParameterPlane, classify_region
 
 __all__ = [
@@ -104,7 +105,6 @@ def sweep(
     # coordinate 0.0 whatever the resolution
     coord1 = np.linspace(*plane.range1, n1)
     coord2 = np.linspace(*plane.range2, n2)
-    ts = coord2.tolist()
     region = np.full((n1, n2), "", dtype=object)
     sigma11 = np.full((n1, n2), np.nan, dtype=complex)
     cond2_ok = np.zeros((n1, n2), dtype=bool)
@@ -116,11 +116,7 @@ def sweep(
         region[i, feasible] = report.region
         sigma11[i, feasible] = report.sigma11
         cond2_ok[i, feasible] = report.cond2_ok
-        for j in np.flatnonzero(~feasible).tolist():
-            try:
-                plane.at(s, ts[j])
-            except MTPhaseError as exc:
-                errors[i, j] = f"{type(exc).__name__}: {exc}"
-            else:
-                raise RuntimeError(f"feasible() rejected the valid point {(s, ts[j])!r}")
+        infeasible = np.flatnonzero(~feasible).tolist()
+        for j, exc in zip(infeasible, row.domain_errors(infeasible)):
+            errors[i, j] = f"{type(exc).__name__}: {exc}"
     return PhaseGrid(coord1, coord2, region, sigma11, cond2_ok, errors)

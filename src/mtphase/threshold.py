@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ComplexCrossing,
@@ -48,6 +47,7 @@ __all__ = [
     "Region",
     "RegionReport",
     "StabilityExchangeReport",
+    "brentq",
     "det_principal_mode",
     "find_threshold",
     "classify_region",
@@ -181,6 +181,105 @@ class ThresholdPoint:
 def det_principal_mode(p: ModelParams) -> float:
     """Determinant of the principal-mode block ``A - rho_1 D``."""
     return float(np.linalg.det(mode_matrix(p, laplacian_eigenvalue(1, p.ell))))
+
+
+#: the default and smallest ``rtol`` of :func:`brentq`, as in SciPy
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def brentq(
+    f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL, maxiter: int = 100
+) -> float:
+    """A root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+
+    Brent (1973), *Algorithms for Minimization without Derivatives*, ch. 4:
+    bisection with secant and inverse-quadratic steps.  This is a
+    statement-for-statement port of SciPy's ``brentq.c`` with the same
+    defaults, so it evaluates ``f`` at the same points and returns the same
+    float as ``scipy.optimize.brentq``; the root is within
+    ``xtol + rtol * |root|``.
+
+    Raises ``ValueError`` when ``f`` returns NaN or ``f(a)`` and ``f(b)``
+    have the same sign, and ``RuntimeError`` when ``maxiter`` iterations do
+    not converge, as SciPy does.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # C compares sign bits; for the nonzero, non-NaN values compared here
+    # and in the loop, ``< 0.0`` is the same test
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to +-inf or NaN, and either one bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _fd_step(scale: float, s: float) -> float:

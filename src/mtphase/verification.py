@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import RunConfig, config_sha256, parse_config_text
 from .errors import MTPhaseError, NumericalError, StepUnstable
@@ -70,7 +69,7 @@ from .spectral import (
     principal_mode_vectors,
     solve_spectrum,
 )
-from .threshold import ParameterRay, find_threshold
+from .threshold import ParameterRay, brentq, find_threshold
 from .transition import (
     TransitionType,
     classify_transition,

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtphase
 from mtphase import (
     MTPhaseError,
     classify_region,
@@ -225,3 +229,41 @@ def test_verify_requires_ray_and_sweep(tmp_path, capsys):
     rc = main(["verify", "--config", str(path), "--only", "1",
                "--out", str(tmp_path / "v")])
     assert rc == 2
+
+
+_PACKAGE_DIR = Path(mtphase.__file__).resolve().parent
+
+#: run in a fresh interpreter: SciPy is loaded with the first Stepper, not
+#: on import
+_IMPORT_GUARD = """
+import sys
+import mtphase.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"import mtphase.cli loaded {loaded}")
+p = mtphase.ModelParams(k1=1, k3=1, k5=1, k7=2, C1=1, E=1, d1=1, d2=1, d3=1, ell=3.0)
+mtphase.Stepper(p, mtphase.make_grid(p, 16), 0.01)
+if "scipy.linalg" not in sys.modules or "scipy.optimize" in sys.modules:
+    sys.exit("a Stepper should load scipy.linalg and not scipy.optimize")
+"""
+
+
+def test_import_loads_no_scipy_until_the_first_stepper():
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE_DIR.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_no_module_imports_scipy_optimize():
+    for path in sorted(_PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not [n for n in names if n.startswith("scipy.optimize")], (path.name, names)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +22,7 @@ from mtphase import (
     resolve_workers,
     sweep,
 )
+from mtphase.config import parse_config_text
 
 D_RAY = {"d1": 1.0, "d2": 1.0, "d3": 1.0}
 # the point of configs/neumann-jump.ini
@@ -183,3 +187,25 @@ def test_row_batches_equal_single_point_cells_on_random_windows(
         base=edge.base, axis1=edge.axis1, range1=window1, axis2=edge.axis2, range2=window2
     )
     _assert_grid_equals_reference(sweep(plane, resolution), plane, resolution)
+
+
+def test_infeasible_cells_carry_the_scalar_error_on_the_ci_window():
+    # the window the CI's byte-identity step sweeps: canonical.ini with
+    # range1 = -0.1,0.4 and range2 = 0.2,3.0 at 160x160
+    text = (Path(__file__).parents[1] / "configs" / "canonical.ini").read_text()
+    for key, value in (("range1", "-0.1,0.4"), ("range2", "0.2,3.0"), ("resolution", "160,160")):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    config = parse_config_text(text)
+    plane = config.plane()
+    grid = sweep(plane, config.sweep.resolution)
+
+    expected = {}
+    for i, s in enumerate(grid.coord1.tolist()):
+        for j, t in enumerate(grid.coord2.tolist()):
+            try:
+                plane.at(s, t)
+            except MTPhaseError as exc:
+                expected[i, j] = f"{type(exc).__name__}: {exc}"
+    assert len(expected) == 11008
+    assert {e.split(":")[0] for e in expected.values()} == {"NonPositiveParameter", "K1NotPositive"}
+    assert grid.errors == expected

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -320,3 +323,113 @@ def test_trace_threshold_curve_outside_window(canonical_params):
     )
     with pytest.raises(CurveLeftDomain):
         trace_threshold_curve(plane, n_points=20)
+
+
+# --------------------------------------------------------------------------
+# the in-package Brent root finder against scipy.optimize.brentq
+
+
+def _recorded(f):
+    """``f`` with the list of the points it was evaluated at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def _brent_family(n: int, seed: int = 2014):
+    """``n`` seeded (f, a, b, xtol, rtol), mostly with a sign change on
+    [a, b]: smooth, stiff, flat, double and discontinuous roots over 16
+    decades of x, half of them scaled by up to 10^+-300, with the tolerance
+    pairs the package passes and SciPy's defaults.  Some double roots take
+    more than 100 iterations."""
+    rng = np.random.default_rng(seed)
+    shapes = (
+        lambda r, k: lambda x: (x - r) * (1.0 + k * (x - r) ** 2),
+        lambda r, k: lambda x: math.tanh(k * (x - r)),
+        lambda r, k: lambda x: math.atan(k * (x - r)) + 0.1 * (x - r),
+        lambda r, k: lambda x: (x - r) * abs(x - r),
+        lambda r, k: lambda x: math.expm1(min(k * (x - r), 50.0)),
+        lambda r, k: lambda x: math.floor(k * (x - r)) + 0.5,
+        lambda r, k: lambda x: 1.0 if x >= r else -1.0,
+        lambda r, k: lambda x: math.copysign(abs(x - r) ** 0.25, x - r),
+    )
+    for i in range(n):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        offset = rng.uniform(-3.0, 3.0) * scale
+        a, r, b = (np.sort(rng.uniform(-1.0, 1.0, 3)) * scale + offset).tolist()
+        k = float(10.0 ** rng.uniform(-2.0, 4.0) / scale)
+        shape = shapes[i % len(shapes)](r, k)
+        # values from subnormal to overflowing: where products of them
+        # underflow, C divides by zero and bisects
+        amplitude = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-320.0, 300.0))
+        if rng.uniform() < 0.5:
+            amplitude = math.copysign(1.0, amplitude)
+        f = (lambda g, c: lambda x: c * g(x))(shape, amplitude)
+        tolerances = (
+            # find_threshold, the curve tracer, verification, SciPy's defaults
+            (1e-14 * max(1.0, abs(a), abs(b)), 1e-10),
+            (1e-13, 1e-12),
+            (1e-14, 4.0 * np.finfo(float).eps),
+            (2e-12, 4.0 * np.finfo(float).eps),
+        )
+        xtol, rtol = tolerances[int(rng.integers(len(tolerances)))]
+        yield f, a, b, xtol, rtol
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    from scipy.optimize import brentq as scipy_brentq
+
+    n = failed = 0
+    for f, a, b, xtol, rtol in _brent_family(10_600):
+        if (f(a) < 0.0) == (f(b) < 0.0) or f(a) == 0.0 or f(b) == 0.0:
+            continue
+        outcomes = []
+        for solve in (mtphase.threshold.brentq, scipy_brentq):
+            g, calls = _recorded(f)
+            try:
+                root = solve(g, a, b, xtol=xtol, rtol=rtol)
+            except RuntimeError as exc:  # 100 iterations did not converge
+                root = str(exc)
+            else:
+                assert type(root) is float
+                root = root.hex()
+            outcomes.append((root, [float(x).hex() for x in calls]))
+        assert outcomes[0] == outcomes[1], (a, b, xtol, rtol)
+        n += 1
+        failed += not outcomes[0][0].startswith(("0x", "-0x"))
+    assert n - failed >= 10_000
+
+
+def test_brentq_defaults_are_scipys():
+    from scipy.optimize import brentq as scipy_brentq
+
+    ours = inspect.signature(mtphase.threshold.brentq).parameters
+    theirs = inspect.signature(scipy_brentq).parameters
+    for name in ("xtol", "rtol", "maxiter"):
+        assert ours[name].default == theirs[name].default, name
+
+
+@pytest.mark.parametrize(
+    "f, a, b, kwargs, error",
+    [
+        (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, {}, ValueError),
+        (lambda x: x - 0.5 if x < 0.9 else math.nan, 0.0, 1.0, {}, ValueError),
+        (lambda x: x * x + 1.0, -1.0, 2.0, {}, ValueError),
+        (lambda x: math.tanh(x - 0.1234567), -10.0, 10.0, {"maxiter": 3}, RuntimeError),
+        (lambda x: x, -1.0, 2.0, {"xtol": 0.0}, ValueError),
+        (lambda x: x, -1.0, 2.0, {"rtol": 1e-16}, ValueError),
+    ],
+    ids=["nan-inside", "nan-at-an-end", "same-sign", "no-convergence", "xtol", "rtol"],
+)
+def test_brentq_fails_as_scipy_does(f, a, b, kwargs, error):
+    from scipy.optimize import brentq as scipy_brentq
+
+    with pytest.raises(error) as ours:
+        mtphase.threshold.brentq(f, a, b, **kwargs)
+    with pytest.raises(error) as theirs:
+        scipy_brentq(f, a, b, **kwargs)
+    assert str(ours.value) == str(theirs.value)
