@@ -145,8 +145,19 @@ from .verification import (
     default_verify_config,
     run_all,
 )
-from .cli import main
 from .version import __version__
+
+
+def main(argv=None) -> int:
+    """The ``mtphase`` command line (:func:`mtphase.cli.main`).
+
+    :mod:`mtphase.cli` is imported on the first call, not with the
+    package, so that ``python -m mtphase.cli`` runs the module once.
+    """
+    from .cli import main as cli_main
+
+    return cli_main(argv)
+
 
 __all__ = [
     "__version__",

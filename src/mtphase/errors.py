@@ -43,7 +43,7 @@ class NonPositiveParameter(ConfigError):
     def __init__(self, field: str, value: float) -> None:
         self.field = field
         self.value = value
-        super().__init__(f"parameter {field} must be > 0, got {value!r}")
+        super().__init__(f"parameter {field} must be > 0, got {float(value)!r}")
 
 
 class K1NotPositive(ConfigError):
@@ -53,7 +53,7 @@ class K1NotPositive(ConfigError):
     def __init__(self, k1_value: float) -> None:
         self.k1_value = k1_value
         super().__init__(
-            f"feasibility condition violated: K1 = {k1_value!r} <= 0"
+            f"feasibility condition violated: K1 = {float(k1_value)!r} <= 0"
         )
 
 

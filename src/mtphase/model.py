@@ -32,8 +32,11 @@ __all__ = [
     "SteadyState",
     "ConditionReport",
     "validate_params",
+    "POSITIVE_FIELDS",
+    "domain_error",
     "steady_state",
     "reaction_rhs",
+    "jacobian_rows",
     "linearization_matrix",
     "diffusion_matrix",
     "quadratic_nonlinearity",
@@ -61,31 +64,78 @@ class BoundaryCondition(str, Enum):
             ) from None
 
 
-_POSITIVE_FIELDS = ("k1", "k3", "k5", "k7", "C1", "E", "d1", "d2", "d3", "ell")
+#: the numeric fields of a parameter point, in the order they are checked
+POSITIVE_FIELDS = ("k1", "k3", "k5", "k7", "C1", "E", "d1", "d2", "d3", "ell")
+
+
+def _k1(k1, k3, k5, k7, C1, E):
+    return C1 * k1 * k7 - k3 * k5 * E
+
+
+def _k2(k1, k3, C1, K1):
+    return k1 * (1.0 + C1 * k1 * k3 / K1)
 
 
 class _DerivedConstants:
     """``K1`` and ``K2`` of one parameter point, or of every point of a batch."""
 
+    __slots__ = ()
+
     @property
     def K1(self):
         """Feasibility combination ``C1*k1*k7 - k3*k5*E`` (must be > 0)."""
-        return self.C1 * self.k1 * self.k7 - self.k3 * self.k5 * self.E
+        return _k1(self.k1, self.k3, self.k5, self.k7, self.C1, self.E)
 
     @property
     def K2(self):
         """Derived decay constant ``k1*(1 + C1*k1*k3/K1)``."""
-        return self.k1 * (1.0 + self.C1 * self.k1 * self.k3 / self.K1)
+        return _k2(self.k1, self.k3, self.C1, self.K1)
 
 
-@dataclass(frozen=True)
-class ModelParams(_DerivedConstants):
+def _as_float(value: Any) -> float:
+    """``value`` itself when it is a float (numpy.float64 is one), else
+    ``float(value)``: a float field is never copied."""
+    return value if isinstance(value, float) else float(value)
+
+
+class _FieldsView:
+    """Base of a slotted record whose ``__dict__``, and so ``vars()``, is
+    its :meth:`to_record`: a slotted instance has no dict of its own."""
+
+    __slots__ = ()
+
+    @property
+    def __dict__(self) -> dict[str, Any]:
+        return self.to_record()
+
+
+def domain_error(values: Sequence[float]) -> ConfigError | None:
+    """The error :class:`ModelParams` raises for the field values
+    ``values`` (floats in ``POSITIVE_FIELDS`` order), or None if it
+    accepts them: a :class:`NonPositiveParameter` for the first field that
+    is not finite and > 0, otherwise a :class:`K1NotPositive` when K1 <= 0
+    (a NaN K1 from overflow passes)."""
+    for name, value in zip(POSITIVE_FIELDS, values):
+        if not (math.isfinite(value) and value > 0.0):
+            return NonPositiveParameter(name, value)
+    K1 = _k1(*values[:6])
+    return K1NotPositive(K1) if K1 <= 0.0 else None
+
+
+@dataclass(frozen=True, slots=True)
+class ModelParams(_DerivedConstants, _FieldsView):
     """Validated control parameters of the model.
 
     Construction fails with :class:`NonPositiveParameter` or
     :class:`K1NotPositive` when the feasibility requirements are violated, so
     every live instance satisfies them (including instances produced through
-    :func:`dataclasses.replace`).
+    :func:`dataclasses.replace`).  The numeric fields hold floats: a float
+    given (numpy.float64 included) is kept as the same object, any other
+    number is converted once.  Points built from a :class:`ModelParams`
+    (:meth:`~mtphase.threshold.ParameterRay.at`, :meth:`replace`) thus share
+    its float objects in the fields they do not change.  The class is
+    slotted, so that a run holding one threshold point per result holds
+    less; ``vars(p)`` is a new dict of the fields.
     """
 
     # reaction rates
@@ -104,12 +154,12 @@ class ModelParams(_DerivedConstants):
     bc: BoundaryCondition = BoundaryCondition.DIRICHLET
 
     def __post_init__(self) -> None:
-        for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise NonPositiveParameter(name, value)
-        if self.K1 <= 0.0:
-            raise K1NotPositive(self.K1)
+        values = [_as_float(getattr(self, name)) for name in POSITIVE_FIELDS]
+        error = domain_error(values)
+        if error is not None:
+            raise error
+        for name, value in zip(POSITIVE_FIELDS, values):
+            object.__setattr__(self, name, value)
         if not isinstance(self.bc, BoundaryCondition):
             object.__setattr__(self, "bc", BoundaryCondition.parse(str(self.bc)))
 
@@ -160,36 +210,23 @@ class ParamBatch(_DerivedConstants):
         """Mask of the points :class:`ModelParams` accepts: every field
         finite and > 0, and K1 not <= 0 (a NaN K1 from overflow passes)."""
         ok = np.ones(len(self), dtype=bool)
-        for name in _POSITIVE_FIELDS:
+        for name in POSITIVE_FIELDS:
             value = getattr(self, name)
             ok &= np.isfinite(value) & (value > 0.0)
         with np.errstate(invalid="ignore", over="ignore"):
             return ok & ~(self.K1 <= 0.0)
 
-    def domain_errors(self, index: Sequence[int]) -> list[ConfigError]:
-        """The error :class:`ModelParams` raises for each point at ``index``
-        (infeasible points), built without raising: a
-        :class:`NonPositiveParameter` for the first field, in
-        ``_POSITIVE_FIELDS`` order, that is not finite and > 0, otherwise a
-        :class:`K1NotPositive`.  Field values and K1 are the floats
-        :class:`ModelParams` would check, bit for bit."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            K1 = self.K1[index].tolist()
-        columns = [getattr(self, name)[index].tolist() for name in _POSITIVE_FIELDS]
-        out: list[ConfigError] = []
-        for k, values in enumerate(zip(*columns)):
-            for name, value in zip(_POSITIVE_FIELDS, values):
-                if not (math.isfinite(value) and value > 0.0):
-                    out.append(NonPositiveParameter(name, value))
-                    break
-            else:
-                out.append(K1NotPositive(K1[k]))
-        return out
+    def domain_errors(self, index: Sequence[int]) -> list[ConfigError | None]:
+        """:func:`domain_error` of each point at ``index``, built without
+        raising from the row's values as Python floats, the values
+        :class:`ModelParams` would check."""
+        columns = [getattr(self, name)[index].tolist() for name in POSITIVE_FIELDS]
+        return [domain_error(values) for values in zip(*columns)]
 
     def select(self, index) -> "ParamBatch":
         """The points at ``index`` (a mask or index array) as a new batch."""
         return ParamBatch(
-            *(getattr(self, n)[index] for n in _POSITIVE_FIELDS), bc=self.bc
+            *(getattr(self, n)[index] for n in POSITIVE_FIELDS), bc=self.bc
         )
 
 
@@ -241,7 +278,7 @@ def validate_params(raw: Mapping[str, Any] | ModelParams, **overrides: Any) -> M
     """
     if isinstance(raw, ModelParams):
         return raw.replace(**overrides) if overrides else raw
-    kwargs, bc = _record_fields({**raw, **overrides}, float)
+    kwargs, bc = _record_fields({**raw, **overrides}, _as_float)
     return ModelParams(bc=bc, **kwargs)
 
 
@@ -251,7 +288,7 @@ def _record_fields(
     """Numeric fields of a raw record, each passed through ``convert``, and its bc."""
     record = dict(raw)
     kwargs: dict[str, Any] = {}
-    for name in _POSITIVE_FIELDS:
+    for name in POSITIVE_FIELDS:
         if name not in record:
             raise ValidationError(name, "missing required parameter")
         value = record.pop(name)
@@ -293,21 +330,25 @@ def reaction_rhs(p: ModelParams, state: Any) -> np.ndarray:
     return np.stack([f1, f2, f3])
 
 
+def jacobian_rows(k1, k3, k5, k7, C1, E) -> list[list]:
+    """The rows of :func:`linearization_matrix` from the six rates, as
+    nested lists: of floats for one point, of arrays for a batch."""
+    a = E / k1  # steady-state free tubulin
+    K2 = _k2(k1, k3, C1, _k1(k1, k3, k5, k7, C1, E))
+    return [
+        [-k7 * a, k5 * a, 0.0 * a],  # 0.0 * a is shaped like the other entries
+        [k7 * a, -k5 * a, k1],
+        [-k3 * a, C1, -K2],
+    ]
+
+
 def linearization_matrix(p: ModelParams | ParamBatch) -> np.ndarray:
     """Jacobian of the reaction part at the steady state.
 
     For a :class:`ParamBatch` of n points it is the (n, 3, 3) stack of
     their Jacobians.
     """
-    a = p.E / p.k1  # steady-state free tubulin
-    zero = 0.0 * a  # shaped like the other entries
-    jac = np.array(
-        [
-            [-p.k7 * a, p.k5 * a, zero],
-            [p.k7 * a, -p.k5 * a, p.k1],
-            [-p.k3 * a, p.C1, -p.K2],
-        ]
-    )
+    jac = np.array(jacobian_rows(p.k1, p.k3, p.k5, p.k7, p.C1, p.E))
     return jac if jac.ndim == 2 else np.moveaxis(jac, -1, 0)
 
 

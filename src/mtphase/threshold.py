@@ -11,14 +11,27 @@ continuation.
 :func:`classify_region` takes one point or a :class:`ParamBatch`; a batch
 is classified with one eigenvalue call and reported as arrays, which is
 how a sweep classifies a grid row.
+
+The root finders evaluate det E1 from plain floats.  :func:`find_threshold`,
+the curve tracer's ``F(u, v)`` and the bracket search of a curve vertex
+read the base point's fields once; each evaluation then sets the fields
+the ray or plane moves, runs the domain checks of :class:`ModelParams`
+(:func:`~mtphase.model.domain_error`: the same errors, in the same field
+order) and builds E1 with the float operations of
+``linearization_matrix(p) - rho_1 * diffusion_matrix(p)``, so every value
+is the one a :class:`ModelParams` gives, bit for bit.  No
+:class:`ModelParams` is built per evaluation; a threshold builds one, its
+``lambda0``, and solves its mode-1 block once for ``sigma11`` and the
+stability report together.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -30,13 +43,22 @@ from .errors import (
     NoSignChange,
     SignPatternBroken,
     StepCollapse,
+    ValidationError,
 )
-from .model import ModelParams, ParamBatch, cond2_margin, linearization_matrix, validate_params
+from .model import (
+    POSITIVE_FIELDS,
+    ModelParams,
+    ParamBatch,
+    cond2_margin,
+    domain_error,
+    jacobian_rows,
+    linearization_matrix,
+    validate_params,
+)
 from .spectral import (
     laplacian_eigenvalue,
     mode_matrices,
     mode_matrix,
-    principal_eigenvalue,
     solve_spectrum,
 )
 
@@ -70,7 +92,64 @@ def _axis_fields(axis: str | Mapping[str, float], value) -> dict:
     """The fields an axis sets at coordinate ``value`` (a float or an array)."""
     if isinstance(axis, str):
         return {axis: value}
-    return {name: weight * value for name, weight in axis.items()}
+    return {name: float(weight) * value for name, weight in axis.items()}
+
+
+#: the numeric fields of a :class:`ModelParams`, as a tuple
+_field_values = operator.attrgetter(*POSITIVE_FIELDS)
+_FIELD_INDEX = {name: i for i, name in enumerate(POSITIVE_FIELDS)}
+
+
+def _det_e1(values: list[float]) -> float:
+    """det E1 = det(A - rho_1 D) at the field values ``values`` (Python
+    floats in ``POSITIVE_FIELDS`` order).
+
+    Raises the error :class:`ModelParams` would raise for the values.
+    Otherwise E1 is built with the float operations of
+    ``linearization_matrix(p) - rho_1 * diffusion_matrix(p)``, so the value
+    is the same float, bit for bit, as through a :class:`ModelParams`.
+    """
+    error = domain_error(values)
+    if error is not None:
+        raise error
+    k1, k3, k5, k7, C1, E, d1, d2, d3, ell = values
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = jacobian_rows(k1, k3, k5, k7, C1, E)
+    rho = laplacian_eigenvalue(1, ell)
+    z = rho * 0.0  # an off-diagonal entry of rho * D
+    E1 = [
+        [a00 - rho * d1, a01 - z, a02 - z],
+        [a10 - z, a11 - rho * d2, a12 - z],
+        [a20 - z, a21 - z, a22 - rho * d3],
+    ]
+    return float(np.linalg.det(np.array(E1)))
+
+
+def _det_along(base: ModelParams, *axes: str | Mapping[str, float]) -> Callable[..., float]:
+    """det E1 as a function of one coordinate per axis, through ``base``.
+
+    The base's fields are read once, as Python floats.  Each call sets the
+    fields the axes move, later axes last, as :meth:`ParameterRay.at` and
+    :meth:`ParameterPlane.at` do, and evaluates :func:`_det_e1` without
+    building a :class:`ModelParams`.
+    """
+    values = list(map(float, _field_values(base)))
+    moves = []
+    for axis in axes:
+        weights = _axis_fields(axis, 1.0)
+        unknown = sorted(set(weights) - set(_FIELD_INDEX))
+        if unknown:  # what validate_params raises for them
+            raise ValidationError(", ".join(unknown), "unknown parameter field(s)")
+        moves.append([(_FIELD_INDEX[name], w) for name, w in weights.items()])
+
+    def det(*coords: float) -> float:
+        point = values.copy()
+        for axis_moves, c in zip(moves, coords):
+            c = float(c)
+            for i, w in axis_moves:
+                point[i] = w * c
+        return _det_e1(point)
+
+    return det
 
 
 @dataclass(frozen=True)
@@ -166,21 +245,34 @@ class StabilityExchangeReport:
 
 @dataclass(slots=True)
 class ThresholdPoint:
-    """A located zero of the principal-mode determinant along a ray."""
+    """A located zero of the principal-mode determinant along a ray.
+
+    ``detE1`` and ``near_tangential`` are evaluated from the point when
+    read, not stored: a run may hold one point per threshold.
+    """
 
     lambda0: ModelParams
     ray_coord: float
     sigma11: complex
-    detE1: float
     crossing_derivative: float
-    near_tangential: bool
     stability_report: StabilityExchangeReport | None = None
     plane_coords: tuple[float, float] | None = None
+
+    @property
+    def detE1(self) -> float:
+        """det E1 at ``lambda0``: for a located threshold, the value at the
+        root that :func:`find_threshold` polished, bit for bit."""
+        return det_principal_mode(self.lambda0)
+
+    @property
+    def near_tangential(self) -> bool:
+        """Whether det E1 crosses zero with a slope below ``_TANGENT_TOL``."""
+        return abs(self.crossing_derivative) < _TANGENT_TOL
 
 
 def det_principal_mode(p: ModelParams) -> float:
     """Determinant of the principal-mode block ``A - rho_1 D``."""
-    return float(np.linalg.det(mode_matrix(p, laplacian_eigenvalue(1, p.ell))))
+    return _det_e1(list(map(float, _field_values(p))))
 
 
 #: the default and smallest ``rtol`` of :func:`brentq`, as in SciPy
@@ -290,7 +382,7 @@ def _fd_step(scale: float, s: float) -> float:
     return min(scale * max(1.0, abs(s)), 0.5 * abs(s))
 
 
-def _polish_root(f, s: float, fa_s: float, h: float) -> tuple[float, float]:
+def _polish_root(f, s: float, fa_s: float, h: float) -> float:
     """A few secant steps to push |f| toward machine accuracy."""
     s0, f0 = s - h, f(s - h)
     s1, f1 = s, fa_s
@@ -304,7 +396,7 @@ def _polish_root(f, s: float, fa_s: float, h: float) -> tuple[float, float]:
         if abs(f2) >= abs(f1):
             break
         s0, f0, s1, f1 = s1, f1, s2, f2
-    return s1, f1
+    return s1
 
 
 def find_threshold(
@@ -324,12 +416,12 @@ def find_threshold(
     :func:`stability_exchange_report`.
     """
     a, b = ray.bracket
-    f = lambda s: det_principal_mode(ray.at(s))
+    f = _det_along(ray.base, ray.direction)
     fa, fb = f(a), f(b)
     if fa == 0.0:
-        s_root, f_root = a, fa
+        s_root = a
     elif fb == 0.0:
-        s_root, f_root = b, fb
+        s_root = b
     elif np.sign(fa) == np.sign(fb):
         raise NoSignChange(
             f"det E1 has the same sign at both bracket ends "
@@ -337,10 +429,11 @@ def find_threshold(
         )
     else:
         s_root = brentq(f, a, b, xtol=1e-14 * max(1.0, abs(a), abs(b)), rtol=tol)
-        s_root, f_root = _polish_root(f, s_root, f(s_root), _fd_step(1e-7, s_root))
+        s_root = _polish_root(f, s_root, f(s_root), _fd_step(1e-7, s_root))
 
     p_root = ray.at(s_root)
-    sigma11 = principal_eigenvalue(p_root)
+    mode1 = solve_spectrum(mode_matrix(p_root, laplacian_eigenvalue(1, p_root.ell)))
+    sigma11 = complex(mode1[0])
     if abs(sigma11.imag) > SIGMA_ZERO_BAND:
         raise ComplexCrossing(
             f"leading eigenvalue at threshold is complex: {sigma11!r}"
@@ -352,12 +445,10 @@ def find_threshold(
         lambda0=p_root,
         ray_coord=float(s_root),
         sigma11=sigma11,
-        detE1=float(f_root),
         crossing_derivative=float(deriv),
-        near_tangential=abs(deriv) < _TANGENT_TOL,
     )
     if attach_report:
-        point.stability_report = stability_exchange_report(point)
+        point.stability_report = stability_exchange_report(point, mode1_spectrum=mode1)
     return point
 
 
@@ -418,7 +509,9 @@ def _rho_coefficients(g, P, T, d):
     return (g0 + g1 + g2, d0 + d1 + d2), q1, q0
 
 
-def stability_exchange_report(tp: ThresholdPoint | ModelParams) -> StabilityExchangeReport:
+def stability_exchange_report(
+    tp: ThresholdPoint | ModelParams, *, mode1_spectrum: np.ndarray | None = None
+) -> StabilityExchangeReport:
     """Certify that only the principal eigenvalue sits at zero, in every mode.
 
     One solve of the mode-1 block gives sigma11, which must lie in the zero
@@ -437,10 +530,14 @@ def stability_exchange_report(tp: ThresholdPoint | ModelParams) -> StabilityExch
     minimum.  Each value is taken relative to its summed term magnitudes and
     must exceed ``_CERT_BAND``; ``higher_margin`` is the smallest relative
     q0(rho_2) or R(m^2 rho_1).  ``cond2_ok`` does not enter ``passed``.
+
+    ``mode1_spectrum`` is the mode-1 solve when the caller has it already:
+    :func:`solve_spectrum` of the point's ``mode_matrix(p, rho_1)``, as
+    :func:`find_threshold` passes it.
     """
     p = tp.lambda0 if isinstance(tp, ThresholdPoint) else tp
     rho1 = laplacian_eigenvalue(1, p.ell)
-    s1 = solve_spectrum(mode_matrix(p, rho1))
+    s1 = solve_spectrum(mode_matrix(p, rho1)) if mode1_spectrum is None else mode1_spectrum
     sigma11 = complex(s1[0])
 
     A = linearization_matrix(p).tolist()
@@ -581,10 +678,11 @@ def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> list[Th
     """
     (a1, b1), (a2, b2) = plane.range1, plane.range2
     span1, span2 = b1 - a1, b2 - a2
+    det = _det_along(plane.base, plane.axis1, plane.axis2)
 
     def F(u: float, v: float) -> float:
         try:
-            return det_principal_mode(plane.at(a1 + u * span1, a2 + v * span2))
+            return det(a1 + u * span1, a2 + v * span2)
         except (NonPositiveParameter, K1NotPositive):
             return np.nan  # infeasible territory: treated as unbrackatable
 
@@ -605,7 +703,7 @@ def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> list[Th
     for u, v in coords:
         s = a1 + u * span1
         t = a2 + v * span2
-        tp = _polish_vertex(plane, F, (u, v), (s, t))
+        tp = _polish_vertex(plane, det, F, (u, v), (s, t))
         points.append(tp)
     if collapsed_f or collapsed_b:
         raise StepCollapse(
@@ -616,27 +714,25 @@ def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> list[Th
 
 def _polish_vertex(
     plane: ParameterPlane,
+    det: Callable[[float, float], float],
     F,
     uv: tuple[float, float],
     st: tuple[float, float],
 ) -> ThresholdPoint:
-    """Re-verify one continuation vertex with a bracketing 1-D root solve."""
+    """Re-verify one continuation vertex with a bracketing 1-D root solve;
+    ``det`` is det E1 at plane coordinates ``(s, t)``."""
     (a1, b1), (a2, b2) = plane.range1, plane.range2
-    span1, span2 = b1 - a1, b2 - a2
     u, v = uv
     s, t = st
     g = _gradient(F, np.array([u, v]))
     if abs(g[0]) >= abs(g[1]):
-        axis, coord, span, lo = plane.axis1, s, span1, a1
-        fixed = lambda c: plane.at(c, t)
+        axis, coord, span, along = plane.axis1, s, b1 - a1, lambda c: det(c, t)
     else:
-        axis, coord, span, lo = plane.axis2, t, span2, a2
-        fixed = lambda c: plane.at(s, c)
-    base = fixed(coord)
+        axis, coord, span, along = plane.axis2, t, b2 - a2, lambda c: det(s, c)
     ray = ParameterRay(
-        base=base,
+        base=plane.at(s, t),
         direction=axis,
-        bracket=_expand_bracket(lambda c: det_principal_mode(fixed(c)), coord, 1e-4 * abs(span)),
+        bracket=_expand_bracket(along, coord, 1e-4 * abs(span)),
     )
     tp = find_threshold(ray, attach_report=False)
     if abs(g[0]) >= abs(g[1]):

@@ -49,7 +49,7 @@ from .spectral import (
     principal_mode_vectors,
     solve_spectrum,
 )
-from .threshold import ThresholdPoint, det_principal_mode
+from .threshold import ThresholdPoint
 
 __all__ = [
     "TransitionType",
@@ -182,9 +182,7 @@ def _as_threshold_point(tp: ThresholdPoint | ModelParams) -> ThresholdPoint:
         lambda0=p,
         ray_coord=float("nan"),
         sigma11=principal_eigenvalue(p),
-        detE1=det_principal_mode(p),
         crossing_derivative=float("nan"),
-        near_tangential=False,
     )
 
 

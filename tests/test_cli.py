@@ -257,6 +257,18 @@ def test_import_loads_no_scipy_until_the_first_stepper():
     assert run.returncode == 0, run.stderr
 
 
+def test_run_as_a_module_without_a_runtime_warning():
+    # importing the package must not import mtphase.cli, or runpy warns
+    # that it executes the module a second time
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE_DIR.parent)}
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mtphase.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: mtphase")
+
+
 def test_no_module_imports_scipy_optimize():
     for path in sorted(_PACKAGE_DIR.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

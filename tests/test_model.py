@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from mtphase import (
     K1NotPositive,
+    ModelParams,
     MTPhaseError,
     NonPositiveParameter,
     ParamBatch,
+    ParameterRay,
     ValidationError,
     check_conditions,
     laplacian_eigenvalue,
@@ -23,6 +25,7 @@ from mtphase import (
     steady_state,
     validate_params,
 )
+from mtphase.model import POSITIVE_FIELDS
 
 
 def test_canonical_steady_state_is_all_ones(canonical_params):
@@ -159,6 +162,29 @@ def test_param_batch_feasible_where_model_params_accepts_nan_k1():
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(validate_params(big).K1)
     assert ParamBatch.from_record(big).feasible().tolist() == [True]
+
+
+def test_model_params_keeps_float_objects_shared_by_ray_points():
+    k1, k7 = np.float64(1.0), np.float64(2.0)
+    p = ModelParams(k1=k1, k3=np.float32(0.5), k5=1, k7=k7,
+                    C1=1.0, E=1.0, d1=0.3, d2=0.3, d3=0.3, ell=3.0)
+    # floats (numpy.float64 is one) are kept, other numbers converted
+    assert p.k1 is k1 and p.k7 is k7
+    assert type(p.k3) is float and p.k3 == float(np.float32(0.5))
+    assert type(p.k5) is float
+    # slotted, and vars() still gives the fields
+    assert not hasattr(p, "__weakref__")
+    assert vars(p) == p.to_record() and list(vars(p)) == [*POSITIVE_FIELDS, "bc"]
+    # a point on a ray holds the base's float objects in the fields it
+    # does not move
+    q = ParameterRay(base=p, direction={"d1": np.float64(2.0)}, bracket=(1.0, 3.0)).at(1.5)
+    assert all(getattr(q, name) is getattr(p, name) for name in POSITIVE_FIELDS if name != "d1")
+    assert type(q.d1) is float and q.d1 == 3.0
+    # messages show a numpy.float64 value as a float
+    with pytest.raises(NonPositiveParameter, match=r"d2 must be > 0, got -0\.5$"):
+        p.replace(d2=np.float64(-0.5))
+    with pytest.raises(K1NotPositive, match=r"K1 = -0\.25 <= 0$"):
+        p.replace(k7=np.float64(0.25))
 
 
 def test_check_conditions_canonical(canonical_threshold):

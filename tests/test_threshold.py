@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from mtphase import (
     ComplexCrossing,
     CurveLeftDomain,
     ModelParams,
+    MTPhaseError,
     NoSignChange,
     ParameterPlane,
     ParameterRay,
@@ -27,6 +29,8 @@ from mtphase import (
     find_threshold,
     laplacian_eigenvalue,
     mode_matrices,
+    mode_matrix,
+    parse_config,
     principal_eigenvalue,
     solve_spectrum,
     stability_exchange_report,
@@ -323,6 +327,128 @@ def test_trace_threshold_curve_outside_window(canonical_params):
     )
     with pytest.raises(CurveLeftDomain):
         trace_threshold_curve(plane, n_points=20)
+
+
+# --------------------------------------------------------------------------
+# det E1 from floats: the root finders' kernel against det_principal_mode
+
+
+def _det_or_error(evaluate):
+    """``float.hex`` of ``evaluate()``, or the type and message it raises."""
+    try:
+        return float.hex(evaluate())
+    except MTPhaseError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_dets(point):
+    """det E1 of the :class:`ModelParams` ``point()`` builds, through
+    :func:`det_principal_mode` and through the matrices ``A - rho_1 D`` of
+    :func:`mode_matrix`, each as :func:`_det_or_error` gives it."""
+    def by_matrix():
+        p = point()
+        return float(np.linalg.det(mode_matrix(p, laplacian_eigenvalue(1, p.ell))))
+
+    return {_det_or_error(lambda: det_principal_mode(point())), _det_or_error(by_matrix)}
+
+
+def _seeded_rays(rng: np.random.Generator, bc: str, kind: str, count: int):
+    """Rays of one kind through feasible points with rates log-uniform over
+    10^+-2: the single rate field k7, proportional diffusivities, or a
+    mixed direction that moves k5 and d2."""
+    for _ in range(count):
+        while True:
+            k1, k3, k5, k7, C1, E, d1, d2, d3 = 10.0 ** rng.uniform(-2.0, 2.0, 9)
+            if C1 * k1 * k7 > k3 * k5 * E:
+                break
+        base = ModelParams(k1=k1, k3=k3, k5=k5, k7=k7, C1=C1, E=E, d1=d1, d2=d2, d3=d3,
+                           ell=10.0 ** rng.uniform(-0.5, 1.5), bc=bc)
+        w = 10.0 ** rng.uniform(-1.0, 1.0, 3)
+        direction = {
+            "k7": "k7",
+            "diffusivities": {"d1": w[0], "d2": w[1], "d3": w[2]},
+            "mixed": {"k5": w[0], "d2": w[1]},
+        }[kind]
+        yield ParameterRay(base=base, direction=direction, bracket=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("kind", ["k7", "diffusivities", "mixed"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_det_kernel_equals_det_principal_mode_on_rays(bc, kind):
+    # coordinates over 10^+-4 of either sign, and 0: the negative ones and
+    # 0 are infeasible, and so are small k7 (K1 <= 0) and large k5
+    rng = np.random.default_rng([2015, len(bc), len(kind)])
+    outcomes = set()
+    for ray in _seeded_rays(rng, bc, kind, 40):
+        det = mtphase.threshold._det_along(ray.base, ray.direction)
+        coords = (10.0 ** rng.uniform(-4.0, 4.0, 12) * rng.choice([1.0, -1.0], 12)).tolist()
+        for s in coords + [0.0]:
+            got = _det_or_error(lambda: det(s))
+            assert _reference_dets(lambda: ray.at(s)) == {got}, (ray, s)
+            outcomes.add(got[0] if isinstance(got, tuple) else "value")
+    expected = {"value", "NonPositiveParameter"}
+    if kind != "diffusivities":
+        expected.add("K1NotPositive")
+    assert outcomes == expected
+
+
+@pytest.mark.parametrize("name", ["canonical", "neumann-jump"])
+def test_det_kernel_equals_det_principal_mode_on_the_sweep_window(name):
+    # the shipped window widened by its span below and half its span above,
+    # which reaches negative diffusivities and, for k7, K1 <= 0
+    plane = parse_config(Path(__file__).parents[1] / "configs" / f"{name}.ini").plane()
+    det = mtphase.threshold._det_along(plane.base, plane.axis1, plane.axis2)
+    (a1, b1), (a2, b2) = plane.range1, plane.range2
+    outcomes = set()
+    for s in np.linspace(a1 - (b1 - a1), b1 + (b1 - a1) / 2, 31).tolist():
+        for t in np.linspace(a2 - (b2 - a2), b2 + (b2 - a2) / 2, 31).tolist():
+            got = _det_or_error(lambda: det(s, t))
+            assert _reference_dets(lambda: plane.at(s, t)) == {got}, (s, t)
+            outcomes.add(got[0] if isinstance(got, tuple) else "value")
+    assert {"value", "NonPositiveParameter"} <= outcomes
+
+
+D_RAY = {"d1": 1.0, "d2": 1.0, "d3": 1.0}
+
+
+def test_find_threshold_builds_one_model_params_however_many_brent_steps(
+    monkeypatch, canonical_params
+):
+    built = []
+    post_init = ModelParams.__post_init__
+    monkeypatch.setattr(
+        ModelParams, "__post_init__", lambda self: built.append(1) or post_init(self)
+    )
+    det_e1 = mtphase.threshold._det_e1
+    evaluations = []
+    monkeypatch.setattr(
+        mtphase.threshold, "_det_e1", lambda values: evaluations.append(1) or det_e1(values)
+    )
+    solves = []
+    solve = mtphase.threshold.solve_spectrum
+    monkeypatch.setattr(
+        mtphase.threshold, "solve_spectrum", lambda e: solves.append(1) or solve(e)
+    )
+    slow_diffusion = canonical_params.replace(d1=0.15, d2=0.15, d3=0.15)
+    rays = [
+        ParameterRay(base=canonical_params, direction=D_RAY, bracket=bracket)
+        for bracket in ((0.17, 0.1701), (0.1, 0.2), (1e-3, 1e3))
+    ] + [ParameterRay(base=slow_diffusion, direction="k7", bracket=(1.2, 3.0))]
+    counts = []
+    for ray in rays:
+        built.clear(), evaluations.clear(), solves.clear()
+        tp = find_threshold(ray)
+        # the threshold's own point, and one mode-1 solve for sigma11 and
+        # the report together
+        assert (len(built), len(solves)) == (1, 1)
+        counts.append(len(evaluations))
+        # the report from the solve find_threshold passes on is the
+        # report of the point, and detE1, evaluated when read, is the value
+        # at the polished root
+        assert tp.stability_report == stability_exchange_report(tp)
+        at_root = mtphase.threshold._det_along(ray.base, ray.direction)(tp.ray_coord)
+        assert float.hex(tp.detE1) == float.hex(at_root)
+    assert len(set(counts)) >= 3 and min(counts) >= 10, counts
 
 
 # --------------------------------------------------------------------------
