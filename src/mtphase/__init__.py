@@ -20,7 +20,6 @@ from .errors import (
     CurveLeftDomain,
     DegenerateCoefficient,
     GridTooCoarse,
-    InsufficientData,
     K1NotPositive,
     MTPhaseError,
     NoSignChange,
@@ -82,18 +81,16 @@ from .threshold import (
     trace_threshold_curve,
 )
 from .transition import (
-    PredictedState,
     QuadraticCoefficient,
     TransitionReport,
     TransitionType,
     classify_transition,
-    predicted_state,
     quadratic_coefficient,
     transition_number,
     transition_number_simplified,
 )
 from .simulator import (
-    AmplitudeFit,
+    ARK_TOL,
     AmplitudeSeries,
     CriticalMode,
     FieldState,
@@ -105,7 +102,6 @@ from .simulator import (
     Stepper,
     critical_mode,
     dt_max,
-    fit_amplitude_dynamics,
     initial_state,
     laplacian_apply,
     make_grid,
@@ -181,7 +177,6 @@ __all__ = [
     "OutOfTheory",
     "GridTooCoarse",
     "StepUnstable",
-    "InsufficientData",
     # model
     "BoundaryCondition",
     "ModelParams",
@@ -228,22 +223,20 @@ __all__ = [
     "TransitionType",
     "QuadraticCoefficient",
     "TransitionReport",
-    "PredictedState",
     "quadratic_coefficient",
     "transition_number",
     "transition_number_simplified",
     "classify_transition",
-    "predicted_state",
     # simulator
     "Grid",
     "FieldState",
     "AmplitudeSeries",
     "SimulationResult",
-    "AmplitudeFit",
     "CriticalMode",
     "MIN_GRID_POINTS",
     "LADDER_TOL",
     "LADDER_FLOOR",
+    "ARK_TOL",
     "make_grid",
     "laplacian_apply",
     "dt_max",
@@ -251,7 +244,6 @@ __all__ = [
     "Stepper",
     "critical_mode",
     "simulate",
-    "fit_amplitude_dynamics",
     # config
     "AnalysisConfig",
     "SimulateConfig",

@@ -16,8 +16,10 @@ Sections and keys
     ``M_max`` (default 50), ``tol`` (default 1e-10), and an optional ray:
     ``ray`` (axis spec) with ``bracket`` (``lo,hi``).
 ``[simulate]``
-    ``N`` (default 256), ``dt`` (``auto`` or a positive step; default
-    ``auto`` meaning half the stability limit), ``T`` (default 100),
+    ``N`` (default 256), ``dt`` (a positive fixed step, or ``auto``, the
+    default: third-order IMEX Runge-Kutta steps under the error tolerance
+    ``simulator.ARK_TOL``, recorded every ``record_every`` steps of half the
+    stability limit), ``T`` (default 100),
     ``ic`` (``zero``, ``random[:amplitude]`` or ``aligned[:amplitude]``;
     default ``random:0.0001``), ``seed`` (default 0), ``record_every``
     (default 10).

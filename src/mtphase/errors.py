@@ -130,6 +130,3 @@ class StepUnstable(NumericalError):
         self.last_state = last_state
         super().__init__(message)
 
-
-class InsufficientData(NumericalError):
-    """Not enough samples to fit the amplitude dynamics."""

@@ -4,22 +4,35 @@ The simulator is the independent oracle for everything the linear and
 weakly-nonlinear analyses predict: growth rates, saturated branch
 amplitudes, and jump behavior.  Fields are deviations from the uniform
 steady state, so both boundary-condition variants are homogeneous.  Time
-stepping is IMEX: diffusion implicit (Crank-Nicolson; the three tridiagonal
-per-component Cholesky factors are prefactored once and stacked into one
-block-diagonal band, so each half-step is a single LAPACK ``pbtrs`` solve)
-and reaction explicit (second-order Heun with a diffusion-consistent
-predictor).  Fixed points of the scheme are exact steady states of the
-semi-discrete system for every step size, so saturated amplitudes carry
-spatial discretization error only.
+stepping is IMEX, diffusion implicit and reaction explicit, with one of two
+steps.  :meth:`Stepper.advance` is second order: Crank-Nicolson diffusion
+(the three tridiagonal per-component Cholesky factors are prefactored once
+and stacked into one block-diagonal band, so each half-step is a single
+LAPACK ``pbtrs`` solve) and Heun reaction with a diffusion-consistent
+predictor.  :meth:`Stepper.ark_step` is third order: ARK3(2)4L[2]SA
+(Kennedy & Carpenter, Appl. Numer. Math. 44, 2003), ESDIRK diffusion with
+one stacked band per step size for its three implicit stages, explicit
+reaction, and an embedded second-order solution.  Fixed points of both
+steps are exact steady states of the semi-discrete system for every step
+size, so saturated amplitudes carry spatial discretization error only.
 
 :func:`simulate` is the one time-stepping loop of the package;
-:class:`Stepper` takes single steps.  It has two paths: fixed steps of
-size ``dt``, and for saturation runs an error-controlled ladder
-``dt * 2**k`` that uses the IMEX Euler predictor and the corrector as an
-embedded 1(2) pair (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995;
-the controller follows Söderlind, ACM TOMS 29, 2003) and stops on the
-semi-discrete residual.  A blow-up raises :class:`StepUnstable` carrying
-the last good state.
+:class:`Stepper` takes single steps.  It has three paths:
+
+- fixed steps of a given size ``dt`` (:meth:`Stepper.advance`), which every
+  verification criterion uses and whose temporal order criterion 11
+  measures;
+- for fixed-horizon runs with ``dt = auto`` (``dt=None``), an
+  error-controlled path of :meth:`Stepper.ark_step` substeps of
+  ``1/2**k`` of each record interval, ``k >= 0``, so that the run lands
+  on the fixed path's record times (:func:`_simulate_ark`);
+- for saturation runs, an error-controlled ladder ``dt * 2**k`` that uses
+  the IMEX Euler predictor and the corrector as an embedded 1(2) pair
+  (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995; the controller
+  follows Söderlind, ACM TOMS 29, 2003) and stops on the semi-discrete
+  residual.
+
+A blow-up raises :class:`StepUnstable` carrying the last good state.
 
 Up to a few hundred grid points a step costs what its NumPy and LAPACK
 calls cost, not what they compute, so :meth:`Stepper.advance` makes few of
@@ -52,6 +65,22 @@ saturation run of the README example (s)       0.229   0.153
 tier-1 test run (s)                            26.8    22.1
 =============================================  ======  ======
 
+``mtphase simulate`` with ``dt = auto``, fixed steps before and the
+error-controlled path after (substeps accepted + rejected; error of the
+final state against a Radau reference at rtol 1e-10, relative to its max
+norm; ``transient_s`` is the benchmark's median of 10 alternating pairs):
+
+==============================================  ============  ===========
+measurement                                     fixed         ``auto``
+==============================================  ============  ===========
+steps on neumann-jump.ini                       16,396        1,640 + 0
+final-state error on neumann-jump.ini           1.6e-7        8.6e-10
+steps on canonical.ini                          400           137 + 8
+final-state error on canonical.ini              8.0e-7        3.0e-6
+one step, zero-average Neumann N = 64 (µs)      42-47         73-80
+``transient_s`` on the saturation workload (s)  1.23          0.25
+==============================================  ============  ===========
+
 ``import mtphase`` loads NumPy and no SciPy module.  ``scipy.linalg`` is
 imported when the first :class:`Stepper` is built, which fetches
 ``cholesky_banded`` and the ``pbtrs`` wrapper once through
@@ -69,10 +98,11 @@ import functools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import GridTooCoarse, InsufficientData, StepUnstable
+from .errors import GridTooCoarse, StepUnstable
 from .model import (
     BoundaryCondition,
     ModelParams,
@@ -88,10 +118,10 @@ __all__ = [
     "FieldState",
     "AmplitudeSeries",
     "SimulationResult",
-    "AmplitudeFit",
     "MIN_GRID_POINTS",
     "LADDER_TOL",
     "LADDER_FLOOR",
+    "ARK_TOL",
     "make_grid",
     "laplacian_apply",
     "dt_max",
@@ -100,7 +130,6 @@ __all__ = [
     "CriticalMode",
     "critical_mode",
     "simulate",
-    "fit_amplitude_dynamics",
 ]
 
 MIN_GRID_POINTS = 16
@@ -112,6 +141,71 @@ LADDER_FLOOR = -10
 #: the saturation stop measures the residual's decay over this many steps,
 #: after as many more on the same rung
 _STOP_WINDOW = 10
+#: error-controlled path of fixed-horizon ``dt = auto`` runs: a substep is
+#: rejected and retried as two halves when the max norm of its error
+#: estimate (third-order step minus the embedded second-order solution)
+#: exceeds this times the new field's max norm
+ARK_TOL = 1e-5
+
+# ARK3(2)4L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003), the
+# published rationals.  Rows of the explicit (reaction) stage matrix and
+# strictly lower rows of the implicit (diffusion) one, whose diagonal is
+# (0, gamma, gamma, gamma); the third-order weights and the embedded
+# second-order ones.
+ARK_GAMMA = Fraction(1767732205903, 4055673282236)
+ARK_EXPLICIT = (
+    (),
+    (Fraction(1767732205903, 2027836641118),),
+    (Fraction(5535828885825, 10492691773637), Fraction(788022342437, 10882634858940)),
+    (
+        Fraction(6485989280629, 16251701735622),
+        Fraction(-4246266847089, 9704473918619),
+        Fraction(10755448449292, 10357097424841),
+    ),
+)
+ARK_IMPLICIT = (
+    (),
+    (ARK_GAMMA,),
+    (Fraction(2746238789719, 10658868560708), Fraction(-640167445237, 6845629431997)),
+    (
+        Fraction(1471266399579, 7840856788654),
+        Fraction(-4482444167858, 7529755066697),
+        Fraction(11266239266428, 11593286722821),
+    ),
+)
+ARK_B = (
+    Fraction(1471266399579, 7840856788654),
+    Fraction(-4482444167858, 7529755066697),
+    Fraction(11266239266428, 11593286722821),
+    ARK_GAMMA,
+)
+ARK_B_HAT = (
+    Fraction(2756255671327, 12835298489170),
+    Fraction(-10771552573575, 22201958757719),
+    Fraction(9247589265047, 10645013368117),
+    Fraction(2193209047091, 5459859503100),
+)
+
+
+def _ark_weights() -> np.ndarray:
+    """The tableau as one (5, 8) matrix acting on the stage derivatives.
+
+    The columns follow the rows of :meth:`Stepper.ark_step`'s buffer: the
+    reaction and diffusion terms of stage 1, then of stage 2, and so on.
+    Rows 0-2 form the right-hand sides of stages 2-4 (their unused columns
+    are zero), row 3 the step's increment and row 4 its error estimate
+    ``b - b_hat``.
+    """
+    error = [b - b_hat for b, b_hat in zip(ARK_B, ARK_B_HAT)]
+    rows = [*zip(ARK_EXPLICIT[1:], ARK_IMPLICIT[1:]), (ARK_B, ARK_B), (error, error)]
+    out = np.zeros((5, 8))
+    for r, (explicit, implicit) in enumerate(rows):
+        out[r, 0 : 2 * len(explicit) : 2] = [float(a) for a in explicit]
+        out[r, 1 : 2 * len(implicit) : 2] = [float(a) for a in implicit]
+    return out
+
+
+_ARK_WEIGHTS = _ark_weights()
 
 
 @functools.cache
@@ -235,9 +329,10 @@ class SimulationResult:
     """Outcome of :func:`simulate` with its step diagnostics.
 
     ``steps`` counts the accepted steps the result is made of, and
-    ``rejected`` the steps the ladder threw away: each rejected step and
-    each step undone with a failed rung.  ``dt_range`` is the smallest and
-    largest of the accepted steps (NaN when no step was taken).  ``residual`` is
+    ``rejected`` the steps thrown away: each rejected step and each step
+    undone with a failed rung of the ladder, or each rejected substep of
+    the error-controlled path.  ``dt_range`` is the smallest and largest of
+    the accepted steps (NaN when no step was taken).  ``residual`` is
     ``||D lap u + A u + F(u)||_inf`` at the final state, mean-projected
     with the reaction term; it vanishes exactly at a steady state.
     """
@@ -249,20 +344,6 @@ class SimulationResult:
     rejected: int
     dt_range: tuple[float, float]
     residual: float
-
-
-@dataclass(frozen=True)
-class AmplitudeFit:
-    """Least-squares fit of dy/dt = sigma*y + coefficient*y^k.
-
-    ``poor_fit`` flags R^2 < 0.99; the numbers are still returned.
-    """
-
-    sigma: float
-    coefficient: float
-    r_squared: float
-    poor_fit: bool
-    nonlinearity: str
 
 
 def initial_state(
@@ -367,6 +448,7 @@ class Stepper:
         self._half = _stacked_band(grid, [0.5 * self.dt * di for di in d])
         self._diffusion = np.array(d)[:, None].repeat(grid.N, axis=1)
         _, self._pbtrs = _banded_lapack()
+        self._ark: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
         """Reaction part ``A u + F(u)`` (mean-projected when enabled)."""
@@ -439,6 +521,43 @@ class Stepper:
         """
         return self.advance(u)[0]
 
+    def ark_step(self, u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """One ARK3(2)4L[2]SA step of size ``h``: ``(new state, error estimate)``.
+
+        Reaction explicit, diffusion implicit (ESDIRK, L-stable, stiffly
+        accurate).  The three implicit stages solve ``(I - gamma h D lap) U_i
+        = rhs_i`` with one stacked band, factored once per step size and
+        kept; ``D lap U_i`` is then ``(U_i - rhs_i) / (gamma h)``, so the
+        step applies the Laplacian only to ``u``.  The error estimate is the
+        difference from the embedded second-order solution, at no extra
+        cost; its max norm is what :func:`simulate` compares with
+        ``ARK_TOL``.  A blow-up gives non-finite values and is left to the
+        caller, as are the floating-point warnings it would raise.
+        """
+        if h not in self._ark:
+            gamma_h = float(ARK_GAMMA) * h
+            d = (self.p.d1, self.p.d2, self.p.d3)
+            band = _stacked_band(self.grid, [gamma_h * di for di in d])
+            self._ark[h] = (band, h * _ARK_WEIGHTS, 1.0 / gamma_h)
+        band, weights, inv_gamma_h = self._ark[h]
+        flat = u.reshape(-1)
+        terms = np.empty((8, flat.size))  # reaction, diffusion of each stage
+        terms[0] = self.reaction(u).reshape(-1)
+        terms[1] = self._diffusion_term(u).reshape(-1)
+        for i in (1, 2, 3):
+            rhs = flat + weights[i - 1, : 2 * i] @ terms[: 2 * i]
+            stage, info = self._pbtrs(band, rhs)
+            if info != 0:
+                raise ValueError(f"pbtrs returned info = {info}")
+            np.subtract(stage, rhs, out=terms[2 * i + 1])
+            terms[2 * i + 1] *= inv_gamma_h
+            terms[2 * i] = self.reaction(stage.reshape(u.shape)).reshape(-1)
+        increment, error = weights[3:] @ terms
+        out = (flat + increment).reshape(u.shape)
+        if self.project:
+            _remove_mean(out)
+        return out, error
+
 
 @dataclass(frozen=True)
 class CriticalMode:
@@ -497,6 +616,16 @@ def _decay_distance(norms: deque, dt: float) -> float:
     return last * (w * dt) / math.log(norms[w] / last)
 
 
+def _fixed_steps(duration: float, h: float) -> tuple[int, bool]:
+    """Steps of size ``h`` that cover ``duration``, and whether the last is shortened.
+
+    Within 1e-12 of a whole number of steps, every step is a full one.
+    """
+    span = duration / h
+    n = max(int(np.ceil(span - 1e-12)), 0)
+    return n, n - span > 1e-12
+
+
 def simulate(
     p: ModelParams,
     grid: Grid,
@@ -509,10 +638,18 @@ def simulate(
 ) -> SimulationResult:
     """Integrate to ``t_end``, recording the critical-mode amplitude.
 
-    Fixed path (``stop_on_saturation=False``): every step has size ``dt``,
-    except that the last one is shortened so that the run ends exactly at
-    ``t_end``.  When ``(t_end - t0)/dt`` is within 1e-12 of a whole number,
-    every step is a full one and the run ends at ``t0 + n*dt``.
+    Fixed path (``stop_on_saturation=False`` with a given ``dt``): every
+    step has size ``dt``, except that the last one is shortened so that the
+    run ends exactly at ``t_end``.  When ``(t_end - t0)/dt`` is within 1e-12
+    of a whole number, every step is a full one and the run ends at
+    ``t0 + n*dt``.
+
+    Error-controlled path (``stop_on_saturation=False`` and ``dt=None``):
+    the run is recorded at the times of the fixed path with the default
+    ``dt`` (half of :func:`dt_max`), bit for bit, and each record interval
+    is covered by third-order IMEX Runge-Kutta substeps of ``1/2**k`` of
+    it, with ``k >= 0`` chosen by the embedded error estimate against
+    ``ARK_TOL`` (see :func:`_simulate_ark`).
 
     Saturation runs (``stop_on_saturation=True``) step on the ladder
     ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0, with one
@@ -550,7 +687,8 @@ def simulate(
     distance does not shrink.
 
     The amplitude is recorded every ``record_every`` accepted steps and at
-    the final time.
+    the final time (every ``record_every`` steps of the default ``dt`` on
+    the error-controlled path).
 
     Returns
     -------
@@ -560,12 +698,19 @@ def simulate(
 
     Raises
     ------
+    ValueError
+        If ``record_every`` is not positive.
     StepUnstable
-        If a step blows up on the fixed path or on the floor rung; it
-        carries the last good state.
+        If a step blows up on the fixed path, on the floor rung or at the
+        smallest substep of the error-controlled path; it carries the last
+        good state.
     """
+    if record_every < 1:
+        raise ValueError(f"record_every must be positive, got {record_every}")
     if dt is None:
         dt = 0.5 * dt_max(p, grid)
+        if not stop_on_saturation:
+            return _simulate_ark(p, grid, initial, t_end, dt, record_every)
     adaptive = stop_on_saturation
     ladder: dict[int, Stepper] = {}
 
@@ -594,9 +739,7 @@ def simulate(
             base, count, u0, recorded_at_base = t, 0, u, len(times)
             stepper = rung_stepper(rung)
             h = stepper.dt
-            span = (t_end - base) / h
-            n_left = max(int(np.ceil(span - 1e-12)), 0)
-            short_last = n_left - span > 1e-12
+            n_left, short_last = _fixed_steps(t_end - base, h)
             residuals.clear()
             critical.clear()
             changed = False
@@ -667,45 +810,85 @@ def simulate(
     )
 
 
-def fit_amplitude_dynamics(
-    series: AmplitudeSeries, nonlinearity: str = "cubic"
-) -> AmplitudeFit:
-    """Fit the reduced equation ``dy/dt = sigma*y + c*y^k`` to a trajectory.
 
-    ``nonlinearity`` selects ``quadratic`` (k=2, Dirichlet reduction) or
-    ``cubic`` (k=3, Neumann reduction).  The derivative is estimated with
-    second-order finite differences; the two coefficients come from linear
-    least squares.
+def _simulate_ark(
+    p: ModelParams,
+    grid: Grid,
+    initial: FieldState,
+    t_end: float,
+    dt: float,
+    record_every: int,
+) -> SimulationResult:
+    """The error-controlled path of :func:`simulate` (``dt = auto``, fixed horizon).
 
-    Raises
-    ------
-    InsufficientData
-        Fewer than 10 samples.
+    The run is recorded at the times of the fixed path with steps ``dt``,
+    computed as that path computes them, and each record interval is
+    covered by :meth:`Stepper.ark_step` substeps of ``length / 2**k``, so
+    the last one ends on the record time.  A substep whose error estimate
+    exceeds ``ARK_TOL`` times the new field's max norm, or that blows up, is
+    rejected and retried as two substeps at ``k + 1``.  After a substep
+    whose estimate is below an eighth of that, ``k`` drops by one (the
+    estimate scales like ``h**3``) where the position in the interval lies
+    on the coarser grid.  A ``k`` that fails after a drop has exposed the
+    explicit stability edge rather than a fast transient, and is not tried
+    again.  ``k`` starts at 0, one substep per record interval, and is
+    carried from one interval to the next.  Substeps never fall below
+    ``dt * 2**LADDER_FLOOR``: there an over-tolerance substep is accepted and
+    a blow-up raises.
     """
-    if nonlinearity == "quadratic":
-        power = 2
-    elif nonlinearity == "cubic":
-        power = 3
-    else:
-        raise ValueError(f"unknown nonlinearity {nonlinearity!r}")
-    t = np.asarray(series.times, dtype=float)
-    y = np.asarray(series.y, dtype=float)
-    if t.size < 10:
-        raise InsufficientData(
-            f"{t.size} amplitude samples; at least 10 needed for a fit"
-        )
-    dydt = np.gradient(y, t)
-    design = np.column_stack([y, y**power])
-    coef, *_ = np.linalg.lstsq(design, dydt, rcond=None)
-    residual = dydt - design @ coef
-    ss_res = float(residual @ residual)
-    centered = dydt - dydt.mean()
-    ss_tot = float(centered @ centered)
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return AmplitudeFit(
-        sigma=float(coef[0]),
-        coefficient=float(coef[1]),
-        r_squared=r_squared,
-        poor_fit=r_squared < 0.99,
-        nonlinearity=nonlinearity,
+    stepper = Stepper(p, grid, dt)
+    mode = critical_mode(p, grid)
+    h = stepper.dt
+    n_left, short_last = _fixed_steps(t_end - initial.t, h)
+    u, t = initial.u.copy(), initial.t
+    times, ys = [t], [mode.amplitude(u)]
+    accepted = rejected = done = 0
+    sizes: set[float] = set()
+    k, k_low, dropped = 0, 0, False
+    while done < n_left:
+        m = min(record_every, n_left - done)
+        done += m
+        if short_last and done == n_left:
+            end = t_end
+            length = t_end - t
+        else:
+            end = initial.t + done * h
+            length = m * h
+        k_top = m.bit_length() - 1 - LADDER_FLOOR
+        k = min(max(k, k_low), k_top)
+        i = 0  # substeps of length / 2**k taken in this interval
+        with np.errstate(over="ignore", invalid="ignore"):
+            while i < 1 << k:
+                hs = math.ldexp(length, -k)
+                u_new, error = stepper.ark_step(u, hs)
+                scale = float(np.abs(u_new).max())
+                estimate = float(np.abs(error).max())
+                if not math.isfinite(scale):
+                    if k == k_top:
+                        raise StepUnstable(
+                            f"non-finite field values in the step from t = {t + i * hs}",
+                            last_state=FieldState(t=t + i * hs, u=u),
+                        )
+                elif estimate <= ARK_TOL * scale or k == k_top:
+                    u, i = u_new, i + 1
+                    accepted += 1
+                    sizes.add(hs)
+                    if 8.0 * estimate <= ARK_TOL * scale and k > k_low and i % 2 == 0:
+                        k, i, dropped = k - 1, i // 2, True
+                    continue
+                rejected += 1
+                if dropped:
+                    k_low, dropped = k + 1, False
+                k, i = k + 1, 2 * i
+        t = end
+        times.append(t)
+        ys.append(mode.amplitude(u))
+    return SimulationResult(
+        final_state=FieldState(t=t, u=u),
+        series=AmplitudeSeries(times=np.array(times), y=np.array(ys)),
+        saturated=False,
+        steps=accepted,
+        rejected=rejected,
+        dt_range=(min(sizes), max(sizes)) if sizes else (math.nan, math.nan),
+        residual=float(np.abs(stepper.residual(u)).max()),
     )

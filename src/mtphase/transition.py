@@ -34,7 +34,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    ComplexCrossing,
     DegenerateCoefficient,
     OutOfTheory,
     Resonance,
@@ -55,12 +54,10 @@ __all__ = [
     "TransitionType",
     "QuadraticCoefficient",
     "TransitionReport",
-    "PredictedState",
     "quadratic_coefficient",
     "transition_number",
     "transition_number_simplified",
     "classify_transition",
-    "predicted_state",
 ]
 
 #: interaction eigenvalues closer to zero than this cannot be slaved reliably
@@ -73,8 +70,6 @@ QUADRATIC_FLOOR = 1e-12
 
 _INTERACTION_MODE = 2
 _BIORTH_RTOL = 1e-12
-#: tolerated imaginary part of the leading eigenvalue in state predictions
-SIGMA_IMAG_BAND = 1e-8
 
 
 class TransitionType(str, Enum):
@@ -151,23 +146,6 @@ class TransitionReport:
             return ()
         y = float(np.sqrt(radicand))
         return (y, -y)
-
-
-@dataclass(frozen=True)
-class PredictedState:
-    """Leading-order bifurcated fields on a spatial grid.
-
-    ``fields[k]`` is the (3, len(x)) profile of branch ``k``; the prediction
-    carries an uncontrolled correction that vanishes faster than the
-    amplitude itself as the threshold is approached, which is what
-    ``accuracy_note`` records.
-    """
-
-    x: np.ndarray
-    fields: np.ndarray
-    amplitudes: tuple[float, ...]
-    sigma11: float
-    accuracy_note: str
 
 
 def _params_of(tp: ThresholdPoint | ModelParams) -> ModelParams:
@@ -419,64 +397,3 @@ def classify_transition(tp: ThresholdPoint | ModelParams) -> TransitionReport:
         transition_number=value,
     )
 
-
-_ACCURACY_NOTE = (
-    "leading-order prediction: the true state differs by a correction that "
-    "vanishes faster than the branch amplitude as the threshold is approached"
-)
-
-
-def predicted_state(
-    report: TransitionReport, p_near: ModelParams, x: np.ndarray
-) -> PredictedState:
-    """Evaluate the predicted asymptotic field(s) near the threshold.
-
-    The attracting branch states are ``y * omega * e1(x)`` with the branch
-    amplitudes from :meth:`TransitionReport.branch_amplitudes` at the leading
-    eigenvalue of ``p_near`` — one branch for Dirichlet, the symmetric pair
-    for Neumann type I (exact negatives of each other).
-
-    Raises
-    ------
-    OutOfTheory
-        For type II / type III reports: their branches are not attractors,
-        so no asymptotic state prediction exists at this order.
-    ComplexCrossing
-        If the leading eigenvalue of ``p_near`` is not real.
-    ValidationError
-        If ``p_near`` has a different boundary condition than the report.
-    """
-    if p_near.bc is not report.bc:
-        raise ValidationError(
-            "bc",
-            f"report is for {report.bc.value!r} but parameters use "
-            f"{p_near.bc.value!r}",
-        )
-    if report.transition_type in (TransitionType.TYPE_II, TransitionType.TYPE_III):
-        raise OutOfTheory(
-            f"{report.transition_type.value} transitions have no attracting "
-            "branch at this order; asymptotic state prediction unavailable"
-        )
-    sigma11 = principal_eigenvalue(p_near)
-    if abs(sigma11.imag) > SIGMA_IMAG_BAND:
-        raise ComplexCrossing(
-            f"leading eigenvalue near the threshold is complex: {sigma11!r}"
-        )
-    amplitudes = report.branch_amplitudes(sigma11.real)
-    x = np.asarray(x, dtype=float)
-    e1 = laplacian_mode(p_near, 1).evaluate(x)
-    fields = np.array([y * report.omega[:, None] * e1[None, :] for y in amplitudes])
-    fields = fields.reshape(len(amplitudes), 3, x.size)
-    note = _ACCURACY_NOTE
-    if not amplitudes:
-        note = (
-            "below the threshold the trivial state is the attractor; "
-            "no bifurcated branch exists on this side"
-        )
-    return PredictedState(
-        x=x,
-        fields=fields,
-        amplitudes=amplitudes,
-        sigma11=float(sigma11.real),
-        accuracy_note=note,
-    )

@@ -1,36 +1,58 @@
-"""Grid, discrete Laplacian, IMEX stepper, and amplitude-fit checks."""
+"""Grid, discrete Laplacian, IMEX steppers and the paths of ``simulate``."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from mtphase import (
     LADDER_FLOOR,
-    AmplitudeSeries,
     BoundaryCondition,
     FieldState,
     GridTooCoarse,
     ModelParams,
     StepUnstable,
     Stepper,
+    classify_transition,
     critical_mode,
     dt_max,
-    fit_amplitude_dynamics,
+    find_threshold,
     initial_state,
     laplacian_apply,
     laplacian_mode,
     linearization_matrix,
     make_grid,
     mode_spectra,
+    parse_config,
     principal_mode_vectors,
     quadratic_nonlinearity,
     reaction_rhs,
     simulate,
     steady_state,
 )
-from mtphase.verification import _newton_steady_state
+from mtphase import simulator
+from mtphase.simulator import (
+    ARK_B,
+    ARK_B_HAT,
+    ARK_EXPLICIT,
+    ARK_GAMMA,
+    ARK_IMPLICIT,
+)
+from mtphase.verification import (
+    _jump_ray,
+    _newton_steady_state,
+    _rhs_jacobian,
+    _solve_sigma,
+    _unfolding_bracket,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -367,21 +389,6 @@ def test_simulation_saturates_to_positive_branch(unstable_params):
     assert result.final_state.t <= 3000.0
 
 
-def test_fit_amplitude_dynamics_recovers_synthetic_quadratic():
-    # dy/dt = sigma y + a y^2 has closed-form solution
-    # y(t) = sigma y0 e^{sigma t} / (sigma + a y0 (1 - e^{sigma t})).
-    sigma_true, a_true, y0 = 0.08, -0.3, 1e-3
-    t = np.linspace(0.0, 60.0, 400)
-    e = np.exp(sigma_true * t)
-    y = sigma_true * y0 * e / (sigma_true + a_true * y0 * (1.0 - e))
-    fit = fit_amplitude_dynamics(
-        AmplitudeSeries(times=t, y=y), nonlinearity="quadratic"
-    )
-    assert not fit.poor_fit
-    assert fit.sigma == pytest.approx(sigma_true, rel=1e-3)
-    assert fit.coefficient == pytest.approx(a_true, rel=2e-2)
-
-
 def test_simulate_records_final_time(unstable_params):
     p = unstable_params
     g = make_grid(p, 32)
@@ -538,3 +545,237 @@ def test_fixed_path_equals_chained_step_array(unstable_params, bc):
     assert result.steps == 34 and result.rejected == 0
     assert result.dt_range == (t_end - 33 * dt, dt)
     assert result.residual == float(np.abs(stepper.residual(u)).max())
+
+
+# ---------------------------------------------------------------------------
+# error-controlled path of dt = auto runs: ARK3(2)4L[2]SA
+
+
+def _ark_tableau():
+    """Full stage matrices, weights and row sums as exact rationals."""
+    def square(rows, diagonal):
+        return [list(row) + [diagonal[i]] + [Fraction(0)] * (3 - i) for i, row in enumerate(rows)]
+
+    explicit = square(ARK_EXPLICIT, [Fraction(0)] * 4)
+    implicit = square(ARK_IMPLICIT, [Fraction(0)] + [ARK_GAMMA] * 3)
+    return explicit, implicit
+
+
+def test_ark_tableau_satisfies_the_order_conditions():
+    # The published rationals satisfy these to about 1e-26, not exactly.
+    explicit, implicit = _ark_tableau()
+    b, b_hat = ARK_B, ARK_B_HAT
+    c_e = [sum(row) for row in explicit]
+    c_i = [sum(row) for row in implicit]
+    tol = Fraction(1, 10**20)
+
+    def close(value, target):
+        return abs(value - target) <= tol
+
+    assert [float(c) for c in c_e] == pytest.approx([0.0, 2 * float(ARK_GAMMA), 0.6, 1.0])
+    assert all(close(ce, ci) for ce, ci in zip(c_e, c_i))
+    assert implicit[0] == [0, 0, 0, 0] and all(implicit[i][i] == ARK_GAMMA for i in (1, 2, 3))
+    assert implicit[3] == list(b)  # stiffly accurate
+    c = c_e
+    for weights, order in ((b, 3), (b_hat, 2)):
+        assert close(sum(weights), 1)
+        assert close(sum(w * ci for w, ci in zip(weights, c)), Fraction(1, 2))
+        if order == 3:
+            assert close(sum(w * ci**2 for w, ci in zip(weights, c)), Fraction(1, 3))
+            # explicit, implicit and both coupling conditions b A c = 1/6
+            for a in (explicit, implicit):
+                for cc in (c_e, c_i):
+                    value = sum(b[i] * a[i][j] * cc[j] for i in range(4) for j in range(4))
+                    assert close(value, Fraction(1, 6))
+    assert not close(sum(w * ci**2 for w, ci in zip(b_hat, c)), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_ark_step_solves_the_stage_equations(generic_rates, bc):
+    # Stages (I - gamma h K) U_i = u + h sum_j (a_e[i][j] R(U_j) + a_i[i][j] K U_j),
+    # new state u + h sum_i b_i (R(U_i) + K U_i) (projected on Neumann), error
+    # h sum_i (b_i - b_hat_i)(R(U_i) + K U_i); dense solves, K = diag(d) (x) L.
+    p = ModelParams(bc=bc, **generic_rates)
+    N = 32
+    g = make_grid(p, N)
+    h = 4.0 * dt_max(p, g)
+    u = _project(0.3 * np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, N)), p)
+    K = np.kron(np.diag(p.diffusion), _dense_laplacian(g))
+    gamma = float(ARK_GAMMA)
+    explicit, implicit = ([[float(a) for a in row] for row in m] for m in _ark_tableau())
+
+    def R(v):
+        return _project(_dense_terms(p, g, v.reshape(3, N))[1], p).reshape(-1)
+
+    stages = [u.reshape(-1)]
+    for i in (1, 2, 3):
+        rhs = stages[0] + h * sum(
+            explicit[i][j] * R(stages[j]) + implicit[i][j] * (K @ stages[j]) for j in range(i)
+        )
+        stages.append(np.linalg.solve(np.eye(3 * N) - gamma * h * K, rhs))
+    slopes = [R(v) + K @ v for v in stages]
+    new = stages[0] + h * sum(float(w) * k for w, k in zip(ARK_B, slopes))
+    error = h * sum(float(w - wh) * k for w, wh, k in zip(ARK_B, ARK_B_HAT, slopes))
+    got_new, got_error = Stepper(p, g, dt_max(p, g)).ark_step(u, h)
+    scale = np.abs(u).max()
+    assert np.abs(got_new - _project(new.reshape(3, N), p)).max() <= 1e-12 * scale
+    assert np.abs(got_error - error).max() <= 1e-12 * scale
+    assert np.abs(error).max() > 1e-8 * scale  # the estimate is not trivially zero
+
+
+def _branch_steady_state(bc):
+    """A nontrivial semi-discrete steady state, solved by Newton at N = 64.
+
+    Dirichlet: the saturated branch of the README example.  Zero-average
+    Neumann: a repeller of criterion 8's jump point, where sigma_11 = -0.01.
+    """
+    if bc == "dirichlet":
+        p = find_threshold(parse_config(CONFIGS / "canonical.ini").ray()).lambda0.replace(k7=2.2)
+        y = 0.42
+    else:
+        ray = _jump_ray()
+        tp = find_threshold(ray)
+        p = _solve_sigma(ray.at, -0.01, _unfolding_bracket(ray, tp.ray_coord, -0.01))
+        y = classify_transition(tp).branch_amplitudes(-0.01)[0]
+    g = make_grid(p, 64)
+    return p, g, _newton_steady_state(p, g, y)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_ark_step_fixed_points_are_semi_discrete_steady_states(bc):
+    # Equal explicit and implicit row sums make a steady state a fixed point
+    # of the ARK step at every step size, to criterion 8's stepper bound.
+    p, g, u = _branch_steady_state(bc)
+    scale = np.abs(u).max()
+    stepper = Stepper(p, g, dt_max(p, g))
+    assert np.abs(stepper.residual(u)).max() <= 1e-12 * scale
+    for h in (dt_max(p, g), 16.0 * dt_max(p, g)):
+        u_next, error = stepper.ark_step(u, h)
+        assert np.abs(u_next - u).max() <= 1e-12 * scale
+        assert np.abs(error).max() <= 1e-12 * scale
+
+
+def _shipped(name):
+    config = parse_config(CONFIGS / f"{name}.ini")
+    p, sc = config.params, config.simulate
+    g = make_grid(p, sc.N)
+    ic = initial_state(p, g, kind=sc.ic_kind, amplitude=sc.ic_amplitude, seed=sc.seed)
+    return p, g, ic, sc
+
+
+def _radau(p, g, ic, times):
+    """Criterion 11's temporal reference at ``times``: Radau, rtol 1e-10, atol 1e-13."""
+    shape = ic.u.shape
+    rhs = Stepper(p, g, dt_max(p, g)).residual
+    sol = solve_ivp(
+        lambda t, y: rhs(y.reshape(shape)).reshape(-1), (times[0], times[-1]),
+        ic.u.reshape(-1), method="Radau", rtol=1e-10, atol=1e-13, t_eval=times,
+        jac=lambda t, y: _rhs_jacobian(p, g, y.reshape(shape)),
+    )
+    assert sol.success
+    return sol.y.T.reshape(len(times), *shape)
+
+
+@pytest.mark.parametrize("name", ["canonical", "neumann-jump"])
+def test_auto_dt_is_error_controlled_on_the_fixed_path_times(name, monkeypatch):
+    # dt = auto takes the error-controlled path: recorded at the times of
+    # the fixed path with the default step, bit for bit, in fewer steps, and
+    # against the Radau reference no worse than that path at any record.
+    p, g, ic, sc = _shipped(name)
+    dt = 0.5 * dt_max(p, g)
+    fixed = simulate(p, g, ic, t_end=sc.T, dt=dt, record_every=sc.record_every)
+    sizes = []
+    ark_step = Stepper.ark_step
+
+    def spy(self, u, h):
+        sizes.append(h)
+        return ark_step(self, u, h)
+
+    monkeypatch.setattr(Stepper, "ark_step", spy)
+    auto = simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
+    assert np.array_equal(auto.series.times, fixed.series.times)
+    assert auto.final_state.t == fixed.final_state.t
+
+    assert auto.steps + auto.rejected == len(sizes)
+    assert auto.steps < fixed.steps / 2
+    assert auto.dt_range[1] == sc.record_every * dt
+    assert auto.dt_range[0] in sizes and auto.dt_range[0] >= dt * 2.0**LADDER_FLOOR
+    assert not auto.saturated
+    assert auto.residual == float(np.abs(Stepper(p, g, dt).residual(auto.final_state.u)).max())
+
+    ref = _radau(p, g, ic, fixed.series.times)
+    mode = critical_mode(p, g)
+    y_ref = np.array([mode.amplitude(v) for v in ref])
+
+    def y_error(result):
+        return np.abs(result.series.y - y_ref).max() / np.abs(y_ref).max()
+
+    assert y_error(auto) <= y_error(fixed)
+    assert np.abs(auto.final_state.u - ref[-1]).max() <= 1e-5 * np.abs(ref[-1]).max()
+
+
+@pytest.mark.parametrize("dt", [None, 0.01])
+def test_simulate_rejects_a_record_interval_below_one_step(unstable_params, dt):
+    g = make_grid(unstable_params, 16)
+    ic = initial_state(unstable_params, g, kind="zero")
+    with pytest.raises(ValueError, match="record_every"):
+        simulate(unstable_params, g, ic, t_end=1.0, dt=dt, record_every=0)
+
+
+def test_auto_dt_refines_long_record_intervals_by_rejection():
+    # record_every = 1000 makes the record interval about 3 on neumann-jump,
+    # ten times the explicit stability limit of the ARK step there: the run
+    # finds its substep by rejection, without StepUnstable, and stays on the
+    # zero-mean subspace.
+    p, g, ic, sc = _shipped("neumann-jump")
+    result = simulate(p, g, ic, t_end=sc.T, record_every=1000)
+    dt = 0.5 * dt_max(p, g)
+    assert result.rejected >= 1
+    assert result.dt_range[1] < 0.1 * 1000 * dt
+    assert result.final_state.t == sc.T and np.all(np.isfinite(result.final_state.u))
+    assert np.abs(result.final_state.u.mean(axis=1)).max() <= 1e-12
+
+
+def test_auto_dt_blow_up_leaks_no_overflow_warning():
+    # Far above neumann-jump's repeller the fields blow up in finite time
+    # (criterion 9's jump): the substeps shrink to the floor, where the
+    # overflow raises StepUnstable with a finite last state.  The overflow
+    # warnings stay inside the run (conftest turns a warning into an error).
+    p, g, _, sc = _shipped("neumann-jump")
+    ic = initial_state(p, g, kind="aligned", amplitude=1.0)
+    with pytest.raises(StepUnstable) as excinfo:
+        simulate(p, g, ic, t_end=sc.T, record_every=10**6)
+    last = excinfo.value.last_state
+    assert 0.0 < last.t < sc.T and np.all(np.isfinite(last.u))
+    assert np.abs(last.u).max() > 100.0
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_auto_dt_blow_up_raises_at_the_smallest_substep(unstable_params, bc, monkeypatch):
+    p = unstable_params.replace(bc=bc)
+    g = make_grid(p, 32)
+    dt = 0.5 * dt_max(p, g)
+    sizes, good = [], []
+    ark_step = Stepper.ark_step
+
+    def blows_up_after_five(self, u, h):
+        sizes.append(h)
+        new, error = ark_step(self, u, h)
+        if len(sizes) > 5:
+            return np.full_like(new, np.inf), error
+        good.append(new)
+        return new, error
+
+    monkeypatch.setattr(Stepper, "ark_step", blows_up_after_five)
+    monkeypatch.setattr(simulator, "ARK_TOL", math.inf)  # only a blow-up rejects
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    with pytest.raises(StepUnstable) as excinfo:
+        simulate(p, g, ic, t_end=5.0, record_every=10)
+    # five substeps of one record interval each, then halving down to the floor
+    floor = math.ldexp(10 * dt, -(3 - LADDER_FLOOR))
+    assert sizes[:5] == [10 * dt] * 5
+    assert sizes[5:] == [math.ldexp(10 * dt, -k) for k in range(0, 4 - LADDER_FLOOR)]
+    assert floor >= dt * 2.0**LADDER_FLOOR
+    last = excinfo.value.last_state
+    assert last is not None and np.array_equal(last.u, good[-1])
+    assert last.t == 50 * dt

@@ -21,7 +21,6 @@ from mtphase import (
     laplacian_eigenvalue,
     mode_spectra,
     parse_config,
-    predicted_state,
     principal_mode_vectors,
     quadratic_coefficient,
     quadratic_nonlinearity,
@@ -225,19 +224,3 @@ def test_pairing_guard_rejects_near_orthogonal_pair():
     with pytest.raises(Resonance, match="test pair is near-defective"):
         _biorth(omega, omega_star, "test pair")
     assert _biorth(omega, omega, "test pair") == 5.0
-
-
-def test_predicted_state_profiles(canonical_threshold):
-    report = classify_transition(canonical_threshold)
-    p_near = canonical_threshold.lambda0.replace(
-        d1=0.99 * canonical_threshold.lambda0.d1,
-        d2=0.99 * canonical_threshold.lambda0.d2,
-        d3=0.99 * canonical_threshold.lambda0.d3,
-    )
-    x = np.linspace(0.0, p_near.ell, 41)
-    state = predicted_state(report, p_near, x)
-    assert state.fields.shape == (len(state.amplitudes), 3, len(x))
-    assert state.sigma11 > 0.0
-    # Dirichlet profiles vanish at both ends.
-    assert np.abs(state.fields[:, :, 0]).max() <= 1e-12
-    assert np.abs(state.fields[:, :, -1]).max() <= 1e-12
