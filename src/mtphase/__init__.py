@@ -56,7 +56,6 @@ from .spectral import (
     adjoint_eigenvector,
     char_poly_coeffs,
     companion_roots,
-    cubic_roots,
     eigenvector,
     laplacian_eigenvalue,
     laplacian_mode,
@@ -201,7 +200,6 @@ __all__ = [
     "char_poly_coeffs",
     "solve_spectrum",
     "companion_roots",
-    "cubic_roots",
     "eigenvector",
     "adjoint_eigenvector",
     "mode_spectra",

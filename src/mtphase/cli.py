@@ -138,11 +138,17 @@ _ARTIFACT_RUNNERS = {
 }
 
 
+def _seed(args: argparse.Namespace) -> int | None:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def _cmd_artifacts(args: argparse.Namespace) -> int:
+    options = {"seed": _seed(args)} if args.command == "simulate" else {}
     config = _load_config(args)
     out = _out_dir(args, config)
     run = getattr(artifacts, _ARTIFACT_RUNNERS[args.command])
-    options = {"seed": args.seed} if args.command == "simulate" else {}
     return _finish(out, config, run(config, out, **options))
 
 
@@ -160,14 +166,18 @@ def _parse_only(text: str | None) -> list[int] | None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    seed = _seed(args)
     config = _load_config(args)
     # The reproducibility criterion replays the full artifact pipeline, so the
     # configuration must define both a ray and a sweep plane; fail fast here.
     config.ray()
     config.plane()
     out = _out_dir(args, config)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    results = run_all(seed=seed, config=config, only=_parse_only(args.only))
+    results = run_all(
+        seed=DEFAULT_SEED if seed is None else seed,
+        config=config,
+        only=_parse_only(args.only),
+    )
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"criterion {r.index:2d} {status} {r.name}: {r.detail} [{r.seconds:.2f} s]")

@@ -13,16 +13,18 @@ Sections and keys
     ``ell`` (required, positive domain length) and ``bc`` (``dirichlet`` or
     ``neumann-zero-average``; default ``dirichlet``).
 ``[analysis]``
-    ``M_max`` (default 50), ``tol`` (default 1e-10), and an optional ray:
-    ``ray`` (axis spec) with ``bracket`` (``lo,hi``).
+    ``M_max`` (at least 1, default 50), ``tol`` (the relative tolerance of
+    the threshold root finder: at least ``4*eps``, about 8.9e-16, the
+    smallest that Brent's method accepts; default 1e-10), and an optional
+    ray: ``ray`` (axis spec) with ``bracket`` (``lo,hi``).
 ``[simulate]``
-    ``N`` (default 256), ``dt`` (a positive fixed step, or ``auto``, the
-    default: third-order IMEX Runge-Kutta steps under the error tolerance
-    ``simulator.ARK_TOL``, recorded every ``record_every`` steps of half the
-    stability limit), ``T`` (default 100),
-    ``ic`` (``zero``, ``random[:amplitude]`` or ``aligned[:amplitude]``;
-    default ``random:0.0001``), ``seed`` (default 0), ``record_every``
-    (default 10).
+    ``N`` (positive, default 256), ``dt`` (a positive fixed step, or
+    ``auto``, the default: third-order IMEX Runge-Kutta steps under the
+    error tolerance ``simulator.ARK_TOL``, recorded every ``record_every``
+    steps of half the stability limit), ``T`` (positive end time, default
+    100), ``ic`` (``zero``, ``random[:amplitude]`` or
+    ``aligned[:amplitude]``; default ``random:0.0001``), ``seed``
+    (non-negative, default 0), ``record_every`` (positive, default 10).
 ``[sweep]``
     ``axis1``/``range1``, ``axis2``/``range2`` (axis specs with ``lo,hi``
     ranges) and ``resolution`` (``n1,n2``).  Optional section; required by
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, UnknownKey, ValidationError
 from .model import BoundaryCondition, ModelParams, validate_params
-from .threshold import ParameterPlane, ParameterRay
+from .threshold import _BRENT_RTOL, ParameterPlane, ParameterRay
 
 __all__ = [
     "AnalysisConfig",
@@ -353,6 +355,16 @@ def parse_config_text(text: str) -> RunConfig:
                 else None
             ),
         )
+        if analysis.M_max < 1:
+            raise ValidationError(
+                "M_max", f"[analysis] M_max must be at least 1, got {analysis.M_max}"
+            )
+        if analysis.tol < _BRENT_RTOL:
+            raise ValidationError(
+                "tol",
+                f"[analysis] tol must be at least {_BRENT_RTOL!r}, the smallest "
+                f"relative tolerance of Brent's method, got {analysis.tol!r}",
+            )
 
     simulate = SimulateConfig()
     if "simulate" in sections:
@@ -380,6 +392,12 @@ def parse_config_text(text: str) -> RunConfig:
             raise ValidationError(
                 "record_every",
                 f"[simulate] record_every must be positive, got {simulate.record_every}",
+            )
+        if simulate.T <= 0.0:
+            raise ValidationError("T", f"[simulate] T must be positive, got {simulate.T!r}")
+        if simulate.seed < 0:
+            raise ValidationError(
+                "seed", f"[simulate] seed must be non-negative, got {simulate.seed}"
             )
 
     sweep = None

@@ -51,35 +51,9 @@ them: about 30 per step, 40 with the mean projection, where it made about
 - each half-step: one ``pbtrs`` solve of the stacked band.  A non-finite
   value anywhere in the step reaches the new state, which is checked once.
 
-Measured on 2 shared cores (Python 3.11.7, NumPy 2.4.6, SciPy 1.17.1, one
-BLAS thread), before and after this layout (medians; README "Performance"
-has the method):
-
-=============================================  ======  ======
-measurement                                    before  after
-=============================================  ======  ======
-step, Dirichlet N = 64 / 512 (µs)              95/200  50/108
-step, zero-average Neumann N = 64 (µs)         125     66
-``mtphase simulate`` on neumann-jump.ini (s)   1.96    1.15
-saturation run of the README example (s)       0.229   0.153
-tier-1 test run (s)                            26.8    22.1
-=============================================  ======  ======
-
-``mtphase simulate`` with ``dt = auto``, fixed steps before and the
-error-controlled path after (substeps accepted + rejected; error of the
-final state against a Radau reference at rtol 1e-10, relative to its max
-norm; ``transient_s`` is the benchmark's median of 10 alternating pairs):
-
-==============================================  ============  ===========
-measurement                                     fixed         ``auto``
-==============================================  ============  ===========
-steps on neumann-jump.ini                       16,396        1,640 + 0
-final-state error on neumann-jump.ini           1.6e-7        8.6e-10
-steps on canonical.ini                          400           137 + 8
-final-state error on canonical.ini              8.0e-7        3.0e-6
-one step, zero-average Neumann N = 64 (µs)      42-47         73-80
-``transient_s`` on the saturation workload (s)  1.23          0.25
-==============================================  ============  ===========
+README "Performance" has the measured cost of both steps and of
+``mtphase simulate`` before and after this layout and the ``dt = auto``
+path.
 
 ``import mtphase`` loads NumPy and no SciPy module.  ``scipy.linalg`` is
 imported when the first :class:`Stepper` is built, which fetches

@@ -37,7 +37,6 @@ __all__ = [
     "char_poly_coeffs",
     "solve_spectrum",
     "companion_roots",
-    "cubic_roots",
     "eigenvector",
     "adjoint_eigenvector",
     "mode_spectra",
@@ -184,8 +183,10 @@ def solve_spectrum(Emat: np.ndarray) -> np.ndarray:
 def companion_roots(p2: float, p1: float, p0: float) -> np.ndarray:
     """Roots of ``x^3 + p2 x^2 + p1 x + p0`` via the companion matrix.
 
-    Independent oracle path used to cross-check :func:`cubic_roots`
-    (``numpy.linalg.eigvals`` balances the companion before QR).
+    The oracle of :func:`solve_spectrum`: it sees a block only through the
+    coefficients of :func:`char_poly_coeffs`, never the block itself
+    (``numpy.linalg.eigvals`` balances the companion before QR).  Same
+    ordering convention as :func:`solve_spectrum`.
     """
     companion = np.array(
         [
@@ -195,82 +196,6 @@ def companion_roots(p2: float, p1: float, p0: float) -> np.ndarray:
         ]
     )
     return _sorted_eigs(np.linalg.eigvals(companion))
-
-
-def cubic_roots(p2: float, p1: float, p0: float) -> np.ndarray:
-    """Roots of ``x^3 + p2 x^2 + p1 x + p0`` from the closed form
-    (trigonometric / Cardano), same ordering convention as
-    :func:`solve_spectrum`.
-
-    Serves as an independent cross-check of the companion-matrix path.
-    Only the isolated real root of the closed form is kept: Newton steps
-    that reduce ``|f|`` tighten it to full precision, and the other two
-    roots come from the deflated quadratic, solved without cancellation.
-    A near-double pair is thus resolved to its true spacing, which the
-    closed form (error ~ sqrt(eps) there) cannot do.
-    """
-    # depressed cubic t^3 + p t + q with x = t - p2/3
-    shift = p2 / 3.0
-    p = p1 - p2 * p2 / 3.0
-    q = 2.0 * p2**3 / 27.0 - p2 * p1 / 3.0 + p0
-    disc = -4.0 * p**3 - 27.0 * q * q
-    if disc > 0.0:
-        # three distinct real roots: trigonometric form (p < 0 here)
-        r = np.sqrt(-p / 3.0)
-        theta = np.arccos(np.clip(3.0 * q / (2.0 * p * r), -1.0, 1.0))
-        t = 2.0 * r * np.cos((theta - 2.0 * np.pi * np.arange(3)) / 3.0)
-        # the extreme root sits at an extremum of cos: insensitive to theta
-        isolated = float(t[np.argmax(np.abs(t))]) - shift
-    elif p == 0.0 and q == 0.0:
-        return np.full(3, -shift + 0.0j)
-    else:
-        # one real root: Cardano with a cancellation-free cube root choice;
-        # u + v is stationary where u = v, so it stays accurate
-        s = np.sqrt(max(q * q / 4.0 + p**3 / 27.0, 0.0))
-        u = np.cbrt(-q / 2.0 - s) if q >= 0.0 else np.cbrt(-q / 2.0 + s)
-        v = -p / (3.0 * u) if u != 0.0 else 0.0
-        isolated = float(u + v) - shift
-    roots = _deflated_roots(p2, p1, p0, isolated)
-    roots = np.where(np.abs(roots.imag) == 0.0, roots.real + 0.0j, roots)
-    return _sorted_eigs(roots)
-
-
-def _deflated_roots(p2: float, p1: float, p0: float, x: float) -> np.ndarray:
-    """Roots of the monic cubic from an estimate ``x`` of a simple real root.
-
-    Newton steps are accepted only while they reduce ``|f|``.  The cubic is
-    then deflated to ``y^2 + b1 y + c2`` by synthetic division, or from the
-    constant term when that is the better-conditioned side (Kahan, "To
-    solve a real cubic equation", 1986).
-    """
-
-    def horner(x):
-        b1 = x + p2
-        c2 = b1 * x + p1
-        return c2 * x + p0, (x + b1) * x + c2, b1, c2
-
-    f, df, b1, c2 = horner(x)
-    for _ in range(8):
-        if f == 0.0 or df == 0.0:
-            break
-        x_new = x - f / df
-        f_new, df_new, b1_new, c2_new = horner(x_new)
-        if not abs(f_new) < abs(f):
-            break
-        x, f, df, b1, c2 = x_new, f_new, df_new, b1_new, c2_new
-    if x != 0.0 and x * x > abs(p0 / x):
-        c2 = -p0 / x
-        b1 = (c2 - p1) / x
-    half = -b1 / 2.0
-    disc = half * half - c2
-    if disc < 0.0:
-        imag = np.sqrt(-disc)
-        pair = [complex(half, -imag), complex(half, imag)]
-    else:
-        y1 = half + np.copysign(np.sqrt(disc), half)
-        y2 = c2 / y1 if y1 != 0.0 else 0.0
-        pair = [complex(y1), complex(y2)]
-    return np.array([complex(x)] + pair)
 
 
 def _shorthands(p: ModelParams, rho: float, sigma: complex):

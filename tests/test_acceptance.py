@@ -52,6 +52,16 @@ def test_criterion_02_spectral_solvers_vs_oracle():
     _run(2)
 
 
+def test_criterion_02_checks_the_solver_in_use(monkeypatch):
+    # a relative error of 1e-9 that mode_spectra's Newton polish would remove
+    solve = verification.solve_spectrum
+    monkeypatch.setattr(
+        verification, "solve_spectrum", lambda emat: solve(emat) * (1.0 + 1e-9)
+    )
+    passed, detail = verification.criterion_2_spectral()
+    assert not passed, detail
+
+
 def test_criterion_03_mode_matrix_scaling_identity():
     _run(3)
 

@@ -143,6 +143,13 @@ def test_threshold_artifact_schema(config_path, tmp_path):
     }
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_seed_is_config_error(command, config_path, tmp_path, capsys):
+    rc = main([command, "--config", config_path, "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_simulate_seed_determinism(config_path, tmp_path):
     out1, out2, out3 = (str(tmp_path / n) for n in ("a", "b", "c"))
     assert main(["simulate", "--config", config_path, "--out", out1, "--seed", "9"]) == 0

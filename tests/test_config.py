@@ -331,3 +331,22 @@ def test_empty_values_rejected(old, new, key):
     with pytest.raises(ValidationError) as excinfo:
         parse_config_text(FULL.replace(old, new))
     assert excinfo.value.field == key
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("M_max = 20", "M_max = 0", "M_max"),
+        ("tol = 1e-9", "tol = 0", "tol"),
+        ("tol = 1e-9", "tol = -1e-10", "tol"),
+        ("seed = 3", "seed = -1", "seed"),
+        ("T = 12.5", "T = -5.0", "T"),
+    ],
+)
+def test_out_of_range_values_rejected(old, new, key):
+    # Before, M_max = 0, a tol below Brent's smallest and seed = -1 failed
+    # later as internal errors, and a negative T ran with one recorded row.
+    assert old in FULL
+    with pytest.raises(ValidationError) as excinfo:
+        parse_config_text(FULL.replace(old, new))
+    assert excinfo.value.field == key

@@ -1,12 +1,9 @@
-"""Mode matrices, closed-form cubic solver, and eigenvector formulas."""
+"""Mode matrices, the spectral solver, and eigenvector formulas."""
 
 from __future__ import annotations
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from mtphase import (
     MTPhaseError,
@@ -15,7 +12,6 @@ from mtphase import (
     adjoint_eigenvector,
     char_poly_coeffs,
     companion_roots,
-    cubic_roots,
     eigenvector,
     find_threshold,
     laplacian_eigenvalue,
@@ -59,60 +55,34 @@ def test_mode_matrix_is_jacobian_minus_mode_diffusion(canonical_params):
     assert np.allclose(mode_matrix(p, rho), expected, rtol=0, atol=0)
 
 
-def _reference_cubic_roots(p2, p1, p0):
-    """Roots of ``x^3 + p2 x^2 + p1 x + p0`` from mpmath at 60 digits.
-
-    Unlike ``np.roots``, which is off by about 1e-8 at double roots, this
-    stays accurate at multiple roots; the extra working precision lets the
-    Durand-Kerner iteration converge on a triple root.
-    """
-    with mpmath.workdps(60):
-        roots = mpmath.polyroots([1, p2, p1, p0], maxsteps=1000, extraprec=600)
-    return [complex(r) for r in roots]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    p2=st.floats(-5.0, 5.0),
-    p1=st.floats(-5.0, 5.0),
-    p0=st.floats(-5.0, 5.0),
-)
-# near-double roots: the closed form alone is off by ~sqrt(eps) there
-@example(p2=5.0, p1=1e-10, p0=0.0)
-@example(p2=1.5, p1=1.8443241103819996e-26, p0=1.8443241103819996e-26)
-# double and near-double roots where np.roots itself is off by ~1e-8
-@example(p2=-1.5, p1=0.0, p0=0.5)
-@example(p2=3.0, p1=7.3e-269, p0=-4.0)
-@example(p2=4.0, p1=4.0, p0=-4.5e-26)
-def test_cubic_roots_match_reference_roots(p2, p1, p0):
-    ours = cubic_roots(p2, p1, p0)
-    reference = _reference_cubic_roots(p2, p1, p0)
-    # Compare as multisets: greedy nearest matching.
-    remaining = list(reference)
-    for r in ours:
-        best = min(remaining, key=lambda z: abs(z - r))
-        assert abs(best - r) <= 1e-8 * max(1.0, abs(best))
-        remaining.remove(best)
-
-
-def test_cubic_roots_known_complex_pair():
-    # (sigma - 2)(sigma^2 + 1): roots 2, +-i.
-    roots = cubic_roots(-2.0, 1.0, -2.0)
-    assert sorted(np.round(roots.real, 12).tolist()) == [0.0, 0.0, 2.0]
-    assert sorted(np.round(roots.imag, 12).tolist()) == [-1.0, 0.0, 1.0]
-
-
-def test_cubic_roots_triple_root():
-    # (sigma + 1)^3
-    roots = cubic_roots(3.0, 3.0, 1.0)
-    assert np.abs(roots + 1.0).max() <= 1e-5
-
-
 def test_companion_oracle_agrees_on_random_coefficients():
+    # the characteristic coefficients of random blocks, as in criterion 2
     rng = np.random.default_rng(23)
     for _ in range(300):
-        p2, p1, p0 = rng.uniform(-4.0, 4.0, 3)
-        assert np.abs(cubic_roots(p2, p1, p0) - companion_roots(p2, p1, p0)).max() <= 1e-10
+        mat = rng.uniform(-4.0, 4.0, (3, 3))
+        oracle = companion_roots(*char_poly_coeffs(mat))
+        assert np.abs(solve_spectrum(mat) - oracle).max() <= 1e-10
+
+
+def _rotated(block):
+    """``block`` under a fixed orthogonal similarity, so no entry is zero."""
+    q, _ = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [-0.3, 1.0, 2.0], [0.7, -1.0, 1.0]]))
+    return q.T @ np.asarray(block, dtype=float) @ q
+
+
+def test_solve_spectrum_known_complex_pair():
+    # (sigma - 2)(sigma^2 + 1): roots 2, -i, +i in that order, the pair exactly conjugate
+    roots = solve_spectrum(_rotated([[2.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]))
+    assert np.abs(roots - np.array([2.0, -1.0j, 1.0j])).max() <= 1e-12
+    assert roots[1] == np.conj(roots[2])
+    assert np.array_equal(np.round(companion_roots(-2.0, 1.0, -2.0), 12), [2.0, -1.0j, 1.0j])
+
+
+def test_solve_spectrum_triple_root():
+    # (sigma + 1)^3, as a Jordan block and as its companion matrix
+    jordan = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]]
+    for block in (_rotated(jordan), [[-3.0, -3.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+        assert np.abs(solve_spectrum(block) + 1.0).max() <= 1e-5
 
 
 def test_solve_spectrum_residuals(random_params_factory):
