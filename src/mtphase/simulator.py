@@ -6,15 +6,20 @@ amplitudes, and jump behavior.  Fields are deviations from the uniform
 steady state, so both boundary-condition variants are homogeneous.  Time
 stepping is IMEX, diffusion implicit and reaction explicit, with one of two
 steps.  :meth:`Stepper.advance` is second order: Crank-Nicolson diffusion
-(the three tridiagonal per-component Cholesky factors are prefactored once
-and stacked into one block-diagonal band, so each half-step is a single
-LAPACK ``pbtrs`` solve) and Heun reaction with a diffusion-consistent
-predictor.  :meth:`Stepper.ark_step` is third order: ARK3(2)4L[2]SA
-(Kennedy & Carpenter, Appl. Numer. Math. 44, 2003), ESDIRK diffusion with
-one stacked band per step size for its three implicit stages, explicit
+and Heun reaction with a diffusion-consistent predictor.
+:meth:`Stepper.ark_step` is third order: ARK3(2)4L[2]SA (Kennedy &
+Carpenter, Appl. Numer. Math. 44, 2003), ESDIRK diffusion, explicit
 reaction, and an embedded second-order solution.  Fixed points of both
 steps are exact steady states of the semi-discrete system for every step
 size, so saturated amplitudes carry spatial discretization error only.
+
+Each implicit solve is one LAPACK ``pbtrs`` call on the three
+per-component tridiagonal systems, stacked into one block-diagonal band of
+``I - c D lap``.  A :class:`Stepper` factors the band of each coefficient
+``c`` once, with one ``cholesky_banded`` call, and keeps it: ``h`` and
+``h/2`` for a step of size ``h``, ``gamma h`` for an ARK step.
+:func:`simulate` builds one :class:`Stepper` per run, so the ladder's rung
+``k`` shares its half band with rung ``k - 1``'s full band.
 
 :func:`simulate` is the one time-stepping loop of the package;
 :class:`Stepper` takes single steps.  It has three paths:
@@ -180,6 +185,7 @@ def _ark_weights() -> np.ndarray:
 
 
 _ARK_WEIGHTS = _ark_weights()
+_ARK_GAMMA = float(ARK_GAMMA)
 
 
 @functools.cache
@@ -343,9 +349,8 @@ def initial_state(
         scale = amplitude * float(np.max(np.abs(steady_state(p).as_array())))
         u = scale * rng.uniform(-1.0, 1.0, size=(3, grid.N))
     elif kind == "aligned":
-        omega, _, _ = principal_mode_vectors(p)
-        e1 = laplacian_mode(p, 1).evaluate(grid.x)
-        u = amplitude * omega[:, None] * e1[None, :]
+        mode = critical_mode(p, grid)
+        u = amplitude * mode.omega[:, None] * mode.e1[None, :]
     else:
         raise ValueError(f"unknown initial-state kind {kind!r}")
     if p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
@@ -353,39 +358,30 @@ def initial_state(
     return FieldState(t=0.0, u=u)
 
 
-def _banded_cholesky(grid: Grid, coeff: float) -> np.ndarray:
-    """Cholesky factor (upper banded form) of ``I - coeff * Laplacian``."""
-    n = grid.N
-    inv_dx2 = 1.0 / grid.dx**2
-    ab = np.zeros((2, n))
-    ab[1, :] = 1.0 + 2.0 * coeff * inv_dx2
-    ab[0, 1:] = -coeff * inv_dx2
-    if grid.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
-        ab[1, 0] = 1.0 + coeff * inv_dx2
-        ab[1, -1] = 1.0 + coeff * inv_dx2
-    cholesky_banded, _ = _banded_lapack()
-    return cholesky_banded(ab)
-
-
-def _stacked_band(grid: Grid, coeffs) -> np.ndarray:
+def _stacked_band(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Upper band of the block-diagonal Cholesky factor, one block per coefficient.
 
-    Each block is :func:`_banded_cholesky` of ``I - coeff * Laplacian``.  The
-    superdiagonal entry that would couple the last row of one block to the
-    first row of the next is zeroed, so one ``pbtrs`` solve of the stacked
-    (3N,) right-hand side performs the per-component solves with the same
-    arithmetic.  The band is Fortran-ordered so that ``pbtrs`` takes it
-    without a copy on every call.
+    Block ``i`` factors ``I - coeffs[i] * Laplacian``.  The superdiagonal
+    entries that would couple the last row of one block to the first row of
+    the next are zero, so one ``cholesky_banded`` call on the (2, 3N) band
+    gives each block's factor bit for bit, and one ``pbtrs`` solve of the
+    stacked (3N,) right-hand side performs the per-component solves with
+    the same arithmetic.  The band is Fortran-ordered so that ``pbtrs``
+    takes it without a copy on every call.
     """
-    ab = np.asfortranarray(
-        np.concatenate([_banded_cholesky(grid, c) for c in coeffs], axis=1)
-    )
-    ab[0, grid.N :: grid.N] = 0.0
-    return ab
+    scaled = coeffs[:, None] * (1.0 / grid.dx**2)
+    ab = np.empty((2, len(coeffs), grid.N))
+    ab[1] = 1.0 + 2.0 * scaled
+    ab[0] = -scaled
+    ab[0, :, 0] = 0.0
+    if grid.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
+        ab[1][:, [0, -1]] = 1.0 + scaled
+    cholesky_banded, _ = _banded_lapack()
+    return np.asfortranarray(cholesky_banded(ab.reshape(2, -1)))
 
 
 class Stepper:
-    """Prefactored IMEX integrator for one (parameters, grid, dt) triple.
+    """IMEX integrator for one (parameters, grid) pair, with a default step ``dt``.
 
     Predictor: ``(I - dt*L) u~ = u + dt*R(u)`` (implicit Euler diffusion,
     explicit Euler reaction).  Corrector: ``(I - dt/2*L) u' =
@@ -399,30 +395,43 @@ class Stepper:
     p : ModelParams
     grid : Grid
     dt : float
-        Time step (see :func:`dt_max` for the default rule).
+        Default time step of :meth:`advance` and :meth:`step_array` (see
+        :func:`dt_max` for the default rule).
     linear_only : bool, optional
         Drop the quadratic nonlinearity (linearized dynamics), used by
         growth-rate oracles.
+
+    Raises
+    ------
+    ValueError
+        If ``dt`` is not finite and positive.
 
     Under zero-average Neumann conditions the spatial mean is projected out
     of the reaction term and the state (``project`` is True).
     """
 
     def __init__(self, p: ModelParams, grid: Grid, dt: float, linear_only: bool = False) -> None:
+        self.dt = float(dt)
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
         self.p = p
         self.grid = grid
-        self.dt = float(dt)
         self.linear_only = linear_only
         self.project = p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE
         self._gather, self._combine = reaction_matrices(p)
         if linear_only:
             self._gather[3:6] = 0.0
-        d = (p.d1, p.d2, p.d3)
-        self._full = _stacked_band(grid, [self.dt * di for di in d])
-        self._half = _stacked_band(grid, [0.5 * self.dt * di for di in d])
-        self._diffusion = np.array(d)[:, None].repeat(grid.N, axis=1)
+        self._d = np.array((p.d1, p.d2, p.d3))
+        self._diffusion = self._d[:, None].repeat(grid.N, axis=1)
+        self._bands: dict[float, np.ndarray] = {}
         _, self._pbtrs = _banded_lapack()
-        self._ark: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
+
+    def _band(self, c: float) -> np.ndarray:
+        """The stacked factor of ``I - c D lap``, factored once per ``c``."""
+        band = self._bands.get(c)
+        if band is None:
+            band = self._bands[c] = _stacked_band(self.grid, c * self._d)
+        return band
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
         """Reaction part ``A u + F(u)`` (mean-projected when enabled)."""
@@ -455,8 +464,10 @@ class Stepper:
         """
         return self._diffusion_term(u) + self.reaction(u)
 
-    def advance(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One step with its by-products: ``(new state, predictor, residual)``.
+    def advance(
+        self, u: np.ndarray, h: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step of size ``h`` (default ``dt``): ``(new state, predictor, residual)``.
 
         The predictor is the first-order IMEX Euler state; the new state is
         the second-order corrector, so ``new state - predictor`` estimates
@@ -469,13 +480,14 @@ class Stepper:
         StepUnstable
             As :meth:`step_array`.
         """
-        dt = self.dt
+        if h is None:
+            h = self.dt
         with np.errstate(over="ignore", invalid="ignore"):
             r0 = self.reaction(u)
-            predictor = self._solve(self._full, u + dt * r0)
+            predictor = self._solve(self._band(h), u + h * r0)
             residual = self._diffusion_term(u) + r0
             r1 = self.reaction(predictor)
-            out = self._solve(self._half, u + 0.5 * dt * (residual + r1))
+            out = self._solve(self._band(0.5 * h), u + 0.5 * h * (residual + r1))
         if self.project:
             _remove_mean(out)
         if not np.isfinite(out).all():
@@ -500,20 +512,18 @@ class Stepper:
 
         Reaction explicit, diffusion implicit (ESDIRK, L-stable, stiffly
         accurate).  The three implicit stages solve ``(I - gamma h D lap) U_i
-        = rhs_i`` with one stacked band, factored once per step size and
-        kept; ``D lap U_i`` is then ``(U_i - rhs_i) / (gamma h)``, so the
+        = rhs_i`` with the stacked band of ``gamma h``, factored on first
+        use; ``D lap U_i`` is then ``(U_i - rhs_i) / (gamma h)``, so the
         step applies the Laplacian only to ``u``.  The error estimate is the
         difference from the embedded second-order solution, at no extra
         cost; its max norm is what :func:`simulate` compares with
         ``ARK_TOL``.  A blow-up gives non-finite values and is left to the
         caller, as are the floating-point warnings it would raise.
         """
-        if h not in self._ark:
-            gamma_h = float(ARK_GAMMA) * h
-            d = (self.p.d1, self.p.d2, self.p.d3)
-            band = _stacked_band(self.grid, [gamma_h * di for di in d])
-            self._ark[h] = (band, h * _ARK_WEIGHTS, 1.0 / gamma_h)
-        band, weights, inv_gamma_h = self._ark[h]
+        gamma_h = _ARK_GAMMA * h
+        band = self._band(gamma_h)
+        weights = h * _ARK_WEIGHTS
+        inv_gamma_h = 1.0 / gamma_h
         flat = u.reshape(-1)
         terms = np.empty((8, flat.size))  # reaction, diffusion of each stage
         terms[0] = self.reaction(u).reshape(-1)
@@ -626,10 +636,10 @@ def simulate(
     ``ARK_TOL`` (see :func:`_simulate_ark`).
 
     Saturation runs (``stop_on_saturation=True``) step on the ladder
-    ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0, with one
-    :class:`Stepper` per rung.  The predictor (IMEX Euler) and the corrector
-    form an embedded 1(2) pair, so ``||corrector - predictor||_inf`` is a
-    free local error estimate.  A step whose estimate exceeds ``LADDER_TOL``
+    ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0.  The predictor (IMEX
+    Euler) and the corrector form an embedded 1(2) pair, so
+    ``||corrector - predictor||_inf`` is a free local error estimate.  A
+    step whose estimate exceeds ``LADDER_TOL``
     times the new field's max norm, or that blows up, is rejected and
     retried one rung lower.  After a step whose estimate is below an eighth
     of that, the run climbs one rung: the estimate scales like ``dt**2``,
@@ -664,6 +674,9 @@ def simulate(
     the final time (every ``record_every`` steps of the default ``dt`` on
     the error-controlled path).
 
+    Every path runs on one :class:`Stepper`, whose factored bands the
+    ladder's rungs, the shortened last step and the ARK substeps share.
+
     Returns
     -------
     SimulationResult
@@ -673,7 +686,8 @@ def simulate(
     Raises
     ------
     ValueError
-        If ``record_every`` is not positive.
+        If ``record_every`` is not positive, ``dt`` is not finite and
+        positive, or ``t_end`` is NaN or precedes ``initial.t``.
     StepUnstable
         If a step blows up on the fixed path, on the floor rung or at the
         smallest substep of the error-controlled path; it carries the last
@@ -681,18 +695,12 @@ def simulate(
     """
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
-    if dt is None:
-        dt = 0.5 * dt_max(p, grid)
-        if not stop_on_saturation:
-            return _simulate_ark(p, grid, initial, t_end, dt, record_every)
+    if not t_end >= initial.t:
+        raise ValueError(f"t_end must not precede initial.t = {initial.t}, got {t_end}")
+    stepper = Stepper(p, grid, 0.5 * dt_max(p, grid) if dt is None else dt)
+    if dt is None and not stop_on_saturation:
+        return _simulate_ark(stepper, initial, t_end, record_every)
     adaptive = stop_on_saturation
-    ladder: dict[int, Stepper] = {}
-
-    def rung_stepper(k: int) -> Stepper:
-        if k not in ladder:
-            ladder[k] = Stepper(p, grid, math.ldexp(dt, k))
-        return ladder[k]
-
     mode = critical_mode(p, grid)
     u = initial.u.copy()
     t = initial.t
@@ -711,8 +719,7 @@ def simulate(
     while True:
         if changed:
             base, count, u0, recorded_at_base = t, 0, u, len(times)
-            stepper = rung_stepper(rung)
-            h = stepper.dt
+            h = math.ldexp(stepper.dt, rung)
             n_left, short_last = _fixed_steps(t_end - base, h)
             residuals.clear()
             critical.clear()
@@ -720,10 +727,9 @@ def simulate(
         if count == n_left:
             break
         last_short = short_last and count + 1 == n_left
-        if last_short:
-            stepper = Stepper(p, grid, t_end - t)
+        step = t_end - t if last_short else h
         try:
-            u_new, predictor, residual = stepper.advance(u)
+            u_new, predictor, residual = stepper.advance(u, step)
         except StepUnstable as exc:
             if not adaptive or rung == LADDER_FLOOR:
                 raise StepUnstable(
@@ -752,7 +758,7 @@ def simulate(
         count += 1
         t = t_end if last_short else base + count * h
         accepted += 1
-        used[stepper.dt] += 1
+        used[step] += 1
         recorded = accepted % record_every == 0 or count == n_left
         if recorded:
             times.append(t)
@@ -780,25 +786,19 @@ def simulate(
         steps=accepted,
         rejected=rejected,
         dt_range=(min(sizes), max(sizes)) if sizes else (math.nan, math.nan),
-        residual=float(np.abs(rung_stepper(0).residual(u)).max()),
+        residual=float(np.abs(stepper.residual(u)).max()),
     )
 
 
-
 def _simulate_ark(
-    p: ModelParams,
-    grid: Grid,
-    initial: FieldState,
-    t_end: float,
-    dt: float,
-    record_every: int,
+    stepper: Stepper, initial: FieldState, t_end: float, record_every: int
 ) -> SimulationResult:
     """The error-controlled path of :func:`simulate` (``dt = auto``, fixed horizon).
 
-    The run is recorded at the times of the fixed path with steps ``dt``,
-    computed as that path computes them, and each record interval is
-    covered by :meth:`Stepper.ark_step` substeps of ``length / 2**k``, so
-    the last one ends on the record time.  A substep whose error estimate
+    The run is recorded at the times of the fixed path with steps
+    ``dt = stepper.dt``, computed as that path computes them, and each
+    record interval is covered by :meth:`Stepper.ark_step` substeps of
+    ``length / 2**k``, so the last one ends on the record time.  A substep whose error estimate
     exceeds ``ARK_TOL`` times the new field's max norm, or that blows up, is
     rejected and retried as two substeps at ``k + 1``.  After a substep
     whose estimate is below an eighth of that, ``k`` drops by one (the
@@ -810,9 +810,8 @@ def _simulate_ark(
     ``dt * 2**LADDER_FLOOR``: there an over-tolerance substep is accepted and
     a blow-up raises.
     """
-    stepper = Stepper(p, grid, dt)
-    mode = critical_mode(p, grid)
     h = stepper.dt
+    mode = critical_mode(stepper.p, stepper.grid)
     n_left, short_last = _fixed_steps(t_end - initial.t, h)
     u, t = initial.u.copy(), initial.t
     times, ys = [t], [mode.amplitude(u)]

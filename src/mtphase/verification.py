@@ -60,12 +60,10 @@ from .spectral import (
     char_poly_coeffs,
     companion_roots,
     laplacian_eigenvalue,
-    laplacian_mode,
     mode_matrices,
     mode_matrix,
     mode_spectra,
     principal_eigenvalue,
-    principal_mode_vectors,
     solve_spectrum,
 )
 from .threshold import ParameterRay, brentq, find_threshold
@@ -271,9 +269,8 @@ def _newton_steady_state(p: ModelParams, grid, y_init: float) -> np.ndarray:
     project = p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE
     A = linearization_matrix(p)
     d = p.diffusion
-    omega, _, _ = principal_mode_vectors(p)
-    e1 = laplacian_mode(p, 1).evaluate(grid.x)
-    u = y_init * omega[:, None] * e1[None, :]
+    mode = critical_mode(p, grid)
+    u = y_init * mode.omega[:, None] * mode.e1[None, :]
     means = np.kron(np.eye(3), np.ones((1, N)))  # one row per component
 
     def rhs(v: np.ndarray) -> np.ndarray:

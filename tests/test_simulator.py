@@ -475,6 +475,43 @@ def test_ladder_run_started_on_the_steady_state_stops_at_once(saturating_params)
     assert _relative_distance(result.final_state.u, ref) <= 20.0 * tol
 
 
+def _count_bands(monkeypatch):
+    """Record the coefficients of every stacked band the simulator factors."""
+    factored = []
+    stacked_band = simulator._stacked_band
+
+    def spy(grid, coeffs):
+        factored.append(tuple(coeffs))
+        return stacked_band(grid, coeffs)
+
+    monkeypatch.setattr(simulator, "_stacked_band", spy)
+    return factored
+
+
+def test_ladder_factors_each_coefficient_once(saturating_params, monkeypatch):
+    # One Stepper per run: rung k's half band is rung k-1's full band, and
+    # neither a revisited rung nor the final residual factors a band again.
+    p = saturating_params
+    g = make_grid(p, 64)
+    ref = _newton_steady_state(p, g, 0.42)
+    sizes = []
+    advance = Stepper.advance
+
+    def spy(self, u, h=None):
+        sizes.append(self.dt if h is None else h)
+        return advance(self, u, h)
+
+    monkeypatch.setattr(Stepper, "advance", spy)
+    factored = _count_bands(monkeypatch)
+    result = simulate(p, g, FieldState(t=0.0, u=ref.copy()), t_end=2000.0,
+                      stop_on_saturation=True, saturation_tol=1e-6)
+    assert result.saturated and result.rejected >= 1
+    d = p.diffusion
+    expected = {tuple(c * d) for h in sizes for c in (h, 0.5 * h)}
+    assert len(factored) == len(set(factored))
+    assert set(factored) == expected
+
+
 @pytest.mark.parametrize(
     "N, offset, tol",
     [(64, 0.0, 1e-8), (64, 1e-7, 1e-8), (64, 1e-5, 1e-6), (128, 1e-5, 1e-6), (64, 1e-3, 1e-6)],
@@ -505,9 +542,9 @@ def test_ladder_blow_up_raises_on_the_floor_rung(unstable_params, bc, monkeypatc
     sizes = []
     advance = Stepper.advance
 
-    def spy(self, u):
-        sizes.append(self.dt)
-        return advance(self, u)
+    def spy(self, u, h=None):
+        sizes.append(self.dt if h is None else h)
+        return advance(self, u, h)
 
     monkeypatch.setattr(Stepper, "advance", spy)
     st = initial_state(p, g, kind="aligned", amplitude=1e6)
@@ -712,6 +749,48 @@ def test_auto_dt_is_error_controlled_on_the_fixed_path_times(name, monkeypatch):
 
     assert y_error(auto) <= y_error(fixed)
     assert np.abs(auto.final_state.u - ref[-1]).max() <= 1e-5 * np.abs(ref[-1]).max()
+
+
+@pytest.mark.parametrize("name", ["canonical", "neumann-jump"])
+def test_auto_dt_factors_only_its_substep_bands(name, monkeypatch):
+    # The error-controlled path factors one band per substep size, gamma h,
+    # and no band of the Heun step it never takes.
+    p, g, ic, sc = _shipped(name)
+    sizes = []
+    ark_step = Stepper.ark_step
+
+    def spy(self, u, h):
+        sizes.append(h)
+        return ark_step(self, u, h)
+
+    monkeypatch.setattr(Stepper, "ark_step", spy)
+    factored = _count_bands(monkeypatch)
+    simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
+    gamma = float(ARK_GAMMA)
+    assert sorted(factored) == sorted({tuple(gamma * h * p.diffusion) for h in sizes})
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-6, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("stop_on_saturation", [False, True])
+def test_simulate_rejects_a_step_that_is_not_finite_and_positive(
+    unstable_params, dt, stop_on_saturation
+):
+    g = make_grid(unstable_params, 16)
+    ic = initial_state(unstable_params, g, kind="aligned", amplitude=0.01)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        simulate(unstable_params, g, ic, t_end=1.0, dt=dt,
+                 stop_on_saturation=stop_on_saturation)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        Stepper(unstable_params, g, dt)
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, -5.0), (0.0, math.nan), (2.0, 1.0)])
+@pytest.mark.parametrize("dt", [None, 0.01])
+def test_simulate_rejects_an_end_before_the_start(unstable_params, dt, t0, t_end):
+    g = make_grid(unstable_params, 16)
+    ic = FieldState(t=t0, u=initial_state(unstable_params, g, kind="aligned").u)
+    with pytest.raises(ValueError, match="t_end"):
+        simulate(unstable_params, g, ic, t_end=t_end, dt=dt)
 
 
 @pytest.mark.parametrize("dt", [None, 0.01])
