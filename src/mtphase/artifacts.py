@@ -1,9 +1,11 @@
 """Subcommand cores: produce analysis artifacts for a validated RunConfig.
 
 Each runner takes a configuration and an output directory, writes its CSV
-files, and returns the list of written paths (for the manifest).  The CLI
-wraps these with argument parsing and exit-code mapping; the verification
-suite reuses them directly for the reproducibility check.
+files, and returns the list of written paths (for the manifest).
+:data:`SUBCOMMANDS` lists them in one order and :func:`run` calls one by
+its subcommand name: the CLI wraps it with argument parsing and exit-code
+mapping, and the reproducibility check of the verification suite replays
+every subcommand in that order.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .threshold import find_threshold, trace_threshold_curve
 from .transition import classify_transition
 
 __all__ = [
+    "SUBCOMMANDS",
+    "run",
     "run_steady_state",
     "run_spectrum",
     "run_threshold",
@@ -153,3 +157,23 @@ def run_phase_diagram(config: RunConfig, out_dir: str) -> list[str]:
         [list(zip(*vertices))] if vertices else [],
     )
     return [grid_path, curve_path]
+
+
+#: subcommand -> name of its runner, in the order of the artifact pipeline;
+#: :func:`run` looks the runner up per call
+SUBCOMMANDS = {
+    "steady-state": "run_steady_state",
+    "spectrum": "run_spectrum",
+    "threshold": "run_threshold",
+    "transition": "run_transition",
+    "simulate": "run_simulate",
+    "phase-diagram": "run_phase_diagram",
+}
+
+
+def run(command: str, config: RunConfig, out_dir: str, seed: int | None = None) -> list[str]:
+    """Run subcommand ``command``; ``seed`` overrides ``simulate``'s configured seed."""
+    runner = globals()[SUBCOMMANDS[command]]
+    if command == "simulate":
+        return runner(config, out_dir, seed=seed)
+    return runner(config, out_dir)

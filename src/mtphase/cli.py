@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
             required=config_required,
             metavar="FILE",
             help="INI configuration file"
-            + ("" if config_required else " (default: built-in canonical setup)"),
+            + ("" if config_required else " (default: the packaged canonical.ini)"),
         )
         sp.add_argument(
             "--out",
@@ -127,17 +127,6 @@ def _finish(out_dir: str, config: RunConfig, files: list[str]) -> int:
     return 0
 
 
-#: subcommand -> name of its runner in ``artifacts``, looked up per call
-_ARTIFACT_RUNNERS = {
-    "steady-state": "run_steady_state",
-    "spectrum": "run_spectrum",
-    "threshold": "run_threshold",
-    "transition": "run_transition",
-    "simulate": "run_simulate",
-    "phase-diagram": "run_phase_diagram",
-}
-
-
 def _seed(args: argparse.Namespace) -> int | None:
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
@@ -145,11 +134,10 @@ def _seed(args: argparse.Namespace) -> int | None:
 
 
 def _cmd_artifacts(args: argparse.Namespace) -> int:
-    options = {"seed": _seed(args)} if args.command == "simulate" else {}
+    seed = _seed(args) if args.command == "simulate" else None
     config = _load_config(args)
     out = _out_dir(args, config)
-    run = getattr(artifacts, _ARTIFACT_RUNNERS[args.command])
-    return _finish(out, config, run(config, out, **options))
+    return _finish(out, config, artifacts.run(args.command, config, out, seed=seed))
 
 
 def _parse_only(text: str | None) -> list[int] | None:

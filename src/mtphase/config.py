@@ -18,13 +18,14 @@ Sections and keys
     smallest that Brent's method accepts; default 1e-10), and an optional
     ray: ``ray`` (axis spec) with ``bracket`` (``lo,hi``).
 ``[simulate]``
-    ``N`` (positive, default 256), ``dt`` (a positive fixed step, or
-    ``auto``, the default: third-order IMEX Runge-Kutta steps under the
-    error tolerance ``simulator.ARK_TOL``, recorded every ``record_every``
-    steps of half the stability limit), ``T`` (positive end time, default
-    100), ``ic`` (``zero``, ``random[:amplitude]`` or
-    ``aligned[:amplitude]``; default ``random:0.0001``), ``seed``
-    (non-negative, default 0), ``record_every`` (positive, default 10).
+    ``N`` (at least ``simulator.MIN_GRID_POINTS``, 16; default 256),
+    ``dt`` (a positive fixed step, or ``auto``, the default: third-order
+    IMEX Runge-Kutta steps under the error tolerance ``simulator.ARK_TOL``,
+    recorded every ``record_every`` steps of half the stability limit),
+    ``T`` (positive end time, default 100), ``ic`` (``zero``,
+    ``random[:amplitude]`` or ``aligned[:amplitude]``; default
+    ``random:0.0001``), ``seed`` (non-negative, default 0),
+    ``record_every`` (positive, default 10).
 ``[sweep]``
     ``axis1``/``range1``, ``axis2``/``range2`` (axis specs with ``lo,hi``
     ranges) and ``resolution`` (``n1,n2``).  Optional section; required by
@@ -52,6 +53,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, UnknownKey, ValidationError
 from .model import BoundaryCondition, ModelParams, validate_params
+from .simulator import MIN_GRID_POINTS
 from .threshold import _BRENT_RTOL, ParameterPlane, ParameterRay
 
 __all__ = [
@@ -386,8 +388,10 @@ def parse_config_text(text: str) -> RunConfig:
             seed=sec.integer("seed", 0),
             record_every=sec.integer("record_every", 10),
         )
-        if simulate.N <= 0:
-            raise ValidationError("N", f"[simulate] N must be positive, got {simulate.N}")
+        if simulate.N < MIN_GRID_POINTS:
+            raise ValidationError(
+                "N", f"[simulate] N must be at least {MIN_GRID_POINTS}, got {simulate.N}"
+            )
         if simulate.record_every <= 0:
             raise ValidationError(
                 "record_every",

@@ -263,8 +263,6 @@ class ConditionReport:
     cond2_ok: bool
     K1: float
     k5K2_minus_C1: float
-    # the two quantities that must each differ from C1 for regularity
-    cond1_lhs_rhs: tuple[float, float]
     rho1: float
 
 
@@ -435,7 +433,6 @@ def check_conditions(p: ModelParams) -> ConditionReport:
         cond2_ok=margin > 0.0,
         K1=K1,
         k5K2_minus_C1=margin,
-        cond1_lhs_rhs=(q1, q2),
         rho1=rho1,
     )
 

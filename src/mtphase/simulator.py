@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -309,12 +309,12 @@ class SimulationResult:
     """Outcome of :func:`simulate` with its step diagnostics.
 
     ``steps`` counts the accepted steps the result is made of, and
-    ``rejected`` the steps thrown away: each rejected step and each step
-    undone with a failed rung of the ladder, or each rejected substep of
-    the error-controlled path.  ``dt_range`` is the smallest and largest of
-    the accepted steps (NaN when no step was taken).  ``residual`` is
-    ``||D lap u + A u + F(u)||_inf`` at the final state, mean-projected
-    with the reaction term; it vanishes exactly at a steady state.
+    ``rejected`` the steps thrown away: each rejected step of the ladder or
+    substep of the error-controlled path.  ``dt_range`` is the smallest
+    and largest of the accepted steps (NaN when no step was taken).
+    ``residual`` is ``||D lap u + A u + F(u)||_inf`` at the final state,
+    mean-projected with the reaction term; it vanishes exactly at a steady
+    state.
     """
 
     final_state: FieldState
@@ -646,12 +646,11 @@ def simulate(
     so the doubled step is predicted to pass with a factor of two to spare.
     A rung that fails after a climb has exposed the scheme's stability
     edge, not a fast transient: it becomes a ceiling for the rest of the
-    run, and every step taken on it is undone, because an unstable mode
-    can grow over many accepted steps before the estimate sees it.  A rung
-    that fails where the run started or after a rejection only moves the
-    run down.  On the floor rung an over-tolerance step is accepted and a
-    blow-up raises.  The last step is shortened to end at ``t_end`` as on
-    the fixed path.
+    run, and the steps already accepted on it are kept, as on the
+    error-controlled path.  A rung that fails where the run started or
+    after a rejection only moves the run down.  On the floor rung an
+    over-tolerance step is accepted and a blow-up raises.  The last step is
+    shortened to end at ``t_end`` as on the fixed path.
 
     The run stops once the estimated max-norm distance to the steady state
     is at most ``saturation_tol`` times the field's max norm.  The estimate
@@ -687,7 +686,7 @@ def simulate(
     ------
     ValueError
         If ``record_every`` is not positive, ``dt`` is not finite and
-        positive, or ``t_end`` is NaN or precedes ``initial.t``.
+        positive, or ``t_end`` is not finite or precedes ``initial.t``.
     StepUnstable
         If a step blows up on the fixed path, on the floor rung or at the
         smallest substep of the error-controlled path; it carries the last
@@ -695,8 +694,10 @@ def simulate(
     """
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
-    if not t_end >= initial.t:
-        raise ValueError(f"t_end must not precede initial.t = {initial.t}, got {t_end}")
+    if not (math.isfinite(t_end) and t_end >= initial.t):
+        raise ValueError(
+            f"t_end must be finite and not precede initial.t = {initial.t}, got {t_end}"
+        )
     stepper = Stepper(p, grid, 0.5 * dt_max(p, grid) if dt is None else dt)
     if dt is None and not stop_on_saturation:
         return _simulate_ark(stepper, initial, t_end, record_every)
@@ -708,17 +709,16 @@ def simulate(
     ys = [mode.amplitude(u)]
     saturated = False
     accepted = rejected = 0
-    used: Counter[float] = Counter()  # accepted steps per step size
+    sizes: set[float] = set()
     rung, ceiling, climbed = 0, math.inf, False
-    # On one rung: t = base + count*h from the state u0 held at base, n_left
-    # steps to t_end (the last one shortened when short_last), and residual
-    # norms for the stop.
+    # On one rung: t = base + count*h, n_left steps to t_end (the last one
+    # shortened when short_last), and residual norms for the stop.
     residuals: deque[float] = deque(maxlen=2 * _STOP_WINDOW + 1)
     critical: deque[float] = deque(maxlen=2 * _STOP_WINDOW + 1)
     changed = True
     while True:
         if changed:
-            base, count, u0, recorded_at_base = t, 0, u, len(times)
+            base, count = t, 0
             h = math.ldexp(stepper.dt, rung)
             n_left, short_last = _fixed_steps(t_end - base, h)
             residuals.clear()
@@ -745,20 +745,14 @@ def simulate(
         if not accept:
             rejected += 1
             if climbed:
-                # undo every step on the failed rung
                 ceiling = rung
-                accepted -= count
-                rejected += count
-                used[h] -= count
-                t, u = base, u0
-                del times[recorded_at_base:], ys[recorded_at_base:]
             rung, climbed, changed = rung - 1, False, True
             continue
         u = u_new
         count += 1
         t = t_end if last_short else base + count * h
         accepted += 1
-        used[step] += 1
+        sizes.add(step)
         recorded = accepted % record_every == 0 or count == n_left
         if recorded:
             times.append(t)
@@ -778,7 +772,6 @@ def simulate(
             break
         if 8.0 * error <= LADDER_TOL * scale and rung + 1 < ceiling:
             rung, climbed, changed = rung + 1, True, True
-    sizes = [size for size, n in used.items() if n]
     return SimulationResult(
         final_state=FieldState(t=t, u=u),
         series=AmplitudeSeries(times=np.array(times), y=np.array(ys)),

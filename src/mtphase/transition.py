@@ -95,10 +95,6 @@ class QuadraticCoefficient:
     closed_form: float
     quadrature: float
 
-    @property
-    def value(self) -> float:
-        return self.closed_form
-
 
 @dataclass(frozen=True, slots=True)
 class TransitionReport:
@@ -122,11 +118,6 @@ class TransitionReport:
     omega = property(lambda self: principal_mode_vectors(self.threshold.lambda0)[0])
     omega_star = property(lambda self: principal_mode_vectors(self.threshold.lambda0)[1])
     rho1 = property(lambda self: principal_mode_vectors(self.threshold.lambda0)[2])
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the cubic coefficient fell inside the type-III band."""
-        return self.transition_type is TransitionType.TYPE_III
 
     def branch_amplitudes(self, sigma11: float) -> tuple[float, ...]:
         """Amplitudes of the bifurcated branches at leading eigenvalue sigma11.

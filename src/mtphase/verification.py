@@ -31,10 +31,12 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .config import RunConfig, config_sha256, parse_config_text
 from .errors import MTPhaseError, NumericalError, StepUnstable
 from .model import (
@@ -84,16 +86,6 @@ __all__ = [
 
 DEFAULT_SEED = 20260825
 
-#: Frozen parameter point with a strongly positive cubic coefficient, used
-#: by the pitchfork branch-law check (criterion 8) and the jump-behavior
-#: check (criterion 9).  Found by a seeded search maximizing the
-#: scale-invariant cubic strength; the analytic repeller amplitude at this
-#: point was confirmed against a simulated separatrix bisection to 1.5 %.
-_JUMP_POINT = dict(
-    k1=4.9669, k3=0.4280, k5=6.4185, k7=0.4256, C1=4.3293, E=0.9599,
-    d1=1.7390, d2=1.4256, d3=0.3804, ell=4.828, bc="neumann-zero-average",
-)
-
 #: relative change under one IMEX step below which a solved steady state
 #: counts as a fixed point of the stepper
 _FIXED_POINT_TOL = 1e-12
@@ -101,52 +93,18 @@ _FIXED_POINT_TOL = 1e-12
 #: Newton iterations after which a steady-state solve counts as not converged
 _NEWTON_MAX_ITER = 50
 
-_CANONICAL_CONFIG_TEXT = """\
-[model]
-k1 = 1.0
-k3 = 1.0
-k5 = 1.0
-k7 = 2.0
-C1 = 1.0
-E = 1.0
-d1 = 0.12
-d2 = 0.12
-d3 = 0.12
 
-[domain]
-ell = 3.141592653589793
-bc = dirichlet
-
-[analysis]
-M_max = 50
-tol = 1e-10
-ray = d1:1,d2:1,d3:1
-bracket = 0.05,1.0
-
-[simulate]
-N = 64
-dt = auto
-T = 5.0
-ic = random:0.0001
-seed = 12345
-record_every = 10
-
-[sweep]
-axis1 = d1:1,d2:1,d3:1
-range1 = 0.05,0.4
-axis2 = k7
-range2 = 1.2,3.0
-resolution = 12,12
-
-[output]
-directory = out
-formats = csv
-"""
+def _packaged_config(name: str) -> RunConfig:
+    """The configuration ``configs/<name>.ini`` shipped inside the package."""
+    ini = resources.files(__package__) / "configs" / f"{name}.ini"
+    return parse_config_text(ini.read_text(encoding="utf-8"))
 
 
 def default_verify_config() -> RunConfig:
-    """The built-in canonical configuration used by the reproducibility check."""
-    return parse_config_text(_CANONICAL_CONFIG_TEXT)
+    """The packaged ``canonical.ini``: criteria 4, 6, 7 and 11 take the
+    canonical threshold from its ray, and criterion 12 replays the artifact
+    pipeline on it unless another configuration is given."""
+    return _packaged_config("canonical")
 
 
 @dataclass(frozen=True)
@@ -187,22 +145,6 @@ def _random_params(
             d1=d1, d2=d2, d3=d3, ell=ell, bc=bc,
         )
     raise RuntimeError("random parameter generator failed to find a feasible point")
-
-
-def _canonical_point() -> ModelParams:
-    return ModelParams(
-        k1=1.0, k3=1.0, k5=1.0, k7=2.0, C1=1.0, E=1.0,
-        d1=1.0, d2=1.0, d3=1.0, ell=float(np.pi),
-    )
-
-
-def _canonical_threshold():
-    ray = ParameterRay(
-        base=_canonical_point(),
-        direction={"d1": 1.0, "d2": 1.0, "d3": 1.0},
-        bracket=(0.05, 1.0),
-    )
-    return find_threshold(ray, attach_report=False)
 
 
 def _solve_sigma(make_p: Callable[[float], ModelParams], target: float,
@@ -384,7 +326,7 @@ def criterion_3_scaling(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
 def criterion_4_canonical_threshold(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Canonical threshold equals the positive root of the reduced cubic."""
-    tp = _canonical_threshold()
+    tp = find_threshold(default_verify_config().ray(), attach_report=False)
 
     def poly(d: float) -> float:
         return d**3 + 5.0 * d**2 + 5.0 * d - 1.0
@@ -462,7 +404,7 @@ def criterion_5_exchange_of_stability(seed: int = DEFAULT_SEED) -> tuple[bool, s
 
 def criterion_6_quadratic_coefficient(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Closed-form and quadrature branch coefficients agree; canonical value."""
-    tp = _canonical_threshold()
+    tp = find_threshold(default_verify_config().ray(), attach_report=False)
     report = classify_transition(tp)
     closed = report.quadratic_coeff
     quad = report.quadratic_coeff_quadrature
@@ -482,7 +424,7 @@ def criterion_7_mixed_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     ``k7`` (the second-order branch correction along this direction stays
     inside the 10 % comparison band for all three eigenvalue offsets).
     """
-    tp = _canonical_threshold()
+    tp = find_threshold(default_verify_config().ray(), attach_report=False)
     report = classify_transition(tp)
     alpha = report.quadratic_coeff
     p_star = tp.lambda0
@@ -507,16 +449,6 @@ def criterion_7_mixed_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     monotone = all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
     return within and monotone, "; ".join(parts) + (
         "; errors non-increasing" if monotone else "; errors NOT non-increasing"
-    )
-
-
-def _jump_ray() -> ParameterRay:
-    """Proportional diffusivity ray through the frozen jump point."""
-    base = ModelParams(**_JUMP_POINT)
-    return ParameterRay(
-        base=base,
-        direction={"d1": base.d1, "d2": base.d2, "d3": base.d3},
-        bracket=(0.5, 2.0),
     )
 
 
@@ -547,11 +479,12 @@ def criterion_8_pitchfork_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     the range of the transition number ``b``, split into genuine thresholds
     (stability-exchange report passes) and the rest.  The first genuine
     threshold that :func:`classify_transition` calls type I (``b < 0``) is
-    used if one turns up, otherwise the frozen jump point (``b > 0``).  The
-    pitchfork pair ``+/- sqrt(-sigma11/b)`` is checked on the side of the
-    threshold where :meth:`TransitionReport.branch_amplitudes` places it:
-    above it for type I, below it (the repeller ring) for type II.  At ``|sigma11|`` =
-    0.01 and 0.005 both branches are solved by a mean-projected Newton
+    used if one turns up, otherwise the jump point of the packaged
+    ``neumann-jump.ini`` (``b > 0``).  The pitchfork pair
+    ``+/- sqrt(-sigma11/b)`` is checked on the side of the threshold where
+    :meth:`TransitionReport.branch_amplitudes` places it: above it for type
+    I, below it (the repeller ring) for type II.  At ``|sigma11|`` = 0.01
+    and 0.005 both branches are solved by a mean-projected Newton
     solve at N = 96.  Each solved state must be a fixed point of
     :meth:`Stepper.step_array` (the scheme's fixed points are exactly the
     semi-discrete steady states), lie within 10 % of the predicted
@@ -596,7 +529,7 @@ def criterion_8_pitchfork_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     ]
 
     if found is None:
-        ray = _jump_ray()
+        ray = _packaged_config("neumann-jump").ray()
         tp = find_threshold(ray)
         if not tp.stability_report.passed:
             return False, "; ".join(parts + ["frozen jump point is not a genuine threshold"])
@@ -677,13 +610,14 @@ def _jump_outcome(p: ModelParams, grid, y0: float, t_max: float) -> tuple[str, f
 def criterion_9_jump_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Jump behavior where the cubic coefficient is positive.
 
-    At a frozen zero-average point with a strongly positive transition
-    number, slightly below threshold: an aligned state at twice the repeller
-    amplitude must grow tenfold within t = 400, one at half the repeller
-    amplitude must decay to 1e-8 within t = 1500.  Both runs go through
+    At the zero-average point of the packaged ``neumann-jump.ini``, whose
+    transition number is strongly positive, slightly below threshold: an
+    aligned state at twice the repeller amplitude must grow tenfold within
+    t = 400, one at half the repeller amplitude must decay to 1e-8 within
+    t = 1500.  Both runs go through
     :func:`simulate` on its step ladder.
     """
-    ray = _jump_ray()
+    ray = _packaged_config("neumann-jump").ray()
     tp = find_threshold(ray, attach_report=False)
     b = transition_number(tp)
     if b <= 0.0:
@@ -745,7 +679,7 @@ def criterion_10_constrained_identity(seed: int = DEFAULT_SEED) -> tuple[bool, s
 
 def criterion_11_convergence_orders(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Second-order spatial and temporal convergence on the canonical run."""
-    tp = _canonical_threshold()
+    tp = find_threshold(default_verify_config().ray(), attach_report=False)
     p = _solve_sigma(lambda c: tp.lambda0.replace(k7=c), 0.02, (2.0, 3.5))
 
     grid_ref = make_grid(p, 512)
@@ -804,15 +738,10 @@ def criterion_11_convergence_orders(seed: int = DEFAULT_SEED) -> tuple[bool, str
 
 
 def _artifact_pipeline(config: RunConfig, out_dir: str, seed: int) -> list[str]:
-    from . import artifacts
-
+    """Every artifact subcommand, in the CLI's table order, into ``out_dir``."""
     files: list[str] = []
-    files += artifacts.run_steady_state(config, out_dir)
-    files += artifacts.run_spectrum(config, out_dir)
-    files += artifacts.run_threshold(config, out_dir)
-    files += artifacts.run_transition(config, out_dir)
-    files += artifacts.run_simulate(config, out_dir, seed=seed)
-    files += artifacts.run_phase_diagram(config, out_dir)
+    for command in artifacts.SUBCOMMANDS:
+        files += artifacts.run(command, config, out_dir, seed=seed)
     write_manifest(out_dir, config_sha256(config), files)
     return files
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import os
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from mtphase import (
     parse_config_text,
     serialize_config,
 )
+from mtphase.verification import _packaged_config
 
 MINIMAL = """\
 [model]
@@ -230,11 +232,16 @@ CANONICAL_INI = Path(__file__).parents[1] / "configs" / "canonical.ini"
 CANONICAL_LINES = CANONICAL_INI.read_text().splitlines()
 
 
-def test_canonical_ini_matches_builtin_config():
-    # configs/canonical.ini says it matches the built-in `mtphase verify` setup
-    assert config_sha256(parse_config(CANONICAL_INI)) == config_sha256(
-        default_verify_config()
-    )
+def test_verify_reads_the_shipped_configs_from_the_package():
+    # `mtphase verify` reads its canonical and jump points from the INIs
+    # packaged in mtphase/configs, the files configs/ holds
+    packaged = resources.files("mtphase") / "configs"
+    for name in ("canonical", "neumann-jump"):
+        shipped = CANONICAL_INI.with_name(f"{name}.ini")
+        assert (packaged / f"{name}.ini").read_bytes() == shipped.read_bytes()
+    assert default_verify_config() == parse_config(CANONICAL_INI)
+    jump_ini = CANONICAL_INI.with_name("neumann-jump.ini")
+    assert _packaged_config("neumann-jump").ray() == parse_config(jump_ini).ray()
 
 
 #: indices of the ``key = value`` lines of canonical.ini
@@ -341,11 +348,13 @@ def test_empty_values_rejected(old, new, key):
         ("tol = 1e-9", "tol = -1e-10", "tol"),
         ("seed = 3", "seed = -1", "seed"),
         ("T = 12.5", "T = -5.0", "T"),
+        ("N = 64", "N = 8", "N"),
     ],
 )
 def test_out_of_range_values_rejected(old, new, key):
     # Before, M_max = 0, a tol below Brent's smallest and seed = -1 failed
-    # later as internal errors, and a negative T ran with one recorded row.
+    # later as internal errors, a negative T ran with one recorded row, and
+    # N below MIN_GRID_POINTS failed as a numerical error of the grid.
     assert old in FULL
     with pytest.raises(ValidationError) as excinfo:
         parse_config_text(FULL.replace(old, new))

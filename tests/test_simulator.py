@@ -45,7 +45,6 @@ from mtphase.simulator import (
     ARK_IMPLICIT,
 )
 from mtphase.verification import (
-    _jump_ray,
     _newton_steady_state,
     _rhs_jacobian,
     _solve_sigma,
@@ -512,6 +511,35 @@ def test_ladder_factors_each_coefficient_once(saturating_params, monkeypatch):
     assert set(factored) == expected
 
 
+def test_ladder_keeps_the_steps_of_a_failed_climb(saturating_params, monkeypatch):
+    # A rung that fails after a climb becomes a ceiling, and the steps
+    # accepted on it stay: every step is taken from the state of the last
+    # accepted one, and each accepted step counts in result.steps.
+    p = saturating_params
+    g = make_grid(p, 128)
+    calls = []
+    advance = Stepper.advance
+
+    def spy(self, u, h=None):
+        out = advance(self, u, h)
+        calls.append((u, out[0]))
+        return out
+
+    monkeypatch.setattr(Stepper, "advance", spy)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    result = simulate(p, g, ic, t_end=2000.0, stop_on_saturation=True, saturation_tol=1e-6)
+    assert result.saturated
+    starts = [u for u, _ in calls[1:]] + [result.final_state.u]
+    kept = 0
+    for (u, out), start in zip(calls, starts):
+        if np.array_equal(start, out):
+            kept += 1
+        else:
+            assert np.array_equal(start, u)  # a rejected step is retried from its start
+    assert kept == result.steps
+    assert kept + result.rejected == len(calls)
+
+
 @pytest.mark.parametrize(
     "N, offset, tol",
     [(64, 0.0, 1e-8), (64, 1e-7, 1e-8), (64, 1e-5, 1e-6), (128, 1e-5, 1e-6), (64, 1e-3, 1e-6)],
@@ -520,9 +548,9 @@ def test_ladder_factors_each_coefficient_once(saturating_params, monkeypatch):
 def test_saturation_stop_distance_estimate_is_not_optimistic(saturating_params, N, offset, tol):
     # Started on or near the steady state, off along a profile that excites
     # fast and slow modes alike.  Fast decaying parts of the residual must
-    # not hide the slow part, and the steps a failed climb took must not
-    # leave a slow perturbation behind: the field where the run stops lies
-    # within twice the tolerance of the steady state.
+    # not hide the slow part, and the steps kept from a failed climb must
+    # not leave a slow perturbation behind: the field where the run stops
+    # lies within twice the tolerance of the steady state.
     p = saturating_params
     g = make_grid(p, N)
     ref = _newton_steady_state(p, g, 0.42)
@@ -670,7 +698,7 @@ def _branch_steady_state(bc):
         p = find_threshold(parse_config(CONFIGS / "canonical.ini").ray()).lambda0.replace(k7=2.2)
         y = 0.42
     else:
-        ray = _jump_ray()
+        ray = parse_config(CONFIGS / "neumann-jump.ini").ray()
         tp = find_threshold(ray)
         p = _solve_sigma(ray.at, -0.01, _unfolding_bracket(ray, tp.ray_coord, -0.01))
         y = classify_transition(tp).branch_amplitudes(-0.01)[0]
@@ -791,6 +819,20 @@ def test_simulate_rejects_an_end_before_the_start(unstable_params, dt, t0, t_end
     ic = FieldState(t=t0, u=initial_state(unstable_params, g, kind="aligned").u)
     with pytest.raises(ValueError, match="t_end"):
         simulate(unstable_params, g, ic, t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize(
+    "dt, stop_on_saturation",
+    [(0.01, False), (None, False), (None, True)],
+    ids=["fixed", "auto", "saturation"],
+)
+def test_simulate_rejects_an_end_that_is_not_finite(unstable_params, dt, stop_on_saturation):
+    # Before, t_end = inf raised OverflowError while counting the steps.
+    g = make_grid(unstable_params, 16)
+    ic = initial_state(unstable_params, g, kind="aligned", amplitude=0.01)
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        simulate(unstable_params, g, ic, t_end=math.inf, dt=dt,
+                 stop_on_saturation=stop_on_saturation)
 
 
 @pytest.mark.parametrize("dt", [None, 0.01])
