@@ -218,7 +218,7 @@ class ParamBatch(_DerivedConstants):
 
     def domain_errors(self, index: Sequence[int]) -> list[ConfigError | None]:
         """:func:`domain_error` of each point at ``index``, built without
-        raising from the row's values as Python floats, the values
+        raising from the batch's values as Python floats, the values
         :class:`ModelParams` would check."""
         columns = [getattr(self, name)[index].tolist() for name in POSITIVE_FIELDS]
         return [domain_error(values) for values in zip(*columns)]

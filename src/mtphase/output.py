@@ -47,7 +47,6 @@ timestamp is the only line expected to differ between identical runs.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from collections import defaultdict
@@ -113,6 +112,32 @@ def format_column(column) -> list[str]:
     return [format_value(cell) for cell in column]
 
 
+#: characters that make ``csv.QUOTE_MINIMAL`` quote a cell under the
+#: dialect of :func:`write_csv`: delimiter, quote character and line
+#: terminator (a lone ``\r`` is not quoted)
+_QUOTED_CHARS = (",", '"', "\n")
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(char in text for char in _QUOTED_CHARS)
+
+
+def _quote_column(cells: Sequence[str], single: bool) -> Sequence[str]:
+    """``cells`` with every cell quoted that ``csv.QUOTE_MINIMAL`` quotes.
+
+    One scan of the column decides whether any cell needs it.  In a
+    one-column table (``single``) an empty cell is quoted too, as csv
+    writes an empty record.
+    """
+    if not (_needs_quotes("".join(cells)) or (single and "" in cells)):
+        return cells
+    return [
+        '"' + cell.replace('"', '""') + '"'
+        if _needs_quotes(cell) or (single and not cell) else cell
+        for cell in cells
+    ]
+
+
 def write_csv(
     path: str, columns: Sequence[str], blocks: Iterable[Sequence]
 ) -> str:
@@ -122,17 +147,22 @@ def write_csv(
     one per header name, and stands for that many rows.  Blocks are
     consumed one at a time, so a generator streams a large table.  Cells
     are rendered with :func:`format_column` (full-precision floats) and
-    quoted minimally, so free-text fields may contain commas.
+    quoted minimally, so free-text fields may contain commas.  The bytes
+    are those of ``csv.writer(lineterminator="\\n",
+    quoting=csv.QUOTE_MINIMAL)``; the text of a block is joined at once.
     """
+    single = len(columns) == 1
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(columns)
+        handle.write(",".join(_quote_column(columns, single)) + "\n")
         for block in blocks:
             if len(block) != len(columns):
                 raise ValueError(
                     f"a block of {len(block)} columns under {len(columns)} names"
                 )
-            writer.writerows(zip(*map(format_column, block), strict=True))
+            cells = [_quote_column(format_column(column), single) for column in block]
+            lines = list(map(",".join, zip(*cells, strict=True)))
+            if lines:
+                handle.write("\n".join(lines) + "\n")
     return path
 
 

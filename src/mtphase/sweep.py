@@ -2,16 +2,17 @@
 
 A sweep classifies every cell of a regular grid laid over a
 :class:`~mtphase.threshold.ParameterPlane` and returns the result as
-arrays, one element per cell.  Each grid row is one batch: its feasible
-points go to :func:`~mtphase.threshold.classify_region` together, as one
-stack of principal-mode blocks, and each value equals the one a
-single-point classification gives.  For a cell whose parameters are
-infeasible, the grid's error map records the name and message of the
-domain error the scalar :meth:`~mtphase.threshold.ParameterPlane.at`
-would raise, built from the row's arrays by
-:meth:`~mtphase.model.ParamBatch.domain_errors` without raising it; the
-sweep continues.  Unexpected exceptions propagate.  Sweep output is
-reproducible byte-for-byte.
+arrays, one element per cell.  The cells are taken in row-major order,
+:data:`CELLS_PER_BATCH` at a time, whatever the grid rows: the feasible
+points of a batch go to :func:`~mtphase.threshold.classify_region`
+together, as one stack of principal-mode blocks, and each value equals
+the one a single-point classification gives.  For a cell whose
+parameters are infeasible, the grid's error map records the name and
+message of the domain error the scalar
+:meth:`~mtphase.threshold.ParameterPlane.at` would raise, built from the
+batch's arrays by :meth:`~mtphase.model.ParamBatch.domain_errors` without
+raising it; the sweep continues.  Unexpected exceptions propagate.  Sweep
+output is reproducible byte-for-byte.
 
 Everything runs in the calling process.  :func:`resolve_workers`,
 ``MTPHASE_WORKERS`` and the ``workers`` argument of :func:`sweep` change
@@ -27,13 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .model import ParamBatch
 from .threshold import ParameterPlane, classify_region
 
 __all__ = [
+    "CELLS_PER_BATCH",
     "PhaseGrid",
     "resolve_workers",
     "sweep",
 ]
+
+#: cells per batch of a sweep: enough that the Python around each batch
+#: is small next to its eigenvalue call, few enough that a batch's arrays
+#: stay under 1 MB of transient memory
+CELLS_PER_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -89,8 +97,8 @@ def sweep(
         Number of grid points along each axis; the grid includes both range
         endpoints (a single point falls on the lower end).
     workers : int, optional
-        Ignored: the sweep runs in-process, one batch per grid row.  Kept
-        because the benchmark passes it.
+        Ignored: the sweep runs in-process.  Kept because the benchmark
+        passes it.
 
     Returns
     -------
@@ -105,18 +113,24 @@ def sweep(
     # coordinate 0.0 whatever the resolution
     coord1 = np.linspace(*plane.range1, n1)
     coord2 = np.linspace(*plane.range2, n2)
-    region = np.full((n1, n2), "", dtype=object)
-    sigma11 = np.full((n1, n2), np.nan, dtype=complex)
-    cond2_ok = np.zeros((n1, n2), dtype=bool)
+    n = n1 * n2
+    region = np.full(n, "", dtype=object)
+    sigma11 = np.full(n, np.nan, dtype=complex)
+    cond2_ok = np.zeros(n, dtype=bool)
     errors: dict[tuple[int, int], str] = {}
-    for i, s in enumerate(coord1.tolist()):
-        row = plane.row(s, coord2)
-        feasible = row.feasible()
-        report = classify_region(row.select(feasible))
-        region[i, feasible] = report.region
-        sigma11[i, feasible] = report.sigma11
-        cond2_ok[i, feasible] = report.cond2_ok
-        infeasible = np.flatnonzero(~feasible).tolist()
-        for j, exc in zip(infeasible, row.domain_errors(infeasible)):
-            errors[i, j] = f"{type(exc).__name__}: {exc}"
-    return PhaseGrid(coord1, coord2, region, sigma11, cond2_ok, errors)
+    for start in range(0, n, CELLS_PER_BATCH):
+        k = np.arange(start, min(start + CELLS_PER_BATCH, n))
+        batch = ParamBatch.from_record(plane.record(coord1[k // n2], coord2[k % n2]))
+        feasible = batch.feasible()
+        report = classify_region(batch.select(feasible))
+        cells = k[feasible]
+        region[cells] = report.region
+        sigma11[cells] = report.sigma11
+        cond2_ok[cells] = report.cond2_ok
+        infeasible = np.flatnonzero(~feasible)
+        for cell, exc in zip(k[infeasible].tolist(), batch.domain_errors(infeasible)):
+            errors[divmod(cell, n2)] = f"{type(exc).__name__}: {exc}"
+    return PhaseGrid(
+        coord1, coord2, region.reshape(n1, n2), sigma11.reshape(n1, n2),
+        cond2_ok.reshape(n1, n2), errors,
+    )

@@ -10,7 +10,8 @@ continuation.
 
 :func:`classify_region` takes one point or a :class:`ParamBatch`; a batch
 is classified with one eigenvalue call and reported as arrays, which is
-how a sweep classifies a grid row.
+how a sweep classifies its cells, a fixed-size slice of the grid at a
+time.
 
 The root finders evaluate det E1 from plain floats.  :func:`find_threshold`,
 the curve tracer's ``F(u, v)`` and the bracket search of a curve vertex
@@ -183,18 +184,17 @@ class ParameterPlane:
     axis2: str | Mapping[str, float]
     range2: tuple[float, float]
 
-    def _record(self, s, t) -> dict:
+    def record(self, s, t) -> dict:
+        """The fields at plane coordinates ``(s, t)``, unvalidated; ``s`` and
+        ``t`` are floats, or equal-length arrays for a
+        :meth:`~mtphase.model.ParamBatch.from_record` of many points."""
         record = self.base.to_record()
         record.update(_axis_fields(self.axis1, s))
         record.update(_axis_fields(self.axis2, t))
         return record
 
     def at(self, s: float, t: float) -> ModelParams:
-        return validate_params(self._record(s, t))
-
-    def row(self, s: float, t: np.ndarray) -> ParamBatch:
-        """The points ``(s, t[j])`` as one unvalidated batch."""
-        return ParamBatch.from_record(self._record(s, np.asarray(t, dtype=float)))
+        return validate_params(self.record(s, t))
 
 
 class Region(str, Enum):
@@ -205,8 +205,9 @@ class Region(str, Enum):
     UNSTABLE = "unstable"
 
 
-#: the values of Region.STABLE, CRITICAL and UNSTABLE, indexed by side 0, 1, 2
-_REGION_VALUES = np.array([r.value for r in Region])
+#: the values of Region.STABLE, CRITICAL and UNSTABLE, indexed by side 0, 1, 2;
+#: an object array, so that a batch report shares these three strings
+_REGION_VALUES = np.array([r.value for r in Region], dtype=object)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtphase import (
@@ -100,6 +100,69 @@ def test_write_csv_rejects_a_block_of_the_wrong_width(tmp_path):
         write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[[1, 2]]])
     with pytest.raises(ValueError):
         write_csv(str(tmp_path / "t.csv"), ["a", "b"], [[[1, 2], [3]]])
+
+
+def _csv_oracle(columns, blocks) -> bytes:
+    """The bytes of ``csv.writer`` under write_csv's dialect, one
+    :func:`format_value` per cell."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(columns)
+    for block in blocks:
+        writer.writerows(zip(*([format_value(cell) for cell in column] for column in block)))
+    return handle.getvalue().encode("utf-8")
+
+
+# every character csv treats specially under the dialect, and "\r",
+# which it does not quote when alone
+_CELL_TEXT = st.text(alphabet='ab ,"\n\r', max_size=6)
+_FLOATS = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+_CELLS = st.none() | st.booleans() | st.integers() | _FLOATS | _CELL_TEXT
+
+
+def _column(n: int):
+    def cells(strategy):
+        return st.lists(strategy, min_size=n, max_size=n)
+
+    return st.one_of(
+        cells(_FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
+        cells(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+        cells(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
+        cells(_CELL_TEXT).map(lambda v: np.array(v, dtype=str)),
+        cells(_CELLS),
+    )
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 4))
+    columns = draw(st.lists(_CELL_TEXT, min_size=width, max_size=width))
+    blocks = []
+    for n in draw(st.lists(st.integers(0, 5), max_size=3)):
+        blocks.append([draw(_column(n)) for _ in range(width)])
+    return columns, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+# a one-column table with an empty cell, which csv writes as ""
+@example((["a"], [[["x", "", None]]]))
+@example(([""], [[[1.5]]]))
+# a header name with a comma, and a lone "\r"
+@example((["a,b", "c"], [[["x\ry"], [""]]]))
+def test_write_csv_writes_what_csv_writer_writes(tmp_path_factory, table):
+    columns, blocks = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(str(path), columns, blocks)
+    assert path.read_bytes() == _csv_oracle(columns, blocks)
+
+
+def test_write_csv_leaves_a_lone_carriage_return_unquoted(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["a", "b,c"], [[["x\ry", ""], ["", "q"]]])
+    assert path.read_bytes() == b'a,"b,c"\nx\ry,\n,q\n'
+    write_csv(str(path), ["a"], [[["", "x\ry", 'say "hi"']]])
+    assert path.read_bytes() == b'a\n""\nx\ry\n"say ""hi"""\n'
 
 
 def _phase_diagram_oracle(grid) -> bytes:

@@ -1,8 +1,9 @@
-"""Parameter-plane sweeps: grid layout, row batches against single points, errors."""
+"""Parameter-plane sweeps: grid layout, cell batches against single points, errors, memory."""
 
 from __future__ import annotations
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from mtphase import (
     sweep,
 )
 from mtphase.config import parse_config_text
+from mtphase.sweep import CELLS_PER_BATCH
 
 D_RAY = {"d1": 1.0, "d2": 1.0, "d3": 1.0}
 # the point of configs/neumann-jump.ini
@@ -163,6 +165,63 @@ def test_row_batches_equal_single_point_cells(bc):
                 )
 
 
+# windows at 37x53 cells: 53 does not divide CELLS_PER_BATCH, so batches
+# start inside grid rows; each window holds a batch of only infeasible
+# cells (small k7, K1 <= 0) and infeasible cells on both sides of a batch
+# boundary (non-positive diffusivities in every row's first columns)
+BATCH_WINDOWS = {
+    "dirichlet": ((-0.5, 1.0), (-0.1, 0.4)),
+    "neumann-zero-average": ((0.8, -0.5), (-0.2, 1.8)),
+}
+
+
+@pytest.mark.parametrize("bc", sorted(BATCH_WINDOWS))
+def test_batch_boundaries_inside_grid_rows_equal_single_point_cells(bc):
+    edge, (window1, window2) = EDGE_PLANES[bc], BATCH_WINDOWS[bc]
+    plane = ParameterPlane(
+        base=edge.base, axis1=edge.axis1, range1=window1, axis2=edge.axis2, range2=window2
+    )
+    n1, n2 = resolution = (37, 53)
+    grid = sweep(plane, resolution)
+    _assert_grid_equals_reference(grid, plane, resolution)
+
+    infeasible = np.zeros(n1 * n2, dtype=bool)
+    infeasible[[i * n2 + j for i, j in grid.errors]] = True
+    starts = range(0, n1 * n2, CELLS_PER_BATCH)
+    assert len(starts) >= 2 and CELLS_PER_BATCH % n2 != 0
+    assert any(infeasible[k:k + CELLS_PER_BATCH].all() for k in starts)
+    assert any(infeasible[k - 1] and infeasible[k] for k in starts[1:])
+    assert {e.split(":")[0] for e in grid.errors.values()} == {
+        "NonPositiveParameter", "K1NotPositive"
+    }
+    assert {"stable", "unstable"} <= set(grid.region.ravel().tolist())
+
+
+def _canonical_config(**values):
+    text = (Path(__file__).parents[1] / "configs" / "canonical.ini").read_text()
+    for key, value in values.items():
+        text, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert n == 1, key
+    return parse_config_text(text)
+
+
+def test_sweep_transient_memory_stays_within_its_batches():
+    # the memory a 160x160 sweep holds at its peak beyond what the returned
+    # grid keeps: about 0.55 MB with 1,024-cell batches, 2.1 MB with 4,096
+    # and 11.4 MB when the whole grid is one batch
+    config = _canonical_config(resolution="160,160")
+    plane = config.plane()
+    sweep(plane, config.sweep.resolution)  # first-call caches and imports
+    tracemalloc.start()
+    try:
+        grid = sweep(plane, config.sweep.resolution)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.region.shape == (160, 160)
+    assert (peak - held) / 1e6 <= 1.5
+
+
 _windows = st.tuples(st.floats(-0.5, 3.5), st.floats(-0.5, 3.5))
 
 
@@ -192,10 +251,7 @@ def test_row_batches_equal_single_point_cells_on_random_windows(
 def test_infeasible_cells_carry_the_scalar_error_on_the_ci_window():
     # the window the CI's byte-identity step sweeps: canonical.ini with
     # range1 = -0.1,0.4 and range2 = 0.2,3.0 at 160x160
-    text = (Path(__file__).parents[1] / "configs" / "canonical.ini").read_text()
-    for key, value in (("range1", "-0.1,0.4"), ("range2", "0.2,3.0"), ("resolution", "160,160")):
-        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
-    config = parse_config_text(text)
+    config = _canonical_config(range1="-0.1,0.4", range2="0.2,3.0", resolution="160,160")
     plane = config.plane()
     grid = sweep(plane, config.sweep.resolution)
 
