@@ -49,7 +49,7 @@ from . import artifacts
 from .config import RunConfig, config_sha256, parse_config
 from .errors import ConfigError, MTPhaseError, NumericalError
 from .output import MANIFEST_NAME, VERIFY_COLUMNS, write_csv, write_manifest
-from .verification import DEFAULT_SEED, default_verify_config, run_all
+from .verification import CRITERIA, DEFAULT_SEED, default_verify_config, run_all
 from .version import __version__
 
 __all__ = ["main"]
@@ -147,9 +147,9 @@ def _parse_only(text: str | None) -> list[int] | None:
         indices = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--only expects comma-separated integers, got {text!r}")
-    bad = [i for i in indices if not 1 <= i <= 12]
-    if bad or not indices:
-        raise ConfigError(f"--only criteria must be in 1..12, got {text!r}")
+    valid = {index for index, _, _ in CRITERIA}
+    if not indices or not valid.issuperset(indices):
+        raise ConfigError(f"--only criteria must be in {min(valid)}..{max(valid)}, got {text!r}")
     return indices
 
 

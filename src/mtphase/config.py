@@ -1,60 +1,40 @@
 """Run configuration: INI parsing, validation, and canonical serialization.
 
 A run is described by a sectioned key=value file (INI dialect, no
-interpolation).  The grammar is small and fully enumerated here; unknown
-sections or keys are rejected so that typos cannot silently change a run.
+interpolation) with the sections ``[model]`` and ``[domain]`` (required),
+``[analysis]``, ``[simulate]``, ``[sweep]`` (optional as a whole; the
+phase-diagram subcommand needs it) and ``[output]``.  Unknown sections or
+keys are rejected so that typos cannot silently change a run.
 
-Sections and keys
------------------
-``[model]``
-    ``k1 k3 k5 k7 C1 E d1 d2 d3`` — reaction rates and diffusivities, all
-    required, all positive.
-``[domain]``
-    ``ell`` (required, positive domain length) and ``bc`` (``dirichlet`` or
-    ``neumann-zero-average``; default ``dirichlet``).
-``[analysis]``
-    ``M_max`` (at least 1, default 50), ``tol`` (the relative tolerance of
-    the threshold root finder: at least ``4*eps``, about 8.9e-16, the
-    smallest that Brent's method accepts; default 1e-10), and an optional
-    ray: ``ray`` (axis spec) with ``bracket`` (``lo,hi``).
-``[simulate]``
-    ``N`` (at least ``simulator.MIN_GRID_POINTS``, 16; default 256),
-    ``dt`` (a positive fixed step, or ``auto``, the default: third-order
-    IMEX Runge-Kutta steps under the error tolerance ``simulator.ARK_TOL``,
-    recorded every ``record_every`` steps of half the stability limit),
-    ``T`` (positive end time, default 100), ``ic`` (``zero``,
-    ``random[:amplitude]`` or ``aligned[:amplitude]``; default
-    ``random:0.0001``), ``seed`` (non-negative, default 0),
-    ``record_every`` (positive, default 10).
-``[sweep]``
-    ``axis1``/``range1``, ``axis2``/``range2`` (axis specs with ``lo,hi``
-    ranges) and ``resolution`` (``n1,n2``).  Optional section; required by
-    the phase-diagram subcommand.
-``[output]``
-    ``directory`` (default ``out``) and ``formats`` (default ``csv``; only
-    CSV output is supported).
-
-Every real number must be finite: ``nan``, ``inf`` and ``-inf`` are
-rejected as validation errors of their key.
+The table ``_SCHEMA`` is the single source of the grammar: for each key,
+the dataclass field(s) it fills, the parser of its text, the canonical text
+of its value, its default (INI text, required or optional) and its range
+rule.  :func:`parse_config_text` reads every section through it, absent
+sections included, and :func:`serialize_config` writes every section
+through it.  A bad value raises a :class:`ValidationError` whose ``field``
+is its key and whose message reads ``[section] key: ...``; ``nan``, ``inf``
+and ``-inf`` are bad values of every real-valued key.  The model fields
+must also be positive (:func:`~mtphase.model.validate_params`).
 
 An *axis spec* is either a bare parameter name (``d1``) meaning that field
 is set to the coordinate directly, or a comma list ``name:weight,...``
 (``d1:1,d2:1,d3:0.5``) meaning each named field is set to ``weight *
-coordinate``.
+coordinate``.  No field may be named twice in one axis, and the two
+``[sweep]`` axes may not set a field in common.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ParseError, UnknownKey, ValidationError
-from .model import BoundaryCondition, ModelParams, validate_params
+from .model import POSITIVE_FIELDS, BoundaryCondition, ModelParams, validate_params
 from .simulator import MIN_GRID_POINTS
-from .threshold import _BRENT_RTOL, ParameterPlane, ParameterRay
+from .threshold import _BRENT_RTOL, ParameterPlane, ParameterRay, _axis_overlap
 
 __all__ = [
     "AnalysisConfig",
@@ -68,42 +48,28 @@ __all__ = [
     "config_sha256",
 ]
 
-AxisSpec = "str | tuple[tuple[str, float], ...]"
-
-_MODEL_KEYS = ("k1", "k3", "k5", "k7", "C1", "E", "d1", "d2", "d3")
-_AXIS_FIELDS = _MODEL_KEYS + ("ell",)
-
-_SECTION_KEYS = {
-    "model": set(_MODEL_KEYS),
-    "domain": {"ell", "bc"},
-    "analysis": {"M_max", "tol", "ray", "bracket"},
-    "simulate": {"N", "dt", "T", "ic", "seed", "record_every"},
-    "sweep": {"axis1", "range1", "axis2", "range2", "resolution"},
-    "output": {"directory", "formats"},
-}
-
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Settings for threshold and transition analysis."""
 
-    M_max: int = 50
-    tol: float = 1e-10
-    ray_direction: str | tuple[tuple[str, float], ...] | None = None
-    ray_bracket: tuple[float, float] | None = None
+    M_max: int
+    tol: float
+    ray_direction: str | tuple[tuple[str, float], ...] | None
+    ray_bracket: tuple[float, float] | None
 
 
 @dataclass(frozen=True)
 class SimulateConfig:
     """Settings for time integration runs."""
 
-    N: int = 256
-    dt: float | None = None
-    T: float = 100.0
-    ic_kind: str = "random"
-    ic_amplitude: float = 1e-4
-    seed: int = 0
-    record_every: int = 10
+    N: int
+    dt: float | None
+    T: float
+    ic_kind: str
+    ic_amplitude: float
+    seed: int
+    record_every: int
 
 
 @dataclass(frozen=True)
@@ -121,8 +87,8 @@ class SweepConfig:
 class OutputConfig:
     """Where and how artifacts are written."""
 
-    directory: str = "out"
-    formats: tuple[str, ...] = ("csv",)
+    directory: str
+    formats: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -130,17 +96,15 @@ class RunConfig:
     """A fully validated run description."""
 
     params: ModelParams
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    simulate: SimulateConfig = field(default_factory=SimulateConfig)
-    sweep: SweepConfig | None = None
-    output: OutputConfig = field(default_factory=OutputConfig)
+    analysis: AnalysisConfig
+    simulate: SimulateConfig
+    sweep: SweepConfig | None
+    output: OutputConfig
 
     def ray(self) -> ParameterRay:
         """The analysis ray, if one was configured."""
         if self.analysis.ray_direction is None or self.analysis.ray_bracket is None:
-            raise ValidationError(
-                "ray", "this subcommand needs [analysis] ray and bracket"
-            )
+            raise ValidationError("ray", "this subcommand needs [analysis] ray and bracket")
         return ParameterRay(
             base=self.params,
             direction=_axis_as_direction(self.analysis.ray_direction),
@@ -160,52 +124,77 @@ class RunConfig:
         )
 
 
-def _finite_float(text: str) -> float:
-    """``float(text)`` that also rejects nan and infinities with ``ValueError``.
-
-    Every real-valued config entry is read through this, so a non-finite
-    value is reported as a validation error of its key.
-    """
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
-
-
 def _axis_as_direction(axis):
     if isinstance(axis, str):
         return axis
     return dict(axis)
 
 
-def _parse_axis(section: str, key: str, text: str):
-    text = text.strip()
-    if not text:
-        raise ValidationError(key, f"[{section}] {key} is empty")
+# The parsers of the table.  Each reads a value's text and raises
+# ValueError with the explanation that follows "[section] key: ".
+
+
+def _number(text: str) -> float:
+    """``float(text)``, rejecting nan and the infinities as well."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _pair(cast):
+    """The parser of ``a,b``, each part read with ``cast``."""
+
+    def parse(text: str) -> tuple:
+        parts = [part.strip() for part in text.split(",")]
+        if len(parts) != 2:
+            raise ValueError("must be two comma-separated values")
+        try:
+            return cast(parts[0]), cast(parts[1])
+        except ValueError:
+            raise ValueError(f"cannot parse {text!r}") from None
+
+    return parse
+
+
+def _pair_text(pair: tuple) -> str:
+    return f"{pair[0]!r},{pair[1]!r}"
+
+
+def _axis(text: str) -> str | tuple[tuple[str, float], ...]:
+    """An axis spec: a field name, or ``(name, weight)`` pairs."""
+    if not text.strip():
+        raise ValueError("is empty")
     if ":" not in text:
-        name = text
-        if name not in _AXIS_FIELDS:
-            raise ValidationError(key, f"unknown parameter {name!r} in axis spec")
+        name = text.strip()
+        if name not in POSITIVE_FIELDS:
+            raise ValueError(f"unknown parameter {name!r} in axis spec")
         return name
-    pairs = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    pairs: dict[str, float] = {}
+    for item in filter(None, (item.strip() for item in text.split(","))):
         name, _, weight = item.partition(":")
         name = name.strip()
-        if name not in _AXIS_FIELDS:
-            raise ValidationError(key, f"unknown parameter {name!r} in axis spec")
+        if name not in POSITIVE_FIELDS:
+            raise ValueError(f"unknown parameter {name!r} in axis spec")
+        if name in pairs:
+            raise ValueError(f"names {name!r} twice")
         try:
-            w = _finite_float(weight)
+            pairs[name] = _number(weight)
         except ValueError:
-            raise ValidationError(
-                key, f"bad weight {weight!r} for {name!r} in axis spec"
-            ) from None
-        pairs.append((name, w))
+            raise ValueError(f"bad weight {weight!r} for {name!r} in axis spec") from None
     if not pairs:
-        raise ValidationError(key, f"[{section}] {key} has no entries")
-    return tuple(pairs)
+        raise ValueError("has no entries")
+    return tuple(pairs.items())
 
 
 def _axis_text(axis) -> str:
@@ -214,70 +203,125 @@ def _axis_text(axis) -> str:
     return ",".join(f"{name}:{weight!r}" for name, weight in axis)
 
 
-def _parse_pair(section: str, key: str, text: str, cast):
-    parts = [part.strip() for part in text.split(",")]
-    if len(parts) != 2:
-        raise ValidationError(key, f"[{section}] {key} must be two comma-separated values")
+def _bc(text: str) -> BoundaryCondition:
     try:
-        return cast(parts[0]), cast(parts[1])
+        return BoundaryCondition(text)
     except ValueError:
-        raise ValidationError(key, f"[{section}] {key}: cannot parse {text!r}") from None
+        raise ValueError(
+            f"unknown boundary condition {text!r}; expected "
+            f"'dirichlet' or 'neumann-zero-average'"
+        ) from None
 
 
-def _parse_ic(text: str) -> tuple[str, float]:
+def _dt(text: str) -> float | None:
+    return None if text.strip() == "auto" else _number(text)
+
+
+def _ic(text: str) -> tuple[str, float]:
+    """``kind[:amplitude]``; the amplitude defaults to 0 for ``zero``, else 1e-4."""
     kind, _, amp = text.strip().partition(":")
     kind = kind.strip()
     if kind not in ("zero", "random", "aligned"):
-        raise ValidationError("ic", f"unknown initial-condition kind {kind!r}")
+        raise ValueError(f"unknown initial-condition kind {kind!r}")
     if not amp:
         return kind, 0.0 if kind == "zero" else 1e-4
     try:
-        amplitude = _finite_float(amp)
+        return kind, _number(amp)
     except ValueError:
-        raise ValidationError("ic", f"bad initial-condition amplitude {amp!r}") from None
-    return kind, amplitude
+        raise ValueError(f"bad initial-condition amplitude {amp!r}") from None
 
 
-class _Section:
-    """One parsed section with typed, checked accessors."""
-
-    def __init__(self, name: str, items: dict[str, str]):
-        self.name = name
-        self.items = items
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.items.get(key, default)
-
-    def require(self, key: str) -> str:
-        if key not in self.items:
-            raise ValidationError(key, f"[{self.name}] is missing required key {key!r}")
-        return self.items[key]
-
-    def number(self, key: str, default: float | None = None) -> float | None:
-        raw = self.items.get(key)
-        if raw is None:
-            return default
-        try:
-            return _finite_float(raw)
-        except ValueError:
-            raise ValidationError(
-                key, f"[{self.name}] {key}: not a finite number: {raw!r}"
-            ) from None
-
-    def integer(self, key: str, default: int | None = None) -> int | None:
-        raw = self.items.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(
-                key, f"[{self.name}] {key}: not an integer: {raw!r}"
-            ) from None
+def _directory(text: str) -> str:
+    if not text:
+        raise ValueError("is empty")
+    return text
 
 
-def parse_config_text(text: str) -> RunConfig:
-    """Parse configuration text; see the module docstring for the grammar."""
+def _formats(text: str) -> tuple[str, ...]:
+    formats = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not formats:
+        raise ValueError("has no entries")
+    for fmt in formats:
+        if fmt != "csv":
+            raise ValueError(f"unsupported output format {fmt!r}")
+    return formats
+
+
+def _analysis(**fields) -> AnalysisConfig:
+    if (fields["ray_direction"] is None) != (fields["ray_bracket"] is None):
+        raise ValidationError("ray", "[analysis] ray: must be given together with bracket")
+    return AnalysisConfig(**fields)
+
+
+def _sweep(**fields) -> SweepConfig:
+    overlap = _axis_overlap(*(_axis_as_direction(fields[axis]) for axis in ("axis1", "axis2")))
+    if overlap:
+        raise ValidationError("axis2", f"[sweep] axis2: {overlap}")
+    return SweepConfig(**fields)
+
+
+#: the default of a key that must be given, and of one that may be absent (None)
+_REQUIRED, _OPTIONAL = object(), None
+
+_FLOAT_PAIR, _INT_PAIR = _pair(_number), _pair(_integer)
+_POSITIVE = (lambda x: x > 0, "must be positive")
+
+#: section -> (the RunConfig field it fills, the builder of that field from the
+#: keyword fields read so far, or None to read on into the next section, and
+#: key -> (the field(s) it fills, parser, canonical text, default, range)).  A
+#: default is INI text, _REQUIRED or _OPTIONAL; a range is (predicate, phrase)
+#: or None.  Sections and keys are read and written in this order.
+_SCHEMA = {
+    "model": ("params", None, {
+        key: ((key,), _number, repr, _REQUIRED, None) for key in POSITIVE_FIELDS[:-1]
+    }),
+    "domain": ("params", lambda **record: validate_params(record), {
+        "ell": (("ell",), _number, repr, _REQUIRED, None),
+        "bc": (("bc",), _bc, attrgetter("value"), "dirichlet", None),
+    }),
+    "analysis": ("analysis", _analysis, {
+        "M_max": (("M_max",), _integer, str, "50", (lambda n: n >= 1, "must be at least 1")),
+        "tol": (("tol",), _number, repr, "1e-10", (
+            lambda tol: tol >= _BRENT_RTOL,
+            f"must be at least {_BRENT_RTOL!r}, the smallest relative tolerance "
+            f"of Brent's method",
+        )),
+        "ray": (("ray_direction",), _axis, _axis_text, _OPTIONAL, None),
+        "bracket": (("ray_bracket",), _FLOAT_PAIR, _pair_text, _OPTIONAL, None),
+    }),
+    "simulate": ("simulate", SimulateConfig, {
+        "N": (("N",), _integer, str, "256", (
+            lambda n: n >= MIN_GRID_POINTS, f"must be at least {MIN_GRID_POINTS}"
+        )),
+        "dt": (("dt",), _dt, lambda dt: "auto" if dt is None else repr(dt), "auto", (
+            lambda dt: dt is None or dt > 0.0, "must be positive"
+        )),
+        "T": (("T",), _number, repr, "100.0", _POSITIVE),
+        "ic": (("ic_kind", "ic_amplitude"), _ic, lambda ic: f"{ic[0]}:{ic[1]!r}", "random", None),
+        "seed": (("seed",), _integer, str, "0", (lambda n: n >= 0, "must be non-negative")),
+        "record_every": (("record_every",), _integer, str, "10", _POSITIVE),
+    }),
+    "sweep": ("sweep", _sweep, {
+        "axis1": (("axis1",), _axis, _axis_text, _REQUIRED, None),
+        "range1": (("range1",), _FLOAT_PAIR, _pair_text, _REQUIRED, None),
+        "axis2": (("axis2",), _axis, _axis_text, _REQUIRED, None),
+        "range2": (("range2",), _FLOAT_PAIR, _pair_text, _REQUIRED, None),
+        "resolution": (("resolution",), _INT_PAIR, _pair_text, _REQUIRED, (
+            lambda pair: min(pair) > 0, "must be positive"
+        )),
+    }),
+    "output": ("output", OutputConfig, {
+        "directory": (("directory",), _directory, str, "out", None),
+        "formats": (("formats",), _formats, ",".join, "csv", None),
+    }),
+}
+_REQUIRED_SECTIONS = ("model", "domain")
+#: a section that may be absent as a whole, leaving its RunConfig field None
+_OPTIONAL_SECTIONS = ("sweep",)
+
+
+def _read_ini(text: str) -> configparser.ConfigParser:
+    """The INI text as a parser; every syntax error is a :class:`ParseError`."""
     parser = configparser.ConfigParser(
         interpolation=None,
         strict=True,
@@ -302,166 +346,66 @@ def parse_config_text(text: str) -> RunConfig:
         raise ParseError(f"line {exc.lineno}: duplicate section [{exc.section}]") from None
     except configparser.Error as exc:
         raise ParseError(str(exc)) from None
+    return parser
 
-    sections: dict[str, _Section] = {}
+
+def _value(section: str, key: str, text, parse, check):
+    """The value of one key from its text (or its default), checked against its range."""
+    if text is _REQUIRED:
+        raise ValidationError(key, f"[{section}] {key}: required key is missing")
+    if text is _OPTIONAL:
+        return None
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ValidationError(key, f"[{section}] {key}: {exc}") from None
+    if check is not None and not check[0](value):
+        raise ValidationError(key, f"[{section}] {key}: {check[1]}, got {text}")
+    return value
+
+
+def parse_config_text(text: str) -> RunConfig:
+    """Parse configuration text; see the module docstring for the grammar.
+
+    The sections and keys of ``_SCHEMA`` are read in its order, each key
+    parsed and range-checked before the next, so the first bad value in
+    that order is the one reported.  The model point is validated as soon
+    as ``[domain]`` is read, before ``[analysis]``.  Raises what
+    :func:`parse_config` raises.
+    """
+    parser = _read_ini(text)
     for name in parser.sections():
-        if name not in _SECTION_KEYS:
+        if name not in _SCHEMA:
             raise UnknownKey(f"unknown section [{name}]")
-        items = dict(parser.items(name))
-        for key in items:
-            if key not in _SECTION_KEYS[name]:
+        for key in dict(parser.items(name)):
+            if key not in _SCHEMA[name][2]:
                 raise UnknownKey(f"unknown key {key!r} in section [{name}]")
-        sections[name] = _Section(name, items)
-
-    for required in ("model", "domain"):
-        if required not in sections:
+    for required in _REQUIRED_SECTIONS:
+        if not parser.has_section(required):
             raise ValidationError(required, f"missing required section [{required}]")
 
-    model = sections["model"]
-    record: dict[str, object] = {}
-    for key in _MODEL_KEYS:
-        model.require(key)
-        record[key] = model.number(key)
-    domain = sections["domain"]
-    domain.require("ell")
-    record["ell"] = domain.number("ell")
-    bc_text = domain.get("bc", BoundaryCondition.DIRICHLET.value)
-    try:
-        record["bc"] = BoundaryCondition(bc_text)
-    except ValueError:
-        raise ValidationError(
-            "bc",
-            f"unknown boundary condition {bc_text!r}; expected "
-            f"'dirichlet' or 'neumann-zero-average'",
-        ) from None
-    params = validate_params(record)
-
-    analysis = AnalysisConfig()
-    if "analysis" in sections:
-        sec = sections["analysis"]
-        ray_text = sec.get("ray")
-        bracket_text = sec.get("bracket")
-        if (ray_text is None) != (bracket_text is None):
-            raise ValidationError(
-                "ray", "[analysis] ray and bracket must be given together"
-            )
-        analysis = AnalysisConfig(
-            M_max=sec.integer("M_max", 50),
-            tol=sec.number("tol", 1e-10),
-            ray_direction=(
-                _parse_axis("analysis", "ray", ray_text) if ray_text is not None else None
-            ),
-            ray_bracket=(
-                _parse_pair("analysis", "bracket", bracket_text, _finite_float)
-                if bracket_text is not None
-                else None
-            ),
-        )
-        if analysis.M_max < 1:
-            raise ValidationError(
-                "M_max", f"[analysis] M_max must be at least 1, got {analysis.M_max}"
-            )
-        if analysis.tol < _BRENT_RTOL:
-            raise ValidationError(
-                "tol",
-                f"[analysis] tol must be at least {_BRENT_RTOL!r}, the smallest "
-                f"relative tolerance of Brent's method, got {analysis.tol!r}",
-            )
-
-    simulate = SimulateConfig()
-    if "simulate" in sections:
-        sec = sections["simulate"]
-        dt_text = sec.get("dt", "auto")
-        if dt_text.strip() == "auto":
-            dt = None
-        else:
-            dt = sec.number("dt")
-            if dt is not None and dt <= 0.0:
-                raise ValidationError("dt", f"[simulate] dt must be positive, got {dt!r}")
-        ic_kind, ic_amplitude = _parse_ic(sec.get("ic", "random:0.0001"))
-        simulate = SimulateConfig(
-            N=sec.integer("N", 256),
-            dt=dt,
-            T=sec.number("T", 100.0),
-            ic_kind=ic_kind,
-            ic_amplitude=ic_amplitude,
-            seed=sec.integer("seed", 0),
-            record_every=sec.integer("record_every", 10),
-        )
-        if simulate.N < MIN_GRID_POINTS:
-            raise ValidationError(
-                "N", f"[simulate] N must be at least {MIN_GRID_POINTS}, got {simulate.N}"
-            )
-        if simulate.record_every <= 0:
-            raise ValidationError(
-                "record_every",
-                f"[simulate] record_every must be positive, got {simulate.record_every}",
-            )
-        if simulate.T <= 0.0:
-            raise ValidationError("T", f"[simulate] T must be positive, got {simulate.T!r}")
-        if simulate.seed < 0:
-            raise ValidationError(
-                "seed", f"[simulate] seed must be non-negative, got {simulate.seed}"
-            )
-
-    sweep = None
-    if "sweep" in sections:
-        sec = sections["sweep"]
-        resolution = _parse_pair("sweep", "resolution", sec.require("resolution"), int)
-        if resolution[0] <= 0 or resolution[1] <= 0:
-            raise ValidationError(
-                "resolution", f"[sweep] resolution must be positive, got {resolution!r}"
-            )
-        sweep = SweepConfig(
-            axis1=_parse_axis("sweep", "axis1", sec.require("axis1")),
-            range1=_parse_pair("sweep", "range1", sec.require("range1"), _finite_float),
-            axis2=_parse_axis("sweep", "axis2", sec.require("axis2")),
-            range2=_parse_pair("sweep", "range2", sec.require("range2"), _finite_float),
-            resolution=resolution,
-        )
-
-    output = OutputConfig()
-    if "output" in sections:
-        sec = sections["output"]
-        formats = tuple(
-            part.strip() for part in sec.get("formats", "csv").split(",") if part.strip()
-        )
-        if not formats:
-            raise ValidationError("formats", "[output] formats has no entries")
-        for fmt in formats:
-            if fmt != "csv":
-                raise ValidationError("formats", f"unsupported output format {fmt!r}")
-        directory = sec.get("directory", "out")
-        if not directory:
-            raise ValidationError("directory", "[output] directory is empty")
-        output = OutputConfig(directory=directory, formats=formats)
-
-    return RunConfig(
-        params=params, analysis=analysis, simulate=simulate, sweep=sweep, output=output
-    )
+    built: dict[str, object] = {}
+    fields: dict[str, object] = {}
+    for section, (attr, build, keys) in _SCHEMA.items():
+        if not parser.has_section(section) and section in _OPTIONAL_SECTIONS:
+            built[attr] = None
+            continue
+        items = dict(parser.items(section)) if parser.has_section(section) else {}
+        for key, (names, parse, _, default, check) in keys.items():
+            value = _value(section, key, items.get(key, default), parse, check)
+            fields.update(zip(names, value if len(names) > 1 else (value,)))
+        if build is not None:
+            built[attr] = build(**fields)
+            fields = {}
+    return RunConfig(**built)
 
 
 def parse_config(path: str) -> RunConfig:
-    """Read and parse a configuration file.
+    """Read and parse the configuration file at ``path``.
 
-    Parameters
-    ----------
-    path : str
-        Path of an INI-style configuration file.
-
-    Returns
-    -------
-    RunConfig
-        The validated configuration with all defaults applied.
-
-    Raises
-    ------
-    ParseError
-        If the file is not syntactically valid key=value text.
-    UnknownKey
-        If an unknown section or key appears.
-    ValidationError
-        If a required key is missing or a value fails validation.
+    Raises :class:`ParseError` if the file cannot be read or is not valid
+    key=value text, :class:`UnknownKey` for an unknown section or key, and
+    :class:`ValidationError` for a missing section or key or a bad value.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -472,52 +416,23 @@ def parse_config(path: str) -> RunConfig:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Render a configuration as canonical INI text.
-
-    All defaults are materialized, so parsing the output reproduces
-    ``config`` exactly (round-trip identity).  Floats are written with
-    ``repr`` which round-trips in binary.
+    """Render a configuration as canonical INI text, every section and key
+    of ``_SCHEMA`` in its order, defaults included; an absent optional key
+    or ``[sweep]`` is left out.  Parsing the output reproduces ``config``
+    exactly: floats are written with ``repr``, which round-trips in binary.
     """
-    out = io.StringIO()
-    p = config.params
-    out.write("[model]\n")
-    for key in _MODEL_KEYS:
-        out.write(f"{key} = {getattr(p, key)!r}\n")
-    out.write("\n[domain]\n")
-    out.write(f"ell = {p.ell!r}\n")
-    out.write(f"bc = {p.bc.value}\n")
-
-    a = config.analysis
-    out.write("\n[analysis]\n")
-    out.write(f"M_max = {a.M_max}\n")
-    out.write(f"tol = {a.tol!r}\n")
-    if a.ray_direction is not None and a.ray_bracket is not None:
-        out.write(f"ray = {_axis_text(a.ray_direction)}\n")
-        out.write(f"bracket = {a.ray_bracket[0]!r},{a.ray_bracket[1]!r}\n")
-
-    s = config.simulate
-    out.write("\n[simulate]\n")
-    out.write(f"N = {s.N}\n")
-    out.write(f"dt = {'auto' if s.dt is None else repr(s.dt)}\n")
-    out.write(f"T = {s.T!r}\n")
-    out.write(f"ic = {s.ic_kind}:{s.ic_amplitude!r}\n")
-    out.write(f"seed = {s.seed}\n")
-    out.write(f"record_every = {s.record_every}\n")
-
-    if config.sweep is not None:
-        w = config.sweep
-        out.write("\n[sweep]\n")
-        out.write(f"axis1 = {_axis_text(w.axis1)}\n")
-        out.write(f"range1 = {w.range1[0]!r},{w.range1[1]!r}\n")
-        out.write(f"axis2 = {_axis_text(w.axis2)}\n")
-        out.write(f"range2 = {w.range2[0]!r},{w.range2[1]!r}\n")
-        out.write(f"resolution = {w.resolution[0]},{w.resolution[1]}\n")
-
-    o = config.output
-    out.write("\n[output]\n")
-    out.write(f"directory = {o.directory}\n")
-    out.write(f"formats = {','.join(o.formats)}\n")
-    return out.getvalue()
+    blocks = []
+    for section, (attr, _, keys) in _SCHEMA.items():
+        holder = getattr(config, attr)
+        if holder is None:
+            continue
+        lines = [f"[{section}]\n"]
+        for key, (names, _, text, default, _) in keys.items():
+            value = attrgetter(*names)(holder)
+            if value is not None or default is not _OPTIONAL:
+                lines.append(f"{key} = {text(value)}\n")
+        blocks.append("".join(lines))
+    return "\n".join(blocks)
 
 
 def config_sha256(config: RunConfig) -> str:

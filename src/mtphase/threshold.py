@@ -96,6 +96,12 @@ def _axis_fields(axis: str | Mapping[str, float], value) -> dict:
     return {name: float(weight) * value for name, weight in axis.items()}
 
 
+def _axis_overlap(axis1: str | Mapping[str, float], axis2: str | Mapping[str, float]) -> str:
+    """Why two axes cannot span a plane, or ``""``: the fields that both set."""
+    shared = sorted(_axis_fields(axis1, 1.0).keys() & _axis_fields(axis2, 1.0).keys())
+    return f"sets {', '.join(shared)}, which axis1 sets too" if shared else ""
+
+
 #: the numeric fields of a :class:`ModelParams`, as a tuple
 _field_values = operator.attrgetter(*POSITIVE_FIELDS)
 _FIELD_INDEX = {name: i for i, name in enumerate(POSITIVE_FIELDS)}
@@ -176,13 +182,20 @@ class ParameterRay:
 
 @dataclass(frozen=True)
 class ParameterPlane:
-    """A two-dimensional slice, each axis specified like a ray direction."""
+    """A two-dimensional slice, each axis specified like a ray direction;
+    the two axes set no field in common (else :class:`ValidationError`)."""
 
     base: ModelParams
     axis1: str | Mapping[str, float]
     range1: tuple[float, float]
     axis2: str | Mapping[str, float]
     range2: tuple[float, float]
+
+    def __post_init__(self):
+        # an axis2 field would overwrite axis1's, so that ``at`` left the plane
+        overlap = _axis_overlap(self.axis1, self.axis2)
+        if overlap:
+            raise ValidationError("axis2", overlap)
 
     def record(self, s, t) -> dict:
         """The fields at plane coordinates ``(s, t)``, unvalidated; ``s`` and

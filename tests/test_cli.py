@@ -14,6 +14,7 @@ import pytest
 
 import mtphase
 from mtphase import (
+    ConfigError,
     MTPhaseError,
     classify_region,
     main,
@@ -22,6 +23,7 @@ from mtphase import (
     read_manifest,
     sha256_file,
 )
+from mtphase import cli
 from mtphase.output import MANIFEST_NAME, PHASE_DIAGRAM_COLUMNS, format_value
 
 CANONICAL = """\
@@ -227,6 +229,16 @@ def test_verify_subset_and_csv(tmp_path):
 def test_verify_rejects_bad_only(tmp_path, capsys):
     assert main(["verify", "--only", "0,99", "--out", str(tmp_path / "v")]) == 2
     assert main(["verify", "--only", "abc", "--out", str(tmp_path / "v")]) == 2
+
+
+def test_verify_only_takes_its_indices_from_the_criteria_table(monkeypatch):
+    assert cli._parse_only("12,1") == [12, 1]
+    with pytest.raises(ConfigError, match=r"1\.\.12"):
+        cli._parse_only("13")
+    monkeypatch.setattr(cli, "CRITERIA", cli.CRITERIA[:3])
+    assert cli._parse_only("3") == [3]
+    with pytest.raises(ConfigError, match=r"1\.\.3"):
+        cli._parse_only("4")
 
 
 def test_verify_requires_ray_and_sweep(tmp_path, capsys):

@@ -25,6 +25,7 @@ from mtphase import (
     parse_config_text,
     serialize_config,
 )
+from mtphase.model import POSITIVE_FIELDS
 from mtphase.verification import _packaged_config
 
 MINIMAL = """\
@@ -355,6 +356,175 @@ def test_out_of_range_values_rejected(old, new, key):
     # Before, M_max = 0, a tol below Brent's smallest and seed = -1 failed
     # later as internal errors, a negative T ran with one recorded row, and
     # N below MIN_GRID_POINTS failed as a numerical error of the grid.
+    assert old in FULL
+    with pytest.raises(ValidationError) as excinfo:
+        parse_config_text(FULL.replace(old, new))
+    assert excinfo.value.field == key
+
+
+SHIPPED_SHA256 = {
+    "canonical": "f78cd7f8fee04315660994ad1b0247d491d3851343be19c443466500bf5092e3",
+    "neumann-jump": "544f94eea930931bbba77b16a68cf7943dc14b203319bfafb65c720cb3d47e3d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SHA256))
+def test_config_sha256_of_the_shipped_configs_is_pinned(name):
+    # every run manifest records this hash of the canonical text
+    config = parse_config(CANONICAL_INI.with_name(f"{name}.ini"))
+    assert config_sha256(config) == SHIPPED_SHA256[name]
+
+
+def _real(strategy):
+    """Text of a float from ``strategy``, as ``repr`` or as 17 significant digits."""
+    return st.tuples(strategy, st.sampled_from([repr, "{:.17g}".format])).map(
+        lambda pair: pair[1](pair[0])
+    )
+
+
+_POSITIVE_REAL = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE_REAL = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _axis_text(names, draw) -> str:
+    if len(names) == 1 and draw(st.booleans()):
+        return names[0]
+    return ",".join(f"{name}:{draw(_real(_FINITE_REAL))}" for name in names)
+
+
+@st.composite
+def _config_texts(draw) -> str:
+    """INI text of a valid config in which each optional key may be absent."""
+    sections = {
+        "model": {key: "1.0" for key in ("k1", "k3", "k5", "C1", "E")},
+        "domain": {},
+        "analysis": {},
+        "simulate": {},
+        "output": {},
+    }
+    sections["model"]["k7"] = "2.0"
+    for key in ("d1", "d2", "d3"):
+        sections["model"][key] = draw(_real(st.floats(1e-3, 1e3)))
+    sections["domain"]["ell"] = draw(_real(st.floats(1e-2, 1e2)))
+    optional = {
+        ("domain", "bc"): st.sampled_from(["dirichlet", "neumann-zero-average"]),
+        ("analysis", "M_max"): st.integers(1, 200).map(str),
+        ("analysis", "tol"): _real(st.floats(1e-15, 1.0)),
+        ("simulate", "N"): st.integers(16, 4096).map(str),
+        ("simulate", "dt"): st.one_of(st.just("auto"), _real(_POSITIVE_REAL)),
+        ("simulate", "T"): _real(_POSITIVE_REAL),
+        ("simulate", "ic"): st.tuples(
+            st.sampled_from(["zero", "random", "aligned"]),
+            st.one_of(st.just(""), _real(_FINITE_REAL).map(":{}".format)),
+        ).map("".join),
+        ("simulate", "seed"): st.integers(0, 2**32).map(str),
+        ("simulate", "record_every"): st.integers(1, 1000).map(str),
+        ("output", "directory"): st.text("abcXYZ019_-./", min_size=1),
+        ("output", "formats"): st.sampled_from(["csv", "csv, csv"]),
+    }
+    for (section, key), values in optional.items():
+        if draw(st.booleans()):
+            sections[section][key] = draw(values)
+    if draw(st.booleans()):
+        ray = draw(st.lists(st.sampled_from(POSITIVE_FIELDS), min_size=1, max_size=4, unique=True))
+        sections["analysis"]["ray"] = _axis_text(ray, draw)
+        sections["analysis"]["bracket"] = f"{draw(_real(_FINITE_REAL))},{draw(_real(_FINITE_REAL))}"
+    if draw(st.booleans()):
+        order = draw(st.permutations(POSITIVE_FIELDS))
+        n1 = draw(st.integers(1, 4))
+        n2 = draw(st.integers(1, 4))
+        sections["sweep"] = {
+            "axis1": _axis_text(order[:n1], draw),
+            "range1": f"{draw(_real(_FINITE_REAL))},{draw(_real(_FINITE_REAL))}",
+            "axis2": _axis_text(order[n1:n1 + n2], draw),
+            "range2": f"{draw(_real(_FINITE_REAL))},{draw(_real(_FINITE_REAL))}",
+            "resolution": f"{draw(st.integers(1, 500))},{draw(st.integers(1, 500))}",
+        }
+    shown = draw(st.permutations(list(sections)))
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in sections[name].items())
+        for name in shown
+        if sections[name] or name in ("model", "domain") or draw(st.booleans())
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_texts())
+def test_serialization_round_trips_and_is_a_fixed_point(text):
+    config = parse_config_text(text)
+    canonical = serialize_config(config)
+    assert parse_config_text(canonical) == config
+    assert serialize_config(parse_config_text(canonical)) == canonical
+
+
+#: one bad value per key of FULL, and the section that holds the key
+BAD_VALUES = [
+    *[("model", key, "banana") for key in ("k1", "k3", "k5", "k7", "C1", "E", "d1", "d2", "d3")],
+    ("domain", "ell", "nan"),
+    ("domain", "bc", "periodic"),
+    ("analysis", "M_max", "0"),
+    ("analysis", "tol", "0"),
+    ("analysis", "ray", "d1:1,d1:2"),
+    ("analysis", "bracket", "0.1"),
+    ("simulate", "N", "8"),
+    ("simulate", "dt", "-1"),
+    ("simulate", "T", "-5.0"),
+    ("simulate", "ic", "wavy:0.1"),
+    ("simulate", "seed", "-1"),
+    ("simulate", "record_every", "0"),
+    ("sweep", "axis1", "q9"),
+    ("sweep", "range1", "0.1,0.2,0.3"),
+    ("sweep", "axis2", "d1"),
+    ("sweep", "range2", "1.0,x"),
+    ("sweep", "resolution", "0,3"),
+    ("output", "directory", ""),
+    ("output", "formats", "pdf"),
+]
+
+
+@pytest.mark.parametrize("section, key, bad", BAD_VALUES, ids=[key for _, key, _ in BAD_VALUES])
+def test_every_bad_value_names_its_section_and_key(section, key, bad):
+    lines = [f"{key} = {bad}" if line.split("=")[0].strip() == key else line
+             for line in FULL.splitlines()]
+    assert lines != FULL.splitlines()
+    with pytest.raises(ValidationError) as excinfo:
+        parse_config_text("\n".join(lines) + "\n")
+    assert excinfo.value.field == key
+    assert str(excinfo.value).startswith(f"{key}: [{section}] {key}: ")
+    if key == "bc":
+        assert "expected 'dirichlet' or 'neumann-zero-average'" in str(excinfo.value)
+
+
+CANONICAL_OVERLAP = "\n".join(CANONICAL_LINES).replace(
+    "axis2 = k7", "axis2 = d1").replace("range2 = 1.2,3.0", "range2 = 0.05,0.4") + "\n"
+
+
+def test_sweep_axes_that_share_a_field_are_rejected(tmp_path):
+    # axis1 = d1:1,d2:1,d3:1 and axis2 = d1: axis2 overwrote the d1 of axis1,
+    # and the phase diagram wrote a critical curve of its header alone
+    assert "axis2 = d1\n" in CANONICAL_OVERLAP
+    with pytest.raises(ValidationError) as excinfo:
+        parse_config_text(CANONICAL_OVERLAP)
+    assert excinfo.value.field == "axis2"
+    assert "d1" in str(excinfo.value)
+    path = tmp_path / "overlap.ini"
+    path.write_text(CANONICAL_OVERLAP)
+    with contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["phase-diagram", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out" / "critical-curve.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("ray = d1:1,d2:2,d3:0.5", "ray = d2:1, d1:0.5 ,d2:1", "ray"),
+        ("axis1 = d1", "axis1 = d1:1,d2:1,d1:3", "axis1"),
+        ("axis2 = k7", "axis2 = d2:1,d1:1", "axis2"),
+    ],
+)
+def test_a_field_named_twice_in_the_axes_is_rejected(old, new, key):
+    # before, ray = d1:1,d1:2 kept only d1 = 2s while its text and hash kept both
     assert old in FULL
     with pytest.raises(ValidationError) as excinfo:
         parse_config_text(FULL.replace(old, new))

@@ -35,6 +35,7 @@ from mtphase import (
     solve_spectrum,
     stability_exchange_report,
     trace_threshold_curve,
+    ValidationError,
 )
 
 
@@ -315,6 +316,25 @@ def test_trace_threshold_curve_vertices_are_critical(canonical_params):
     coords = np.array([tp.plane_coords for tp in points])
     gap = np.hypot(coords[:, 0] - 0.1700864866260337, coords[:, 1] - 2.0).min()
     assert gap <= 0.08
+
+
+@pytest.mark.parametrize(
+    "axis1, axis2",
+    [
+        ({"d1": 1.0, "d2": 1.0, "d3": 1.0}, "d1"),
+        ("k7", {"k7": 1.0}),
+        ({"d1": 1.0, "ell": 2.0}, {"ell": 1.0, "k1": 1.0}),
+    ],
+)
+def test_plane_axes_that_share_a_field_are_rejected(canonical_params, axis1, axis2):
+    # the second axis would overwrite the shared field: ``at`` left the plane
+    # and the curve tracer found no sign change where the sweep had one
+    with pytest.raises(ValidationError) as excinfo:
+        ParameterPlane(
+            base=canonical_params, axis1=axis1, range1=(0.05, 0.4), axis2=axis2,
+            range2=(0.05, 0.4),
+        )
+    assert excinfo.value.field == "axis2"
 
 
 def test_trace_threshold_curve_outside_window(canonical_params):
