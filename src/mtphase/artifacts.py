@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .config import RunConfig
-from .errors import CurveLeftDomain, NoSignChange
+from .errors import CurveLeftDomain
 from .model import check_conditions, steady_state
 from .output import (
     CRITICAL_CURVE_COLUMNS,
@@ -133,8 +135,9 @@ def run_simulate(
 def run_phase_diagram(config: RunConfig, out_dir: str) -> list[str]:
     """Sweep the configured slice; write region grid and critical polyline.
 
-    The polyline CSV is written empty (header only) when the critical curve
-    does not cross the requested window.
+    The polyline CSV is written empty (header only) only when the critical
+    curve does not cross the requested window (:class:`CurveLeftDomain`);
+    any other failure of the tracer is raised.
     """
     plane = config.plane()
     grid = sweep(plane, config.sweep.resolution)
@@ -146,15 +149,12 @@ def run_phase_diagram(config: RunConfig, out_dir: str) -> list[str]:
 
     try:
         curve = trace_threshold_curve(plane)
-        vertices = [
-            (k, *tp.plane_coords) for k, tp in enumerate(curve) if tp.plane_coords is not None
-        ]
-    except (CurveLeftDomain, NoSignChange):
-        vertices = []
+    except CurveLeftDomain:
+        curve = np.empty((0, 2))
     curve_path = write_csv(
         os.path.join(out_dir, "critical-curve.csv"),
         CRITICAL_CURVE_COLUMNS,
-        [list(zip(*vertices))] if vertices else [],
+        [[np.arange(len(curve)), curve[:, 0], curve[:, 1]]],
     )
     return [grid_path, curve_path]
 

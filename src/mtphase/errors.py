@@ -93,11 +93,13 @@ class SignPatternBroken(NumericalError):
 class StepCollapse(NumericalError):
     """Curve continuation had to shrink its step below the minimum.
 
-    The vertices found so far are attached as ``points``.
+    The plane coordinates of the vertices found, each solved and checked
+    like those of a finished curve, are attached as ``points``: an
+    ``(n, 2)`` float array, ordered along the curve.
     """
 
-    def __init__(self, message: str, points: list | None = None) -> None:
-        self.points = points if points is not None else []
+    def __init__(self, message: str, points) -> None:
+        self.points = points
         super().__init__(message)
 
 

@@ -14,16 +14,18 @@ how a sweep classifies its cells, a fixed-size slice of the grid at a
 time.
 
 The root finders evaluate det E1 from plain floats.  :func:`find_threshold`,
-the curve tracer's ``F(u, v)`` and the bracket search of a curve vertex
-read the base point's fields once; each evaluation then sets the fields
-the ray or plane moves, runs the domain checks of :class:`ModelParams`
-(:func:`~mtphase.model.domain_error`: the same errors, in the same field
-order) and builds E1 with the float operations of
-``linearization_matrix(p) - rho_1 * diffusion_matrix(p)``, so every value
-is the one a :class:`ModelParams` gives, bit for bit.  No
+the curve tracer's ``F(u, v)`` and the bracket search and root solve of a
+curve vertex read the base point's fields once; each evaluation then sets
+the fields the ray or plane moves, runs the domain checks of
+:class:`ModelParams` (:func:`~mtphase.model.domain_error`: the same
+errors, in the same field order) and builds E1 with the float operations
+of ``linearization_matrix(p) - rho_1 * diffusion_matrix(p)``, so every
+value is the one a :class:`ModelParams` gives, bit for bit.  No
 :class:`ModelParams` is built per evaluation; a threshold builds one, its
 ``lambda0``, and solves its mode-1 block once for ``sigma11`` and the
-stability report together.
+stability report together.  A curve vertex is solved by the same root
+solve as a threshold, and builds one :class:`ModelParams` for the same
+mode-1 check that ``sigma11`` is real there.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ _TANGENT_TOL = 1e-8
 _CERT_BAND = 1e-12
 #: first continuation step of the curve tracer, in window-normalized units
 _INITIAL_STEP = 1e-2
-#: widenings (and retreats from infeasible ends) of a vertex's polish bracket
+#: widenings (and retreats from infeasible ends) of a curve vertex's bracket
 _BRACKET_TRIES = 40
 
 
@@ -270,7 +272,6 @@ class ThresholdPoint:
     sigma11: complex
     crossing_derivative: float
     stability_report: StabilityExchangeReport | None = None
-    plane_coords: tuple[float, float] | None = None
 
     @property
     def detE1(self) -> float:
@@ -413,6 +414,40 @@ def _polish_root(f, s: float, fa_s: float, h: float) -> float:
     return s1
 
 
+def _root_in_bracket(f, a: float, b: float, tol: float) -> float:
+    """The zero of ``f`` in ``[a, b]``: an end where ``f`` is 0, or Brent's
+    method to relative tolerance ``tol`` and a secant polish.
+
+    Raises :class:`NoSignChange` when ``f`` has one sign at both ends.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if np.sign(fa) == np.sign(fb):
+        raise NoSignChange(
+            f"det E1 has the same sign at both bracket ends "
+            f"({fa:.3e} at {a!r}, {fb:.3e} at {b!r})"
+        )
+    root = brentq(f, a, b, xtol=1e-14 * max(1.0, abs(a), abs(b)), rtol=tol)
+    return _polish_root(f, root, f(root), _fd_step(1e-7, root))
+
+
+def _mode1_spectrum(p: ModelParams) -> np.ndarray:
+    """The mode-1 spectrum of ``p``, sigma11 first.
+
+    Raises :class:`ComplexCrossing` when sigma11 has imaginary part above
+    the zero band ``SIGMA_ZERO_BAND``: ``p`` is meant to be a threshold,
+    and a Hopf-like crossing there is outside the real-transition theory.
+    """
+    mode1 = solve_spectrum(mode_matrix(p, laplacian_eigenvalue(1, p.ell)))
+    sigma11 = complex(mode1[0])
+    if abs(sigma11.imag) > SIGMA_ZERO_BAND:
+        raise ComplexCrossing(f"leading eigenvalue at threshold is complex: {sigma11!r}")
+    return mode1
+
+
 def find_threshold(
     ray: ParameterRay,
     tol: float = 1e-10,
@@ -429,36 +464,16 @@ def find_threshold(
     does not cover).  With ``attach_report`` the point carries its
     :func:`stability_exchange_report`.
     """
-    a, b = ray.bracket
     f = _det_along(ray.base, ray.direction)
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        s_root = a
-    elif fb == 0.0:
-        s_root = b
-    elif np.sign(fa) == np.sign(fb):
-        raise NoSignChange(
-            f"det E1 has the same sign at both bracket ends "
-            f"({fa:.3e} at {a!r}, {fb:.3e} at {b!r})"
-        )
-    else:
-        s_root = brentq(f, a, b, xtol=1e-14 * max(1.0, abs(a), abs(b)), rtol=tol)
-        s_root = _polish_root(f, s_root, f(s_root), _fd_step(1e-7, s_root))
-
+    s_root = _root_in_bracket(f, *ray.bracket, tol)
     p_root = ray.at(s_root)
-    mode1 = solve_spectrum(mode_matrix(p_root, laplacian_eigenvalue(1, p_root.ell)))
-    sigma11 = complex(mode1[0])
-    if abs(sigma11.imag) > SIGMA_ZERO_BAND:
-        raise ComplexCrossing(
-            f"leading eigenvalue at threshold is complex: {sigma11!r}"
-        )
-
+    mode1 = _mode1_spectrum(p_root)
     h = _fd_step(1e-6, s_root)
     deriv = (f(s_root + h) - f(s_root - h)) / (2.0 * h)
     point = ThresholdPoint(
         lambda0=p_root,
         ray_coord=float(s_root),
-        sigma11=sigma11,
+        sigma11=complex(mode1[0]),
         crossing_derivative=float(deriv),
     )
     if attach_report:
@@ -597,23 +612,19 @@ def stability_exchange_report(
 # continuation of the critical curve through a 2-parameter slice
 
 
-def _initial_vertex(F, n_scan: int = 17, n_ray: int = 33):
-    """Scan the unit square for a bracketing ray; return a first root."""
-    us = np.linspace(0.0, 1.0, n_ray)
-    for v in np.linspace(0.0, 1.0, n_scan):
-        vals = np.array([F(u, v) for u in us])
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if idx.size:
-            i = int(idx[0])
-            u0 = brentq(lambda u: F(u, v), us[i], us[i + 1], xtol=1e-13, rtol=1e-12)
-            return u0, float(v)
-    for u in np.linspace(0.0, 1.0, n_scan):
-        vals = np.array([F(u, v) for v in us])
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if idx.size:
-            i = int(idx[0])
-            v0 = brentq(lambda v: F(u, v), us[i], us[i + 1], xtol=1e-13, rtol=1e-12)
-            return float(u), v0
+def _initial_vertex(F):
+    """A first root of ``F`` in the unit square: 17 rows, then 17 columns,
+    each sampled at 33 points, are scanned for a sign change."""
+    samples = np.linspace(0.0, 1.0, 33)
+    for point in (lambda x, w: (x, w), lambda x, w: (w, x)):  # on a row, on a column
+        for w in np.linspace(0.0, 1.0, 17):
+            f = lambda x: F(*point(x, w))
+            vals = np.array([f(x) for x in samples])
+            idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+            if idx.size:
+                i = int(idx[0])
+                root = brentq(f, samples[i], samples[i + 1], xtol=1e-13, rtol=1e-12)
+                return point(root, float(w))
     raise CurveLeftDomain("no sign change of det E1 found inside the parameter window")
 
 
@@ -639,15 +650,17 @@ def _correct(F, x_pred: np.ndarray, g_unit: np.ndarray, h: float):
 
 
 def _march(F, x0: np.ndarray, tau0: np.ndarray, budget: int):
-    """Follow the zero curve from x0 in direction tau0 until it exits [0,1]^2.
+    """Follow the zero curve from x0 in direction tau0 until it exits [0,1]^2
+    or ``budget`` vertices are found.
 
-    Returns ``(points, collapsed)`` where ``collapsed`` signals that the step
-    control gave up before leaving the window.
+    Returns ``(vertices, collapsed)``: each vertex as ``(x, gradient of F
+    at x)``, and whether the step control gave up before leaving the
+    window.
     """
-    points: list[np.ndarray] = []
+    vertices: list[tuple[np.ndarray, np.ndarray]] = []
     x, tau, h = x0.copy(), tau0.copy(), _INITIAL_STEP
     h_min, h_max = 1e-6, 0.05
-    while len(points) < budget:
+    while len(vertices) < budget:
         stepped = False
         while h >= h_min:
             x_pred = x + h * tau
@@ -662,7 +675,7 @@ def _march(F, x0: np.ndarray, tau0: np.ndarray, budget: int):
                 break
             h /= 2.0
         if not stepped:
-            return points, True
+            return vertices, True
         if not (-1e-9 <= x_new[0] <= 1.0 + 1e-9 and -1e-9 <= x_new[1] <= 1.0 + 1e-9):
             break  # left the requested window: normal termination
         g_new = _gradient(F, x_new)
@@ -673,22 +686,31 @@ def _march(F, x0: np.ndarray, tau0: np.ndarray, budget: int):
         tau_new /= n
         if tau_new @ tau < 0.0:
             tau_new = -tau_new
-        points.append(x_new.copy())
+        vertices.append((x_new.copy(), g_new))
         x, tau = x_new, tau_new
         h = min(h * 1.3, h_max)
-    return points, False
+    return vertices, False
 
 
-def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> list[ThresholdPoint]:
+def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> np.ndarray:
     """Trace the critical curve det E1 = 0 through a 2-parameter window.
 
-    Pseudo-arclength continuation in window-normalized coordinates with step
-    halving on corrector failure; each accepted vertex is re-polished with
-    :func:`find_threshold` (without its stability report) along the axis in
-    which the determinant varies faster.  Returns the polyline ordered along
-    the curve.  Raises :class:`CurveLeftDomain` if no crossing exists in the
-    window and :class:`StepCollapse` (with partial results) if continuation
-    stalls.
+    Pseudo-arclength continuation in window-normalized coordinates, with
+    step halving on corrector failure, marches from a first root in both
+    directions.  Each direction has its own budget of ``n_points - 1``
+    vertices, so the curve has at most ``2 * n_points - 1``.  Each vertex
+    is then solved along the axis in which the determinant varies faster,
+    over a bracket from :func:`_expand_bracket`, by the root solve of
+    :func:`find_threshold` at its default ``tol``; sigma11 there must be
+    real.
+
+    Returns the vertices' plane coordinates ``(coord1, coord2)`` as an
+    ``(n, 2)`` float array ordered along the curve.  Raises
+    :class:`CurveLeftDomain` if no crossing exists in the window,
+    :class:`NoSignChange` if a vertex cannot be bracketed and
+    :class:`ComplexCrossing` if sigma11 is complex at a vertex.  If
+    continuation stalls, every vertex is solved and checked first, and
+    then :class:`StepCollapse` is raised with them as ``points``.
     """
     (a1, b1), (a2, b2) = plane.range1, plane.range2
     span1, span2 = b1 - a1, b2 - a2
@@ -700,60 +722,33 @@ def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> list[Th
         except (NonPositiveParameter, K1NotPositive):
             return np.nan  # infeasible territory: treated as unbrackatable
 
-    u0, v0 = _initial_vertex(F)
-    x0 = np.array([u0, v0])
+    x0 = np.array(_initial_vertex(F))
     g0 = _gradient(F, x0)
     n0 = np.linalg.norm(g0)
     if not np.isfinite(n0) or n0 == 0.0:
-        raise StepCollapse("degenerate gradient at the initial vertex", points=[])
+        raise StepCollapse("degenerate gradient at the initial vertex", points=np.empty((0, 2)))
     tau0 = np.array([-g0[1], g0[0]]) / n0
 
     budget = max(n_points - 1, 0)
     fwd, collapsed_f = _march(F, x0, tau0, budget)
-    back, collapsed_b = _march(F, x0, -tau0, max(budget - len(fwd), 0))
-    coords = [*reversed(back), x0, *fwd]
-
-    points: list[ThresholdPoint] = []
-    for u, v in coords:
-        s = a1 + u * span1
-        t = a2 + v * span2
-        tp = _polish_vertex(plane, det, F, (u, v), (s, t))
-        points.append(tp)
+    back, collapsed_b = _march(F, x0, -tau0, budget)
+    vertices = [*reversed(back), (x0, g0), *fwd]
+    curve = np.empty((len(vertices), 2))
+    for k, ((u, v), g) in enumerate(vertices):
+        s, t = a1 + u * span1, a2 + v * span2
+        if abs(g[0]) >= abs(g[1]):
+            along = lambda c: det(c, t)
+            s = _root_in_bracket(along, *_expand_bracket(along, s, 1e-4 * abs(span1)), 1e-10)
+        else:
+            along = lambda c: det(s, c)
+            t = _root_in_bracket(along, *_expand_bracket(along, t, 1e-4 * abs(span2)), 1e-10)
+        _mode1_spectrum(plane.at(s, t))  # raises ComplexCrossing
+        curve[k] = s, t
     if collapsed_f or collapsed_b:
         raise StepCollapse(
-            "continuation step collapsed before leaving the window", points=points
+            "continuation step collapsed before leaving the window", points=curve
         )
-    return points
-
-
-def _polish_vertex(
-    plane: ParameterPlane,
-    det: Callable[[float, float], float],
-    F,
-    uv: tuple[float, float],
-    st: tuple[float, float],
-) -> ThresholdPoint:
-    """Re-verify one continuation vertex with a bracketing 1-D root solve;
-    ``det`` is det E1 at plane coordinates ``(s, t)``."""
-    (a1, b1), (a2, b2) = plane.range1, plane.range2
-    u, v = uv
-    s, t = st
-    g = _gradient(F, np.array([u, v]))
-    if abs(g[0]) >= abs(g[1]):
-        axis, coord, span, along = plane.axis1, s, b1 - a1, lambda c: det(c, t)
-    else:
-        axis, coord, span, along = plane.axis2, t, b2 - a2, lambda c: det(s, c)
-    ray = ParameterRay(
-        base=plane.at(s, t),
-        direction=axis,
-        bracket=_expand_bracket(along, coord, 1e-4 * abs(span)),
-    )
-    tp = find_threshold(ray, attach_report=False)
-    if abs(g[0]) >= abs(g[1]):
-        tp.plane_coords = (tp.ray_coord, t)
-    else:
-        tp.plane_coords = (s, tp.ray_coord)
-    return tp
+    return curve
 
 
 def _expand_bracket(f, center: float, h: float) -> tuple[float, float]:

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import mtphase
+import mtphase.threshold
 from mtphase import (
     ConfigError,
     MTPhaseError,
+    NoSignChange,
     classify_region,
     main,
     parse_config,
@@ -199,8 +201,10 @@ def test_phase_diagram_rows_are_the_grid_in_row_major_order(tmp_path, range1, ra
 )
 def test_critical_curve_up_to_the_infeasible_edge(tmp_path, range1, range2):
     # In these windows the critical curve runs toward d = 0, where the
-    # bracket of a vertex's polish reaches negative diffusivities.  The
-    # tracer must keep to feasible points and finish the curve.
+    # bracket of a vertex's solve reaches negative diffusivities.  The
+    # tracer must keep to feasible points and finish the curve: the arc
+    # toward d = 0 fills its budget of 99 vertices, and the arc the other
+    # way, which has a budget of its own, runs up to the window's top edge.
     path = tmp_path / "edge.ini"
     path.write_text(CANONICAL.replace("range1 = 0.08,0.4", "range1 = %r,%r" % range1)
                     .replace("range2 = 1.5,2.5", "range2 = %r,%r" % range2))
@@ -210,10 +214,38 @@ def test_critical_curve_up_to_the_infeasible_edge(tmp_path, range1, range2):
     plane = parse_config(str(path)).plane()
     with open(os.path.join(out, "critical-curve.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 100
+    assert len(rows) > 100
+    assert max(float(row["coord2"]) for row in rows) > range2[1] - 0.1
     for row in rows:
         p = plane.at(float(row["coord1"]), float(row["coord2"]))  # raises if infeasible
         assert abs(principal_eigenvalue(p).real) <= 1e-8
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+CRITICAL_CURVE_SHA256 = {
+    "canonical": "8ffd0d558f81bd99b953501257b95170b40154c61054c212e4d12535b3947648",
+    "neumann-jump": "db778b90280a3729f3b73361f2f0e02d4da410ef341aa6749346ba1c44f32b4b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITICAL_CURVE_SHA256))
+def test_critical_curve_of_the_shipped_configs_is_pinned(tmp_path, name):
+    out = str(tmp_path / name)
+    assert main(["phase-diagram", "--config", str(CONFIGS / f"{name}.ini"), "--out", out]) == 0
+    assert sha256_file(os.path.join(out, "critical-curve.csv")) == CRITICAL_CURVE_SHA256[name]
+
+
+def test_a_curve_vertex_that_cannot_be_bracketed_exits_3(tmp_path, monkeypatch, capsys):
+    # only CurveLeftDomain means "no crossing in the window"; any other
+    # failure of the tracer is a numerical failure, not an empty curve
+    def no_bracket(f, center, h):
+        raise NoSignChange(f"could not bracket a root around {center!r}")
+
+    monkeypatch.setattr(mtphase.threshold, "_expand_bracket", no_bracket)
+    out = str(tmp_path / "pd")
+    rc = main(["phase-diagram", "--config", str(CONFIGS / "canonical.ini"), "--out", out])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_verify_subset_and_csv(tmp_path):

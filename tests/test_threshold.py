@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 from pathlib import Path
@@ -23,6 +24,7 @@ from mtphase import (
     ParameterRay,
     Region,
     SignPatternBroken,
+    StepCollapse,
     char_poly_coeffs,
     classify_region,
     det_principal_mode,
@@ -305,17 +307,45 @@ def _canonical_plane(base):
 
 def test_trace_threshold_curve_vertices_are_critical(canonical_params):
     plane = _canonical_plane(canonical_params)
-    points = trace_threshold_curve(plane, n_points=40)
-    assert len(points) >= 10
-    for tp in points:
-        s, t = tp.plane_coords
+    curve = trace_threshold_curve(plane, n_points=40)
+    assert curve.shape[1] == 2 and len(curve) >= 10
+    for s, t in curve.tolist():
         assert 0.05 - 1e-9 <= s <= 0.4 + 1e-9
         assert 1.2 - 1e-9 <= t <= 3.0 + 1e-9
         assert abs(principal_eigenvalue(plane.at(s, t)).real) <= 1e-7
     # The canonical point (d = d*, k7 = 2) lies on the curve.
-    coords = np.array([tp.plane_coords for tp in points])
-    gap = np.hypot(coords[:, 0] - 0.1700864866260337, coords[:, 1] - 2.0).min()
+    gap = np.hypot(curve[:, 0] - 0.1700864866260337, curve[:, 1] - 2.0).min()
     assert gap <= 0.08
+
+
+def _shipped_plane(name):
+    return parse_config(Path(__file__).parents[1] / "configs" / f"{name}.ini").plane()
+
+
+def _floats_around(x: float, n: int) -> list[float]:
+    """``x`` and the ``n`` floats on either side of it, in increasing order."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[::-1] + above[1:]
+
+
+@pytest.mark.parametrize("name", ["canonical", "neumann-jump"])
+def test_every_curve_vertex_is_a_root_to_a_few_ulps(name):
+    # Each vertex is solved along one axis, so det E1 changes sign within a
+    # few floats of it along that axis: near a root the rounding of det E1
+    # outweighs its change over one float, and the nearest sign change is
+    # up to 5 floats away on the shipped planes.  Along the other axis the
+    # vertex is where continuation put it, hundreds of floats off or more.
+    plane = _shipped_plane(name)
+    det = mtphase.threshold._det_along(plane.base, plane.axis1, plane.axis2)
+    curve = trace_threshold_curve(plane)
+    assert len(curve) >= 20
+    for s, t in curve.tolist():
+        along1 = {np.sign(det(c, t)) for c in _floats_around(s, 8)}
+        along2 = {np.sign(det(s, c)) for c in _floats_around(t, 8)}
+        assert any(0.0 in signs or signs == {-1.0, 1.0} for signs in (along1, along2)), (s, t)
 
 
 @pytest.mark.parametrize(
@@ -347,6 +377,58 @@ def test_trace_threshold_curve_outside_window(canonical_params):
     )
     with pytest.raises(CurveLeftDomain):
         trace_threshold_curve(plane, n_points=20)
+
+
+def test_trace_threshold_curve_starts_on_a_column_when_no_row_crosses_it(canonical_params):
+    # Across this window the curve climbs from k7 = 1.994 to 2.006, between
+    # the scan rows at k7 = 1.9875 and 2.1: only a column scan finds it.
+    plane = dataclasses.replace(_canonical_plane(canonical_params), range1=(0.169, 0.171))
+    det = mtphase.threshold._det_along(plane.base, plane.axis1, plane.axis2)
+    for t in np.linspace(1.2, 3.0, 17).tolist():
+        row = [det(s, t) for s in np.linspace(0.169, 0.171, 33).tolist()]
+        assert len({np.sign(x) for x in row}) == 1
+    curve = trace_threshold_curve(plane, n_points=40)
+    assert curve[:, 0].min() <= 0.169 + 1e-4 and curve[:, 0].max() >= 0.171 - 1e-4
+    for s, t in curve.tolist():
+        assert 1.99 <= t <= 2.01
+        assert abs(principal_eigenvalue(plane.at(s, t)).real) <= 1e-8
+
+
+def test_each_direction_of_the_curve_has_its_own_vertex_budget():
+    # From its first vertex at k7 = 1.25 the curve runs down toward the
+    # corner K1 = 0, d = 0, which takes any budget, and up to k7 = 2.97.
+    plane = dataclasses.replace(_shipped_plane("canonical"), range1=(-0.1, 0.4), range2=(0.2, 3.0))
+    curve = trace_threshold_curve(plane, n_points=30)
+    assert len(curve) <= 2 * 30 - 1
+    assert curve[:, 1].max() > 2.9
+    assert curve[:, 1].min() < 1.05
+
+
+def _stall(monkeypatch):
+    """Make each march of the curve tracer report a collapsed step."""
+    march = mtphase.threshold._march
+    monkeypatch.setattr(mtphase.threshold, "_march", lambda *args: (march(*args)[0], True))
+
+
+@pytest.mark.parametrize("stalled", [False, True])
+def test_a_complex_sigma11_at_a_curve_vertex_raises_before_step_collapse(
+    monkeypatch, canonical_params, stalled
+):
+    if stalled:
+        _stall(monkeypatch)
+    spectrum = np.array([1e-3j, -1.0, -2.0])
+    monkeypatch.setattr(mtphase.threshold, "solve_spectrum", lambda blocks: spectrum)
+    with pytest.raises(ComplexCrossing):
+        trace_threshold_curve(_canonical_plane(canonical_params), n_points=40)
+
+
+def test_a_stalled_curve_carries_its_solved_vertices(monkeypatch, canonical_params):
+    plane = _canonical_plane(canonical_params)
+    curve = trace_threshold_curve(plane, n_points=40)
+    _stall(monkeypatch)
+    with pytest.raises(StepCollapse) as excinfo:
+        trace_threshold_curve(plane, n_points=40)
+    np.testing.assert_array_equal(excinfo.value.points, curve)
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +498,7 @@ def test_det_kernel_equals_det_principal_mode_on_rays(bc, kind):
 def test_det_kernel_equals_det_principal_mode_on_the_sweep_window(name):
     # the shipped window widened by its span below and half its span above,
     # which reaches negative diffusivities and, for k7, K1 <= 0
-    plane = parse_config(Path(__file__).parents[1] / "configs" / f"{name}.ini").plane()
+    plane = _shipped_plane(name)
     det = mtphase.threshold._det_along(plane.base, plane.axis1, plane.axis2)
     (a1, b1), (a2, b2) = plane.range1, plane.range2
     outcomes = set()
