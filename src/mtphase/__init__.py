@@ -37,11 +37,9 @@ from .errors import (
 )
 from .model import (
     BoundaryCondition,
-    ConditionReport,
     ModelParams,
     ParamBatch,
     SteadyState,
-    check_conditions,
     diffusion_matrix,
     linearization_matrix,
     quadratic_nonlinearity,
@@ -74,6 +72,7 @@ from .threshold import (
     StabilityExchangeReport,
     ThresholdPoint,
     classify_region,
+    cond1_ok,
     det_principal_mode,
     find_threshold,
     stability_exchange_report,
@@ -181,14 +180,12 @@ __all__ = [
     "ModelParams",
     "ParamBatch",
     "SteadyState",
-    "ConditionReport",
     "validate_params",
     "steady_state",
     "reaction_rhs",
     "linearization_matrix",
     "diffusion_matrix",
     "quadratic_nonlinearity",
-    "check_conditions",
     # spectral
     "Basis",
     "LaplacianMode",
@@ -215,6 +212,7 @@ __all__ = [
     "det_principal_mode",
     "find_threshold",
     "classify_region",
+    "cond1_ok",
     "stability_exchange_report",
     "trace_threshold_curve",
     # transition

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import CurveLeftDomain
-from .model import check_conditions, steady_state
+from .model import cond2_margin, steady_state
 from .output import (
     CRITICAL_CURVE_COLUMNS,
     FINAL_STATE_COLUMNS,
@@ -79,13 +79,13 @@ def _located_threshold(config: RunConfig):
 def run_threshold(config: RunConfig, out_dir: str) -> list[str]:
     """Locate the threshold on the configured ray; write ``threshold.csv``.
 
-    Of the exchange-of-stability conditions only ``cond2_ok`` is written.
+    Of the side conditions only cond2 is written, as ``cond2_ok``.
     """
     tp = _located_threshold(config)
     path = write_csv(
         os.path.join(out_dir, "threshold.csv"),
         THRESHOLD_COLUMNS,
-        [threshold_columns(tp, check_conditions(tp.lambda0).cond2_ok)],
+        [threshold_columns(tp, cond2_margin(tp.lambda0) > 0.0)],
     )
     return [path]
 

@@ -30,7 +30,6 @@ __all__ = [
     "ModelParams",
     "ParamBatch",
     "SteadyState",
-    "ConditionReport",
     "validate_params",
     "POSITIVE_FIELDS",
     "domain_error",
@@ -42,7 +41,6 @@ __all__ = [
     "quadratic_nonlinearity",
     "reaction_matrices",
     "deviation_reaction",
-    "check_conditions",
     "cond2_margin",
 ]
 
@@ -232,38 +230,15 @@ class ParamBatch(_DerivedConstants):
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Uniform equilibrium of the reaction system with derived constants."""
+    """Uniform equilibrium of the reaction system; K1 and K2 are properties
+    of :class:`ModelParams`."""
 
     Mg: float
     Ms: float
     Df: float
-    K1: float
-    K2: float
 
     def as_array(self) -> np.ndarray:
         return np.array([self.Mg, self.Ms, self.Df])
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the three analytic side conditions.
-
-    ``cond0_ok``
-        feasibility: K1 > 0 (guaranteed for validated params).
-    ``cond1_ok``
-        threshold regularity: ``k5*K2 != C1`` and
-        ``C1 != d2*d3*rho1**2 + d2*K2*rho1``; when either equality holds the
-        critical manifold may fail to be a regular hypersurface.
-    ``cond2_ok``
-        ``cond2_margin(p) > 0`` (see :func:`cond2_margin`).
-    """
-
-    cond0_ok: bool
-    cond1_ok: bool
-    cond2_ok: bool
-    K1: float
-    k5K2_minus_C1: float
-    rho1: float
 
 
 def validate_params(raw: Mapping[str, Any] | ModelParams, **overrides: Any) -> ModelParams:
@@ -306,13 +281,7 @@ def _record_fields(
 def steady_state(p: ModelParams) -> SteadyState:
     """Uniform positive equilibrium of the reaction system."""
     K1 = p.K1
-    return SteadyState(
-        Mg=p.k1**2 * p.C1 / K1,
-        Ms=p.k1 * p.k3 * p.E / K1,
-        Df=p.E / p.k1,
-        K1=K1,
-        K2=p.K2,
-    )
+    return SteadyState(Mg=p.k1**2 * p.C1 / K1, Ms=p.k1 * p.k3 * p.E / K1, Df=p.E / p.k1)
 
 
 def reaction_rhs(p: ModelParams, state: Any) -> np.ndarray:
@@ -406,35 +375,6 @@ def quadratic_nonlinearity(p: ModelParams, w: Any) -> np.ndarray:
     gather, combine = reaction_matrices(p)
     gather[:3] = 0.0
     return deviation_reaction(gather, combine, w.reshape(3, -1)).reshape(w.shape)
-
-
-_COND_RTOL = 1e-12
-
-
-def check_conditions(p: ModelParams) -> ConditionReport:
-    """Evaluate the feasibility, regularity and stability-exchange conditions.
-
-    ``rho1`` is the first Laplacian eigenvalue, ``(pi/ell)**2`` for both
-    supported boundary conditions.
-    """
-    rho1 = (np.pi / p.ell) ** 2
-    K1 = p.K1
-    K2 = p.K2
-    q1 = p.k5 * K2
-    q2 = p.d2 * p.d3 * rho1**2 + p.d2 * K2 * rho1
-    scale = max(abs(p.C1), abs(q1), abs(q2), 1.0)
-    cond1_ok = (
-        abs(q1 - p.C1) > _COND_RTOL * scale and abs(q2 - p.C1) > _COND_RTOL * scale
-    )
-    margin = cond2_margin(p)
-    return ConditionReport(
-        cond0_ok=K1 > 0.0,
-        cond1_ok=cond1_ok,
-        cond2_ok=margin > 0.0,
-        K1=K1,
-        k5K2_minus_C1=margin,
-        rho1=rho1,
-    )
 
 
 def cond2_margin(p: ModelParams | ParamBatch):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import ParamBatch
+from .model import ParamBatch, cond2_margin
 from .threshold import ParameterPlane, classify_region
 
 __all__ = [
@@ -50,9 +50,11 @@ class PhaseGrid:
 
     Cell ``(i, j)`` lies at ``(coord1[i], coord2[j])``.  ``region`` holds
     region values as strings, ``sigma11`` the leading principal-mode
-    eigenvalue and ``cond2_ok`` whether the stability-exchange condition
-    holds.  ``errors`` maps each cell whose parameters are infeasible to
-    ``"ErrorName: message"``; such a cell holds ``""``, NaN and False.
+    eigenvalue and ``cond2_ok`` whether cond2,
+    :func:`~mtphase.model.cond2_margin` > 0, holds; the sweep computes it
+    only for this field, which ``phase-diagram.csv`` writes.  ``errors``
+    maps each cell whose parameters are infeasible to ``"ErrorName:
+    message"``; such a cell holds ``""``, NaN and False.
     """
 
     coord1: np.ndarray
@@ -122,11 +124,12 @@ def sweep(
         k = np.arange(start, min(start + CELLS_PER_BATCH, n))
         batch = ParamBatch.from_record(plane.record(coord1[k // n2], coord2[k % n2]))
         feasible = batch.feasible()
-        report = classify_region(batch.select(feasible))
+        points = batch.select(feasible)
+        report = classify_region(points)
         cells = k[feasible]
         region[cells] = report.region
         sigma11[cells] = report.sigma11
-        cond2_ok[cells] = report.cond2_ok
+        cond2_ok[cells] = cond2_margin(points) > 0.0
         infeasible = np.flatnonzero(~feasible)
         for cell, exc in zip(k[infeasible].tolist(), batch.domain_errors(infeasible)):
             errors[divmod(cell, n2)] = f"{type(exc).__name__}: {exc}"

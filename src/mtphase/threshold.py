@@ -76,6 +76,7 @@ __all__ = [
     "det_principal_mode",
     "find_threshold",
     "classify_region",
+    "cond1_ok",
     "stability_exchange_report",
     "trace_threshold_curve",
 ]
@@ -85,6 +86,8 @@ _TANGENT_TOL = 1e-8
 #: a certificate value at or below this fraction of its summed term
 #: magnitudes is not told apart from zero
 _CERT_BAND = 1e-12
+#: relative distance within which an equality of cond1 counts as holding
+_COND_RTOL = 1e-12
 #: first continuation step of the curve tracer, in window-normalized units
 _INITIAL_STEP = 1e-2
 #: widenings (and retreats from infeasible ends) of a curve vertex's bracket
@@ -227,18 +230,16 @@ _REGION_VALUES = np.array([r.value for r in Region], dtype=object)
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Region, leading principal-mode eigenvalue and cond2 of a classification.
+    """Region and leading principal-mode eigenvalue of a classification.
 
-    For one :class:`ModelParams` the fields are a :class:`Region`, a complex
-    and a bool.  For a :class:`ParamBatch` of n points they are (n,) arrays,
+    For one :class:`ModelParams` the fields are a :class:`Region` and a
+    complex.  For a :class:`ParamBatch` of n points they are (n,) arrays,
     as the batch's own fields are: the region values as strings
-    (``"stable"``, ``"critical"``, ``"unstable"``), complex ``sigma11`` and
-    boolean ``cond2_ok``.
+    (``"stable"``, ``"critical"``, ``"unstable"``) and complex ``sigma11``.
     """
 
     region: Region | np.ndarray
     sigma11: complex | np.ndarray
-    cond2_ok: bool | np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +256,6 @@ class StabilityExchangeReport:
     higher_margin: float
     traces_negative: bool
     p1_positive: bool
-    cond2_ok: bool
     passed: bool
 
 
@@ -484,9 +484,9 @@ def find_threshold(
 def classify_region(p: ModelParams | ParamBatch) -> RegionReport:
     """Stable / critical / unstable according to the leading eigenvalue.
 
-    A point is critical when ``|Re sigma_11| <= SIGMA_ZERO_BAND``.
-
-    ``cond2_ok`` is :func:`~mtphase.model.cond2_margin` > 0.
+    A point is critical when ``|Re sigma_11| <= SIGMA_ZERO_BAND``.  cond2
+    is not part of the classification; :func:`~mtphase.sweep.sweep` writes
+    it next to the region.
 
     A :class:`ParamBatch` of feasible points is classified by one
     eigenvalue call on the stack of their principal-mode blocks, and its
@@ -504,16 +504,9 @@ def classify_region(p: ModelParams | ParamBatch) -> RegionReport:
     sigma11 = solve_spectrum(mode_matrices(batch, rho1))[:, 0]
     re = sigma11.real
     side = np.where(np.abs(re) <= SIGMA_ZERO_BAND, 1, np.where(re > 0.0, 2, 0))
-    report = RegionReport(
-        region=_REGION_VALUES[side], sigma11=sigma11, cond2_ok=cond2_margin(batch) > 0.0
-    )
     if isinstance(p, ModelParams):
-        return RegionReport(
-            region=Region(report.region[0]),
-            sigma11=complex(report.sigma11[0]),
-            cond2_ok=bool(report.cond2_ok[0]),
-        )
-    return report
+        return RegionReport(region=Region(_REGION_VALUES[side[0]]), sigma11=complex(sigma11[0]))
+    return RegionReport(region=_REGION_VALUES[side], sigma11=sigma11)
 
 
 def _rho_coefficients(g, P, T, d):
@@ -558,7 +551,8 @@ def stability_exchange_report(
     coefficients, so over m >= 2 it is smallest at m = 2 or next to its local
     minimum.  Each value is taken relative to its summed term magnitudes and
     must exceed ``_CERT_BAND``; ``higher_margin`` is the smallest relative
-    q0(rho_2) or R(m^2 rho_1).  ``cond2_ok`` does not enter ``passed``.
+    q0(rho_2) or R(m^2 rho_1).  cond2 (:func:`~mtphase.model.cond2_margin`)
+    is not part of the certificate.
 
     ``mode1_spectrum`` is the mode-1 solve when the caller has it already:
     :func:`solve_spectrum` of the point's ``mode_matrix(p, rho_1)``, as
@@ -602,10 +596,24 @@ def stability_exchange_report(
     )
     return StabilityExchangeReport(
         higher_margin=float(higher_margin),
-        cond2_ok=bool(cond2_margin(p) > 0.0),
         passed=all(flags.values()),
         **flags,
     )
+
+
+def cond1_ok(p: ModelParams) -> bool:
+    """cond1, regularity of the threshold: ``k5*K2 != C1`` and ``C1 !=
+    d2*d3*rho1**2 + d2*K2*rho1``, each to ``_COND_RTOL`` relative to the
+    largest of the three terms and 1.  Where either equality holds the
+    critical manifold may fail to be a regular hypersurface.  The first
+    clause is cond2's margin (:func:`~mtphase.model.cond2_margin`) != 0, so
+    cond1 carries cond2's k1 = E = 1 assumption.
+    """
+    rho1 = laplacian_eigenvalue(1, p.ell)
+    K2 = p.K2
+    q2 = p.d2 * p.d3 * rho1**2 + p.d2 * K2 * rho1
+    tol = _COND_RTOL * max(abs(p.C1), abs(p.k5 * K2), abs(q2), 1.0)
+    return abs(cond2_margin(p)) > tol and abs(q2 - p.C1) > tol
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .errors import MTPhaseError, NumericalError, StepUnstable
 from .model import (
     BoundaryCondition,
     ModelParams,
-    check_conditions,
     linearization_matrix,
     quadratic_nonlinearity,
     reaction_rhs,
@@ -68,7 +67,7 @@ from .spectral import (
     principal_eigenvalue,
     solve_spectrum,
 )
-from .threshold import ParameterRay, brentq, find_threshold
+from .threshold import ParameterRay, brentq, cond1_ok, find_threshold
 from .transition import (
     TransitionType,
     classify_transition,
@@ -89,6 +88,10 @@ DEFAULT_SEED = 20260825
 #: relative change under one IMEX step below which a solved steady state
 #: counts as a fixed point of the stepper
 _FIXED_POINT_TOL = 1e-12
+
+#: a defect below this is rounding, whose digits depend on the BLAS thread
+#: count; a detail string prints it as "< 1e-13"
+_ROUNDING_LEVEL = 1e-13
 
 #: Newton iterations after which a steady-state solve counts as not converged
 _NEWTON_MAX_ITER = 50
@@ -369,7 +372,7 @@ def criterion_5_exchange_of_stability(seed: int = DEFAULT_SEED) -> tuple[bool, s
             tp = find_threshold(ray)
         except MTPhaseError:
             continue
-        if not check_conditions(tp.lambda0).cond1_ok:  # cond0 holds for valid params
+        if not cond1_ok(tp.lambda0):
             continue
         accepted += 1
         rho = laplacian_eigenvalue(np.arange(1, 51), tp.lambda0.ell)
@@ -570,8 +573,8 @@ def criterion_8_pitchfork_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
         parts.append(
             f"sigma11={target}: solved {solved[0]:.5f}/{solved[1]:.5f} "
             f"vs ±{predicted[0]:.5f} ({rel[0]:.2%}/{rel[1]:.2%}), "
-            f"mirror defect {mirror:.2e}, "
-            f"Stepper fixed-point defect {fixed[0]:.1e}/{fixed[1]:.1e}"
+            f"mirror defect {_defect(mirror, '.2e')}, "
+            f"Stepper fixed-point defect {_defect(fixed[0], '.1e')}/{_defect(fixed[1], '.1e')}"
         )
         passed = passed and max(rel) <= 0.10 and mirror <= 1e-3
         passed = passed and max(fixed) <= _FIXED_POINT_TOL
@@ -579,6 +582,11 @@ def criterion_8_pitchfork_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     return passed and monotone, "; ".join(parts) + (
         "; errors non-increasing" if monotone else "; errors NOT non-increasing"
     )
+
+
+def _defect(value: float, spec: str) -> str:
+    """``value`` in format ``spec``, or ``"< 1e-13"`` below :data:`_ROUNDING_LEVEL`."""
+    return f"< {_ROUNDING_LEVEL:g}" if value < _ROUNDING_LEVEL else format(value, spec)
 
 
 def _jump_outcome(p: ModelParams, grid, y0: float, t_max: float) -> tuple[str, float]:

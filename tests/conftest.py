@@ -6,6 +6,7 @@ every warning raised by a test in this directory into an error.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,17 @@ import pytest
 from hypothesis import settings
 
 from mtphase import ModelParams, ParameterRay, find_threshold
+
+# Hypothesis's pytest plugin imports this module when a property test
+# fails.  Where it loads libcst, that import raises a DeprecationWarning,
+# which the "error" filter below would turn into an INTERNALERROR that
+# ends the whole run.  Import it once here, outside any test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed
+        pass
 
 # the same examples on every run, and no replay of failures stored by
 # earlier runs, so one tree passes or fails the same way each time

@@ -26,6 +26,7 @@ from mtphase import (
     sha256_file,
 )
 from mtphase import cli
+from mtphase.model import cond2_margin
 from mtphase.output import MANIFEST_NAME, PHASE_DIAGRAM_COLUMNS, format_value
 
 CANONICAL = """\
@@ -183,8 +184,9 @@ def test_phase_diagram_rows_are_the_grid_in_row_major_order(tmp_path, range1, ra
     for i, s in enumerate(np.linspace(*range1, 4).tolist()):
         for j, t in enumerate(np.linspace(*range2, 3).tolist()):
             try:
-                r = classify_region(plane.at(s, t))
-                cells = [r.region.value, r.sigma11.real, r.sigma11.imag, r.cond2_ok, None]
+                p = plane.at(s, t)
+                r = classify_region(p)
+                cells = [r.region.value, r.sigma11.real, r.sigma11.imag, cond2_margin(p) > 0.0, None]
             except MTPhaseError as exc:
                 cells = [None] * 4 + [f"{type(exc).__name__}: {exc}"]
             expected.append([format_value(v) for v in [i, j, s, t, *cells]])

@@ -15,7 +15,7 @@ from mtphase import (
     ParamBatch,
     ParameterRay,
     ValidationError,
-    check_conditions,
+    cond1_ok,
     laplacian_eigenvalue,
     linearization_matrix,
     mode_matrices,
@@ -33,8 +33,8 @@ def test_canonical_steady_state_is_all_ones(canonical_params):
     assert ss.Mg == pytest.approx(1.0, abs=1e-15)
     assert ss.Ms == pytest.approx(1.0, abs=1e-15)
     assert ss.Df == pytest.approx(1.0, abs=1e-15)
-    assert ss.K1 == pytest.approx(1.0, abs=1e-15)
-    assert ss.K2 == pytest.approx(2.0, abs=1e-15)
+    assert canonical_params.K1 == pytest.approx(1.0, abs=1e-15)
+    assert canonical_params.K2 == pytest.approx(2.0, abs=1e-15)
 
 
 def test_steady_state_zeroes_the_reaction_term(random_params_factory):
@@ -187,8 +187,23 @@ def test_model_params_keeps_float_objects_shared_by_ray_points():
         p.replace(k7=np.float64(0.25))
 
 
-def test_check_conditions_canonical(canonical_threshold):
-    report = check_conditions(canonical_threshold.lambda0)
-    assert report.cond0_ok and report.cond1_ok and report.cond2_ok
-    assert report.K1 == pytest.approx(1.0, abs=1e-15)
-    assert report.k5K2_minus_C1 == pytest.approx(1.0, abs=1e-15)
+def test_cond1_ok_canonical(canonical_threshold):
+    assert cond1_ok(canonical_threshold.lambda0) is True
+
+
+# ell = pi makes rho1 = 1.0 exactly; with k1 = k3 = E = 1 each point makes
+# one equality of cond1 hold exactly and leaves the other far from holding
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # K1 = 2, K2 = 2: k5*K2 == C1, and d2*d3*rho1**2 + d2*K2*rho1 = 3
+        dict(k5=1.0, k7=1.5, C1=2.0, d2=1.0, d3=1.0),
+        # K1 = 1, K2 = 2: C1 == d2*d3*rho1**2 + d2*K2*rho1 = 0.5 + 0.5, k5*K2 = 2
+        dict(k5=1.0, k7=2.0, C1=1.0, d2=0.25, d3=2.0),
+    ],
+    ids=["k5K2-equals-C1", "C1-equals-q2"],
+)
+def test_cond1_ok_is_false_where_an_equality_holds(fields):
+    p = ModelParams(k1=1.0, k3=1.0, E=1.0, d1=1.0, ell=float(np.pi), **fields)
+    assert laplacian_eigenvalue(1, p.ell) == 1.0
+    assert cond1_ok(p) is False

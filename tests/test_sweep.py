@@ -24,6 +24,7 @@ from mtphase import (
     sweep,
 )
 from mtphase.config import parse_config_text
+from mtphase.model import cond2_margin
 from mtphase.sweep import CELLS_PER_BATCH
 
 D_RAY = {"d1": 1.0, "d2": 1.0, "d3": 1.0}
@@ -82,7 +83,8 @@ def test_sweep_classifies_both_regions(small_plane):
 
 def _reference_grid(plane: ParameterPlane, resolution) -> dict:
     """The grid's fields built one point at a time from
-    ``classify_region(plane.at(s, t))``, with the sweep's fill values."""
+    ``classify_region(plane.at(s, t))`` and ``cond2_margin(plane.at(s, t))``,
+    with the sweep's fill values."""
     coord1 = np.linspace(*plane.range1, resolution[0])
     coord2 = np.linspace(*plane.range2, resolution[1])
     region = np.full(resolution, "", dtype=object)
@@ -92,13 +94,14 @@ def _reference_grid(plane: ParameterPlane, resolution) -> dict:
     for i, s in enumerate(coord1.tolist()):
         for j, t in enumerate(coord2.tolist()):
             try:
-                report = classify_region(plane.at(s, t))
+                p = plane.at(s, t)
             except MTPhaseError as exc:
                 errors[i, j] = f"{type(exc).__name__}: {exc}"
                 continue
+            report = classify_region(p)
             region[i, j] = report.region.value
             sigma11[i, j] = report.sigma11
-            cond2_ok[i, j] = report.cond2_ok
+            cond2_ok[i, j] = cond2_margin(p) > 0.0
     return dict(coord1=coord1, coord2=coord2, region=region, sigma11=sigma11,
                 cond2_ok=cond2_ok, errors=errors)
 
