@@ -13,11 +13,12 @@ reaction, and an embedded second-order solution.  Fixed points of both
 steps are exact steady states of the semi-discrete system for every step
 size, so saturated amplitudes carry spatial discretization error only.
 
-Each implicit solve is one LAPACK ``pbtrs`` call on the three
-per-component tridiagonal systems, stacked into one block-diagonal band of
-``I - c D lap``.  A :class:`Stepper` factors the band of each coefficient
-``c`` once, with one ``cholesky_banded`` call, and keeps it: ``h`` and
-``h/2`` for a step of size ``h``, ``gamma h`` for an ARK step.
+Each implicit solve is one LAPACK ``pttrs`` call on the three
+per-component tridiagonal systems, stacked into one block-diagonal
+tridiagonal matrix ``I - c D lap``.  A :class:`Stepper` factors the matrix
+of each coefficient ``c`` once as ``L D L^T``, with one ``pttrf`` call, and
+keeps the factor: ``h`` and ``h/2`` for a step of size ``h``, ``gamma h``
+for an ARK step.
 :func:`simulate` builds one :class:`Stepper` per run, so the ladder's rung
 ``k`` shares its half band with rung ``k - 1``'s full band.
 
@@ -53,7 +54,7 @@ them: about 30 per step, 40 with the mean projection, where it made about
 - mean projection (zero-average Neumann): ``sum(axis=1) / N``, which
   rounds as ``ndarray.mean`` does, on the two reaction terms and the new
   state;
-- each half-step: one ``pbtrs`` solve of the stacked band.  A non-finite
+- each half-step: one ``pttrs`` solve of the stacked factor.  A non-finite
   value anywhere in the step reaches the new state, which is checked once.
 
 README "Performance" has the measured cost of both steps and of
@@ -61,10 +62,10 @@ README "Performance" has the measured cost of both steps and of
 path.
 
 ``import mtphase`` loads NumPy and no SciPy module.  ``scipy.linalg`` is
-imported when the first :class:`Stepper` is built, which fetches
-``cholesky_banded`` and the ``pbtrs`` wrapper once through
-:func:`_banded_lapack`, so only the commands that step (``mtphase
-simulate`` and ``mtphase verify``) pay for that import, about 0.25 s.
+imported when the first :class:`Stepper` is built, which fetches the
+``pttrf`` and ``pttrs`` wrappers once through :func:`_banded_lapack`, so
+only the commands that step (``mtphase simulate`` and ``mtphase verify``)
+pay for that import, about 0.25 s.
 
 Amplitudes are biorthogonal projections onto the critical mode, built from
 the closed-form eigenpair of :mod:`mtphase.spectral`; the simulator uses
@@ -190,16 +191,16 @@ _ARK_GAMMA = float(ARK_GAMMA)
 
 @functools.cache
 def _banded_lapack():
-    """SciPy's ``cholesky_banded`` and float64 LAPACK ``pbtrs`` wrapper.
+    """SciPy's float64 LAPACK wrappers of ``pttrf`` and ``pttrs``.
 
-    ``scipy.linalg`` is imported on the first call, when the first
-    :class:`Stepper` is built, so that ``import mtphase`` loads no SciPy
-    module.
+    They factor a symmetric positive definite tridiagonal matrix as
+    ``L D L^T`` and solve with the factor.  ``scipy.linalg`` is imported on
+    the first call, when the first :class:`Stepper` is built, so that
+    ``import mtphase`` loads no SciPy module.
     """
-    from scipy.linalg import cholesky_banded, get_lapack_funcs
+    from scipy.linalg import get_lapack_funcs
 
-    (pbtrs,) = get_lapack_funcs(("pbtrs",), (np.empty(0),))
-    return cholesky_banded, pbtrs
+    return get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -358,26 +359,30 @@ def initial_state(
     return FieldState(t=0.0, u=u)
 
 
-def _stacked_band(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Upper band of the block-diagonal Cholesky factor, one block per coefficient.
+def _stacked_band(grid: Grid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``L D L^T`` factor of the block-diagonal tridiagonal matrix, one block per coefficient.
 
-    Block ``i`` factors ``I - coeffs[i] * Laplacian``.  The superdiagonal
-    entries that would couple the last row of one block to the first row of
-    the next are zero, so one ``cholesky_banded`` call on the (2, 3N) band
-    gives each block's factor bit for bit, and one ``pbtrs`` solve of the
-    stacked (3N,) right-hand side performs the per-component solves with
-    the same arithmetic.  The band is Fortran-ordered so that ``pbtrs``
-    takes it without a copy on every call.
+    Block ``i`` is ``I - coeffs[i] * Laplacian``.  The off-diagonal entries
+    that would couple the last row of one block to the first row of the
+    next are zero, so one ``pttrf`` call on the stacked (3N,) diagonal and
+    (3N - 1,) off-diagonal gives each block's factor bit for bit, and one
+    ``pttrs`` solve of the stacked (3N,) right-hand side performs the
+    per-component solves with the same arithmetic.  Returns the factor's
+    diagonal ``D`` and the subdiagonal of its unit bidiagonal ``L``, the
+    two arrays ``pttrs`` takes.
     """
     scaled = coeffs[:, None] * (1.0 / grid.dx**2)
-    ab = np.empty((2, len(coeffs), grid.N))
-    ab[1] = 1.0 + 2.0 * scaled
-    ab[0] = -scaled
-    ab[0, :, 0] = 0.0
+    band = np.empty((2, len(coeffs), grid.N))
+    band[0] = 1.0 + 2.0 * scaled
+    band[1] = -scaled
+    band[1, :, -1] = 0.0
     if grid.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
-        ab[1][:, [0, -1]] = 1.0 + scaled
-    cholesky_banded, _ = _banded_lapack()
-    return np.asfortranarray(cholesky_banded(ab.reshape(2, -1)))
+        band[0][:, [0, -1]] = 1.0 + scaled
+    pttrf, _ = _banded_lapack()
+    d, e, info = pttrf(band[0].reshape(-1), band[1].reshape(-1)[:-1])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"pttrf returned info = {info}")
+    return d, e
 
 
 class Stepper:
@@ -423,10 +428,10 @@ class Stepper:
             self._gather[3:6] = 0.0
         self._d = np.array((p.d1, p.d2, p.d3))
         self._diffusion = self._d[:, None].repeat(grid.N, axis=1)
-        self._bands: dict[float, np.ndarray] = {}
-        _, self._pbtrs = _banded_lapack()
+        self._bands: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        _, self._pttrs = _banded_lapack()
 
-    def _band(self, c: float) -> np.ndarray:
+    def _band(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """The stacked factor of ``I - c D lap``, factored once per ``c``."""
         band = self._bands.get(c)
         if band is None:
@@ -440,15 +445,17 @@ class Stepper:
             _remove_mean(out)
         return out
 
-    def _solve(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve the three diffusion systems at once; ``rhs`` is overwritten.
+    def _solve(self, band: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+        """Solve the three diffusion systems with one ``pttrs`` call; ``rhs`` is overwritten.
 
         A non-finite ``rhs`` gives a non-finite solution, which
-        :meth:`advance` rejects.
+        :meth:`advance` rejects: a zero off-diagonal entry times an
+        infinity is NaN, so it reaches the other blocks too.
         """
-        x, info = self._pbtrs(band, rhs.reshape(-1), overwrite_b=1)
+        d, e = band
+        x, info = self._pttrs(d, e, rhs.reshape(-1), overwrite_b=1)
         if info != 0:
-            raise ValueError(f"pbtrs returned info = {info}")
+            raise ValueError(f"pttrs returned info = {info}")
         return x.reshape(rhs.shape)
 
     def _diffusion_term(self, u: np.ndarray) -> np.ndarray:
@@ -512,7 +519,7 @@ class Stepper:
 
         Reaction explicit, diffusion implicit (ESDIRK, L-stable, stiffly
         accurate).  The three implicit stages solve ``(I - gamma h D lap) U_i
-        = rhs_i`` with the stacked band of ``gamma h``, factored on first
+        = rhs_i`` with the stacked factor of ``gamma h``, made on first
         use; ``D lap U_i`` is then ``(U_i - rhs_i) / (gamma h)``, so the
         step applies the Laplacian only to ``u``.  The error estimate is the
         difference from the embedded second-order solution, at no extra
@@ -521,7 +528,7 @@ class Stepper:
         caller, as are the floating-point warnings it would raise.
         """
         gamma_h = _ARK_GAMMA * h
-        band = self._band(gamma_h)
+        d, e = self._band(gamma_h)
         weights = h * _ARK_WEIGHTS
         inv_gamma_h = 1.0 / gamma_h
         flat = u.reshape(-1)
@@ -530,9 +537,9 @@ class Stepper:
         terms[1] = self._diffusion_term(u).reshape(-1)
         for i in (1, 2, 3):
             rhs = flat + weights[i - 1, : 2 * i] @ terms[: 2 * i]
-            stage, info = self._pbtrs(band, rhs)
+            stage, info = self._pttrs(d, e, rhs)
             if info != 0:
-                raise ValueError(f"pbtrs returned info = {info}")
+                raise ValueError(f"pttrs returned info = {info}")
             np.subtract(stage, rhs, out=terms[2 * i + 1])
             terms[2 * i + 1] *= inv_gamma_h
             terms[2 * i] = self.reaction(stage.reshape(u.shape)).reshape(-1)
@@ -547,14 +554,17 @@ class Stepper:
 class CriticalMode:
     """The critical mode ``omega * e1(x)`` on a grid, and its amplitude.
 
-    Built by :func:`critical_mode`; the mode vectors are evaluated once, so
-    :meth:`amplitude` is cheap to call along a trajectory.
+    Built by :func:`critical_mode`; the mode vectors and ``max_norm``,
+    ``||omega * e1||_inf``, the field size of a unit amplitude, are
+    evaluated once, so :meth:`amplitude` is cheap to call along a
+    trajectory.
     """
 
     omega: np.ndarray
     omega_star: np.ndarray
     e1: np.ndarray
     denominator: float
+    max_norm: float
 
     def amplitude(self, u: np.ndarray) -> float:
         """Biorthogonal projection ``<u, e1 omega*> / <e1 omega, e1 omega*>``.
@@ -564,18 +574,14 @@ class CriticalMode:
         """
         return float(self.e1 @ (self.omega_star @ u)) / self.denominator
 
-    @property
-    def max_norm(self) -> float:
-        """``||omega * e1||_inf``, the field size of a unit amplitude."""
-        return float(np.abs(self.omega).max() * np.abs(self.e1).max())
-
 
 def critical_mode(p: ModelParams, grid: Grid) -> CriticalMode:
     """The critical mode of ``p`` sampled on ``grid``."""
     omega, omega_star, _ = principal_mode_vectors(p)
     e1 = laplacian_mode(p, 1).evaluate(grid.x)
     denominator = float(e1 @ e1) * float(omega @ omega_star)
-    return CriticalMode(omega, omega_star, e1, denominator)
+    max_norm = float(np.abs(omega).max() * np.abs(e1).max())
+    return CriticalMode(omega, omega_star, e1, denominator, max_norm)
 
 
 def _decay_distance(norms: deque, dt: float) -> float:
@@ -673,7 +679,7 @@ def simulate(
     the final time (every ``record_every`` steps of the default ``dt`` on
     the error-controlled path).
 
-    Every path runs on one :class:`Stepper`, whose factored bands the
+    Every path runs on one :class:`Stepper`, whose factored matrices the
     ladder's rungs, the shortened last step and the ARK substeps share.
 
     Returns
@@ -715,6 +721,9 @@ def simulate(
     # shortened when short_last), and residual norms for the stop.
     residuals: deque[float] = deque(maxlen=2 * _STOP_WINDOW + 1)
     critical: deque[float] = deque(maxlen=2 * _STOP_WINDOW + 1)
+    # the new state, its error estimate and the residual, for one max-norm
+    # reduction per ladder step
+    stacked = np.empty((3, *u.shape))
     changed = True
     while True:
         if changed:
@@ -739,8 +748,11 @@ def simulate(
         else:
             accept = True
             if adaptive:
-                scale = float(np.abs(u_new).max())
-                error = float(np.abs(u_new - predictor).max())
+                stacked[0] = u_new
+                np.subtract(u_new, predictor, out=stacked[1])
+                stacked[2] = residual
+                np.abs(stacked, out=stacked)
+                scale, error, residual_norm = stacked.max(axis=(1, 2)).tolist()
                 accept = error <= LADDER_TOL * scale or rung == LADDER_FLOOR
         if not accept:
             rejected += 1
@@ -759,7 +771,7 @@ def simulate(
             ys.append(mode.amplitude(u))
         if not adaptive:
             continue
-        residuals.append(float(np.abs(residual).max()))
+        residuals.append(residual_norm)
         critical.append(abs(mode.amplitude(residual)))
         distance = max(
             _decay_distance(residuals, h), _decay_distance(critical, h) * mode.max_norm

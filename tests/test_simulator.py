@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
 from mtphase import (
     LADDER_FLOOR,
+    LADDER_TOL,
     BoundaryCondition,
     FieldState,
     GridTooCoarse,
@@ -190,26 +192,27 @@ def test_step_array_rejects_non_finite_solve_input(unstable_params, case):
 
 
 def _per_component_stepper(stepper):
-    """``stepper``'s scheme with one ``cho_solve_banded`` call per component."""
+    """``stepper``'s scheme with one ``pttrf`` factor and ``pttrs`` solve per component."""
     p, grid, dt = stepper.p, stepper.grid, stepper.dt
     d = np.array([p.d1, p.d2, p.d3])
     inv_dx2 = 1.0 / grid.dx**2
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
 
     def factors(scale):
         out = []
         for coeff in scale * d:
-            ab = np.zeros((2, grid.N))
-            ab[1, :] = 1.0 + 2.0 * coeff * inv_dx2
-            ab[0, 1:] = -coeff * inv_dx2
+            diagonal = np.full(grid.N, 1.0 + 2.0 * coeff * inv_dx2)
             if p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
-                ab[1, [0, -1]] = 1.0 + coeff * inv_dx2
-            out.append(cholesky_banded(ab))
+                diagonal[[0, -1]] = 1.0 + coeff * inv_dx2
+            *factor, info = pttrf(diagonal, np.full(grid.N - 1, -coeff * inv_dx2))
+            assert info == 0
+            out.append(factor)
         return out
 
     full, half = factors(dt), factors(0.5 * dt)
 
-    def solve(chol, rhs):
-        return np.stack([cho_solve_banded((c, False), r) for c, r in zip(chol, rhs)])
+    def solve(factors, rhs):
+        return np.stack([pttrs(*factor, r)[0] for factor, r in zip(factors, rhs)])
 
     def step(u):
         r0 = stepper.reaction(u)
@@ -237,8 +240,9 @@ def _per_component_stepper(stepper):
          "dirichlet-linear"],
 )
 def test_stacked_solve_matches_per_component_solves(unstable_params, bc, N, options):
-    # The block-diagonal band solve must reproduce the per-component solves
-    # bit for bit, over many steps of the nonlinear dynamics.
+    # The stacked tridiagonal solve must reproduce the per-component
+    # factors and solves bit for bit, over many steps of the nonlinear
+    # dynamics.
     p = unstable_params.replace(bc=bc)
     g = make_grid(p, N)
     stepper = Stepper(p, g, dt=dt_max(p, g), **options)
@@ -283,6 +287,37 @@ def _project(v, p):
     if p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
         return v - v.mean(axis=1, keepdims=True)
     return v
+
+
+@pytest.mark.parametrize("stiffness", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("N", [16, 64, 512])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_stacked_ldlt_solve_matches_cholesky_and_dense_solves(generic_rates, bc, N, stiffness):
+    # The stacked L D L^T solve of I - c D lap against a banded Cholesky
+    # solve per component and a dense LU solve per component, with
+    # c * max(d) / dx**2 = stiffness.  Each system is an M-matrix whose
+    # rows sum to at least one, so its infinity-norm condition number is at
+    # most 1 + 4 c d / dx**2: two backward-stable solves agree within a few
+    # ulps of that, relative to the largest entry.  The residual, a
+    # backward error, is a few ulps at every stiffness.
+    p = ModelParams(bc=bc, **generic_rates)
+    g = make_grid(p, N)
+    stepper = Stepper(p, g, dt_max(p, g))
+    c = stiffness * g.dx**2 / max(p.diffusion)
+    rhs = np.random.default_rng(N).uniform(-1.0, 1.0, size=(3, N))
+    x = stepper._solve(stepper._band(c), rhs.copy())
+    eps = np.finfo(float).eps
+    for i, s in enumerate(c * p.diffusion / g.dx**2):
+        A = np.eye(N) - s * g.dx**2 * _dense_laplacian(g)
+        band = np.zeros((2, N))
+        band[0, 1:] = np.diag(A, 1)
+        band[1] = np.diag(A)
+        cholesky = cho_solve_banded((cholesky_banded(band), False), rhs[i])
+        dense = np.linalg.solve(A, rhs[i])
+        for ref in (cholesky, dense):
+            assert np.abs(x[i] - ref).max() <= 4.0 * eps * (1.0 + 4.0 * s) * np.abs(ref).max()
+        backward = np.abs(A @ x[i] - rhs[i]).max()
+        assert backward <= 4.0 * eps * (np.abs(A).sum(axis=1).max() * np.abs(x[i]).max() + 1.0)
 
 
 @pytest.mark.parametrize("size", [1e-2, 1.0])
@@ -610,6 +645,77 @@ def test_fixed_path_equals_chained_step_array(unstable_params, bc):
     assert result.steps == 34 and result.rejected == 0
     assert result.dt_range == (t_end - 33 * dt, dt)
     assert result.residual == float(np.abs(stepper.residual(u)).max())
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_ladder_equals_chained_advance(saturating_params, bc, monkeypatch):
+    # The ladder's twin of the test above: the run's accepted steps,
+    # replayed through Stepper.advance, give its final state, recorded y
+    # and residual bit for bit.  Each step is accepted, and the run stops,
+    # exactly where norms taken one array at a time say so, with the stop
+    # rule's ||omega e1||_inf taken over the outer product.  The Dirichlet
+    # run saturates (the README example at N = 48); the zero-average run
+    # starts below threshold and decays to t_end.  Both start above the
+    # stability edge, so both reject steps.
+    if bc == "dirichlet":
+        p, t_end = saturating_params, 2000.0
+    else:
+        p = ModelParams(
+            k1=1.0, k3=1.0, k5=1.0, k7=2.0, C1=1.0, E=1.0,
+            d1=0.3, d2=0.3, d3=0.3, ell=4.0, bc=bc,
+        )
+        t_end = 200.0
+    g = make_grid(p, 48)
+    dt = 40.0 * dt_max(p, g)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    tol, record_every = 1e-6, 7
+    calls = []
+    advance = Stepper.advance
+
+    def spy(self, u, h=None):
+        calls.append((u, h))
+        return advance(self, u, h)
+
+    monkeypatch.setattr(Stepper, "advance", spy)
+    result = simulate(p, g, ic, t_end=t_end, dt=dt, record_every=record_every,
+                      stop_on_saturation=True, saturation_tol=tol)
+    monkeypatch.undo()
+    assert result.saturated == (bc == "dirichlet")
+    assert result.rejected >= 1
+
+    stepper = Stepper(p, g, dt)
+    mode = critical_mode(p, g)
+    max_norm = float(np.abs(mode.omega[:, None] * mode.e1[None, :]).max())
+    assert mode.max_norm == max_norm
+    u, ys, taken, stops = ic.u.copy(), [mode.amplitude(ic.u)], 0, []
+    window = (deque(maxlen=21), deque(maxlen=21))
+    rung_h = None
+    for i, (start, h) in enumerate(calls):
+        assert np.array_equal(start, u)  # the run's last accepted state
+        try:
+            new, predictor, residual = stepper.advance(u, h)
+        except StepUnstable:
+            continue
+        scale = float(np.abs(new).max())
+        if not float(np.abs(new - predictor).max()) <= LADDER_TOL * scale:
+            continue
+        if math.log2(h / dt).is_integer() and h != rung_h:  # not the shortened last step
+            rung_h = h
+            for norms in window:
+                norms.clear()
+        window[0].append(float(np.abs(residual).max()))
+        window[1].append(abs(mode.amplitude(residual)))
+        distance = max(simulator._decay_distance(window[0], rung_h),
+                       simulator._decay_distance(window[1], rung_h) * max_norm)
+        stops.append(distance <= tol * scale)
+        u, taken = new, taken + 1
+        if taken % record_every == 0 or i == len(calls) - 1:
+            ys.append(mode.amplitude(u))
+    assert stops == [False] * (taken - 1) + [result.saturated]
+    assert np.array_equal(result.final_state.u, u)
+    assert np.array_equal(result.series.y, np.array(ys))
+    assert result.residual == float(np.abs(stepper.residual(u)).max())
+    assert result.steps == taken and result.rejected == len(calls) - taken
 
 
 # ---------------------------------------------------------------------------
