@@ -51,10 +51,8 @@ from .spectral import (
     Basis,
     LaplacianMode,
     ModeSpectrum,
-    adjoint_eigenvector,
     char_poly_coeffs,
     companion_roots,
-    eigenvector,
     laplacian_eigenvalue,
     laplacian_mode,
     mode_matrix,
@@ -197,8 +195,6 @@ __all__ = [
     "char_poly_coeffs",
     "solve_spectrum",
     "companion_roots",
-    "eigenvector",
-    "adjoint_eigenvector",
     "mode_spectra",
     "principal_eigenvalue",
     "principal_mode_vectors",

@@ -73,7 +73,7 @@ def run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
 
 
 def _located_threshold(config: RunConfig):
-    return find_threshold(config.ray(), tol=config.analysis.tol, attach_report=False)
+    return find_threshold(config.ray(), tol=config.analysis.tol)
 
 
 def run_threshold(config: RunConfig, out_dir: str) -> list[str]:

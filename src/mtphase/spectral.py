@@ -4,8 +4,8 @@ Expanding deviations in the Laplacian eigenbasis decouples the linearized
 dynamics into independent 3x3 blocks ``E(rho_m) = A - rho_m * D`` per spatial
 mode ``m``.  This module builds those blocks, solves their characteristic
 cubics, and is the one place that writes out the closed-form eigenvector
-omega and adjoint eigenvector omega*.  :func:`eigenvector` and
-:func:`adjoint_eigenvector` check them against the block;
+omega and adjoint eigenvector omega* (:func:`_eigenpair`).
+:func:`mode_spectra` checks each pair against its block;
 :func:`principal_mode_vectors` gives the critical pair at sigma = 0 that the
 transition analysis and the simulator's amplitude projection contract.
 """
@@ -37,8 +37,6 @@ __all__ = [
     "char_poly_coeffs",
     "solve_spectrum",
     "companion_roots",
-    "eigenvector",
-    "adjoint_eigenvector",
     "mode_spectra",
     "principal_eigenvalue",
     "principal_mode_vectors",
@@ -209,45 +207,28 @@ def _shorthands(p: ModelParams, rho: float, sigma: complex):
 
 
 def _eigenpair(p: ModelParams, rho: float, sigma: complex):
-    """Closed-form ``(omega, omega*)`` of ``mode_matrix(p, rho)`` at sigma,
-    unchecked; :func:`eigenvector` and :func:`adjoint_eigenvector` give the
-    formulas and check them."""
+    """Closed-form eigenvector omega of ``mode_matrix(p, rho)`` for
+    eigenvalue sigma, and adjoint eigenvector omega* of its transpose,
+    unchecked.
+
+    With ``a = E/k1``, ``X = d1*rho + k7*a + sigma`` and
+    ``Y = d2*rho + k5*a + sigma``::
+
+        omega  = (k5*a, X, (X*Y - k5*k7*a**2) / k1)
+        omega* = (a*(C1*k7 - k3*Y), C1*X - k3*k5*a**2, X*Y - k5*k7*a**2)
+
+    omega reduces to the familiar (k5, X, X*Y - k5*k7) when k1 = E = 1; its
+    first component is a positive constant, so it never degenerates.  Under
+    the parameter constraint ``C1*k7 = k3*(k5*a + d2*rho)`` the first
+    component of omega* vanishes at sigma = 0.  :func:`mode_spectra` checks
+    both against the block (:func:`_check_residual`).
+    """
     a, x, y, q, w3 = _shorthands(p, rho, sigma)
     omega = np.array([p.k5 * a, x, w3])
     omega_star = np.array(
         [a * (p.C1 * p.k7 - p.k3 * y), p.C1 * x - p.k3 * p.k5 * a * a, q]
     )
     return omega, omega_star
-
-
-def eigenvector(p: ModelParams, rho: float, sigma: complex) -> np.ndarray:
-    """Closed-form eigenvector of ``mode_matrix(p, rho)`` for eigenvalue sigma.
-
-    With ``a = E/k1``, ``X = d1*rho + k7*a + sigma`` and
-    ``Y = d2*rho + k5*a + sigma``::
-
-        omega = (k5*a, X, (X*Y - k5*k7*a**2) / k1)
-
-    which reduces to the familiar (k5, X, X*Y - k5*k7) when k1 = E = 1.  The
-    first component is a positive constant, so the vector never degenerates.
-    Raises :class:`NotAnEigenvalue` when the residual check fails.
-    """
-    omega, _ = _eigenpair(p, rho, sigma)
-    _check_residual(mode_matrix(p, rho), sigma, omega, adjoint=False)
-    return omega
-
-
-def adjoint_eigenvector(p: ModelParams, rho: float, sigma: complex) -> np.ndarray:
-    """Closed-form eigenvector of the transposed mode matrix.
-
-    ``omega* = (a*(C1*k7 - k3*Y), C1*X - k3*k5*a**2, X*Y - k5*k7*a**2)`` with
-    the same shorthands as :func:`eigenvector`.  Under the parameter
-    constraint ``C1*k7 = k3*(k5*a + d2*rho)`` the first component vanishes at
-    sigma = 0.
-    """
-    _, omega_star = _eigenpair(p, rho, sigma)
-    _check_residual(mode_matrix(p, rho), sigma, omega_star, adjoint=True)
-    return omega_star
 
 
 def principal_mode_vectors(p: ModelParams) -> tuple[np.ndarray, np.ndarray, float]:
@@ -348,10 +329,8 @@ def _polish_sigma(p: ModelParams, rho: float, sigma: complex, iters: int = 2) ->
 
 
 def _spectrum_at(p: ModelParams, mode: LaplacianMode) -> ModeSpectrum:
-    polished = [
-        _polish_sigma(p, mode.rho, complex(s))
-        for s in solve_spectrum(mode_matrix(p, mode.rho))
-    ]
+    emat = mode_matrix(p, mode.rho)
+    polished = [_polish_sigma(p, mode.rho, complex(s)) for s in solve_spectrum(emat)]
     sigma = _sorted_eigs(np.array(polished))
     omega = np.empty((3, 3), dtype=complex)
     omega_star = np.empty((3, 3), dtype=complex)
@@ -359,8 +338,10 @@ def _spectrum_at(p: ModelParams, mode: LaplacianMode) -> ModeSpectrum:
         s = complex(s)
         if s.imag == 0.0:
             s = s.real
-        omega[i] = eigenvector(p, mode.rho, s)
-        omega_star[i] = adjoint_eigenvector(p, mode.rho, s)
+        w, w_star = _eigenpair(p, mode.rho, s)
+        _check_residual(emat, s, w, adjoint=False)
+        _check_residual(emat, s, w_star, adjoint=True)
+        omega[i], omega_star[i] = w, w_star
     return ModeSpectrum(mode=mode, sigma=sigma, omega=omega, omega_star=omega_star)
 
 
@@ -369,7 +350,10 @@ def mode_spectra(p: ModelParams, M_max: int) -> list[ModeSpectrum]:
 
     Eigenvalues are Newton-polished against the closed-form eigenvector
     identity before the vectors are assembled, so the returned eigenpairs
-    satisfy the residual bound with headroom.
+    satisfy the residual bound with headroom.  Each mode's block is built
+    once, and each closed-form pair (:func:`_eigenpair`) is checked against
+    it and its transpose; :class:`NotAnEigenvalue` is raised if either
+    residual is above the bound.
     """
     if M_max < 1:
         raise ValueError(f"M_max must be >= 1, got {M_max}")

@@ -6,7 +6,7 @@ arrays, one element per cell.  The cells are taken in row-major order,
 :data:`CELLS_PER_BATCH` at a time, whatever the grid rows: the feasible
 points of a batch go to :func:`~mtphase.threshold.classify_region`
 together, as one stack of principal-mode blocks, and each value equals
-the one a single-point classification gives.  For a cell whose
+the one a per-point eigenvalue solve of the cell's block gives.  For a cell whose
 parameters are infeasible, the grid's error map records the name and
 message of the domain error the scalar
 :meth:`~mtphase.threshold.ParameterPlane.at` would raise, built from the

@@ -8,10 +8,9 @@ eigenvalue crosses zero while all others stay strictly stable, and traces
 the critical curve through two-parameter slices by pseudo-arclength
 continuation.
 
-:func:`classify_region` takes one point or a :class:`ParamBatch`; a batch
-is classified with one eigenvalue call and reported as arrays, which is
-how a sweep classifies its cells, a fixed-size slice of the grid at a
-time.
+:func:`classify_region` takes a :class:`ParamBatch`, classifies it with
+one eigenvalue call and reports arrays; a sweep passes it a fixed-size
+slice of the grid at a time.
 
 The root finders evaluate det E1 from plain floats.  :func:`find_threshold`,
 the curve tracer's ``F(u, v)`` and the bracket search and root solve of a
@@ -230,16 +229,14 @@ _REGION_VALUES = np.array([r.value for r in Region], dtype=object)
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Region and leading principal-mode eigenvalue of a classification.
-
-    For one :class:`ModelParams` the fields are a :class:`Region` and a
-    complex.  For a :class:`ParamBatch` of n points they are (n,) arrays,
-    as the batch's own fields are: the region values as strings
-    (``"stable"``, ``"critical"``, ``"unstable"``) and complex ``sigma11``.
+    """Region and leading principal-mode eigenvalue of each point of a
+    :class:`ParamBatch` of n points, as (n,) arrays like the batch's own
+    fields: the region values as strings (``"stable"``, ``"critical"``,
+    ``"unstable"``) and complex ``sigma11``.
     """
 
-    region: Region | np.ndarray
-    sigma11: complex | np.ndarray
+    region: np.ndarray
+    sigma11: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,7 +256,7 @@ class StabilityExchangeReport:
     passed: bool
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdPoint:
     """A located zero of the principal-mode determinant along a ray.
 
@@ -448,11 +445,7 @@ def _mode1_spectrum(p: ModelParams) -> np.ndarray:
     return mode1
 
 
-def find_threshold(
-    ray: ParameterRay,
-    tol: float = 1e-10,
-    attach_report: bool = True,
-) -> ThresholdPoint:
+def find_threshold(ray: ParameterRay, tol: float = 1e-10) -> ThresholdPoint:
     """Locate a sign change of the principal determinant on the ray.
 
     Uses Brent's method (bisection with secant/inverse-quadratic
@@ -461,8 +454,8 @@ def find_threshold(
     not straddle the critical set and :class:`ComplexCrossing` when the
     leading eigenvalue at the root has imaginary part above the zero band
     ``SIGMA_ZERO_BAND`` (a Hopf-like crossing the real-transition theory
-    does not cover).  With ``attach_report`` the point carries its
-    :func:`stability_exchange_report`.
+    does not cover).  The point carries the
+    :func:`stability_exchange_report` of its ``lambda0``.
     """
     f = _det_along(ray.base, ray.direction)
     s_root = _root_in_bracket(f, *ray.bracket, tol)
@@ -470,31 +463,26 @@ def find_threshold(
     mode1 = _mode1_spectrum(p_root)
     h = _fd_step(1e-6, s_root)
     deriv = (f(s_root + h) - f(s_root - h)) / (2.0 * h)
-    point = ThresholdPoint(
+    return ThresholdPoint(
         lambda0=p_root,
         ray_coord=float(s_root),
         sigma11=complex(mode1[0]),
         crossing_derivative=float(deriv),
+        stability_report=stability_exchange_report(p_root, mode1_spectrum=mode1),
     )
-    if attach_report:
-        point.stability_report = stability_exchange_report(point, mode1_spectrum=mode1)
-    return point
 
 
-def classify_region(p: ModelParams | ParamBatch) -> RegionReport:
+def classify_region(batch: ParamBatch) -> RegionReport:
     """Stable / critical / unstable according to the leading eigenvalue.
 
     A point is critical when ``|Re sigma_11| <= SIGMA_ZERO_BAND``.  cond2
     is not part of the classification; :func:`~mtphase.sweep.sweep` writes
     it next to the region.
 
-    A :class:`ParamBatch` of feasible points is classified by one
-    eigenvalue call on the stack of their principal-mode blocks, and its
-    report holds one array element per point.  A single point is
-    classified as a batch of one, and its report holds element 0 as
-    scalars.
+    The feasible points of ``batch`` are classified by one eigenvalue call
+    on the stack of their principal-mode blocks, and the report holds one
+    array element per point.
     """
-    batch = ParamBatch.from_record(p.to_record()) if isinstance(p, ModelParams) else p
     # rho_1 per distinct ell through the scalar formula: NumPy squares an
     # array as x*x, which differs from Python's float pow in the last bit
     # for about one value in 1,200
@@ -504,8 +492,6 @@ def classify_region(p: ModelParams | ParamBatch) -> RegionReport:
     sigma11 = solve_spectrum(mode_matrices(batch, rho1))[:, 0]
     re = sigma11.real
     side = np.where(np.abs(re) <= SIGMA_ZERO_BAND, 1, np.where(re > 0.0, 2, 0))
-    if isinstance(p, ModelParams):
-        return RegionReport(region=Region(_REGION_VALUES[side[0]]), sigma11=complex(sigma11[0]))
     return RegionReport(region=_REGION_VALUES[side], sigma11=sigma11)
 
 
@@ -532,9 +518,10 @@ def _rho_coefficients(g, P, T, d):
 
 
 def stability_exchange_report(
-    tp: ThresholdPoint | ModelParams, *, mode1_spectrum: np.ndarray | None = None
+    p: ModelParams, *, mode1_spectrum: np.ndarray | None = None
 ) -> StabilityExchangeReport:
-    """Certify that only the principal eigenvalue sits at zero, in every mode.
+    """Certify that only the principal eigenvalue sits at zero, in every mode,
+    at the threshold's parameters ``p``.
 
     One solve of the mode-1 block gives sigma11, which must lie in the zero
     band ``SIGMA_ZERO_BAND`` and be simple, and the other two, which must be
@@ -558,7 +545,6 @@ def stability_exchange_report(
     :func:`solve_spectrum` of the point's ``mode_matrix(p, rho_1)``, as
     :func:`find_threshold` passes it.
     """
-    p = tp.lambda0 if isinstance(tp, ThresholdPoint) else tp
     rho1 = laplacian_eigenvalue(1, p.ell)
     s1 = solve_spectrum(mode_matrix(p, rho1)) if mode1_spectrum is None else mode1_spectrum
     sigma11 = complex(s1[0])

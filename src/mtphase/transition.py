@@ -70,6 +70,8 @@ QUADRATIC_FLOOR = 1e-12
 
 _INTERACTION_MODE = 2
 _BIORTH_RTOL = 1e-12
+#: relative tolerance of the assumptions of the simplified transition number
+_SIMPLIFIED_RTOL = 1e-8
 
 
 class TransitionType(str, Enum):
@@ -139,10 +141,6 @@ class TransitionReport:
         return (y, -y)
 
 
-def _params_of(tp: ThresholdPoint | ModelParams) -> ModelParams:
-    return tp.lambda0 if isinstance(tp, ThresholdPoint) else tp
-
-
 def _as_threshold_point(tp: ThresholdPoint | ModelParams) -> ThresholdPoint:
     if isinstance(tp, ThresholdPoint):
         return tp
@@ -186,9 +184,7 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def quadratic_coefficient(
-    tp: ThresholdPoint | ModelParams, n_nodes: int = 64
-) -> QuadraticCoefficient:
+def quadratic_coefficient(p: ModelParams, n_nodes: int = 64) -> QuadraticCoefficient:
     """Quadratic coefficient of the Dirichlet reduced amplitude equation.
 
     Two independent evaluations are returned: the closed form
@@ -199,8 +195,9 @@ def quadratic_coefficient(
 
     Parameters
     ----------
-    tp : ThresholdPoint or ModelParams
-        Threshold at which to evaluate (Dirichlet boundary conditions).
+    p : ModelParams
+        Parameters of the threshold at which to evaluate (Dirichlet
+        boundary conditions).
     n_nodes : int, optional
         Gauss-Legendre node count for the quadrature path.
 
@@ -211,7 +208,6 @@ def quadratic_coefficient(
         ``QUADRATIC_FLOOR`` times the summed magnitude of its terms, in which
         case the transcritical branch prediction does not apply.
     """
-    p = _params_of(tp)
     _require_bc(p, BoundaryCondition.DIRICHLET, "the quadratic branch coefficient")
     omega, omega_star, _ = principal_mode_vectors(p)
     pairing = float(_biorth(omega, omega_star, "critical eigenpair"))
@@ -292,8 +288,9 @@ def _cubic_coefficient(p: ModelParams) -> tuple[float, float]:
     return float(vector @ omega_star / norm), float(magnitude)
 
 
-def transition_number(tp: ThresholdPoint | ModelParams) -> float:
-    """Cubic coefficient ``b`` of ``dy/dt = sigma11*y + b*y**3`` (Neumann).
+def transition_number(p: ModelParams) -> float:
+    """Cubic coefficient ``b`` of ``dy/dt = sigma11*y + b*y**3`` (Neumann),
+    at the threshold's parameters ``p``.
 
     Evaluated with one 3x3 solve against the mode-2 block (see
     :func:`_slaved_sums`); no eigenvector of that block is formed.
@@ -304,12 +301,10 @@ def transition_number(tp: ThresholdPoint | ModelParams) -> float:
         If the mode-2 block has an eigenvalue within ``EPSILON_RESONANCE`` of
         zero, or the critical eigenpair is near-defective.
     """
-    return _cubic_coefficient(_params_of(tp))[0]
+    return _cubic_coefficient(p)[0]
 
 
-def transition_number_simplified(
-    tp: ThresholdPoint | ModelParams, rtol: float = 1e-8
-) -> float:
+def transition_number_simplified(p: ModelParams) -> float:
     """Shortcut evaluation of the transition number on the constraint manifold.
 
     When ``k1 = E = 1`` and ``C1*k7 = k3*(k5 + rho1*d2)`` (which makes the
@@ -322,13 +317,12 @@ def transition_number_simplified(
     ------
     OutOfTheory
         If the parameters violate ``k1 = E = 1`` or the constraint beyond
-        ``rtol``; the collapsed form is not valid there.
+        ``_SIMPLIFIED_RTOL``; the collapsed form is not valid there.
     """
-    p = _params_of(tp)
     _require_bc(
         p, BoundaryCondition.NEUMANN_ZERO_AVERAGE, "the cubic reduced equation"
     )
-    if abs(p.k1 - 1.0) > rtol or abs(p.E - 1.0) > rtol:
+    if abs(p.k1 - 1.0) > _SIMPLIFIED_RTOL or abs(p.E - 1.0) > _SIMPLIFIED_RTOL:
         raise OutOfTheory(
             "the simplified transition-number form requires k1 = E = 1 "
             f"(got k1={p.k1!r}, E={p.E!r})"
@@ -336,7 +330,7 @@ def transition_number_simplified(
     rho1 = laplacian_eigenvalue(1, p.ell)
     lhs = p.C1 * p.k7
     rhs = p.k3 * (p.k5 + rho1 * p.d2)
-    if abs(lhs - rhs) > rtol * max(abs(lhs), abs(rhs)):
+    if abs(lhs - rhs) > _SIMPLIFIED_RTOL * max(abs(lhs), abs(rhs)):
         raise OutOfTheory(
             "parameters do not satisfy the adjoint-degeneracy constraint "
             f"C1*k7 = k3*(k5 + rho1*d2) ({lhs!r} vs {rhs!r})"
@@ -363,7 +357,7 @@ def classify_transition(tp: ThresholdPoint | ModelParams) -> TransitionReport:
     point = _as_threshold_point(tp)
     p = point.lambda0
     if p.bc is BoundaryCondition.DIRICHLET:
-        qc = quadratic_coefficient(point)
+        qc = quadratic_coefficient(p)
         return TransitionReport(
             threshold=point,
             bc=p.bc,

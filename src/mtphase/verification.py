@@ -329,7 +329,7 @@ def criterion_3_scaling(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
 
 def criterion_4_canonical_threshold(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Canonical threshold equals the positive root of the reduced cubic."""
-    tp = find_threshold(default_verify_config().ray(), attach_report=False)
+    tp = find_threshold(default_verify_config().ray())
 
     def poly(d: float) -> float:
         return d**3 + 5.0 * d**2 + 5.0 * d - 1.0
@@ -407,7 +407,7 @@ def criterion_5_exchange_of_stability(seed: int = DEFAULT_SEED) -> tuple[bool, s
 
 def criterion_6_quadratic_coefficient(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Closed-form and quadrature branch coefficients agree; canonical value."""
-    tp = find_threshold(default_verify_config().ray(), attach_report=False)
+    tp = find_threshold(default_verify_config().ray())
     report = classify_transition(tp)
     closed = report.quadratic_coeff
     quad = report.quadratic_coeff_quadrature
@@ -427,7 +427,7 @@ def criterion_7_mixed_branch(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     ``k7`` (the second-order branch correction along this direction stays
     inside the 10 % comparison band for all three eigenvalue offsets).
     """
-    tp = find_threshold(default_verify_config().ray(), attach_report=False)
+    tp = find_threshold(default_verify_config().ray())
     report = classify_transition(tp)
     alpha = report.quadratic_coeff
     p_star = tp.lambda0
@@ -626,8 +626,8 @@ def criterion_9_jump_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     :func:`simulate` on its step ladder.
     """
     ray = _packaged_config("neumann-jump").ray()
-    tp = find_threshold(ray, attach_report=False)
-    b = transition_number(tp)
+    tp = find_threshold(ray)
+    b = transition_number(tp.lambda0)
     if b <= 0.0:
         return False, f"frozen point lost its positive transition number: b={b:.3e}"
     target = -0.02
@@ -687,7 +687,7 @@ def criterion_10_constrained_identity(seed: int = DEFAULT_SEED) -> tuple[bool, s
 
 def criterion_11_convergence_orders(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Second-order spatial and temporal convergence on the canonical run."""
-    tp = find_threshold(default_verify_config().ray(), attach_report=False)
+    tp = find_threshold(default_verify_config().ray())
     p = _solve_sigma(lambda c: tp.lambda0.replace(k7=c), 0.02, (2.0, 3.5))
 
     grid_ref = make_grid(p, 512)

@@ -18,7 +18,6 @@ from mtphase import (
     ConfigError,
     MTPhaseError,
     NoSignChange,
-    classify_region,
     main,
     parse_config,
     principal_eigenvalue,
@@ -28,6 +27,7 @@ from mtphase import (
 from mtphase import cli
 from mtphase.model import cond2_margin
 from mtphase.output import MANIFEST_NAME, PHASE_DIAGRAM_COLUMNS, format_value
+from mtphase.threshold import SIGMA_ZERO_BAND
 
 CANONICAL = """\
 [model]
@@ -185,8 +185,10 @@ def test_phase_diagram_rows_are_the_grid_in_row_major_order(tmp_path, range1, ra
         for j, t in enumerate(np.linspace(*range2, 3).tolist()):
             try:
                 p = plane.at(s, t)
-                r = classify_region(p)
-                cells = [r.region.value, r.sigma11.real, r.sigma11.imag, cond2_margin(p) > 0.0, None]
+                sigma11 = principal_eigenvalue(p)  # one block, not a batch
+                region = ("critical" if abs(sigma11.real) <= SIGMA_ZERO_BAND
+                          else "unstable" if sigma11.real > 0.0 else "stable")
+                cells = [region, sigma11.real, sigma11.imag, cond2_margin(p) > 0.0, None]
             except MTPhaseError as exc:
                 cells = [None] * 4 + [f"{type(exc).__name__}: {exc}"]
             expected.append([format_value(v) for v in [i, j, s, t, *cells]])
@@ -235,6 +237,33 @@ def test_critical_curve_of_the_shipped_configs_is_pinned(tmp_path, name):
     out = str(tmp_path / name)
     assert main(["phase-diagram", "--config", str(CONFIGS / f"{name}.ini"), "--out", out]) == 0
     assert sha256_file(os.path.join(out, "critical-curve.csv")) == CRITICAL_CURVE_SHA256[name]
+
+
+# the CSVs of the four analysis subcommands on the shipped configs; a
+# change that keeps the output keeps these digests
+ANALYSIS_CSV_SHA256 = {
+    "canonical": {
+        "steady-state.csv": "c9d926991fc3ef338d375d95490905bb7299b2853f792afaf3d11340f5272d74",
+        "spectrum.csv": "4ecd64d95f154f38e4a470f184ca1850e66a8905b1b6498006ae28d0c2ebc961",
+        "threshold.csv": "75748a3dffe9ad4623d29715ded97ab0b77ab303377eb566b585584696daf48f",
+        "transition.csv": "cf1814e790bf9fe3b92c7b3616c8411def896897435e2bcd1efed54b2c4c9f34",
+    },
+    "neumann-jump": {
+        "steady-state.csv": "59030769e7896043c585acdbc43d713a971bc016573829e5fc5666750c6635c9",
+        "spectrum.csv": "f90f680ceea4b2d1ec1fd8064aec9cd9cccecc2ee313c79cc91100cbe554a1f6",
+        "threshold.csv": "d05ade1c4a733689c9c8390add498d047e0417fb5fe9a875ab7115092fad3f8c",
+        "transition.csv": "ee96b57d350a27893e4c2db6a73e86f28fa6ef88ef1b542ed3edfde7713bb24b",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS_CSV_SHA256))
+def test_analysis_csvs_of_the_shipped_configs_are_pinned(tmp_path, name):
+    out = str(tmp_path / name)
+    for filename, digest in ANALYSIS_CSV_SHA256[name].items():
+        command = filename.removesuffix(".csv")
+        assert main([command, "--config", str(CONFIGS / f"{name}.ini"), "--out", out]) == 0
+        assert sha256_file(os.path.join(out, filename)) == digest, filename
 
 
 def test_a_curve_vertex_that_cannot_be_bracketed_exits_3(tmp_path, monkeypatch, capsys):

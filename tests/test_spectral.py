@@ -5,14 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mtphase.spectral
 from mtphase import (
     MTPhaseError,
     NotAnEigenvalue,
     ParameterRay,
-    adjoint_eigenvector,
     char_poly_coeffs,
     companion_roots,
-    eigenvector,
     find_threshold,
     laplacian_eigenvalue,
     laplacian_mode,
@@ -157,18 +156,27 @@ def test_biorthogonality_for_separated_eigenvalues(random_params_factory):
         assert np.abs(off).max() <= 1e-8 * max(scale, 1.0)
 
 
-def test_eigenvector_rejects_non_eigenvalue(canonical_params):
-    rho = laplacian_eigenvalue(1, canonical_params.ell)
-    with pytest.raises(NotAnEigenvalue):
-        eigenvector(canonical_params, rho, 12345.0)
-    with pytest.raises(NotAnEigenvalue):
-        adjoint_eigenvector(canonical_params, rho, 12345.0)
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_mode_spectra_rejects_a_pair_off_its_eigenvalue(canonical_params, monkeypatch, adjoint):
+    # one half of each pair is the closed form at a value that is not an
+    # eigenvalue: the residual check of that half raises
+    eigenpair = mtphase.spectral._eigenpair
+
+    def one_half_off(p, rho, sigma):
+        omega, omega_star = eigenpair(p, rho, sigma)
+        off_omega, off_omega_star = eigenpair(p, rho, sigma + 12345.0)
+        return (omega, off_omega_star) if adjoint else (off_omega, omega_star)
+
+    monkeypatch.setattr(mtphase.spectral, "_eigenpair", one_half_off)
+    which = "adjoint residual" if adjoint else "relative residual"
+    with pytest.raises(NotAnEigenvalue, match=which):
+        mode_spectra(canonical_params, 1)
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
 def test_principal_mode_vectors_are_the_checked_eigenpair(bc, random_params_factory):
-    # The unchecked sigma = 0 pair equals the checked one bit for bit at
-    # thresholds, so skipping the residual check there skips nothing.
+    # The unchecked sigma = 0 pair passes both residual checks of
+    # mode_spectra at thresholds, so skipping them there skips nothing.
     rng = np.random.default_rng(61)
     found = 0
     while found < 20:
@@ -180,14 +188,15 @@ def test_principal_mode_vectors_are_the_checked_eigenpair(bc, random_params_fact
             bracket=(1e-3, 100.0),
         )
         try:
-            p = find_threshold(ray, attach_report=False).lambda0
+            p = find_threshold(ray).lambda0
         except MTPhaseError:
             continue
         found += 1
         omega, omega_star, rho1 = principal_mode_vectors(p)
         assert rho1 == laplacian_eigenvalue(1, p.ell)
-        assert np.array_equal(omega, eigenvector(p, rho1, 0.0))
-        assert np.array_equal(omega_star, adjoint_eigenvector(p, rho1, 0.0))
+        emat = mode_matrix(p, rho1)
+        mtphase.spectral._check_residual(emat, 0.0, omega, adjoint=False)
+        mtphase.spectral._check_residual(emat, 0.0, omega_star, adjoint=True)
 
 
 def test_principal_eigenvalue_is_top_of_first_mode(random_params_factory):

@@ -17,7 +17,6 @@ from mtphase import (
     MTPhaseError,
     ParameterPlane,
     PhaseGrid,
-    classify_region,
     laplacian_eigenvalue,
     mode_matrix,
     resolve_workers,
@@ -26,6 +25,7 @@ from mtphase import (
 from mtphase.config import parse_config_text
 from mtphase.model import cond2_margin
 from mtphase.sweep import CELLS_PER_BATCH
+from mtphase.threshold import SIGMA_ZERO_BAND
 
 D_RAY = {"d1": 1.0, "d2": 1.0, "d3": 1.0}
 # the point of configs/neumann-jump.ini
@@ -83,8 +83,8 @@ def test_sweep_classifies_both_regions(small_plane):
 
 def _reference_grid(plane: ParameterPlane, resolution) -> dict:
     """The grid's fields built one point at a time from
-    ``classify_region(plane.at(s, t))`` and ``cond2_margin(plane.at(s, t))``,
-    with the sweep's fill values."""
+    ``_reference_sigma11(plane.at(s, t))``, the ``SIGMA_ZERO_BAND`` rule and
+    ``cond2_margin(plane.at(s, t))``, with the sweep's fill values."""
     coord1 = np.linspace(*plane.range1, resolution[0])
     coord2 = np.linspace(*plane.range2, resolution[1])
     region = np.full(resolution, "", dtype=object)
@@ -98,9 +98,8 @@ def _reference_grid(plane: ParameterPlane, resolution) -> dict:
             except MTPhaseError as exc:
                 errors[i, j] = f"{type(exc).__name__}: {exc}"
                 continue
-            report = classify_region(p)
-            region[i, j] = report.region.value
-            sigma11[i, j] = report.sigma11
+            sigma11[i, j] = _reference_sigma11(p)
+            region[i, j] = _reference_region(sigma11[i, j])
             cond2_ok[i, j] = cond2_margin(p) > 0.0
     return dict(coord1=coord1, coord2=coord2, region=region, sigma11=sigma11,
                 cond2_ok=cond2_ok, errors=errors)
@@ -125,6 +124,13 @@ def _reference_sigma11(p: ModelParams) -> complex:
     mu = np.trace(e) / 3.0
     sigma = np.asarray(np.linalg.eigvals(e - mu * np.eye(3)) + mu, dtype=complex)
     return complex(sigma[np.lexsort((sigma.imag, -sigma.real))][0])
+
+
+def _reference_region(sigma11: complex) -> str:
+    """Critical within ``SIGMA_ZERO_BAND`` of zero, else the sign's side."""
+    if abs(sigma11.real) <= SIGMA_ZERO_BAND:
+        return "critical"
+    return "unstable" if sigma11.real > 0.0 else "stable"
 
 
 # Each plane crosses the critical curve and has cells with K1 <= 0 (small

@@ -20,6 +20,7 @@ from mtphase import (
     ModelParams,
     MTPhaseError,
     NoSignChange,
+    ParamBatch,
     ParameterPlane,
     ParameterRay,
     Region,
@@ -103,9 +104,10 @@ def test_finite_difference_steps_uncapped_from_two_micro(s):
 
 def test_classify_region_three_sides(canonical_ray, canonical_threshold):
     d_star = canonical_threshold.ray_coord
-    assert classify_region(canonical_ray.at(0.7 * d_star)).region is Region.UNSTABLE
-    assert classify_region(canonical_ray.at(1.5 * d_star)).region is Region.STABLE
-    assert classify_region(canonical_threshold.lambda0).region is Region.CRITICAL
+    s = np.array([0.7 * d_star, 1.5 * d_star, d_star])
+    batch = ParamBatch.from_record({**canonical_ray.base.to_record(), "d1": s, "d2": s, "d3": s})
+    report = classify_region(batch)
+    assert report.region.tolist() == [Region.UNSTABLE.value, Region.STABLE.value, Region.CRITICAL.value]
 
 
 def test_ray_at_sets_fields_linearly(canonical_params):
@@ -175,7 +177,7 @@ def test_stability_exchange_report_canonical(canonical_threshold):
 
 
 def test_stability_exchange_report_from_params(canonical_threshold):
-    # Accepts a bare parameter point as well as a located threshold.
+    # from the threshold's parameters alone, with no mode-1 solve passed in
     report = stability_exchange_report(canonical_threshold.lambda0)
     assert report.passed is True
 
@@ -546,7 +548,7 @@ def test_find_threshold_builds_one_model_params_however_many_brent_steps(
         # the report from the solve find_threshold passes on is the
         # report of the point, and detE1, evaluated when read, is the value
         # at the polished root
-        assert tp.stability_report == stability_exchange_report(tp)
+        assert tp.stability_report == stability_exchange_report(tp.lambda0)
         at_root = mtphase.threshold._det_along(ray.base, ray.direction)(tp.ray_coord)
         assert float.hex(tp.detE1) == float.hex(at_root)
     assert len(set(counts)) >= 3 and min(counts) >= 10, counts

@@ -44,7 +44,7 @@ def jump_threshold():
         direction={"d1": base.d1, "d2": base.d2, "d3": base.d3},
         bracket=(0.5, 2.0),
     )
-    return find_threshold(ray, attach_report=False)
+    return find_threshold(ray)
 
 
 def test_canonical_transition_is_mixed(canonical_threshold):
@@ -69,8 +69,8 @@ def test_canonical_eigenvector_components(canonical_threshold):
 
 
 def test_quadratic_coefficient_quadrature_node_invariance(canonical_threshold):
-    a = quadratic_coefficient(canonical_threshold, n_nodes=32)
-    b = quadratic_coefficient(canonical_threshold, n_nodes=128)
+    a = quadratic_coefficient(canonical_threshold.lambda0, n_nodes=32)
+    b = quadratic_coefficient(canonical_threshold.lambda0, n_nodes=128)
     assert a.quadrature == pytest.approx(b.quadrature, rel=1e-12)
 
 
@@ -104,7 +104,7 @@ def test_jump_point_is_type_two(jump_threshold):
 
 def test_simplified_transition_number_requires_unit_rates(jump_threshold):
     with pytest.raises(OutOfTheory):
-        transition_number_simplified(jump_threshold)
+        transition_number_simplified(jump_threshold.lambda0)
 
 
 def test_simplified_matches_general_on_constrained_point():
@@ -120,12 +120,6 @@ def test_simplified_matches_general_on_constrained_point():
     general = transition_number(p)
     simplified = transition_number_simplified(p)
     assert simplified == pytest.approx(general, rel=1e-12)
-
-
-def test_transition_number_accepts_params_and_threshold(jump_threshold):
-    via_point = transition_number(jump_threshold)
-    via_params = transition_number(jump_threshold.lambda0)
-    assert via_params == pytest.approx(via_point, rel=1e-12)
 
 
 def _eigen_expansion_transition_number(p: ModelParams) -> float:
@@ -170,7 +164,7 @@ def test_transition_number_matches_eigen_expansion():
             bracket=(1e-3, 50.0),
         )
         try:
-            p = find_threshold(ray, attach_report=False).lambda0
+            p = find_threshold(ray).lambda0
         except MTPhaseError:
             continue
         reference = _eigen_expansion_transition_number(p)
@@ -211,7 +205,7 @@ def test_resonant_interaction_mode_raises():
     # With every diffusivity divided by 4 the mode-2 block at rho_2 = 4*rho_1
     # is the principal block of the threshold, so sigma_21 is zero.
     config = parse_config(CONFIGS / "neumann-jump.ini")
-    p = find_threshold(config.ray(), tol=config.analysis.tol, attach_report=False).lambda0
+    p = find_threshold(config.ray(), tol=config.analysis.tol).lambda0
     resonant = p.replace(d1=p.d1 / 4.0, d2=p.d2 / 4.0, d3=p.d3 / 4.0)
     assert abs(mode_spectra(resonant, 2)[1].sigma[0]) < 1e-12
     with pytest.raises(Resonance, match="sigma_21"):
