@@ -3,7 +3,9 @@
 Expanding deviations in the Laplacian eigenbasis decouples the linearized
 dynamics into independent 3x3 blocks ``E(rho_m) = A - rho_m * D`` per spatial
 mode ``m``.  This module builds those blocks, solves their characteristic
-cubics, and is the one place that writes out the closed-form eigenvector
+cubics with a fixed-order kernel of correctly rounded float operations
+(:func:`solve_spectrum`; LAPACK serves only :func:`companion_roots`, its
+oracle), and is the one place that writes out the closed-form eigenvector
 omega and adjoint eigenvector omega* (:func:`_eigenpair`).
 :func:`mode_spectra` checks each pair against its block;
 :func:`principal_mode_vectors` gives the critical pair at sigma = 0 that the
@@ -12,6 +14,7 @@ transition analysis and the simulator's amplitude projection contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,10 +145,6 @@ def char_poly_coeffs(Emat: np.ndarray) -> tuple[float, float, float]:
     return float(p2), float(p1), p0
 
 
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
-
-
 def _sorted_eigs(values: np.ndarray) -> np.ndarray:
     """Descending real part; ties broken by ascending imaginary part.
 
@@ -153,29 +152,193 @@ def _sorted_eigs(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=complex)
     order = np.lexsort((values.imag, -values.real), axis=-1)
-    if values.ndim == 1:  # a fifth of solve_spectrum's time for one block
+    if values.ndim == 1:
         return values[order]
     return np.take_along_axis(values, order, axis=-1)
+
+
+class _FloatOps:
+    """The kernel's selections, roots and exponents on Python floats."""
+
+    sqrt = staticmethod(math.sqrt)
+    frexp = staticmethod(math.frexp)
+    ldexp = staticmethod(math.ldexp)
+    any = staticmethod(bool)
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+
+class _ArrayOps:
+    """The same steps elementwise on NumPy arrays."""
+
+    sqrt = staticmethod(np.sqrt)
+    frexp = staticmethod(np.frexp)
+    ldexp = staticmethod(np.ldexp)
+    any = staticmethod(np.ndarray.any)
+    where = staticmethod(np.where)
+
+
+#: cap on the Newton iterations of the depressed cubic; each element stops
+#: as soon as a step fails to decrease |f|, within 8 steps on model blocks
+_NEWTON_CAP = 100
+
+#: Newton steps of the polish on det(E - sigma I), per real root
+_POLISH_STEPS = 2
+
+
+def _det_terms(e):
+    """The block's diagonal, the four off-diagonal entries and the five
+    products of two off-diagonal entries that :func:`_shifted_det` needs."""
+    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = e
+    return (
+        (e00, e11, e22),
+        (e01, e02, e10, e20),
+        (e12 * e21, e02 * e20, e01 * e10, e12 * e20, e10 * e21),
+    )
+
+
+def _shifted_det(terms, s):
+    """``det(E - s I)`` and the sum of the principal 2x2 minors of
+    ``E - s I``, which is minus its derivative in ``s``."""
+    (e00, e11, e22), (e01, e02, e10, e20), (x12_21, x02_20, x01_10, x12_20, x10_21) = terms
+    d0, d1, d2 = e00 - s, e11 - s, e22 - s
+    c0 = d1 * d2 - x12_21
+    det = d0 * c0 - e01 * (e10 * d2 - x12_20) + e02 * (x10_21 - d1 * e20)
+    return det, c0 + (d0 * d2 - x02_20) + (d0 * d1 - x01_10)
+
+
+def _polish(terms, s, cap, ops):
+    """At most ``_POLISH_STEPS`` Newton steps on ``det(E - s I)`` from the
+    real roots ``s``.  A step is kept only if it is at most ``cap`` long,
+    half the distance to the nearest other root, and decreases the
+    determinant's magnitude, so a root never jumps to another; ``cap`` = 0
+    leaves ``s`` as it is."""
+    g, gp = _shifted_det(terms, s)
+    live = cap > 0.0
+    for _ in range(_POLISH_STEPS):
+        go = live & (g != 0.0) & (gp != 0.0)
+        if not ops.any(go):
+            break
+        step = g / ops.where(go, gp, 1.0)
+        sn = s + step
+        gn, gpn = _shifted_det(terms, sn)
+        live = go & (abs(step) <= cap) & (abs(gn) < abs(g))
+        s, g, gp = ops.where(live, sn, s), ops.where(live, gn, g), ops.where(live, gpn, gp)
+    return s
+
+
+def _cubic_roots(e, ops):
+    """Eigenvalues of the 3x3 block ``e`` (rows of floats, or rows of
+    equally shaped arrays) as (re, im) pairs sorted like
+    :func:`_sorted_eigs`.
+
+    Only correctly rounded operations (+ - * /, sqrt), exact exponent
+    operations and comparisons, in a fixed order: each element's bits do
+    not depend on the CPU's vector kernels, and an array element equals
+    the same block's float evaluation bit for bit.
+    """
+    terms = _det_terms(e)
+    (e00, e11, e22), (e01, e02, e10, e20), (x12_21, x02_20, x01_10, x12_20, x10_21) = terms
+    where = ops.where
+    trace = e00 + e11 + e22
+    # the trace-centred block's characteristic polynomial x^3 + p x + q,
+    # negated in x where q > 0 so that its largest root x1 is >= 0, and
+    # simple unless all three roots coincide
+    mu = trace / 3.0
+    a, b, c = e00 - mu, e11 - mu, e22 - mu
+    minor0 = b * c - x12_21
+    p = minor0 + (a * c - x02_20) + (a * b - x01_10)
+    q = e01 * (e10 * c - x12_20) - e02 * (x10_21 - b * e20) - a * minor0
+    sign = where(q > 0.0, -1.0, 1.0)
+    q = sign * q
+    # Newton decreases monotonically to x1 from any start above it:
+    # 2 sqrt(-p/3) where f >= 0 there (three real roots), else
+    # sqrt(max(-p, 0)) + 2^ceil(k/3) with |q| < 2^k
+    k = ops.frexp(q)[1]
+    neg_p = where(p < 0.0, -p, 0.0)
+    x = ops.sqrt(neg_p) + where(q < 0.0, ops.ldexp(1.0, -(-k // 3)), 0.0)
+    x_real = 2.0 * ops.sqrt(neg_p / 3.0)
+    x = where((x_real * x_real + p) * x_real + q >= 0.0, x_real, x)
+    f = (x * x + p) * x + q
+    live = f != 0.0
+    for _ in range(_NEWTON_CAP):
+        fp = 3.0 * (x * x) + p
+        go = live & (fp > 0.0)
+        if not ops.any(go):
+            break
+        xn = x - f / where(go, fp, 1.0)
+        fn = (xn * xn + p) * xn + q
+        live = go & (abs(fn) < abs(f))
+        x, f = where(live, xn, x), where(live, fn, f)
+    # the other two roots lie at least x from x1
+    s = _polish(terms, mu + sign * x, 0.5 * x, ops)
+
+    # the other two: their sum, and their product from det E / s where s is
+    # the larger, else from the principal minors
+    det, minors = _shifted_det(terms, 0.0)
+    total = trace - s
+    by_det = abs(s) > abs(total)
+    prod = where(by_det, det / where(by_det, s, 1.0), minors - s * total)
+    h = 0.5 * total
+    disc = h * h - prod
+    real = disc >= 0.0
+    root = ops.sqrt(abs(disc))
+    # a real pair: the one larger in magnitude polished, the other from the
+    # product
+    big = h + where(h >= 0.0, root, -root)
+    nonzero = big != 0.0
+    small = where(nonzero, prod / where(nonzero, big, 1.0), 0.0)
+    gap, gap_s = abs(big - small), abs(big - s)
+    big = _polish(terms, big, where(real, 0.5 * where(gap <= gap_s, gap, gap_s), 0.0), ops)
+    nonzero = big != 0.0
+    small = where(nonzero, prod / where(nonzero, big, 1.0), 0.0)
+    # the pair (B, C) in order, then s inserted before the first it precedes
+    b_re = where(real, where(big >= small, big, small), h)
+    c_re = where(real, where(big >= small, small, big), h)
+    b_im, c_im = where(real, 0.0, -root), where(real, 0.0, root)
+    before_b = (b_re < s) | ((b_re == s) & (b_im > 0.0))
+    before_c = (c_re < s) | ((c_re == s) & (c_im > 0.0))
+    return (
+        (where(before_b, s, b_re), where(before_b, 0.0, b_im)),
+        (where(before_b, b_re, where(before_c, s, c_re)),
+         where(before_b, b_im, where(before_c, 0.0, c_im))),
+        (where(before_c, c_re, s), where(before_c, c_im, 0.0)),
+    )
 
 
 def solve_spectrum(Emat: np.ndarray) -> np.ndarray:
     """Roots of the characteristic cubic of a real 3x3 matrix.
 
-    Computed by the balanced QR algorithm on the trace-centered matrix
-    ``E - (tr E / 3) I`` and shifted back.  Removing the mean diagonal shift
-    matters for high spatial modes, where all three eigenvalues sit near
-    ``-rho*d`` and the characteristic coefficients would otherwise lose the
-    tiny separations to rounding.  Complex eigenvalues appear as exact
-    conjugate pairs.
+    A fixed-order closed-form kernel (:func:`_cubic_roots`): Newton's method
+    from an upper bound finds the largest root of the trace-centred
+    block's depressed cubic, whose centring keeps the tiny separations of
+    high spatial modes, where all three eigenvalues sit near ``-rho*d``.
+    That root is polished on ``det(E - sigma I)`` evaluated from the
+    block's entries, the other two follow from the trace and the
+    determinant or principal minors, and the larger of them, if real, is
+    polished the same way.  Complex eigenvalues appear as exact conjugate pairs, sorted like
+    :func:`companion_roots`.  The result's bits do not depend on the BLAS
+    or SIMD kernels of the CPU.
 
-    ``Emat`` may also be a (..., 3, 3) stack: one LAPACK call then solves
-    every block, and each row of the result is that block's spectrum,
-    bit-identical to solving the block alone.
+    ``Emat`` may also be a (..., 3, 3) stack: each row of the result is then
+    that block's spectrum, bit-identical to solving the block alone.
     """
     e = np.asarray(Emat, dtype=float)
-    mu = np.trace(e, axis1=-2, axis2=-1) / 3.0
-    centered = e - mu[..., None, None] * _EYE3
-    return _sorted_eigs(np.linalg.eigvals(centered) + mu[..., None])
+    if e.ndim == 2:
+        out = np.array([complex(re, im) for re, im in _cubic_roots(e.tolist(), _FloatOps)])
+    else:
+        rows = np.ascontiguousarray(np.moveaxis(e, (-2, -1), (0, 1)))
+        with np.errstate(all="ignore"):  # the check below reports non-finite values
+            roots = _cubic_roots(rows, _ArrayOps)
+        out = np.empty(e.shape[:-1], dtype=complex)
+        for i, (re, im) in enumerate(roots):
+            out.real[..., i] = re
+            out.imag[..., i] = im
+    if not np.isfinite(out).all():
+        raise np.linalg.LinAlgError("a 3x3 block with a non-finite eigenvalue: non-finite entries, or overflow")
+    return out
 
 
 def companion_roots(p2: float, p1: float, p0: float) -> np.ndarray:

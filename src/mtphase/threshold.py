@@ -394,15 +394,17 @@ def _fd_step(scale: float, s: float) -> float:
     return min(scale * max(1.0, abs(s)), 0.5 * abs(s))
 
 
-def _polish_root(f, s: float, fa_s: float, h: float) -> float:
-    """A few secant steps to push |f| toward machine accuracy."""
+def _polish_root(f, s: float, fa_s: float, h: float, a: float, b: float) -> float:
+    """A few secant steps to push |f| toward machine accuracy, none of them
+    out of the bracket ``[a, b]``: at the rounding floor of f a secant
+    step can land anywhere, and a point outside may leave the domain."""
     s0, f0 = s - h, f(s - h)
     s1, f1 = s, fa_s
     for _ in range(4):
         if f1 == 0.0 or f1 == f0:
             break
         s2 = s1 - f1 * (s1 - s0) / (f1 - f0)
-        if not np.isfinite(s2):
+        if not min(a, b) <= s2 <= max(a, b):
             break
         f2 = f(s2)
         if abs(f2) >= abs(f1):
@@ -428,7 +430,7 @@ def _root_in_bracket(f, a: float, b: float, tol: float) -> float:
             f"({fa:.3e} at {a!r}, {fb:.3e} at {b!r})"
         )
     root = brentq(f, a, b, xtol=1e-14 * max(1.0, abs(a), abs(b)), rtol=tol)
-    return _polish_root(f, root, f(root), _fd_step(1e-7, root))
+    return _polish_root(f, root, f(root), _fd_step(1e-7, root), a, b)
 
 
 def _mode1_spectrum(p: ModelParams) -> np.ndarray:

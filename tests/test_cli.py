@@ -244,15 +244,15 @@ def test_critical_curve_of_the_shipped_configs_is_pinned(tmp_path, name):
 ANALYSIS_CSV_SHA256 = {
     "canonical": {
         "steady-state.csv": "c9d926991fc3ef338d375d95490905bb7299b2853f792afaf3d11340f5272d74",
-        "spectrum.csv": "4ecd64d95f154f38e4a470f184ca1850e66a8905b1b6498006ae28d0c2ebc961",
-        "threshold.csv": "75748a3dffe9ad4623d29715ded97ab0b77ab303377eb566b585584696daf48f",
-        "transition.csv": "cf1814e790bf9fe3b92c7b3616c8411def896897435e2bcd1efed54b2c4c9f34",
+        "spectrum.csv": "933bac8e1d8018c5528e868967fdbd829f92824a9ea776bb17934458dca0835d",
+        "threshold.csv": "92c646489090a71e079a81662949ee86751b45b7c4751051449f921d55c328e6",
+        "transition.csv": "2c089c7abe5a22063da797a969ee83734854b35bdb2bd846a4652c08862ebc58",
     },
     "neumann-jump": {
         "steady-state.csv": "59030769e7896043c585acdbc43d713a971bc016573829e5fc5666750c6635c9",
-        "spectrum.csv": "f90f680ceea4b2d1ec1fd8064aec9cd9cccecc2ee313c79cc91100cbe554a1f6",
-        "threshold.csv": "d05ade1c4a733689c9c8390add498d047e0417fb5fe9a875ab7115092fad3f8c",
-        "transition.csv": "ee96b57d350a27893e4c2db6a73e86f28fa6ef88ef1b542ed3edfde7713bb24b",
+        "spectrum.csv": "ffb6b82e96879f428c26d05bc5ed8bb01d13de61a1082852911c1d08d584866b",
+        "threshold.csv": "028bdbdac247f6d58ebbf4b39c8e93d5f884349466abe413f7bb2ad262158a7b",
+        "transition.csv": "41c5c0eccbcf2b71f578c12e51fc6ea036ee59b8a4f9d8e6e9e214ac5b17e90b",
     },
 }
 

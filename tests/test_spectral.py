@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,7 @@ from mtphase import (
     laplacian_eigenvalue,
     laplacian_mode,
     linearization_matrix,
+    mode_matrices,
     mode_matrix,
     mode_spectra,
     principal_eigenvalue,
@@ -82,6 +88,142 @@ def test_solve_spectrum_triple_root():
     jordan = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]]
     for block in (_rotated(jordan), [[-3.0, -3.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
         assert np.abs(solve_spectrum(block) + 1.0).max() <= 1e-5
+
+
+def _edge_blocks(rng: np.random.Generator) -> np.ndarray:
+    """Blocks that stress the kernel, every one at scales 10^-6 .. 10^6:
+    random entries, complex pairs, double and triple roots (diagonal,
+    Jordan and companion forms, rotated and not), the zero matrix and
+    diagonal blocks."""
+    a, b, c = rng.uniform(-3.0, 3.0, 3)
+    shapes = [
+        rng.uniform(-2.0, 2.0, (3, 3)),
+        _rotated([[a, -abs(b), 0.0], [abs(b), a, 0.0], [0.0, 0.0, c]]),
+        [[a, -1e-9, 0.0], [1e-9, a, 0.0], [0.0, 0.0, c]],
+        _rotated(np.diag([a, a, c])),
+        _rotated([[a, 1.0, 0.0], [0.0, a, 0.0], [0.0, 0.0, c]]),
+        _rotated([[a, 1.0, 0.0], [0.0, a, 1.0], [0.0, 0.0, a]]),
+        [[-3.0 * a, -3.0 * a * a, -(a**3)], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        _rotated(np.diag([a, a, a])),
+        np.zeros((3, 3)),
+        np.diag([a, b, c]),
+        np.diag([a, a, c]),
+        np.diag([0.0, b, 0.0]),
+    ]
+    return np.array([
+        np.asarray(shape, dtype=float) * 10.0**k for shape in shapes for k in range(-6, 7)
+    ])
+
+
+def test_stacked_solve_equals_single_blocks_bit_for_bit(random_params_factory):
+    rng = np.random.default_rng(67)
+    model = [
+        mode_matrices(p, laplacian_eigenvalue(np.arange(1, 51), p.ell))
+        for p in (random_params_factory(rng, bc) for bc in ("dirichlet", "neumann-zero-average"))
+    ]
+    for _ in range(10):
+        stack = np.concatenate([_edge_blocks(rng), *model])
+        rng.shuffle(stack)
+        single = np.array([solve_spectrum(block) for block in stack])
+        assert solve_spectrum(stack).tobytes() == single.tobytes()
+        # any stack shape: a (..., 3, 3) stack gives the same rows
+        assert solve_spectrum(stack.reshape(2, -1, 3, 3)).tobytes() == single.tobytes()
+
+
+def test_edge_blocks_have_their_spectra():
+    rng = np.random.default_rng(71)
+    for block in _edge_blocks(rng):
+        sigma = solve_spectrum(block)
+        scale = max(np.abs(block).max(), 1e-300)
+        # an exact conjugate pair in the middle or at the end, else all real
+        if sigma.imag.any():
+            pair = [i for i in range(3) if sigma[i].imag != 0.0]
+            assert len(pair) == 2 and sigma[pair[0]] == np.conj(sigma[pair[1]])
+        assert list(sigma.real) == sorted(sigma.real, reverse=True)
+        # a triple root is resolved to the cube root of the rounding level
+        oracle = mtphase.spectral._sorted_eigs(np.linalg.eigvals(block))
+        assert np.abs(sigma - oracle).max() <= 2e-5 * scale
+
+
+def test_solve_spectrum_agrees_with_eigvals_over_wide_scales():
+    # 300 points with rates and diffusivities over 10^+-2, 50 modes each;
+    # the reference is trace-centred eigvals (LAPACK geev), and pairs
+    # closer than 1e-6 ||E|| are left out: their conditioning, not the
+    # solver, sets the difference there
+    rng = np.random.default_rng(73)
+    eps = np.finfo(float).eps
+    worst, checked = 0.0, 0
+    while checked < 300:
+        k1, k3, k5, k7, C1, E, d1, d2, d3 = 10.0 ** rng.uniform(-2.0, 2.0, 9)
+        if C1 * k1 * k7 - k3 * k5 * E <= 0.05 * C1 * k1 * k7:
+            continue
+        p = mtphase.ModelParams(
+            k1=k1, k3=k3, k5=k5, k7=k7, C1=C1, E=E, d1=d1, d2=d2, d3=d3,
+            ell=10.0 ** rng.uniform(-0.3, 1.5),
+            bc=("dirichlet", "neumann-zero-average")[checked % 2],
+        )
+        checked += 1
+        blocks = mode_matrices(p, laplacian_eigenvalue(np.arange(1, 51), p.ell))
+        mu = np.trace(blocks, axis1=1, axis2=2) / 3.0
+        oracle = mtphase.spectral._sorted_eigs(
+            np.linalg.eigvals(blocks - mu[:, None, None] * np.eye(3)) + mu[:, None]
+        )
+        norm = np.abs(blocks).sum(axis=2).max(axis=1)
+        gap = np.min([np.abs(oracle[:, i] - oracle[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))], axis=0)
+        error = np.abs(solve_spectrum(blocks) - oracle).max(axis=1) / (eps * norm)
+        worst = max(worst, float(error[gap > 1e-6 * norm].max(initial=0.0)))
+    assert worst <= 64.0, worst  # 13.4 when this test was written
+
+
+_KERNEL_BYTES = """
+import hashlib, sys
+import numpy as np
+from mtphase import solve_spectrum
+stack = np.load(sys.argv[1])
+digest = hashlib.sha256(solve_spectrum(stack).tobytes())
+for block in stack[::7]:
+    digest.update(solve_spectrum(block).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_kernel_bytes_do_not_depend_on_the_cpu_kernels(tmp_path):
+    # one stack, saved once, solved under the default setup, with
+    # OpenBLAS's Haswell (AVX2) kernels forced where the CPU can run them,
+    # and with every NumPy SIMD feature above the build's baseline disabled
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    rng = np.random.default_rng(79)
+    stack = np.concatenate([
+        *(_edge_blocks(rng) for _ in range(8)),
+        10.0 ** rng.uniform(-3.0, 3.0, (512, 3, 3)) * rng.choice([-1.0, 1.0], (512, 3, 3)),
+    ])
+    np.save(tmp_path / "stack.npy", stack)
+    settings = [{}]
+    if platform.machine() in ("x86_64", "AMD64") and __cpu_features__.get("AVX2"):
+        settings.append({"OPENBLAS_CORETYPE": "Haswell"})
+    dispatched = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    settings.append({"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = set()
+    for extra in settings:
+        run = subprocess.run(
+            [sys.executable, "-c", _KERNEL_BYTES, str(tmp_path / "stack.npy")],
+            env=dict(os.environ, PYTHONPATH=src, **extra),
+            capture_output=True, text=True, check=True,
+        )
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1, (settings, digests)
+
+
+def test_non_finite_blocks_raise():
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    for block in (bad, np.diag([np.inf, 1.0, 2.0]), np.full((3, 3), 1e200)):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_spectrum(block)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_spectrum(np.stack([np.eye(3), block]))
 
 
 def test_solve_spectrum_residuals(random_params_factory):

@@ -20,6 +20,7 @@ from mtphase import (
     laplacian_eigenvalue,
     mode_matrix,
     resolve_workers,
+    solve_spectrum,
     sweep,
 )
 from mtphase.config import parse_config_text
@@ -118,12 +119,10 @@ def _assert_grid_equals_reference(grid: PhaseGrid, plane: ParameterPlane, resolu
 
 
 def _reference_sigma11(p: ModelParams) -> complex:
-    """Leading principal-mode eigenvalue by the per-point reference: one
-    trace-centred ``eigvals`` call on ``mode_matrix``."""
-    e = mode_matrix(p, laplacian_eigenvalue(1, p.ell))
-    mu = np.trace(e) / 3.0
-    sigma = np.asarray(np.linalg.eigvals(e - mu * np.eye(3)) + mu, dtype=complex)
-    return complex(sigma[np.lexsort((sigma.imag, -sigma.real))][0])
+    """Leading principal-mode eigenvalue by the per-point reference: the
+    single-block ``solve_spectrum`` of ``mode_matrix``, whose float path
+    ``classify_region``'s stacked solve must equal bit for bit."""
+    return complex(solve_spectrum(mode_matrix(p, laplacian_eigenvalue(1, p.ell)))[0])
 
 
 def _reference_region(sigma11: complex) -> str:

@@ -202,7 +202,11 @@ def _wide_thresholds(rng: np.random.Generator, count: int):
         roots = np.linalg.eigvals(
             mtphase.model.linearization_matrix(base) / base.diffusion[:, None]
         ) / laplacian_eigenvalue(1, base.ell)
-        s_star = roots[np.abs(roots.imag) == 0.0].real.max()
+        # real to rounding relative to the root, not by an exactly zero
+        # imaginary part of LAPACK's output; .item() fails unless exactly
+        # one root is positive
+        real = roots[np.abs(roots.imag) <= 1e-12 * np.abs(roots)].real
+        s_star = real[real > 0.0].item()
         ray = ParameterRay(
             base=base,
             direction={"d1": d1 * s_star, "d2": d2 * s_star, "d3": d3 * s_star},
