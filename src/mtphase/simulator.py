@@ -35,8 +35,9 @@ for an ARK step.
 - for saturation runs, an error-controlled ladder ``dt * 2**k`` that uses
   the IMEX Euler predictor and the corrector as an embedded 1(2) pair
   (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995; the controller
-  follows Söderlind, ACM TOMS 29, 2003) and stops on the semi-discrete
-  residual.
+  follows Söderlind, ACM TOMS 29, 2003) and stops on a Newton-correction
+  bound of its distance to the steady state
+  (:meth:`Stepper.newton_correction`).
 
 A blow-up raises :class:`StepUnstable` carrying the last good state.
 
@@ -63,9 +64,9 @@ path.
 
 ``import mtphase`` loads NumPy and no SciPy module.  ``scipy.linalg`` is
 imported when the first :class:`Stepper` is built, which fetches the
-``pttrf`` and ``pttrs`` wrappers once through :func:`_banded_lapack`, so
-only the commands that step (``mtphase simulate`` and ``mtphase verify``)
-pay for that import, about 0.25 s.
+``pttrf``, ``pttrs`` and ``gbsv`` wrappers once through
+:func:`_banded_lapack`, so only the commands that step (``mtphase
+simulate`` and ``mtphase verify``) pay for that import, about 0.25 s.
 
 Amplitudes are biorthogonal projections onto the critical mode, built from
 the closed-form eigenpair of :mod:`mtphase.spectral`; the simulator uses
@@ -76,7 +77,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,9 +118,9 @@ MIN_GRID_POINTS = 16
 LADDER_TOL = 1e-3
 #: lowest rung of the ladder: steps never fall below dt * 2**LADDER_FLOOR
 LADDER_FLOOR = -10
-#: the saturation stop measures the residual's decay over this many steps,
-#: after as many more on the same rung
-_STOP_WINDOW = 10
+#: the saturation stop bounds the distance to the steady state at least once
+#: in this many accepted steps
+_CHECK_CAP = 64
 #: error-controlled path of fixed-horizon ``dt = auto`` runs: a substep is
 #: rejected and retried as two halves when the max norm of its error
 #: estimate (third-order step minus the embedded second-order solution)
@@ -191,16 +191,18 @@ _ARK_GAMMA = float(ARK_GAMMA)
 
 @functools.cache
 def _banded_lapack():
-    """SciPy's float64 LAPACK wrappers of ``pttrf`` and ``pttrs``.
+    """SciPy's float64 LAPACK wrappers of ``pttrf``, ``pttrs`` and ``gbsv``.
 
-    They factor a symmetric positive definite tridiagonal matrix as
-    ``L D L^T`` and solve with the factor.  ``scipy.linalg`` is imported on
-    the first call, when the first :class:`Stepper` is built, so that
-    ``import mtphase`` loads no SciPy module.
+    The first two factor a symmetric positive definite tridiagonal matrix
+    as ``L D L^T`` and solve with the factor; ``gbsv`` factors a general
+    banded matrix with partial pivoting and solves with it.
+    ``scipy.linalg`` is imported on the first call, when the first
+    :class:`Stepper` is built, so that ``import mtphase`` loads no SciPy
+    module.
     """
     from scipy.linalg import get_lapack_funcs
 
-    return get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
+    return get_lapack_funcs(("pttrf", "pttrs", "gbsv"), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,12 @@ class SimulationResult:
     and largest of the accepted steps (NaN when no step was taken).
     ``residual`` is ``||D lap u + A u + F(u)||_inf`` at the final state,
     mean-projected with the reaction term; it vanishes exactly at a steady
-    state.
+    state.  ``checks`` counts the Newton corrections a saturation run took
+    to bound its distance to the steady state, and ``correction`` is the
+    last one's ``||delta||_inf / ||u||_inf``: at most ``saturation_tol``
+    when the run saturated, infinite when that check's factor was singular,
+    and NaN when no check was made (every run that does not stop on
+    saturation).
     """
 
     final_state: FieldState
@@ -325,6 +332,8 @@ class SimulationResult:
     rejected: int
     dt_range: tuple[float, float]
     residual: float
+    correction: float
+    checks: int
 
 
 def initial_state(
@@ -378,7 +387,7 @@ def _stacked_band(grid: Grid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     band[1, :, -1] = 0.0
     if grid.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
         band[0][:, [0, -1]] = 1.0 + scaled
-    pttrf, _ = _banded_lapack()
+    pttrf = _banded_lapack()[0]
     d, e, info = pttrf(band[0].reshape(-1), band[1].reshape(-1)[:-1])
     if info != 0:
         raise np.linalg.LinAlgError(f"pttrf returned info = {info}")
@@ -429,7 +438,8 @@ class Stepper:
         self._d = np.array((p.d1, p.d2, p.d3))
         self._diffusion = self._d[:, None].repeat(grid.N, axis=1)
         self._bands: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        _, self._pttrs = _banded_lapack()
+        _, self._pttrs, self._gbsv = _banded_lapack()
+        self._jacobian = None  # banded template and index map, built on first use
 
     def _band(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """The stacked factor of ``I - c D lap``, factored once per ``c``."""
@@ -470,6 +480,81 @@ class Stepper:
         and is mean-projected whenever the reaction term is.
         """
         return self._diffusion_term(u) + self.reaction(u)
+
+    def _jacobian_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The parts of the banded Jacobian of :meth:`residual` that do not depend on ``u``.
+
+        Unknowns are interleaved by node, ``3 j + c``, so the Jacobian ``K``
+        of ``D lap u + A u + F(u)`` is banded with three diagonals on either
+        side: the 3x3 block ``A + F'(u_j)`` of each node, and ``d_c/dx**2``
+        at offsets +-3.  ``gbsv`` stores entry ``(i, k)`` at ``[6 + i - k,
+        k]`` of a (10, 3N) array whose rows 0-2 are the factor's workspace;
+        the template is that array's transpose, in C order, holding
+        ``D lap + A``.  ``F'(u_j) = u3_j C M + (C M u_j) e3^T`` (``F = C
+        (u3 M u)`` of :func:`~mtphase.model.reaction_matrices`), so the
+        template comes with the flat positions of the (N, 3, 3) node blocks
+        in it and with ``C M``.
+        """
+        if self._jacobian is None:
+            N = self.grid.N
+            diag = np.full(N, -2.0)
+            if self.project:
+                diag[[0, -1]] = -1.0
+            scaled = self._d / self.grid.dx**2
+            template = np.zeros((N, 3, 10))  # node j, component b: column 3 j + b
+            template[:, :, 6] = diag[:, None] * scaled
+            template[1:, :, 3] = scaled  # entry (3 (j - 1) + c, 3 j + c)
+            template[:-1, :, 9] = scaled  # entry (3 (j + 1) + c, 3 j + c)
+            a, b = np.indices((3, 3))
+            template[:, b, 6 + a - b] += linearization_matrix(self.p)
+            index = 10 * (3 * np.arange(N)[:, None, None] + b) + 6 + a - b
+            cm = self._combine[:, 3:] @ self._gather[3:6]
+            self._jacobian = template.reshape(3 * N, 10), index.reshape(-1), cm
+        return self._jacobian
+
+    def newton_correction(self, u: np.ndarray) -> np.ndarray | None:
+        """One Newton correction ``delta = -K^{-1} r`` at ``u``, or None.
+
+        ``r`` is :meth:`residual` at ``u`` and ``K`` its Jacobian
+        (:meth:`_jacobian_band`), factored and solved with one ``gbsv``
+        call.  Near a steady state ``u*``, ``u + delta - u* = O(|u - u*|**2)``,
+        so ``||delta||`` bounds the distance a posteriori.
+
+        Under zero-average Neumann conditions ``r`` and the Jacobian rows
+        are mean-projected, ``P K``, which is singular on the full space;
+        the correction is the one with zero component means, as in the
+        bordered Newton solve of the verification suite.  ``P K delta =
+        -r`` means ``K delta = -r + sum_c mu_c e_c``, with ``e_c`` the
+        indicator of component ``c``, so the same factor of the unprojected
+        ``K`` solves for ``-r`` and the three ``e_c``, and a 3x3 system
+        sets the multipliers ``mu`` to zero ``delta``'s means.
+
+        Returns None when the factor or that 3x3 system is singular.
+        """
+        template, index, cm = self._jacobian_band()
+        N = self.grid.N
+        band = template.copy()
+        blocks = u[2][:, None, None] * cm
+        blocks[:, :, 2] += (cm @ u).T
+        band.reshape(-1)[index] += blocks.reshape(-1)
+        rhs = np.empty((4 if self.project else 1, N, 3))
+        rhs[0] = -self.residual(u).T
+        if self.project:
+            rhs[1:] = np.eye(3)[:, None, :]
+        _, _, x, info = self._gbsv(3, 3, band.T, rhs.reshape(len(rhs), -1).T,
+                                   overwrite_ab=1, overwrite_b=1)
+        if info < 0:
+            raise ValueError(f"gbsv returned info = {info}")
+        if info > 0:
+            return None
+        x = x.T.reshape(len(rhs), N, 3)
+        if self.project:
+            try:
+                mu = np.linalg.solve(x[1:].sum(axis=1).T, -x[0].sum(axis=0))
+            except np.linalg.LinAlgError:
+                return None
+            x[0] += np.tensordot(mu, x[1:], 1)
+        return x[0].T.copy()
 
     def advance(
         self, u: np.ndarray, h: float | None = None
@@ -554,17 +639,14 @@ class Stepper:
 class CriticalMode:
     """The critical mode ``omega * e1(x)`` on a grid, and its amplitude.
 
-    Built by :func:`critical_mode`; the mode vectors and ``max_norm``,
-    ``||omega * e1||_inf``, the field size of a unit amplitude, are
-    evaluated once, so :meth:`amplitude` is cheap to call along a
-    trajectory.
+    Built by :func:`critical_mode`; the mode vectors are evaluated once,
+    so :meth:`amplitude` is cheap to call along a trajectory.
     """
 
     omega: np.ndarray
     omega_star: np.ndarray
     e1: np.ndarray
     denominator: float
-    max_norm: float
 
     def amplitude(self, u: np.ndarray) -> float:
         """Biorthogonal projection ``<u, e1 omega*> / <e1 omega, e1 omega*>``.
@@ -580,30 +662,24 @@ def critical_mode(p: ModelParams, grid: Grid) -> CriticalMode:
     omega, omega_star, _ = principal_mode_vectors(p)
     e1 = laplacian_mode(p, 1).evaluate(grid.x)
     denominator = float(e1 @ e1) * float(omega @ omega_star)
-    max_norm = float(np.abs(omega).max() * np.abs(e1).max())
-    return CriticalMode(omega, omega_star, e1, denominator, max_norm)
+    return CriticalMode(omega, omega_star, e1, denominator)
 
 
-def _decay_distance(norms: deque, dt: float) -> float:
-    """Distance to the steady state estimated from a decaying norm, or ``inf``.
+def _steps_to_check(bound: float, previous: float, elapsed: float, tol: float, h: float) -> int:
+    """Accepted steps of size ``h`` until the next saturation check, 1 to ``_CHECK_CAP``.
 
-    ``norms`` holds one norm of the residual ``D lap u + R(u)`` at up to
-    ``2*_STOP_WINDOW + 1`` consecutive states one step ``dt`` apart.  Near a
-    stable steady state the residual decays like ``exp(-lam*t)`` and the
-    distance is about ``norm/lam``.  The rate ``lam`` comes from the second
-    half of the window only: the first half lets faster components decay,
-    and a sum of decaying exponentials decays ever more slowly, so the
-    later rate is the slower one.  A zero norm gives 0; a window that is
-    not full, or a norm that does not decay over the second half, gives
-    ``inf``.
+    ``bound`` and ``previous`` are the relative Newton-correction bounds of
+    the last two checks, ``elapsed`` apart in time.  When the bound
+    decayed, the log-linear decay between them is extrapolated to the time
+    at which it reaches ``tol``, and the check is due at the first step
+    after it.  The first check (``previous`` infinite), a bound that did
+    not decay, a singular factor (``bound`` infinite) and a ``tol`` that
+    is not positive wait the cap.
     """
-    w = _STOP_WINDOW
-    last = norms[-1]
-    if last == 0.0:
-        return 0.0
-    if len(norms) <= 2 * w or not last < norms[w]:
-        return math.inf
-    return last * (w * dt) / math.log(norms[w] / last)
+    if not (tol > 0.0 and math.isfinite(previous) and bound < previous):
+        return _CHECK_CAP
+    steps = math.log(bound / tol) * elapsed / (math.log(previous / bound) * h)
+    return max(math.ceil(min(steps, _CHECK_CAP)), 1)
 
 
 def _fixed_steps(duration: float, h: float) -> tuple[int, bool]:
@@ -658,22 +734,25 @@ def simulate(
     over-tolerance step is accepted and a blow-up raises.  The last step is
     shortened to end at ``t_end`` as on the fixed path.
 
-    The run stops once the estimated max-norm distance to the steady state
-    is at most ``saturation_tol`` times the field's max norm.  The estimate
-    divides the residual ``||D lap u + A u + F(u)||_inf`` (mean-projected
-    with the reaction term) by its decay rate over the last
-    ``_STOP_WINDOW`` steps, once the run has spent ``2 * _STOP_WINDOW``
-    steps on one rung.  The critical-mode part of the
-    residual, which is the slowest part near a threshold and can hide under
-    faster decaying parts, gives a second estimate, and the larger one
-    counts.  Fixed points of the scheme are the semi-discrete steady states
-    for every step size, so the ladder changes the time taken, not the
-    saturated state.  Near an unstable steady state, such as the trivial
-    state of a slowly growing run, the residual may decay for a while too:
-    start from an aligned state of known projection, or keep
-    ``saturation_tol`` well below the relative growth expected.  A run that
-    decays to the trivial state does not stop early, because the relative
-    distance does not shrink.
+    The run stops at a check where one Newton correction ``delta = -K^{-1}
+    r`` (:meth:`Stepper.newton_correction`) has ``||delta||_inf`` at most
+    ``saturation_tol`` times the field's max norm.  ``r`` is the residual
+    ``D lap u + A u + F(u)`` (mean-projected with the reaction term) and
+    ``K`` its Jacobian, so ``||delta||_inf`` is the distance to the steady
+    state up to a term quadratic in it.  The first check is at the first
+    accepted step; each later one comes within ``_CHECK_CAP`` accepted
+    steps, sooner when the log-linear decay of the bound between the last
+    two checks predicts that it reaches ``saturation_tol``
+    (:func:`_steps_to_check`).  A check whose factor is singular gives no
+    bound, and the run goes on.  Fixed points of the scheme are the
+    semi-discrete steady states for every step size, so the ladder changes
+    the time taken, not the saturated state.  Newton's correction points to
+    the nearest steady state whether it attracts or not: near an unstable
+    one, such as the trivial state of a slowly growing run, the bound may
+    fall below the tolerance too.  Start from an aligned state of known
+    projection, or keep ``saturation_tol`` well below the relative growth
+    expected.  A run that decays to the trivial state does not stop early,
+    because its correction stays as large as the field.
 
     The amplitude is recorded every ``record_every`` accepted steps and at
     the final time (every ``record_every`` steps of the default ``dt`` on
@@ -717,28 +796,28 @@ def simulate(
     accepted = rejected = 0
     sizes: set[float] = set()
     rung, ceiling, climbed = 0, math.inf, False
-    # On one rung: t = base + count*h, n_left steps to t_end (the last one
-    # shortened when short_last), and residual norms for the stop.
-    residuals: deque[float] = deque(maxlen=2 * _STOP_WINDOW + 1)
-    critical: deque[float] = deque(maxlen=2 * _STOP_WINDOW + 1)
-    # the new state, its error estimate and the residual, for one max-norm
-    # reduction per ladder step
-    stacked = np.empty((3, *u.shape))
+    # the stop's checks: how many, the step of the next one, and the
+    # relative bound and time of the last one
+    checks, next_check = 0, 1
+    correction, t_checked = math.inf, t
+    # the new state and its error estimate, for one max-norm reduction per
+    # ladder step
+    stacked = np.empty((2, *u.shape))
     changed = True
     while True:
         if changed:
+            # on one rung: t = base + count*h, n_left steps to t_end (the
+            # last one shortened when short_last)
             base, count = t, 0
             h = math.ldexp(stepper.dt, rung)
             n_left, short_last = _fixed_steps(t_end - base, h)
-            residuals.clear()
-            critical.clear()
             changed = False
         if count == n_left:
             break
         last_short = short_last and count + 1 == n_left
         step = t_end - t if last_short else h
         try:
-            u_new, predictor, residual = stepper.advance(u, step)
+            u_new, predictor, _ = stepper.advance(u, step)
         except StepUnstable as exc:
             if not adaptive or rung == LADDER_FLOOR:
                 raise StepUnstable(
@@ -750,9 +829,8 @@ def simulate(
             if adaptive:
                 stacked[0] = u_new
                 np.subtract(u_new, predictor, out=stacked[1])
-                stacked[2] = residual
                 np.abs(stacked, out=stacked)
-                scale, error, residual_norm = stacked.max(axis=(1, 2)).tolist()
+                scale, error = stacked.max(axis=(1, 2)).tolist()
                 accept = error <= LADDER_TOL * scale or rung == LADDER_FLOOR
         if not accept:
             rejected += 1
@@ -771,17 +849,21 @@ def simulate(
             ys.append(mode.amplitude(u))
         if not adaptive:
             continue
-        residuals.append(residual_norm)
-        critical.append(abs(mode.amplitude(residual)))
-        distance = max(
-            _decay_distance(residuals, h), _decay_distance(critical, h) * mode.max_norm
-        )
-        if distance <= saturation_tol * scale:
-            saturated = True
-            if not recorded:
-                times.append(t)
-                ys.append(mode.amplitude(u))
-            break
+        if accepted == next_check:
+            delta = stepper.newton_correction(u)
+            checks += 1
+            distance = math.inf if delta is None else float(np.abs(delta).max())
+            bound = distance / scale if scale else distance
+            if distance <= saturation_tol * scale:
+                saturated, correction = True, bound
+                if not recorded:
+                    times.append(t)
+                    ys.append(mode.amplitude(u))
+                break
+            next_check = accepted + _steps_to_check(
+                bound, correction, t - t_checked, saturation_tol, h
+            )
+            correction, t_checked = bound, t
         if 8.0 * error <= LADDER_TOL * scale and rung + 1 < ceiling:
             rung, climbed, changed = rung + 1, True, True
     return SimulationResult(
@@ -792,6 +874,8 @@ def simulate(
         rejected=rejected,
         dt_range=(min(sizes), max(sizes)) if sizes else (math.nan, math.nan),
         residual=float(np.abs(stepper.residual(u)).max()),
+        correction=correction if checks else math.nan,
+        checks=checks,
     )
 
 
@@ -869,4 +953,6 @@ def _simulate_ark(
         rejected=rejected,
         dt_range=(min(sizes), max(sizes)) if sizes else (math.nan, math.nan),
         residual=float(np.abs(stepper.residual(u)).max()),
+        correction=math.nan,
+        checks=0,
     )

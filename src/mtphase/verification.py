@@ -192,16 +192,43 @@ def _rhs_jacobian(p: ModelParams, grid, u: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _newton_update(p: ModelParams, grid, u: np.ndarray) -> np.ndarray:
+    """One dense Newton update of the semi-discrete steady state at ``u``, (3, N).
+
+    Solves ``J du = -r`` for the right-hand side ``r = D lap u + A u +
+    F(u)`` and its exact Jacobian :func:`_rhs_jacobian`.  Under
+    zero-average Neumann conditions ``r`` is mean-projected exactly as in
+    :class:`Stepper`, and the projected Jacobian, singular on the full
+    space, is bordered by the three component-mean constraints ``mean(u +
+    du) = 0``.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If the (bordered) Jacobian is singular.
+    """
+    N = grid.N
+    n = 3 * N
+    r = p.diffusion[:, None] * laplacian_apply(grid, u) + linearization_matrix(p) @ u
+    r += quadratic_nonlinearity(p, u)
+    jac = _rhs_jacobian(p, grid, u)
+    if p.bc is not BoundaryCondition.NEUMANN_ZERO_AVERAGE:
+        return np.linalg.solve(jac, -r.reshape(-1)).reshape(3, N)
+    r -= r.mean(axis=1, keepdims=True)
+    means = np.kron(np.eye(3), np.ones((1, N)))  # one row per component
+    bordered = np.block([[jac, means.T], [means, np.zeros((3, 3))]])
+    rhs_vec = np.concatenate([-r.reshape(-1), -means @ u.reshape(-1)])
+    return np.linalg.solve(bordered, rhs_vec)[:n].reshape(3, N)
+
+
 def _newton_steady_state(p: ModelParams, grid, y_init: float) -> np.ndarray:
     """Steady state of the semi-discrete system via Newton's method.
 
     Independent of the time stepper: solves ``D lap u + A u + F(u) = 0``
-    directly, starting from the aligned first-mode profile with amplitude
-    ``y_init``, with the exact Jacobian of :func:`_rhs_jacobian`.  Under
-    zero-average Neumann conditions the reaction term is mean-projected
-    exactly as in :class:`Stepper` and the state is kept on the zero-mean
-    subspace.  The projected Jacobian is singular on the full space, so
-    each update solves it bordered by the three component-mean constraints.
+    directly with the dense updates of :func:`_newton_update`, starting
+    from the aligned first-mode profile with amplitude ``y_init``.  Under
+    zero-average Neumann conditions the state is kept on the zero-mean
+    subspace.
 
     Raises
     ------
@@ -209,34 +236,14 @@ def _newton_steady_state(p: ModelParams, grid, y_init: float) -> np.ndarray:
         If a Newton system is singular or the update has not fallen to
         rounding level after ``_NEWTON_MAX_ITER`` iterations.
     """
-    N = grid.N
-    n = 3 * N
-    project = p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE
-    A = linearization_matrix(p)
-    d = p.diffusion
     mode = critical_mode(p, grid)
     u = y_init * mode.omega[:, None] * mode.e1[None, :]
-    means = np.kron(np.eye(3), np.ones((1, N)))  # one row per component
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        out = d[:, None] * laplacian_apply(grid, v) + A @ v + quadratic_nonlinearity(p, v)
-        if project:
-            out -= out.mean(axis=1, keepdims=True)
-        return out
-
     for _ in range(_NEWTON_MAX_ITER):
-        r = rhs(u).reshape(-1)
-        jac = _rhs_jacobian(p, grid, u)
         try:
-            if project:
-                bordered = np.block([[jac, means.T], [means, np.zeros((3, 3))]])
-                rhs_vec = np.concatenate([-r, -means @ u.reshape(-1)])
-                du = np.linalg.solve(bordered, rhs_vec)[:n]
-            else:
-                du = np.linalg.solve(jac, -r)
+            du = _newton_update(p, grid, u)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular Newton system: {exc}") from None
-        u = u + du.reshape(3, N)
+        u = u + du
         if np.abs(du).max() < 1e-13 * max(1.0, np.abs(u).max()):
             return u
     raise NumericalError(

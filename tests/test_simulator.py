@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from mtphase.simulator import (
 )
 from mtphase.verification import (
     _newton_steady_state,
+    _newton_update,
     _rhs_jacobian,
     _solve_sigma,
     _unfolding_bracket,
@@ -524,10 +524,11 @@ def _count_bands(monkeypatch):
 
 def test_ladder_factors_each_coefficient_once(saturating_params, monkeypatch):
     # One Stepper per run: rung k's half band is rung k-1's full band, and
-    # neither a revisited rung nor the final residual factors a band again.
+    # neither a revisited rung, the stop's Newton checks nor the final
+    # residual factors a band again.  The run starts off the steady state
+    # (the README example), so it climbs rungs and rejects a step.
     p = saturating_params
     g = make_grid(p, 64)
-    ref = _newton_steady_state(p, g, 0.42)
     sizes = []
     advance = Stepper.advance
 
@@ -537,9 +538,10 @@ def test_ladder_factors_each_coefficient_once(saturating_params, monkeypatch):
 
     monkeypatch.setattr(Stepper, "advance", spy)
     factored = _count_bands(monkeypatch)
-    result = simulate(p, g, FieldState(t=0.0, u=ref.copy()), t_end=2000.0,
-                      stop_on_saturation=True, saturation_tol=1e-6)
-    assert result.saturated and result.rejected >= 1
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    result = simulate(p, g, ic, t_end=2000.0, stop_on_saturation=True, saturation_tol=1e-6)
+    assert result.saturated and result.rejected >= 1 and result.checks > 1
+    assert len(set(sizes)) >= 3
     d = p.diffusion
     expected = {tuple(c * d) for h in sizes for c in (h, 0.5 * h)}
     assert len(factored) == len(set(factored))
@@ -597,6 +599,118 @@ def test_saturation_stop_distance_estimate_is_not_optimistic(saturating_params, 
     assert _relative_distance(result.final_state.u, ref) <= 2.0 * tol
 
 
+@pytest.mark.parametrize("N", [16, 64, 512])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_newton_correction_matches_the_dense_newton_update(saturating_params, bc, N):
+    # The stop's banded correction against the verification suite's dense
+    # Newton update: the exact Jacobian of _rhs_jacobian, bordered by the
+    # mean constraints under zero-average Neumann conditions.  Random
+    # states of the branch's size, mean-free for Neumann; agreement within
+    # eps times the (bordered) Jacobian's infinity-norm condition number,
+    # which the measured errors meet with a factor of 10 to spare.  Leaving
+    # out the +-3 diffusion diagonals fails every case, and leaving out the
+    # mean multipliers every Neumann case, by seven orders of magnitude or
+    # more.
+    p = saturating_params.replace(bc=bc)
+    g = make_grid(p, N)
+    stepper = Stepper(p, g, dt_max(p, g))
+    rng = np.random.default_rng([N, len(bc)])
+    for _ in range(2):
+        u = 0.3 * rng.uniform(-1.0, 1.0, size=(3, N))
+        if bc != "dirichlet":
+            u -= u.mean(axis=1, keepdims=True)
+        delta = stepper.newton_correction(u)
+        ref = _newton_update(p, g, u)
+        jac = _rhs_jacobian(p, g, u)
+        if bc != "dirichlet":
+            means = np.kron(np.eye(3), np.ones((1, N)))
+            jac = np.block([[jac, means.T], [means, np.zeros((3, 3))]])
+            assert np.abs(delta.mean(axis=1)).max() <= 1e-14 * np.abs(delta).max()
+        cond = np.linalg.cond(jac, np.inf)
+        error = np.abs(delta - ref).max() / np.abs(ref).max()
+        assert error <= np.finfo(float).eps * cond
+
+
+def test_newton_check_schedule():
+    cap = simulator._CHECK_CAP
+    # the first check, a bound that did not decay, a singular factor and a
+    # tolerance that is not positive wait the cap
+    assert simulator._steps_to_check(1e-3, math.inf, 1.0, 1e-6, 0.1) == cap
+    assert simulator._steps_to_check(1e-3, 1e-3, 1.0, 1e-6, 0.1) == cap
+    assert simulator._steps_to_check(math.inf, 1e-3, 1.0, 1e-6, 0.1) == cap
+    assert simulator._steps_to_check(1e-3, 1e-2, 1.0, 0.0, 0.1) == cap
+    # a decade per unit time reaches 1e-6 from 1e-3 after 3 units: 30
+    # steps of 0.1, and the check is due at the first step after it
+    assert simulator._steps_to_check(1e-3, 1e-2, 1.0, 1e-6, 0.1) in (30, 31)
+    assert simulator._steps_to_check(1e-3, 1e-2, 1.0, 1e-6, 0.07) == 43
+    assert simulator._steps_to_check(1e-3, 1e-2, 1.0, 1e-6, 0.01) == cap
+    # a bound already at the tolerance, up to rounding, checks again next step
+    assert simulator._steps_to_check(1e-6, 1e-5, 1.0, 1e-6, 0.1) == 1
+
+
+def test_ladder_run_at_n512_on_the_steady_state_stops_within_a_few_steps(saturating_params):
+    # The stop bounds the distance from the state itself, not from how fast
+    # the residual decays, so however stiff the grid, a start on the steady
+    # state stops at its first check.
+    p = saturating_params
+    g = make_grid(p, 512)
+    ref = _newton_steady_state(p, g, 0.42)
+    tol = 1e-8
+    result = simulate(p, g, FieldState(t=0.0, u=ref.copy()), t_end=2000.0,
+                      stop_on_saturation=True, saturation_tol=tol)
+    assert result.saturated
+    assert result.steps <= 3 and result.checks <= 3
+    assert result.correction <= tol
+    assert _relative_distance(result.final_state.u, ref) <= 2.0 * tol
+
+
+def test_ladder_run_decaying_to_the_trivial_state_does_not_stop(saturating_params):
+    # Below threshold the trivial state attracts.  The Newton correction
+    # points to it, and its size stays that of the field, so the relative
+    # bound stays near 1 and the run goes on to t_end.
+    p = saturating_params.replace(k7=1.8)
+    g = make_grid(p, 48)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    result = simulate(p, g, ic, t_end=300.0, stop_on_saturation=True, saturation_tol=1e-6)
+    assert not result.saturated
+    assert result.final_state.t == 300.0
+    assert np.abs(result.final_state.u).max() < 1e-3 * np.abs(ic.u).max()
+    assert result.checks > 1
+    assert 0.5 <= result.correction <= 2.0
+
+
+def test_a_singular_newton_factor_does_not_stop_the_run(saturating_params, monkeypatch):
+    # A start on the steady state stops at its first check; with every
+    # banded factor reported singular the checks give no bound, and the run
+    # goes on to t_end.
+    p = saturating_params
+    g = make_grid(p, 32)
+    ref = _newton_steady_state(p, g, 0.42)
+    start = FieldState(t=0.0, u=ref.copy())
+    assert simulate(p, g, start, t_end=2000.0, stop_on_saturation=True).saturated
+    pttrf, pttrs, gbsv = simulator._banded_lapack()
+
+    def singular(kl, ku, ab, b, **kwargs):
+        lub, piv, x, _ = gbsv(kl, ku, ab, b, **kwargs)
+        return lub, piv, x, 1
+
+    monkeypatch.setattr(simulator, "_banded_lapack", lambda: (pttrf, pttrs, singular))
+    assert Stepper(p, g, dt_max(p, g)).newton_correction(ref) is None
+    result = simulate(p, g, start, t_end=2000.0, stop_on_saturation=True)
+    assert not result.saturated
+    assert result.final_state.t == 2000.0
+    assert result.checks > 1 and result.correction == math.inf
+
+
+def test_runs_that_do_not_stop_on_saturation_make_no_check(unstable_params):
+    p = unstable_params
+    g = make_grid(p, 32)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    for dt in (0.03, None):
+        result = simulate(p, g, ic, t_end=1.0, dt=dt)
+        assert result.checks == 0 and math.isnan(result.correction)
+
+
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
 def test_ladder_blow_up_raises_on_the_floor_rung(unstable_params, bc, monkeypatch):
     p = unstable_params.replace(bc=bc)
@@ -651,12 +765,13 @@ def test_fixed_path_equals_chained_step_array(unstable_params, bc):
 def test_ladder_equals_chained_advance(saturating_params, bc, monkeypatch):
     # The ladder's twin of the test above: the run's accepted steps,
     # replayed through Stepper.advance, give its final state, recorded y
-    # and residual bit for bit.  Each step is accepted, and the run stops,
-    # exactly where norms taken one array at a time say so, with the stop
-    # rule's ||omega e1||_inf taken over the outer product.  The Dirichlet
-    # run saturates (the README example at N = 48); the zero-average run
-    # starts below threshold and decays to t_end.  Both start above the
-    # stability edge, so both reject steps.
+    # and residual bit for bit.  Each step is accepted exactly where norms
+    # taken one array at a time say so; the stop checks the Newton
+    # correction at the steps the schedule names, and stops exactly where
+    # its norm, taken the same way, says so.  The Dirichlet run saturates
+    # (the README example at N = 48); the zero-average run starts below
+    # threshold and decays to t_end.  Both start above the stability edge,
+    # so both reject steps.
     if bc == "dirichlet":
         p, t_end = saturating_params, 2000.0
     else:
@@ -685,34 +800,40 @@ def test_ladder_equals_chained_advance(saturating_params, bc, monkeypatch):
 
     stepper = Stepper(p, g, dt)
     mode = critical_mode(p, g)
-    max_norm = float(np.abs(mode.omega[:, None] * mode.e1[None, :]).max())
-    assert mode.max_norm == max_norm
     u, ys, taken, stops = ic.u.copy(), [mode.amplitude(ic.u)], 0, []
-    window = (deque(maxlen=21), deque(maxlen=21))
-    rung_h = None
+    t = base = 0.0
+    rung_h, count, next_check = None, 0, 1
+    bound, t_checked = math.inf, 0.0
     for i, (start, h) in enumerate(calls):
         assert np.array_equal(start, u)  # the run's last accepted state
+        if math.log2(h / dt).is_integer() and h != rung_h:  # a new rung, not the shortened last step
+            rung_h, base, count = h, t, 0
         try:
-            new, predictor, residual = stepper.advance(u, h)
+            new, predictor, _ = stepper.advance(u, h)
         except StepUnstable:
+            rung_h = None  # a rejection starts a rung
             continue
         scale = float(np.abs(new).max())
         if not float(np.abs(new - predictor).max()) <= LADDER_TOL * scale:
+            rung_h = None
             continue
-        if math.log2(h / dt).is_integer() and h != rung_h:  # not the shortened last step
-            rung_h = h
-            for norms in window:
-                norms.clear()
-        window[0].append(float(np.abs(residual).max()))
-        window[1].append(abs(mode.amplitude(residual)))
-        distance = max(simulator._decay_distance(window[0], rung_h),
-                       simulator._decay_distance(window[1], rung_h) * max_norm)
-        stops.append(distance <= tol * scale)
-        u, taken = new, taken + 1
+        u, taken, count = new, taken + 1, count + 1
+        t = base + count * rung_h if h == rung_h else t_end
         if taken % record_every == 0 or i == len(calls) - 1:
             ys.append(mode.amplitude(u))
-    assert stops == [False] * (taken - 1) + [result.saturated]
+        if taken == next_check:
+            distance = float(np.abs(stepper.newton_correction(u)).max())
+            stops.append(distance <= tol * scale)
+            previous, bound = bound, distance / scale
+            next_check = taken + simulator._steps_to_check(
+                bound, previous, t - t_checked, tol, rung_h
+            )
+            t_checked = t
+    assert len(stops) == result.checks > 1
+    assert stops == [False] * (result.checks - 1) + [result.saturated]
+    assert result.correction == bound
     assert np.array_equal(result.final_state.u, u)
+    assert result.final_state.t == t
     assert np.array_equal(result.series.y, np.array(ys))
     assert result.residual == float(np.abs(stepper.residual(u)).max())
     assert result.steps == taken and result.rejected == len(calls) - taken
