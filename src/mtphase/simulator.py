@@ -439,7 +439,7 @@ class Stepper:
         self._diffusion = self._d[:, None].repeat(grid.N, axis=1)
         self._bands: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         _, self._pttrs, self._gbsv = _banded_lapack()
-        self._jacobian = None  # banded template and index map, built on first use
+        self._jacobian = None  # the parts of _jacobian_band, built on first use
 
     def _band(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """The stacked factor of ``I - c D lap``, factored once per ``c``."""
@@ -554,18 +554,16 @@ class Stepper:
             except np.linalg.LinAlgError:
                 return None
             x[0] += np.tensordot(mu, x[1:], 1)
-        return x[0].T.copy()
+        return x[0].T
 
     def advance(
         self, u: np.ndarray, h: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One step of size ``h`` (default ``dt``): ``(new state, predictor, residual)``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step of size ``h`` (default ``dt``): ``(new state, predictor)``.
 
         The predictor is the first-order IMEX Euler state; the new state is
         the second-order corrector, so ``new state - predictor`` estimates
-        the local error of the first-order method at no extra cost.  The
-        residual is :meth:`residual` at ``u``, already formed for the
-        corrector's right-hand side.
+        the local error of the first-order method at no extra cost.
 
         Raises
         ------
@@ -584,7 +582,7 @@ class Stepper:
             _remove_mean(out)
         if not np.isfinite(out).all():
             raise StepUnstable("non-finite field values", last_state=None)
-        return out, predictor, residual
+        return out, predictor
 
     def step_array(self, u: np.ndarray) -> np.ndarray:
         """Advance a raw (3, N) array by one step (no bookkeeping).
@@ -817,7 +815,7 @@ def simulate(
         last_short = short_last and count + 1 == n_left
         step = t_end - t if last_short else h
         try:
-            u_new, predictor, _ = stepper.advance(u, step)
+            u_new, predictor = stepper.advance(u, step)
         except StepUnstable as exc:
             if not adaptive or rung == LADDER_FLOOR:
                 raise StepUnstable(
