@@ -700,15 +700,6 @@ def test_a_singular_newton_factor_does_not_stop_the_run(saturating_params, monke
     assert result.checks > 1 and result.correction == math.inf
 
 
-def test_runs_that_do_not_stop_on_saturation_make_no_check(unstable_params):
-    p = unstable_params
-    g = make_grid(p, 32)
-    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
-    for dt in (0.03, None):
-        result = simulate(p, g, ic, t_end=1.0, dt=dt)
-        assert result.checks == 0 and math.isnan(result.correction)
-
-
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
 def test_ladder_blow_up_raises_on_the_floor_rung(unstable_params, bc, monkeypatch):
     p = unstable_params.replace(bc=bc)
@@ -755,6 +746,7 @@ def test_fixed_path_equals_chained_step_array(unstable_params, bc):
     assert np.array_equal(result.final_state.u, u)
     assert np.array_equal(result.series.y, np.array(ys))
     assert result.steps == 34 and result.rejected == 0
+    assert result.checks == 0 and math.isnan(result.correction)
     assert result.dt_range == (t_end - 33 * dt, dt)
     assert result.residual == float(np.abs(stepper.residual(u)).max())
 
@@ -990,7 +982,7 @@ def test_auto_dt_is_error_controlled_on_the_fixed_path_times(name, monkeypatch):
     assert auto.steps < fixed.steps / 2
     assert auto.dt_range[1] == sc.record_every * dt
     assert auto.dt_range[0] in sizes and auto.dt_range[0] >= dt * 2.0**LADDER_FLOOR
-    assert not auto.saturated
+    assert not auto.saturated and auto.checks == 0 and math.isnan(auto.correction)
     assert auto.residual == float(np.abs(Stepper(p, g, dt).residual(auto.final_state.u)).max())
 
     ref = _radau(p, g, ic, fixed.series.times)
