@@ -506,7 +506,7 @@ class Stepper:
             template[1:, :, 3] = scaled  # entry (3 (j - 1) + c, 3 j + c)
             template[:-1, :, 9] = scaled  # entry (3 (j + 1) + c, 3 j + c)
             a, b = np.indices((3, 3))
-            template[:, b, 6 + a - b] += linearization_matrix(self.p)
+            template[:, b, 6 + a - b] += self._gather[:3]  # A
             index = 10 * (3 * np.arange(N)[:, None, None] + b) + 6 + a - b
             cm = self._combine[:, 3:] @ self._gather[3:6]
             self._jacobian = template.reshape(3 * N, 10), index.reshape(-1), cm
