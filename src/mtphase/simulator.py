@@ -518,7 +518,7 @@ class Stepper:
         ``r`` is :meth:`residual` at ``u`` and ``K`` its Jacobian
         (:meth:`_jacobian_band`), factored and solved with one ``gbsv``
         call.  Near a steady state ``u*``, ``u + delta - u* = O(|u - u*|**2)``,
-        so ``||delta||`` bounds the distance a posteriori.
+        so ``||delta||`` is the distance to it up to a second-order term.
 
         Under zero-average Neumann conditions ``r`` and the Jacobian rows
         are mean-projected, ``P K``, which is singular on the full space;
