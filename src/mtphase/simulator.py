@@ -29,9 +29,12 @@ for an ARK step.
   verification criterion uses and whose temporal order criterion 11
   measures;
 - for fixed-horizon runs with ``dt = auto`` (``dt=None``), an
-  error-controlled path of :meth:`Stepper.ark_step` substeps of
-  ``1/2**k`` of each record interval, ``k >= 0``, so that the run lands
-  on the fixed path's record times (:func:`_simulate_ark`);
+  error-controlled path of :meth:`Stepper.ark_step` steps of ``2**-k``
+  record intervals: substeps of one interval for ``k >= 0``, and for
+  ``k < 0`` steps over ``2**-k`` whole intervals whose inner records
+  come from the cubic Hermite interpolant of the amplitude (Hairer,
+  Nørsett & Wanner, Solving ODEs I, §II.6), so that the run is recorded
+  at the fixed path's record times (:func:`_simulate_ark`);
 - for saturation runs, an error-controlled ladder ``dt * 2**k`` that uses
   the IMEX Euler predictor and the corrector as an embedded 1(2) pair
   (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995; the controller
@@ -565,6 +568,10 @@ class Stepper:
         the second-order corrector, so ``new state - predictor`` estimates
         the local error of the first-order method at no extra cost.
 
+        The floating-point warnings of a blow-up are left to the caller, as
+        :meth:`ark_step` leaves them: :func:`simulate` suppresses them once
+        per run and :meth:`step_array` once per call.
+
         Raises
         ------
         StepUnstable
@@ -572,12 +579,11 @@ class Stepper:
         """
         if h is None:
             h = self.dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            r0 = self.reaction(u)
-            predictor = self._solve(self._band(h), u + h * r0)
-            residual = self._diffusion_term(u) + r0
-            r1 = self.reaction(predictor)
-            out = self._solve(self._band(0.5 * h), u + 0.5 * h * (residual + r1))
+        r0 = self.reaction(u)
+        predictor = self._solve(self._band(h), u + h * r0)
+        residual = self._diffusion_term(u) + r0
+        r1 = self.reaction(predictor)
+        out = self._solve(self._band(0.5 * h), u + 0.5 * h * (residual + r1))
         if self.project:
             _remove_mean(out)
         if not np.isfinite(out).all():
@@ -595,20 +601,36 @@ class Stepper:
             a non-finite value anywhere in the step reaches the new state.
             ``last_state`` is None; :func:`simulate` attaches it.
         """
-        return self.advance(u)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.advance(u)[0]
 
-    def ark_step(self, u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    def stage_rates(self, u: np.ndarray) -> np.ndarray:
+        """The reaction and diffusion terms at ``u`` as the rows of a (2, 3N) array.
+
+        They are :meth:`ark_step`'s first stage, which does not depend on
+        the step size, and their sum is :meth:`residual`.
+        """
+        out = np.empty((2, u.size))
+        out[0] = self.reaction(u).reshape(-1)
+        out[1] = self._diffusion_term(u).reshape(-1)
+        return out
+
+    def ark_step(
+        self, u: np.ndarray, h: float, rates: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One ARK3(2)4L[2]SA step of size ``h``: ``(new state, error estimate)``.
 
         Reaction explicit, diffusion implicit (ESDIRK, L-stable, stiffly
-        accurate).  The three implicit stages solve ``(I - gamma h D lap) U_i
-        = rhs_i`` with the stacked factor of ``gamma h``, made on first
-        use; ``D lap U_i`` is then ``(U_i - rhs_i) / (gamma h)``, so the
-        step applies the Laplacian only to ``u``.  The error estimate is the
-        difference from the embedded second-order solution, at no extra
-        cost; its max norm is what :func:`simulate` compares with
-        ``ARK_TOL``.  A blow-up gives non-finite values and is left to the
-        caller, as are the floating-point warnings it would raise.
+        accurate).  The first stage is ``u`` itself, whose terms
+        :meth:`stage_rates` gives; pass them as ``rates`` to reuse them
+        across retries of a step.  The three implicit stages solve ``(I -
+        gamma h D lap) U_i = rhs_i`` with the stacked factor of ``gamma h``,
+        made on first use; ``D lap U_i`` is then ``(U_i - rhs_i) / (gamma
+        h)``, so the step applies the Laplacian only to ``u``.  The error
+        estimate is the difference from the embedded second-order solution,
+        at no extra cost; its max norm is what :func:`simulate` compares
+        with ``ARK_TOL``.  A blow-up gives non-finite values and is left to
+        the caller, as are the floating-point warnings it would raise.
         """
         gamma_h = _ARK_GAMMA * h
         d, e = self._band(gamma_h)
@@ -616,8 +638,7 @@ class Stepper:
         inv_gamma_h = 1.0 / gamma_h
         flat = u.reshape(-1)
         terms = np.empty((8, flat.size))  # reaction, diffusion of each stage
-        terms[0] = self.reaction(u).reshape(-1)
-        terms[1] = self._diffusion_term(u).reshape(-1)
+        terms[:2] = self.stage_rates(u) if rates is None else rates
         for i in (1, 2, 3):
             rhs = flat + weights[i - 1, : 2 * i] @ terms[: 2 * i]
             stage, info = self._pttrs(d, e, rhs)
@@ -710,10 +731,12 @@ def simulate(
 
     Error-controlled path (``stop_on_saturation=False`` and ``dt=None``):
     the run is recorded at the times of the fixed path with the default
-    ``dt`` (half of :func:`dt_max`), bit for bit, and each record interval
-    is covered by third-order IMEX Runge-Kutta substeps of ``1/2**k`` of
-    it, with ``k >= 0`` chosen by the embedded error estimate against
-    ``ARK_TOL`` (see :func:`_simulate_ark`).
+    ``dt`` (half of :func:`dt_max`), bit for bit, with third-order IMEX
+    Runge-Kutta steps of ``2**-k`` record intervals, ``k`` chosen by the
+    embedded error estimate against ``ARK_TOL``.  For ``k >= 0`` they are
+    substeps of one interval; for ``k < 0`` one step spans ``2**-k`` whole
+    intervals, and the records inside it are interpolated (see
+    :func:`_simulate_ark`).
 
     Saturation runs (``stop_on_saturation=True``) step on the ladder
     ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0.  The predictor (IMEX
@@ -756,6 +779,9 @@ def simulate(
     the final time (every ``record_every`` steps of the default ``dt`` on
     the error-controlled path).
 
+    The floating-point warnings of a blow-up are suppressed once per run;
+    the blow-up itself raises :class:`StepUnstable`.
+
     Every path runs on one :class:`Stepper`, whose factored matrices the
     ladder's rungs, the shortened last step and the ARK substeps share.
 
@@ -769,7 +795,8 @@ def simulate(
     ------
     ValueError
         If ``record_every`` is not positive, ``dt`` is not finite and
-        positive, or ``t_end`` is not finite or precedes ``initial.t``.
+        positive, ``t_end`` is not finite or precedes ``initial.t``, or a
+        saturation run's ``saturation_tol`` is not finite and positive.
     StepUnstable
         If a step blows up on the fixed path, on the floor rung or at the
         smallest substep of the error-controlled path; it carries the last
@@ -781,11 +808,28 @@ def simulate(
         raise ValueError(
             f"t_end must be finite and not precede initial.t = {initial.t}, got {t_end}"
         )
+    if stop_on_saturation and not (math.isfinite(saturation_tol) and saturation_tol > 0.0):
+        raise ValueError(
+            f"saturation_tol must be finite and positive, got {saturation_tol!r}"
+        )
     stepper = Stepper(p, grid, 0.5 * dt_max(p, grid) if dt is None else dt)
-    if dt is None and not stop_on_saturation:
-        return _simulate_ark(stepper, initial, t_end, record_every)
-    adaptive = stop_on_saturation
-    mode = critical_mode(p, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dt is None and not stop_on_saturation:
+            return _simulate_ark(stepper, initial, t_end, record_every)
+        return _simulate_steps(stepper, initial, t_end, record_every,
+                               stop_on_saturation, saturation_tol)
+
+
+def _simulate_steps(
+    stepper: Stepper,
+    initial: FieldState,
+    t_end: float,
+    record_every: int,
+    adaptive: bool,
+    saturation_tol: float,
+) -> SimulationResult:
+    """The fixed path and, when ``adaptive``, the saturation ladder of :func:`simulate`."""
+    mode = critical_mode(stepper.p, stepper.grid)
     u = initial.u.copy()
     t = initial.t
     times = [t]
@@ -883,64 +927,104 @@ def _simulate_ark(
     """The error-controlled path of :func:`simulate` (``dt = auto``, fixed horizon).
 
     The run is recorded at the times of the fixed path with steps
-    ``dt = stepper.dt``, computed as that path computes them, and each
-    record interval is covered by :meth:`Stepper.ark_step` substeps of
-    ``length / 2**k``, so the last one ends on the record time.  A substep whose error estimate
-    exceeds ``ARK_TOL`` times the new field's max norm, or that blows up, is
-    rejected and retried as two substeps at ``k + 1``.  After a substep
-    whose estimate is below an eighth of that, ``k`` drops by one (the
-    estimate scales like ``h**3``) where the position in the interval lies
-    on the coarser grid.  A ``k`` that fails after a drop has exposed the
-    explicit stability edge rather than a fast transient, and is not tried
-    again.  ``k`` starts at 0, one substep per record interval, and is
-    carried from one interval to the next.  Substeps never fall below
-    ``dt * 2**LADDER_FLOOR``: there an over-tolerance substep is accepted and
-    a blow-up raises.
+    ``dt = stepper.dt``, computed as that path computes them.  Its
+    :meth:`Stepper.ark_step` steps have level ``k``:
+
+    - ``k >= 0``: substeps of ``length / 2**k`` of one record interval, so
+      that the last one ends on the record time;
+    - ``k < 0``: one step over ``2**-k`` whole record intervals.  It is
+      taken where the position, in intervals, is a multiple of ``2**-k``
+      and the step ends before the run's last interval, which is always
+      covered by substeps.  The records inside it come from the cubic
+      Hermite interpolant of ``y`` through ``y`` and ``y' =
+      mode.amplitude(residual)`` at both ends.  The residual at the new
+      state is the next step's first stage (:meth:`Stepper.stage_rates`),
+      so the interpolant costs no reaction or Laplacian evaluation.
+
+    A substep whose error estimate exceeds ``ARK_TOL`` times the new
+    field's max norm, a long step whose estimate exceeds an eighth of
+    that, or a step that blows up is rejected and retried at ``k + 1``:
+    two substeps, or one step over half the span.  After a substep whose
+    estimate is below an eighth of the tolerance, ``k`` drops by one (the
+    estimate scales like ``h**3``) where the position lies on the coarser
+    grid; from ``k <= 0``, where the coarser step must pass the stricter
+    test, the estimate must be below a 64th.  A ``k`` that fails after a
+    drop has exposed the explicit stability edge rather than a fast
+    transient, and is not tried again.  ``k`` starts at 0, one substep per
+    record interval, and is carried from one interval to the next.
+    Substeps never fall below ``dt * 2**LADDER_FLOOR``: there an
+    over-tolerance substep is accepted and a blow-up raises.
     """
     h = stepper.dt
     mode = critical_mode(stepper.p, stepper.grid)
     n_left, short_last = _fixed_steps(t_end - initial.t, h)
+    last = (n_left - 1) // record_every  # the run's last record interval
     u, t = initial.u.copy(), initial.t
     times, ys = [t], [mode.amplitude(u)]
-    accepted = rejected = done = 0
+    rates = None  # Stepper.stage_rates(u), kept across the retries of a step
+    accepted = rejected = j = 0  # j: record intervals done
     sizes: set[float] = set()
-    k, k_low, dropped = 0, 0, False
-    while done < n_left:
+    k, k_low, dropped = 0, -math.inf, False
+
+    def slope(rates: np.ndarray) -> float:
+        """``y'``: the amplitude of the residual, the sum of the stage rates."""
+        return mode.amplitude((rates[0] + rates[1]).reshape(initial.u.shape))
+
+    while j <= last:
+        done = j * record_every
         m = min(record_every, n_left - done)
-        done += m
-        if short_last and done == n_left:
-            end = t_end
-            length = t_end - t
-        else:
-            end = initial.t + done * h
-            length = m * h
+        length = t_end - t if short_last and j == last else m * h
         k_top = m.bit_length() - 1 - LADDER_FLOOR
         k = min(max(k, k_low), k_top)
-        i = 0  # substeps of length / 2**k taken in this interval
-        with np.errstate(over="ignore", invalid="ignore"):
-            while i < 1 << k:
-                hs = math.ldexp(length, -k)
-                u_new, error = stepper.ark_step(u, hs)
-                scale = float(np.abs(u_new).max())
-                estimate = float(np.abs(error).max())
-                if not math.isfinite(scale):
-                    if k == k_top:
-                        raise StepUnstable(
-                            f"non-finite field values in the step from t = {t + i * hs}",
-                            last_state=FieldState(t=t + i * hs, u=u),
-                        )
-                elif estimate <= ARK_TOL * scale or k == k_top:
-                    u, i = u_new, i + 1
-                    accepted += 1
-                    sizes.add(hs)
-                    if 8.0 * estimate <= ARK_TOL * scale and k > k_low and i % 2 == 0:
+        while k < 0 and j + (1 << -k) > last:  # a long step ends before the last interval
+            k += 1
+        span = 1  # record intervals the accepted steps cover
+        i = 0  # substeps of length / 2**k taken in this interval, k >= 0
+        while i < 1 << max(k, 0):
+            hs = math.ldexp(length, -k)
+            if rates is None:
+                rates = stepper.stage_rates(u)
+            u_new, error = stepper.ark_step(u, hs, rates)
+            scale = float(np.abs(u_new).max())
+            estimate = float(np.abs(error).max())
+            tol = ARK_TOL * scale
+            if not math.isfinite(scale):
+                if k == k_top:
+                    raise StepUnstable(
+                        f"non-finite field values in the step from t = {t + i * hs}",
+                        last_state=FieldState(t=t + i * hs, u=u),
+                    )
+            elif (8.0 * estimate if k < 0 else estimate) <= tol or k == k_top:
+                accepted += 1
+                sizes.add(hs)
+                new_rates = None
+                if k < 0:
+                    # records inside the step: the cubic Hermite interpolant
+                    # of y from y and y' at both ends
+                    span = 1 << -k
+                    new_rates = stepper.stage_rates(u_new)
+                    y0, y1 = ys[-1], mode.amplitude(u_new)
+                    dy0, dy1 = hs * slope(rates), hs * slope(new_rates)
+                    for q in range(1, span):
+                        s = q / span
+                        times.append(initial.t + (done + q * record_every) * h)
+                        ys.append((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0
+                                  + s * s * (3.0 - 2.0 * s) * y1
+                                  + s * (1.0 - s) * ((1.0 - s) * dy0 - s * dy1))
+                u, rates, i = u_new, new_rates, i + 1
+                if k > 0:
+                    if 8.0 * estimate <= tol and k > k_low and i % 2 == 0:
                         k, i, dropped = k - 1, i // 2, True
-                    continue
-                rejected += 1
-                if dropped:
-                    k_low, dropped = k + 1, False
-                k, i = k + 1, 2 * i
-        t = end
+                elif (64.0 * estimate <= tol and k > k_low
+                      and (j + span) % (2 * span) == 0 and j + 3 * span <= last):
+                    k, dropped = k - 1, True
+                continue
+            rejected += 1
+            if dropped:
+                k_low, dropped = k + 1, False
+            k, i = k + 1, 2 * i
+        j += span
+        t = t_end if short_last and j > last else initial.t + min(j * record_every, n_left) * h
         times.append(t)
         ys.append(mode.amplitude(u))
     return SimulationResult(

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
 from mtphase import (
@@ -969,9 +970,9 @@ def test_auto_dt_is_error_controlled_on_the_fixed_path_times(name, monkeypatch):
     sizes = []
     ark_step = Stepper.ark_step
 
-    def spy(self, u, h):
+    def spy(self, u, h, rates=None):
         sizes.append(h)
-        return ark_step(self, u, h)
+        return ark_step(self, u, h, rates)
 
     monkeypatch.setattr(Stepper, "ark_step", spy)
     auto = simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
@@ -980,7 +981,16 @@ def test_auto_dt_is_error_controlled_on_the_fixed_path_times(name, monkeypatch):
 
     assert auto.steps + auto.rejected == len(sizes)
     assert auto.steps < fixed.steps / 2
-    assert auto.dt_range[1] == sc.record_every * dt
+    # canonical's largest step is one record interval; neumann-jump's spans
+    # a power of two of them, and it takes under a third of the 1,640 steps
+    # of one or more substeps per interval
+    interval = sc.record_every * dt
+    if name == "canonical":
+        assert auto.dt_range[1] == interval
+    else:
+        span = auto.dt_range[1] / interval
+        assert span >= 2 and span == 2.0 ** round(math.log2(span))
+        assert auto.steps < 1640 / 3
     assert auto.dt_range[0] in sizes and auto.dt_range[0] >= dt * 2.0**LADDER_FLOOR
     assert not auto.saturated and auto.checks == 0 and math.isnan(auto.correction)
     assert auto.residual == float(np.abs(Stepper(p, g, dt).residual(auto.final_state.u)).max())
@@ -1004,9 +1014,9 @@ def test_auto_dt_factors_only_its_substep_bands(name, monkeypatch):
     sizes = []
     ark_step = Stepper.ark_step
 
-    def spy(self, u, h):
+    def spy(self, u, h, rates=None):
         sizes.append(h)
-        return ark_step(self, u, h)
+        return ark_step(self, u, h, rates)
 
     monkeypatch.setattr(Stepper, "ark_step", spy)
     factored = _count_bands(monkeypatch)
@@ -1096,24 +1106,145 @@ def test_auto_dt_blow_up_raises_at_the_smallest_substep(unstable_params, bc, mon
     sizes, good = [], []
     ark_step = Stepper.ark_step
 
-    def blows_up_after_five(self, u, h):
+    def blows_up_after_one(self, u, h, rates=None):
         sizes.append(h)
-        new, error = ark_step(self, u, h)
+        new, error = ark_step(self, u, h, rates)
+        if len(sizes) > 1:
+            return np.full_like(new, np.inf), error
+        good.append(new)
+        return new, error
+
+    monkeypatch.setattr(Stepper, "ark_step", blows_up_after_one)
+    monkeypatch.setattr(simulator, "ARK_TOL", math.inf)  # only a blow-up rejects
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    with pytest.raises(StepUnstable) as excinfo:
+        simulate(p, g, ic, t_end=5.0, record_every=10)
+    # one substep of one record interval, then halving down to the floor
+    floor = math.ldexp(10 * dt, -(3 - LADDER_FLOOR))
+    assert sizes[:1] == [10 * dt]
+    assert sizes[1:] == [math.ldexp(10 * dt, -k) for k in range(0, 4 - LADDER_FLOOR)]
+    assert floor >= dt * 2.0**LADDER_FLOOR
+    last = excinfo.value.last_state
+    assert last is not None and np.array_equal(last.u, good[-1])
+    assert last.t == 10 * dt
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_auto_dt_blow_up_in_a_multi_interval_step_retries_shorter_spans(
+    unstable_params, bc, monkeypatch
+):
+    # With every error test passed, the span doubles wherever the next
+    # position is a multiple of the doubled span: steps over 1, 1, 2, 4 and
+    # 8 record intervals, then 16 from interval 16 of the run's 40.  That
+    # step and every retry blow up: the span halves back to one interval at
+    # the same position, the substeps down to the floor, and the floor's
+    # blow-up raises with the state at interval 16.
+    p = unstable_params.replace(bc=bc)
+    g = make_grid(p, 32)
+    dt = 0.5 * dt_max(p, g)
+    interval = 10 * dt
+    sizes, good = [], []
+    ark_step = Stepper.ark_step
+
+    def blows_up_after_five(self, u, h, rates=None):
+        sizes.append(h)
+        new, error = ark_step(self, u, h, rates)
         if len(sizes) > 5:
             return np.full_like(new, np.inf), error
         good.append(new)
         return new, error
 
     monkeypatch.setattr(Stepper, "ark_step", blows_up_after_five)
-    monkeypatch.setattr(simulator, "ARK_TOL", math.inf)  # only a blow-up rejects
+    monkeypatch.setattr(simulator, "ARK_TOL", math.inf)
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     with pytest.raises(StepUnstable) as excinfo:
         simulate(p, g, ic, t_end=5.0, record_every=10)
-    # five substeps of one record interval each, then halving down to the floor
-    floor = math.ldexp(10 * dt, -(3 - LADDER_FLOOR))
-    assert sizes[:5] == [10 * dt] * 5
-    assert sizes[5:] == [math.ldexp(10 * dt, -k) for k in range(0, 4 - LADDER_FLOOR)]
-    assert floor >= dt * 2.0**LADDER_FLOOR
+    assert simulator._fixed_steps(5.0, dt) == (400, False)  # 40 record intervals
+    assert sizes[:5] == [interval * n for n in (1, 1, 2, 4, 8)]
+    assert sizes[5:] == [math.ldexp(interval, -k) for k in range(-4, 4 - LADDER_FLOOR)]
     last = excinfo.value.last_state
     assert last is not None and np.array_equal(last.u, good[-1])
-    assert last.t == 50 * dt
+    assert last.t == 160 * dt
+
+
+def test_auto_dt_long_steps_are_aligned_and_interpolate_their_records(monkeypatch):
+    # Replays neumann-jump's dt = auto run from its ark_step calls.  A call
+    # was accepted when the next one starts from its new state (the run
+    # keeps that array), or when its new state is the final one.  A step over
+    # more than one record interval spans a power of two of them, starts on
+    # a multiple of that span, ends before the run's last interval and
+    # passed the error test with a factor of 8 to spare.  Its end record is
+    # the new state's y, and the records inside it lie on the cubic Hermite
+    # interpolant of y and y' (the amplitude of the residual) at its ends.
+    p, g, ic, sc = _shipped("neumann-jump")
+    calls = []
+    ark_step = Stepper.ark_step
+
+    def spy(self, u, h, rates=None):
+        new, error = ark_step(self, u, h, rates)
+        calls.append((u, h, new, error))
+        return new, error
+
+    monkeypatch.setattr(Stepper, "ark_step", spy)
+    result = simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
+    interval = sc.record_every * 0.5 * dt_max(p, g)
+    residual = Stepper(p, g, interval).residual
+    mode = critical_mode(p, g)
+    y = result.series.y
+    last = len(y) - 2  # the run's last record interval
+    following = [call[0] for call in calls[1:]] + [result.final_state.u]
+    position, long_steps = 0.0, 0
+    for (u, h, new, error), after in zip(calls, following):
+        if after is not new:
+            assert after is u
+            continue
+        span = h / interval
+        if span > 1:
+            j, n = int(position), int(span)
+            assert position == j and span == n == 2 ** round(math.log2(n))
+            assert j % n == 0 and j + n <= last
+            assert 8.0 * np.abs(error).max() <= simulator.ARK_TOL * np.abs(new).max()
+            assert y[j] == mode.amplitude(u) and y[j + n] == mode.amplitude(new)
+            spline = CubicHermiteSpline(
+                [0.0, h], [y[j], y[j + n]],
+                [mode.amplitude(residual(u)), mode.amplitude(residual(new))],
+            )
+            inside = spline(interval * np.arange(1, n))
+            assert np.abs(y[j + 1 : j + n] - inside).max() <= 1e-12 * np.abs(y).max()
+            long_steps += 1
+        position += span
+    assert long_steps >= 100
+
+
+def test_auto_dt_long_run_keeps_zero_means(monkeypatch):
+    # neumann-jump from below its repeller to t = 200, mostly in steps over
+    # 2-8 record intervals: every state the run computes keeps zero
+    # component means.
+    p, g, _, sc = _shipped("neumann-jump")
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    worst = []
+    ark_step = Stepper.ark_step
+
+    def spy(self, u, h, rates=None):
+        new, error = ark_step(self, u, h, rates)
+        worst.append(np.abs(new.mean(axis=1)).max())
+        return new, error
+
+    monkeypatch.setattr(Stepper, "ark_step", spy)
+    result = simulate(p, g, ic, t_end=200.0, record_every=sc.record_every)
+    interval = sc.record_every * 0.5 * dt_max(p, g)
+    assert result.final_state.t == 200.0 and result.dt_range[1] >= 4 * interval
+    assert len(worst) < len(result.series.times) / 2
+    assert max(worst) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_simulate_rejects_a_saturation_tol_that_is_not_finite_and_positive(unstable_params, tol):
+    # Before, such a run could not stop and went on to t_end.  A run that
+    # does not stop on saturation does not read the tolerance.
+    g = make_grid(unstable_params, 16)
+    ic = initial_state(unstable_params, g, kind="aligned", amplitude=0.01)
+    with pytest.raises(ValueError, match="saturation_tol must be finite and positive"):
+        simulate(unstable_params, g, ic, t_end=1.0, stop_on_saturation=True,
+                 saturation_tol=tol)
+    simulate(unstable_params, g, ic, t_end=0.1, dt=0.01, saturation_tol=tol)
