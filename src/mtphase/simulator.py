@@ -4,23 +4,30 @@ The simulator is the independent oracle for everything the linear and
 weakly-nonlinear analyses predict: growth rates, saturated branch
 amplitudes, and jump behavior.  Fields are deviations from the uniform
 steady state, so both boundary-condition variants are homogeneous.  Time
-stepping is IMEX, diffusion implicit and reaction explicit, with one of two
-steps.  :meth:`Stepper.advance` is second order: Crank-Nicolson diffusion
-and Heun reaction with a diffusion-consistent predictor.
-:meth:`Stepper.ark_step` is third order: ARK3(2)4L[2]SA (Kennedy &
-Carpenter, Appl. Numer. Math. 44, 2003), ESDIRK diffusion, explicit
-reaction, and an embedded second-order solution.  Fixed points of both
+stepping is IMEX with one of three steps.  :meth:`Stepper.advance` is
+second order: Crank-Nicolson diffusion and Heun reaction with a
+diffusion-consistent predictor.  :meth:`Stepper.ark_step` is third order:
+ARK3(2)4L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003), ESDIRK
+diffusion, explicit reaction, and an embedded second-order solution.
+:meth:`Stepper.ladder_step` is the same tableau with the whole linear part
+``L = D lap + A`` implicit and only the quadratic ``F`` explicit (Ascher,
+Ruuth & Spiteri, Appl. Numer. Math. 25, 1997), so that the stiff
+eigenvalues of ``A`` do not bound its step.  Fixed points of all three
 steps are exact steady states of the semi-discrete system for every step
 size, so saturated amplitudes carry spatial discretization error only.
 
-Each implicit solve is one LAPACK ``pttrs`` call on the three
-per-component tridiagonal systems, stacked into one block-diagonal
-tridiagonal matrix ``I - c D lap``.  A :class:`Stepper` factors the matrix
-of each coefficient ``c`` once as ``L D L^T``, with one ``pttrf`` call, and
-keeps the factor: ``h`` and ``h/2`` for a step of size ``h``, ``gamma h``
-for an ARK step.
-:func:`simulate` builds one :class:`Stepper` per run, so the ladder's rung
-``k`` shares its half band with rung ``k - 1``'s full band.
+The implicit solves of the first two steps are one LAPACK ``pttrs`` call
+each, on the three per-component tridiagonal systems stacked into one
+block-diagonal tridiagonal matrix ``I - c D lap``.  A :class:`Stepper`
+factors the matrix of each coefficient ``c`` once as ``L D L^T``, with one
+``pttrf`` call, and keeps the factor: ``h`` and ``h/2`` for a step of size
+``h``, ``gamma h`` for an ARK step.  :meth:`Stepper.ladder_step` interleaves
+the unknowns by node, ``3 j + c``, where ``L`` is banded with three
+diagonals on either side; it factors ``I - gamma h L`` once per step size
+with one ``gbtrf`` call, from the template of the Jacobian band
+(:meth:`Stepper._jacobian_band`), and solves each stage with one ``gbtrs``
+call.  :func:`simulate` builds one :class:`Stepper` per run, so every
+factor is made once per run.
 
 :func:`simulate` is the one time-stepping loop of the package;
 :class:`Stepper` takes single steps.  It has three paths:
@@ -35,19 +42,18 @@ for an ARK step.
   come from the cubic Hermite interpolant of the amplitude (Hairer,
   Nørsett & Wanner, Solving ODEs I, §II.6), so that the run is recorded
   at the fixed path's record times (:func:`_simulate_ark`);
-- for saturation runs, an error-controlled ladder ``dt * 2**k`` that uses
-  the IMEX Euler predictor and the corrector as an embedded 1(2) pair
-  (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995; the controller
-  follows Söderlind, ACM TOMS 29, 2003) and stops on a Newton-correction
-  bound of its distance to the steady state
+- for saturation runs, an error-controlled ladder ``dt * 2**k`` of
+  :meth:`Stepper.ladder_step` steps, controlled by their embedded error
+  estimate (the controller follows Söderlind, ACM TOMS 29, 2003), that
+  stops on a Newton-correction bound of its distance to the steady state
   (:meth:`Stepper.newton_correction`).
 
 A blow-up raises :class:`StepUnstable` carrying the last good state.
 
 Up to a few hundred grid points a step costs what its NumPy and LAPACK
-calls cost, not what they compute, so :meth:`Stepper.advance` makes few of
-them: about 30 per step, 40 with the mean projection, where it made about
-75.  Its parts:
+calls cost, not what they compute, so the steps make few of them.
+:meth:`Stepper.advance` makes about 30, 40 with the mean projection, where
+it made about 75.  Its parts:
 
 - reaction ``A u + F(u)``: :func:`~mtphase.model.deviation_reaction`, two
   small matmuls around one product of equal-shaped blocks (``F`` is
@@ -61,15 +67,25 @@ them: about 30 per step, 40 with the mean projection, where it made about
 - each half-step: one ``pttrs`` solve of the stacked factor.  A non-finite
   value anywhere in the step reaches the new state, which is checked once.
 
-README "Performance" has the measured cost of both steps and of
-``mtphase simulate`` before and after this layout and the ``dt = auto``
-path.
+Both ARK steps share one stage loop (:meth:`Stepper._ark_stages`), which
+applies the implicit operator only to the step's first stage.  A ladder
+step keeps its stage vectors interleaved: per stage it makes one ``gbtrs``
+solve and evaluates ``F`` node by node with two small matmuls and one
+product, and its new state is the (3, N) transpose of an interleaved
+array, so the next step interleaves it without a copy.  It costs about
+twice a Heun step at N = 64, and it takes about a tenth of the steps
+(README "Performance").
+
+README "Performance" has the measured cost of the steps and of
+``mtphase simulate`` before and after this layout, the ``dt = auto``
+path and the ladder's ARK step.
 
 ``import mtphase`` loads NumPy and no SciPy module.  ``scipy.linalg`` is
 imported when the first :class:`Stepper` is built, which fetches the
-``pttrf``, ``pttrs`` and ``gbsv`` wrappers once through
-:func:`_banded_lapack`, so only the commands that step (``mtphase
-simulate`` and ``mtphase verify``) pay for that import, about 0.25 s.
+``pttrf``, ``pttrs``, ``gbsv``, ``gbtrf``, ``gbtrs`` and ``gbmv`` wrappers
+once through :func:`_banded_lapack`, so only the commands that step
+(``mtphase simulate`` and ``mtphase verify``) pay for that import, about
+0.25 s.
 
 Amplitudes are biorthogonal projections onto the critical mode, built from
 the closed-form eigenpair of :mod:`mtphase.spectral`; the simulator uses
@@ -80,6 +96,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,8 +133,9 @@ __all__ = [
 ]
 
 MIN_GRID_POINTS = 16
-#: step ladder of saturation runs: a step is rejected when its local error
-#: estimate ||corrector - predictor||_inf exceeds this times ||u||_inf
+#: step ladder of saturation runs: a step is rejected when the max norm of
+#: its local error estimate (third-order step minus the embedded
+#: second-order solution) exceeds this times ||u||_inf
 LADDER_TOL = 1e-3
 #: lowest rung of the ladder: steps never fall below dt * 2**LADDER_FLOOR
 LADDER_FLOOR = -10
@@ -131,10 +149,9 @@ _CHECK_CAP = 64
 ARK_TOL = 1e-5
 
 # ARK3(2)4L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003), the
-# published rationals.  Rows of the explicit (reaction) stage matrix and
-# strictly lower rows of the implicit (diffusion) one, whose diagonal is
-# (0, gamma, gamma, gamma); the third-order weights and the embedded
-# second-order ones.
+# published rationals.  Rows of the explicit stage matrix and strictly
+# lower rows of the implicit one, whose diagonal is (0, gamma, gamma,
+# gamma); the third-order weights and the embedded second-order ones.
 ARK_GAMMA = Fraction(1767732205903, 4055673282236)
 ARK_EXPLICIT = (
     (),
@@ -173,8 +190,8 @@ ARK_B_HAT = (
 def _ark_weights() -> np.ndarray:
     """The tableau as one (5, 8) matrix acting on the stage derivatives.
 
-    The columns follow the rows of :meth:`Stepper.ark_step`'s buffer: the
-    reaction and diffusion terms of stage 1, then of stage 2, and so on.
+    The columns follow the rows of :meth:`Stepper._ark_stages`'s buffer:
+    the explicit and implicit terms of stage 1, then of stage 2, and so on.
     Rows 0-2 form the right-hand sides of stages 2-4 (their unused columns
     are zero), row 3 the step's increment and row 4 its error estimate
     ``b - b_hat``.
@@ -190,22 +207,30 @@ def _ark_weights() -> np.ndarray:
 
 _ARK_WEIGHTS = _ark_weights()
 _ARK_GAMMA = float(ARK_GAMMA)
+#: row and column of each entry of a 3x3 node block
+_NODE_ENTRIES = np.indices((3, 3))
 
 
 @functools.cache
 def _banded_lapack():
-    """SciPy's float64 LAPACK wrappers of ``pttrf``, ``pttrs`` and ``gbsv``.
+    """SciPy's float64 wrappers of the banded LAPACK and BLAS routines.
+
+    ``pttrf``, ``pttrs``, ``gbsv``, ``gbtrf``, ``gbtrs`` and ``gbmv``, in
+    that order.
 
     The first two factor a symmetric positive definite tridiagonal matrix
     as ``L D L^T`` and solve with the factor; ``gbsv`` factors a general
-    banded matrix with partial pivoting and solves with it.
-    ``scipy.linalg`` is imported on the first call, when the first
-    :class:`Stepper` is built, so that ``import mtphase`` loads no SciPy
-    module.
+    banded matrix with partial pivoting and solves with it, ``gbtrf`` and
+    ``gbtrs`` do the two apart, and the BLAS ``gbmv`` multiplies a banded
+    matrix into a vector.  ``scipy.linalg`` is imported on the first call,
+    when the first :class:`Stepper` is built, so that ``import mtphase``
+    loads no SciPy module.
     """
-    from scipy.linalg import get_lapack_funcs
+    from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-    return get_lapack_funcs(("pttrf", "pttrs", "gbsv"), (np.empty(0),))
+    empty = (np.empty(0),)
+    return (*get_lapack_funcs(("pttrf", "pttrs", "gbsv", "gbtrf", "gbtrs"), empty),
+            get_blas_funcs("gbmv", empty))
 
 
 @dataclass(frozen=True)
@@ -400,12 +425,18 @@ def _stacked_band(grid: Grid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class Stepper:
     """IMEX integrator for one (parameters, grid) pair, with a default step ``dt``.
 
-    Predictor: ``(I - dt*L) u~ = u + dt*R(u)`` (implicit Euler diffusion,
-    explicit Euler reaction).  Corrector: ``(I - dt/2*L) u' =
-    (I + dt/2*L) u + dt/2*(R(u) + R(u~))`` (Crank-Nicolson / Heun).  ``L``
-    is the per-component diffusion operator and ``R`` the reaction part in
-    deviation form, ``R(u) = A u + F(u)``, which vanishes identically at
-    zero.
+    ``D lap`` is the per-component diffusion operator and ``R`` the
+    reaction part in deviation form, ``R(u) = A u + F(u)`` with ``F``
+    quadratic, which vanishes identically at zero.  Three steps:
+
+    - :meth:`advance`, second order: the predictor ``(I - dt*D lap) u~ =
+      u + dt*R(u)`` (implicit Euler diffusion, explicit Euler reaction)
+      and the corrector ``(I - dt/2*D lap) u' = (I + dt/2*D lap) u +
+      dt/2*(R(u) + R(u~))`` (Crank-Nicolson / Heun);
+    - :meth:`ark_step`, ARK3(2)4L[2]SA with ``D lap`` implicit and ``R``
+      explicit;
+    - :meth:`ladder_step`, the same tableau with the whole linear part
+      ``L = D lap + A`` implicit and only ``F`` explicit.
 
     Parameters
     ----------
@@ -424,7 +455,8 @@ class Stepper:
         If ``dt`` is not finite and positive.
 
     Under zero-average Neumann conditions the spatial mean is projected out
-    of the reaction term and the state (``project`` is True).
+    of the explicit term (``R``, or ``F`` in :meth:`ladder_step`) and the
+    state (``project`` is True).
     """
 
     def __init__(self, p: ModelParams, grid: Grid, dt: float, linear_only: bool = False) -> None:
@@ -441,8 +473,11 @@ class Stepper:
         self._d = np.array((p.d1, p.d2, p.d3))
         self._diffusion = self._d[:, None].repeat(grid.N, axis=1)
         self._bands: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        _, self._pttrs, self._gbsv = _banded_lapack()
+        self._factors: dict[float, tuple[np.ndarray, np.ndarray] | None] = {}
+        _, self._pttrs, self._gbsv, self._gbtrf, self._gbtrs, self._gbmv = _banded_lapack()
         self._jacobian = None  # the parts of _jacobian_band, built on first use
+        # F = C (u3 M u) node by node: M^T and C^T for node-interleaved fields
+        self._quadratic_matrices = (self._gather[3:6].T.copy(), self._combine[:, 3:].T.copy())
 
     def _band(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """The stacked factor of ``I - c D lap``, factored once per ``c``."""
@@ -490,27 +525,33 @@ class Stepper:
         Unknowns are interleaved by node, ``3 j + c``, so the Jacobian ``K``
         of ``D lap u + A u + F(u)`` is banded with three diagonals on either
         side: the 3x3 block ``A + F'(u_j)`` of each node, and ``d_c/dx**2``
-        at offsets +-3.  ``gbsv`` stores entry ``(i, k)`` at ``[6 + i - k,
-        k]`` of a (10, 3N) array whose rows 0-2 are the factor's workspace;
-        the template is that array's transpose, in C order, holding
-        ``D lap + A``.  ``F'(u_j) = u3_j C M + (C M u_j) e3^T`` (``F = C
-        (u3 M u)`` of :func:`~mtphase.model.reaction_matrices`), so the
-        template comes with the flat positions of the (N, 3, 3) node blocks
-        in it and with ``C M``.
+        at offsets +-3.  ``gbsv`` and ``gbtrf`` store entry ``(i, k)`` at
+        ``[6 + i - k, k]`` of a (10, 3N) array whose rows 0-2 are the
+        factor's workspace; the template is that array's transpose, in C
+        order, holding the linear part ``L = D lap + A``.  It is the one
+        assembly of ``L``: :meth:`ladder_step` factors ``I - c L`` from it
+        and multiplies ``L`` into a vector with it.  ``F'(u_j) = u3_j C M +
+        (C M u_j) e3^T`` (``F = C (u3 M u)`` of
+        :func:`~mtphase.model.reaction_matrices`), so the template comes
+        with the flat positions of the (N, 3, 3) node blocks in it and with
+        ``C M``.
         """
         if self._jacobian is None:
             N = self.grid.N
-            diag = np.full(N, -2.0)
-            if self.project:
-                diag[[0, -1]] = -1.0
             scaled = self._d / self.grid.dx**2
-            template = np.zeros((N, 3, 10))  # node j, component b: column 3 j + b
-            template[:, :, 6] = diag[:, None] * scaled
-            template[1:, :, 3] = scaled  # entry (3 (j - 1) + c, 3 j + c)
-            template[:-1, :, 9] = scaled  # entry (3 (j + 1) + c, 3 j + c)
-            a, b = np.indices((3, 3))
-            template[:, b, 6 + a - b] += self._gather[:3]  # A
-            index = 10 * (3 * np.arange(N)[:, None, None] + b) + 6 + a - b
+            a, b = _NODE_ENTRIES
+            # the columns 3 j + b of an inner node j; rows 3 and 9 hold the
+            # entries (3 (j - 1) + b, 3 j + b) and (3 (j + 1) + b, 3 j + b)
+            node = np.zeros((3, 10))
+            node[:, 3] = node[:, 9] = scaled
+            node[:, 6] = -2.0 * scaled
+            node[b, 6 + a - b] += self._gather[:3]  # A
+            template = np.empty((N, 3, 10))
+            template[:] = node
+            template[0, :, 3] = template[-1, :, 9] = 0.0  # no node beyond the ends
+            if self.project:
+                template[[0, -1], :, 6] = -scaled + self._gather[:3].diagonal()
+            index = 30 * np.arange(N)[:, None] + (10 * b + 6 + a - b).reshape(-1)
             cm = self._combine[:, 3:] @ self._gather[3:6]
             self._jacobian = template.reshape(3 * N, 10), index.reshape(-1), cm
         return self._jacobian
@@ -559,14 +600,11 @@ class Stepper:
             x[0] += np.tensordot(mu, x[1:], 1)
         return x[0].T
 
-    def advance(
-        self, u: np.ndarray, h: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One step of size ``h`` (default ``dt``): ``(new state, predictor)``.
+    def advance(self, u: np.ndarray, h: float | None = None) -> np.ndarray:
+        """One step of size ``h`` (default ``dt``): the new state.
 
         The predictor is the first-order IMEX Euler state; the new state is
-        the second-order corrector, so ``new state - predictor`` estimates
-        the local error of the first-order method at no extra cost.
+        the second-order corrector.
 
         The floating-point warnings of a blow-up are left to the caller, as
         :meth:`ark_step` leaves them: :func:`simulate` suppresses them once
@@ -588,7 +626,7 @@ class Stepper:
             _remove_mean(out)
         if not np.isfinite(out).all():
             raise StepUnstable("non-finite field values", last_state=None)
-        return out, predictor
+        return out
 
     def step_array(self, u: np.ndarray) -> np.ndarray:
         """Advance a raw (3, N) array by one step (no bookkeeping).
@@ -602,7 +640,7 @@ class Stepper:
             ``last_state`` is None; :func:`simulate` attaches it.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.advance(u)[0]
+            return self.advance(u)
 
     def stage_rates(self, u: np.ndarray) -> np.ndarray:
         """The reaction and diffusion terms at ``u`` as the rows of a (2, 3N) array.
@@ -615,6 +653,37 @@ class Stepper:
         out[1] = self._diffusion_term(u).reshape(-1)
         return out
 
+    def _ark_stages(
+        self,
+        flat: np.ndarray,
+        h: float,
+        terms: np.ndarray,
+        solve: Callable[[np.ndarray], np.ndarray],
+        explicit: Callable[[np.ndarray, np.ndarray], None],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The stage loop of ARK3(2)4L[2]SA: ``(flat + increment, error estimate)``.
+
+        ``flat`` is the state as one vector, and the first two rows of the
+        (8, ``flat.size``) array ``terms`` hold the explicit and the implicit
+        term at it, the first stage.  Stage ``i`` solves ``(I - gamma h J)
+        U_i = rhs_i`` with ``solve(rhs_i)``, where ``J`` is the implicit
+        operator; ``J U_i`` is then ``(U_i - rhs_i) / (gamma h)``, so ``J``
+        is applied only to ``flat``.  ``explicit(U_i, out)`` writes the
+        explicit term of ``U_i`` into its row of ``terms``.  The error
+        estimate is the difference from the embedded second-order solution,
+        at no extra cost.
+        """
+        weights = h * _ARK_WEIGHTS
+        inv_gamma_h = 1.0 / (_ARK_GAMMA * h)
+        for i in (1, 2, 3):
+            rhs = flat + weights[i - 1, : 2 * i] @ terms[: 2 * i]
+            stage = solve(rhs)
+            np.subtract(stage, rhs, out=terms[2 * i + 1])
+            terms[2 * i + 1] *= inv_gamma_h
+            explicit(stage, terms[2 * i])
+        increment, error = weights[3:] @ terms
+        return flat + increment, error
+
     def ark_step(
         self, u: np.ndarray, h: float, rates: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -624,31 +693,111 @@ class Stepper:
         accurate).  The first stage is ``u`` itself, whose terms
         :meth:`stage_rates` gives; pass them as ``rates`` to reuse them
         across retries of a step.  The three implicit stages solve ``(I -
-        gamma h D lap) U_i = rhs_i`` with the stacked factor of ``gamma h``,
-        made on first use; ``D lap U_i`` is then ``(U_i - rhs_i) / (gamma
-        h)``, so the step applies the Laplacian only to ``u``.  The error
-        estimate is the difference from the embedded second-order solution,
-        at no extra cost; its max norm is what :func:`simulate` compares
-        with ``ARK_TOL``.  A blow-up gives non-finite values and is left to
-        the caller, as are the floating-point warnings it would raise.
+        gamma h D lap) U_i = rhs_i`` with one ``pttrs`` call on the stacked
+        factor of ``gamma h``, made on first use (:meth:`_ark_stages`).  The
+        error estimate's max norm is what :func:`simulate` compares with
+        ``ARK_TOL``.  A blow-up gives non-finite values and is left to the
+        caller, as are the floating-point warnings it would raise.
         """
-        gamma_h = _ARK_GAMMA * h
-        d, e = self._band(gamma_h)
-        weights = h * _ARK_WEIGHTS
-        inv_gamma_h = 1.0 / gamma_h
+        d, e = self._band(_ARK_GAMMA * h)
         flat = u.reshape(-1)
         terms = np.empty((8, flat.size))  # reaction, diffusion of each stage
         terms[:2] = self.stage_rates(u) if rates is None else rates
-        for i in (1, 2, 3):
-            rhs = flat + weights[i - 1, : 2 * i] @ terms[: 2 * i]
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
             stage, info = self._pttrs(d, e, rhs)
             if info != 0:
                 raise ValueError(f"pttrs returned info = {info}")
-            np.subtract(stage, rhs, out=terms[2 * i + 1])
-            terms[2 * i + 1] *= inv_gamma_h
-            terms[2 * i] = self.reaction(stage.reshape(u.shape)).reshape(-1)
-        increment, error = weights[3:] @ terms
-        out = (flat + increment).reshape(u.shape)
+            return stage
+
+        def reaction(stage: np.ndarray, out: np.ndarray) -> None:
+            out[:] = self.reaction(stage.reshape(u.shape)).reshape(-1)
+
+        new, error = self._ark_stages(flat, h, terms, solve, reaction)
+        out = new.reshape(u.shape)
+        if self.project:
+            _remove_mean(out)
+        return out, error
+
+    def _linear_factor(self, c: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """The LU factor of ``I - c L``, ``L = D lap + A``, made once per ``c``.
+
+        One ``gbtrf`` call on the band of :meth:`_jacobian_band`'s template,
+        interleaved by node; None when the factor is singular.
+        """
+        if c not in self._factors:
+            band = self._jacobian_band()[0] * -c
+            band[:, 6] += 1.0
+            lu, piv, info = self._gbtrf(band.T, 3, 3, overwrite_ab=1)
+            if info < 0:
+                raise ValueError(f"gbtrf returned info = {info}")
+            self._factors[c] = (lu, piv) if info == 0 else None
+        return self._factors[c]
+
+    def _quadratic(self, v: np.ndarray, out: np.ndarray) -> None:
+        """Write ``F`` of the node-interleaved vector ``v`` into ``out``, interleaved.
+
+        ``F = C (u3 M u)`` of :func:`~mtphase.model.reaction_matrices`, node
+        by node, rounded as :func:`~mtphase.model.deviation_reaction` rounds
+        it; mean-projected when enabled.
+        """
+        m_t, c_t = self._quadratic_matrices
+        w = v.reshape(-1, 3)
+        g = w @ m_t
+        g *= w[:, 2:]
+        f = np.matmul(g, c_t, out=out.reshape(-1, 3))
+        if self.project:
+            _remove_mean(f.T)
+
+    def ladder_step(self, u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """One ARK3(2)4L[2]SA step of size ``h`` with ``L = D lap + A`` implicit.
+
+        The tableau of :meth:`ark_step` with another split: the whole
+        linear part ``L`` is implicit, so ``A``'s stiff eigenvalues do not
+        bound the step, and only the quadratic ``F`` is explicit.  Returns
+        ``(new state, error estimate)``.
+
+        The stage vectors are interleaved by node, ``3 j + c``, where ``L``
+        is banded with three diagonals on either side.  Each stage is one
+        ``gbtrs`` solve with the factor of ``I - gamma h L``
+        (:meth:`_linear_factor`), and the first stage's ``L u`` is one
+        ``gbmv`` product with the same template.  The new state is the
+        (3, N) transpose of its interleaved array, a view, so a step from
+        it takes its interleaved vector without a copy; the error estimate
+        stays interleaved.  Under zero-average Neumann conditions ``L``
+        maps zero-mean fields to zero-mean fields (``A`` acts node by node,
+        and the Neumann Laplacian preserves means), so only ``F`` and the
+        new state are mean-projected.  Equal explicit and implicit row sums
+        keep the semi-discrete steady states fixed points for every ``h``.
+
+        A blow-up gives non-finite values and is left to the caller, as are
+        the floating-point warnings it would raise.
+
+        Raises
+        ------
+        StepUnstable
+            If ``I - gamma h L`` is singular; ``last_state`` is None.
+        """
+        factor = self._linear_factor(_ARK_GAMMA * h)
+        if factor is None:
+            raise StepUnstable("singular factor of I - gamma h L", last_state=None)
+        lu, piv = factor
+        flat = u.T.reshape(-1)  # a view when u is a step's new state
+        n = flat.size
+        terms = np.empty((8, n))  # F and L of each stage
+        self._quadratic(flat, terms[0])
+        # the template read as a band with 3 sub- and 6 superdiagonals, the
+        # top three of them zero
+        terms[1] = self._gbmv(n, n, 3, 6, 1.0, self._jacobian_band()[0].T, flat)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            stage, info = self._gbtrs(lu, 3, 3, rhs, piv)
+            if info != 0:
+                raise ValueError(f"gbtrs returned info = {info}")
+            return stage
+
+        new, error = self._ark_stages(flat, h, terms, solve, self._quadratic)
+        out = new.reshape(-1, 3).T
         if self.project:
             _remove_mean(out)
         return out, error
@@ -692,10 +841,9 @@ def _steps_to_check(bound: float, previous: float, elapsed: float, tol: float, h
     decayed, the log-linear decay between them is extrapolated to the time
     at which it reaches ``tol``, and the check is due at the first step
     after it.  The first check (``previous`` infinite), a bound that did
-    not decay, a singular factor (``bound`` infinite) and a ``tol`` that
-    is not positive wait the cap.
+    not decay and a singular factor (``bound`` infinite) wait the cap.
     """
-    if not (tol > 0.0 and math.isfinite(previous) and bound < previous):
+    if not (math.isfinite(previous) and bound < previous):
         return _CHECK_CAP
     steps = math.log(bound / tol) * elapsed / (math.log(previous / bound) * h)
     return max(math.ceil(min(steps, _CHECK_CAP)), 1)
@@ -739,21 +887,22 @@ def simulate(
     :func:`_simulate_ark`).
 
     Saturation runs (``stop_on_saturation=True``) step on the ladder
-    ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0.  The predictor (IMEX
-    Euler) and the corrector form an embedded 1(2) pair, so
-    ``||corrector - predictor||_inf`` is a free local error estimate.  A
-    step whose estimate exceeds ``LADDER_TOL``
-    times the new field's max norm, or that blows up, is rejected and
-    retried one rung lower.  After a step whose estimate is below an eighth
-    of that, the run climbs one rung: the estimate scales like ``dt**2``,
-    so the doubled step is predicted to pass with a factor of two to spare.
-    A rung that fails after a climb has exposed the scheme's stability
-    edge, not a fast transient: it becomes a ceiling for the rest of the
-    run, and the steps already accepted on it are kept, as on the
-    error-controlled path.  A rung that fails where the run started or
-    after a rejection only moves the run down.  On the floor rung an
-    over-tolerance step is accepted and a blow-up raises.  The last step is
-    shortened to end at ``t_end`` as on the fixed path.
+    ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0, with
+    :meth:`Stepper.ladder_step`: ARK3(2)4L[2]SA with the linear part ``D
+    lap + A`` implicit and the quadratic ``F`` explicit, whose embedded
+    second-order solution gives a free local error estimate.  A step whose
+    estimate's max norm exceeds ``LADDER_TOL`` times the new field's, that
+    blows up, or whose implicit factor is singular is rejected and retried
+    one rung lower.  After a step whose estimate is below an eighth of
+    that, the run climbs one rung: the estimate scales like ``dt**3``, so
+    the doubled step is predicted to pass.  A rung that fails after a
+    climb has exposed the step's accuracy or stability limit, not a fast
+    transient: it becomes a ceiling for the rest of the run, and the steps
+    already accepted on it are kept, as on the error-controlled path.  A
+    rung that fails where the run started or after a rejection only moves
+    the run down.  On the floor rung an over-tolerance step is accepted,
+    and a blow-up or a singular factor raises.  The last step is shortened
+    to end at ``t_end`` as on the fixed path.
 
     The run stops at a check where one Newton correction ``delta = -K^{-1}
     r`` (:meth:`Stepper.newton_correction`) has ``||delta||_inf`` at most
@@ -783,7 +932,8 @@ def simulate(
     the blow-up itself raises :class:`StepUnstable`.
 
     Every path runs on one :class:`Stepper`, whose factored matrices the
-    ladder's rungs, the shortened last step and the ARK substeps share.
+    steps of one size share: a rung revisited, and the substeps of one
+    level.
 
     Returns
     -------
@@ -799,8 +949,8 @@ def simulate(
         saturation run's ``saturation_tol`` is not finite and positive.
     StepUnstable
         If a step blows up on the fixed path, on the floor rung or at the
-        smallest substep of the error-controlled path; it carries the last
-        good state.
+        smallest substep of the error-controlled path, or if the floor
+        rung's implicit factor is singular; it carries the last good state.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
@@ -842,9 +992,9 @@ def _simulate_steps(
     # relative bound and time of the last one
     checks, next_check = 0, 1
     correction, t_checked = math.inf, t
-    # the new state and its error estimate, for one max-norm reduction per
-    # ladder step
-    stacked = np.empty((2, *u.shape))
+    # the new state and its error estimate, interleaved by node, for one
+    # max-norm reduction per ladder step
+    stacked = np.empty((2, u.size))
     changed = True
     while True:
         if changed:
@@ -859,7 +1009,16 @@ def _simulate_steps(
         last_short = short_last and count + 1 == n_left
         step = t_end - t if last_short else h
         try:
-            u_new, predictor = stepper.advance(u, step)
+            if not adaptive:
+                u_new = stepper.advance(u, step)
+            else:
+                u_new, error = stepper.ladder_step(u, step)
+                stacked[0] = u_new.T.reshape(-1)
+                stacked[1] = error
+                np.abs(stacked, out=stacked)
+                scale, estimate = stacked.max(axis=1).tolist()
+                if not math.isfinite(scale):
+                    raise StepUnstable("non-finite field values", last_state=None)
         except StepUnstable as exc:
             if not adaptive or rung == LADDER_FLOOR:
                 raise StepUnstable(
@@ -867,13 +1026,7 @@ def _simulate_steps(
                 ) from None
             accept = False
         else:
-            accept = True
-            if adaptive:
-                stacked[0] = u_new
-                np.subtract(u_new, predictor, out=stacked[1])
-                np.abs(stacked, out=stacked)
-                scale, error = stacked.max(axis=(1, 2)).tolist()
-                accept = error <= LADDER_TOL * scale or rung == LADDER_FLOOR
+            accept = not adaptive or estimate <= LADDER_TOL * scale or rung == LADDER_FLOOR
         if not accept:
             rejected += 1
             if climbed:
@@ -906,7 +1059,7 @@ def _simulate_steps(
                 bound, correction, t - t_checked, saturation_tol, h
             )
             correction, t_checked = bound, t
-        if 8.0 * error <= LADDER_TOL * scale and rung + 1 < ceiling:
+        if 8.0 * estimate <= LADDER_TOL * scale and rung + 1 < ceiling:
             rung, climbed, changed = rung + 1, True, True
     return SimulationResult(
         final_state=FieldState(t=t, u=u),

@@ -340,6 +340,7 @@ def test_advance_solves_the_scheme_equations(generic_rates, bc):
     # Predictor (I - dt K) v = u + dt R(u); corrector
     # (I - dt/2 K) w = (I + dt/2 K) u + dt/2 (R(u) + R(v)), with
     # K = diag(d) (x) L and R mean-projected on Neumann, then w projected.
+    # advance returns w only; the predictor enters it through R(v).
     p = ModelParams(bc=bc, **generic_rates)
     N = 32
     g = make_grid(p, N)
@@ -355,9 +356,8 @@ def test_advance_solves_the_scheme_equations(generic_rates, bc):
     predictor = np.linalg.solve(eye - dt * K, flat + dt * R(u))
     rhs = (eye + 0.5 * dt * K) @ flat + 0.5 * dt * (R(u) + R(predictor.reshape(3, N)))
     new = _project(np.linalg.solve(eye - 0.5 * dt * K, rhs).reshape(3, N), p)
-    got_new, got_predictor = Stepper(p, g, dt).advance(u)
+    got_new = Stepper(p, g, dt).advance(u)
     scale = np.abs(u).max()
-    assert np.abs(got_predictor - predictor.reshape(3, N)).max() <= 1e-12 * scale
     assert np.abs(got_new - new).max() <= 1e-12 * scale
     assert np.abs(got_new - u).max() > 1e-6 * scale  # the step did move the state
 
@@ -452,12 +452,14 @@ def _relative_distance(u, ref):
 
 
 def test_ladder_saturates_from_an_unstable_first_rung(saturating_params):
-    # 40 x dt_max is beyond the scheme's stability edge: the fixed path
-    # blows up, the ladder falls to stable rungs and still saturates on
-    # the semi-discrete steady state.
+    # 400 x dt_max is beyond the fixed path's stability edge and beyond
+    # the steps the ladder's error test accepts from this start (40 x
+    # dt_max no longer is, with A implicit): the fixed path blows up, the
+    # ladder falls to lower rungs and still saturates on the semi-discrete
+    # steady state.
     p = saturating_params
     g = make_grid(p, 64)
-    dt = 40.0 * dt_max(p, g)
+    dt = 400.0 * dt_max(p, g)
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     with pytest.raises(StepUnstable):
         simulate(p, g, ic, t_end=2000.0, dt=dt)
@@ -483,7 +485,7 @@ def test_ladder_keeps_zero_average_runs_on_the_zero_mean_subspace():
         d1=0.3, d2=0.3, d3=0.3, ell=4.0, bc="neumann-zero-average",
     )
     g = make_grid(p, 48)
-    dt = 40.0 * dt_max(p, g)
+    dt = 400.0 * dt_max(p, g)  # beyond the first rung the ladder accepts
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     with pytest.raises(StepUnstable):
         simulate(p, g, ic, t_end=200.0, dt=dt)
@@ -521,30 +523,78 @@ def _count_bands(monkeypatch):
     return factored
 
 
+def _patch_lapack(monkeypatch, **wrappers):
+    """Make Steppers built from now on call ``wrappers[name](original)`` for ``name``."""
+    names = ("pttrf", "pttrs", "gbsv", "gbtrf", "gbtrs", "gbmv")
+    funcs = dict(zip(names, simulator._banded_lapack()))
+    for name, wrap in wrappers.items():
+        funcs[name] = wrap(funcs[name])
+    monkeypatch.setattr(simulator, "_banded_lapack", lambda: tuple(funcs[n] for n in names))
+
+
+def _linear_operator(p, g):
+    """``L = D lap + A`` as a dense matrix on unknowns interleaved by node, ``3 j + c``."""
+    return (np.kron(_dense_laplacian(g), np.diag(p.diffusion))
+            + np.kron(np.eye(g.N), linearization_matrix(p)))
+
+
+def _spy(monkeypatch, method):
+    """Record the arguments and result of every call of ``Stepper.<method>``."""
+    calls = []
+    original = getattr(Stepper, method)
+
+    def spy(self, *args):
+        out = original(self, *args)
+        calls.append((*args, out))
+        return out
+
+    monkeypatch.setattr(Stepper, method, spy)
+    return calls
+
+
 def test_ladder_factors_each_coefficient_once(saturating_params, monkeypatch):
-    # One Stepper per run: rung k's half band is rung k-1's full band, and
-    # neither a revisited rung, the stop's Newton checks nor the final
-    # residual factors a band again.  The run starts off the steady state
-    # (the README example), so it climbs rungs and rejects a step.
+    # One Stepper per run: each step size h is factored once, as I - gamma h
+    # L with L = D lap + A, by one gbtrf call; neither a revisited rung, the
+    # stop's Newton checks nor the final residual factor again, and no
+    # tridiagonal band of the other steps is factored.  The run starts off
+    # the steady state (the README example), so it climbs rungs and rejects
+    # a step.  Each factored band is checked against the dense matrix.
     p = saturating_params
     g = make_grid(p, 64)
-    sizes = []
-    advance = Stepper.advance
+    calls = _spy(monkeypatch, "ladder_step")
+    factored = []
 
-    def spy(self, u, h=None):
-        sizes.append(self.dt if h is None else h)
-        return advance(self, u, h)
+    def spy_gbtrf(gbtrf):
+        def spy(ab, kl, ku, **kwargs):
+            factored.append(np.array(ab[kl:]))
+            return gbtrf(ab, kl, ku, **kwargs)
+        return spy
 
-    monkeypatch.setattr(Stepper, "advance", spy)
-    factored = _count_bands(monkeypatch)
+    _patch_lapack(monkeypatch, gbtrf=spy_gbtrf)
+    tridiagonal = _count_bands(monkeypatch)
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     result = simulate(p, g, ic, t_end=2000.0, stop_on_saturation=True, saturation_tol=1e-6)
     assert result.saturated and result.rejected >= 1 and result.checks > 1
-    assert len(set(sizes)) >= 3
-    d = p.diffusion
-    expected = {tuple(c * d) for h in sizes for c in (h, 0.5 * h)}
-    assert len(factored) == len(set(factored))
-    assert set(factored) == expected
+    sizes = sorted({h for _, h, _ in calls})
+    assert len(sizes) >= 3 and tridiagonal == []
+    assert len(factored) == len(sizes)
+    L = _linear_operator(p, g)
+    n = 3 * g.N
+    rows, cols = np.indices((n, n))
+    inside = np.abs(rows - cols) <= 3
+    assert np.abs(L[~inside]).max() == 0.0  # the band holds all of L
+    expected = {}
+    for h in sizes:
+        dense = np.eye(n) - float(ARK_GAMMA) * h * L
+        expected[h] = np.zeros((7, n))
+        expected[h][3 + rows[inside] - cols[inside], cols[inside]] = dense[inside]
+    matched = []
+    for band in factored:
+        errors = {h: np.abs(band - e).max() / np.abs(e).max() for h, e in expected.items()}
+        h = min(errors, key=errors.get)
+        assert errors[h] <= 1e-13
+        matched.append(h)
+    assert sorted(matched) == sizes
 
 
 def test_ladder_keeps_the_steps_of_a_failed_climb(saturating_params, monkeypatch):
@@ -553,21 +603,13 @@ def test_ladder_keeps_the_steps_of_a_failed_climb(saturating_params, monkeypatch
     # accepted one, and each accepted step counts in result.steps.
     p = saturating_params
     g = make_grid(p, 128)
-    calls = []
-    advance = Stepper.advance
-
-    def spy(self, u, h=None):
-        out = advance(self, u, h)
-        calls.append((u, out[0]))
-        return out
-
-    monkeypatch.setattr(Stepper, "advance", spy)
+    calls = _spy(monkeypatch, "ladder_step")
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     result = simulate(p, g, ic, t_end=2000.0, stop_on_saturation=True, saturation_tol=1e-6)
-    assert result.saturated
-    starts = [u for u, _ in calls[1:]] + [result.final_state.u]
+    assert result.saturated and result.rejected >= 1
+    starts = [u for u, _, _ in calls[1:]] + [result.final_state.u]
     kept = 0
-    for (u, out), start in zip(calls, starts):
+    for (u, _, (out, _)), start in zip(calls, starts):
         if np.array_equal(start, out):
             kept += 1
         else:
@@ -632,12 +674,11 @@ def test_newton_correction_matches_the_dense_newton_update(saturating_params, bc
 
 def test_newton_check_schedule():
     cap = simulator._CHECK_CAP
-    # the first check, a bound that did not decay, a singular factor and a
-    # tolerance that is not positive wait the cap
+    # the first check, a bound that did not decay and a singular factor wait
+    # the cap (simulate rejects a tolerance that is not positive)
     assert simulator._steps_to_check(1e-3, math.inf, 1.0, 1e-6, 0.1) == cap
     assert simulator._steps_to_check(1e-3, 1e-3, 1.0, 1e-6, 0.1) == cap
     assert simulator._steps_to_check(math.inf, 1e-3, 1.0, 1e-6, 0.1) == cap
-    assert simulator._steps_to_check(1e-3, 1e-2, 1.0, 0.0, 0.1) == cap
     # a decade per unit time reaches 1e-6 from 1e-3 after 3 units: 30
     # steps of 0.1, and the check is due at the first step after it
     assert simulator._steps_to_check(1e-3, 1e-2, 1.0, 1e-6, 0.1) in (30, 31)
@@ -666,13 +707,15 @@ def test_ladder_run_at_n512_on_the_steady_state_stops_within_a_few_steps(saturat
 def test_ladder_run_decaying_to_the_trivial_state_does_not_stop(saturating_params):
     # Below threshold the trivial state attracts.  The Newton correction
     # points to it, and its size stays that of the field, so the relative
-    # bound stays near 1 and the run goes on to t_end.
+    # bound stays near 1 and the run goes on to t_end.  The run is long
+    # enough for a second check: by t = 300 it takes 34 steps, fewer than
+    # the first check's wait.
     p = saturating_params.replace(k7=1.8)
     g = make_grid(p, 48)
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
-    result = simulate(p, g, ic, t_end=300.0, stop_on_saturation=True, saturation_tol=1e-6)
+    result = simulate(p, g, ic, t_end=1000.0, stop_on_saturation=True, saturation_tol=1e-6)
     assert not result.saturated
-    assert result.final_state.t == 300.0
+    assert result.final_state.t == 1000.0
     assert np.abs(result.final_state.u).max() < 1e-3 * np.abs(ic.u).max()
     assert result.checks > 1
     assert 0.5 <= result.correction <= 2.0
@@ -687,13 +730,14 @@ def test_a_singular_newton_factor_does_not_stop_the_run(saturating_params, monke
     ref = _newton_steady_state(p, g, 0.42)
     start = FieldState(t=0.0, u=ref.copy())
     assert simulate(p, g, start, t_end=2000.0, stop_on_saturation=True).saturated
-    pttrf, pttrs, gbsv = simulator._banded_lapack()
 
-    def singular(kl, ku, ab, b, **kwargs):
-        lub, piv, x, _ = gbsv(kl, ku, ab, b, **kwargs)
-        return lub, piv, x, 1
+    def singular(gbsv):
+        def wrapped(kl, ku, ab, b, **kwargs):
+            lub, piv, x, _ = gbsv(kl, ku, ab, b, **kwargs)
+            return lub, piv, x, 1
+        return wrapped
 
-    monkeypatch.setattr(simulator, "_banded_lapack", lambda: (pttrf, pttrs, singular))
+    _patch_lapack(monkeypatch, gbsv=singular)
     assert Stepper(p, g, dt_max(p, g)).newton_correction(ref) is None
     result = simulate(p, g, start, t_end=2000.0, stop_on_saturation=True)
     assert not result.saturated
@@ -701,24 +745,83 @@ def test_a_singular_newton_factor_does_not_stop_the_run(saturating_params, monke
     assert result.checks > 1 and result.correction == math.inf
 
 
+def test_ladder_readme_run_tracks_radau(saturating_params):
+    # The README example at N = 64 against criterion 11's Radau reference
+    # at its record times: no recorded y further off than the worst of the
+    # Heun ladder it replaced (4.03e-4 on this run, 1,861 steps), and a
+    # stop within 20 saturation_tol of the Newton steady state.
+    p = saturating_params
+    g = make_grid(p, 64)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    tol = 1e-6
+    result = simulate(p, g, ic, t_end=2000.0, stop_on_saturation=True, saturation_tol=tol)
+    assert result.saturated and result.steps < 1861 / 5
+    mode = critical_mode(p, g)
+    y_ref = np.array([mode.amplitude(v) for v in _radau(p, g, ic, result.series.times)])
+    assert np.abs(result.series.y - y_ref).max() <= 4.03e-4
+    ref = _newton_steady_state(p, g, result.series.y[-1])
+    assert _relative_distance(result.final_state.u, ref) <= 20.0 * tol
+
+
+def _singular_gbtrf(monkeypatch, count):
+    """Report the first ``count`` gbtrf factors singular; returns the infos reported."""
+    reported = []
+
+    def wrap(gbtrf):
+        def wrapped(ab, kl, ku, **kwargs):
+            lu, piv, info = gbtrf(ab, kl, ku, **kwargs)
+            reported.append(1 if len(reported) < count else info)
+            return lu, piv, reported[-1]
+        return wrapped
+
+    _patch_lapack(monkeypatch, gbtrf=wrap)
+    return reported
+
+
+def test_a_singular_linear_factor_rejects_the_rung(saturating_params, monkeypatch):
+    # A gbtrf factor reported singular rejects its rung as a blow-up does,
+    # and its coefficient is not factored again: the first rung's I - gamma
+    # dt L is reported singular, so the run steps at dt/2, and the climb back
+    # to dt fails and makes dt a ceiling.
+    p = saturating_params
+    g = make_grid(p, 64)
+    dt = 0.5 * dt_max(p, g)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    reported = _singular_gbtrf(monkeypatch, 1)
+    calls = _spy(monkeypatch, "ladder_step")
+    result = simulate(p, g, ic, t_end=2.0, stop_on_saturation=True)
+    assert reported == [1, 0]
+    assert result.final_state.t == pytest.approx(2.0, abs=1e-12) and result.rejected == 2
+    assert result.dt_range == (0.5 * dt, 0.5 * dt)
+    assert {h for _, h, _ in calls} == {0.5 * dt}
+
+
+def test_a_singular_linear_factor_raises_on_the_floor_rung(saturating_params, monkeypatch):
+    # With every factor singular the run falls rung by rung to the floor,
+    # where it raises with the state it started from.
+    p = saturating_params
+    g = make_grid(p, 64)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    reported = _singular_gbtrf(monkeypatch, math.inf)
+    with pytest.raises(StepUnstable, match="singular") as excinfo:
+        simulate(p, g, ic, t_end=2.0, stop_on_saturation=True)
+    assert len(reported) == 1 - LADDER_FLOOR
+    last = excinfo.value.last_state
+    assert last.t == 0.0 and np.array_equal(last.u, ic.u)
+
+
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
 def test_ladder_blow_up_raises_on_the_floor_rung(unstable_params, bc, monkeypatch):
     p = unstable_params.replace(bc=bc)
     g = make_grid(p, 32)
     dt = dt_max(p, g)
-    sizes = []
-    advance = Stepper.advance
-
-    def spy(self, u, h=None):
-        sizes.append(self.dt if h is None else h)
-        return advance(self, u, h)
-
-    monkeypatch.setattr(Stepper, "advance", spy)
+    calls = _spy(monkeypatch, "ladder_step")
     st = initial_state(p, g, kind="aligned", amplitude=1e6)
     with pytest.raises(StepUnstable) as excinfo:
         simulate(p, g, st, t_end=50.0, dt=dt, stop_on_saturation=True)
     last = excinfo.value.last_state
     assert last is not None and np.all(np.isfinite(last.u))
+    sizes = [h for _, h, _ in calls]
     floor = dt * 2.0**LADDER_FLOOR
     assert sizes[-1] == floor
     assert min(sizes) == floor
@@ -753,16 +856,18 @@ def test_fixed_path_equals_chained_step_array(unstable_params, bc):
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
-def test_ladder_equals_chained_advance(saturating_params, bc, monkeypatch):
+def test_ladder_equals_chained_ladder_steps(saturating_params, bc, monkeypatch):
     # The ladder's twin of the test above: the run's accepted steps,
-    # replayed through Stepper.advance, give its final state, recorded y
-    # and residual bit for bit.  Each step is accepted exactly where norms
-    # taken one array at a time say so; the stop checks the Newton
-    # correction at the steps the schedule names, and stops exactly where
-    # its norm, taken the same way, says so.  The Dirichlet run saturates
-    # (the README example at N = 48); the zero-average run starts below
-    # threshold and decays to t_end.  Both start above the stability edge,
-    # so both reject steps.
+    # replayed through Stepper.ladder_step, give its final state, recorded y
+    # and residual bit for bit.  Each replayed step is taken on a Stepper of
+    # its own, so a factor the run reused for another step size shows.
+    # Each step is accepted exactly where norms taken one array at a time
+    # say so; the stop checks the Newton correction at the steps the
+    # schedule names, and stops exactly where its norm, taken the same way,
+    # says so.  The Dirichlet run saturates (the README example at N = 48);
+    # the zero-average run starts below threshold and decays to t_end, which
+    # it reaches with a shortened step.  Both start beyond the steps the
+    # error test accepts, so both reject steps.
     if bc == "dirichlet":
         p, t_end = saturating_params, 2000.0
     else:
@@ -770,24 +875,18 @@ def test_ladder_equals_chained_advance(saturating_params, bc, monkeypatch):
             k1=1.0, k3=1.0, k5=1.0, k7=2.0, C1=1.0, E=1.0,
             d1=0.3, d2=0.3, d3=0.3, ell=4.0, bc=bc,
         )
-        t_end = 200.0
+        t_end = 2015.0
     g = make_grid(p, 48)
-    dt = 40.0 * dt_max(p, g)
+    dt = 400.0 * dt_max(p, g)
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     tol, record_every = 1e-6, 7
-    calls = []
-    advance = Stepper.advance
-
-    def spy(self, u, h=None):
-        calls.append((u, h))
-        return advance(self, u, h)
-
-    monkeypatch.setattr(Stepper, "advance", spy)
+    calls = _spy(monkeypatch, "ladder_step")
     result = simulate(p, g, ic, t_end=t_end, dt=dt, record_every=record_every,
                       stop_on_saturation=True, saturation_tol=tol)
     monkeypatch.undo()
     assert result.saturated == (bc == "dirichlet")
     assert result.rejected >= 1
+    assert result.saturated or not math.log2(calls[-1][1] / dt).is_integer()
 
     stepper = Stepper(p, g, dt)
     mode = critical_mode(p, g)
@@ -795,18 +894,14 @@ def test_ladder_equals_chained_advance(saturating_params, bc, monkeypatch):
     t = base = 0.0
     rung_h, count, next_check = None, 0, 1
     bound, t_checked = math.inf, 0.0
-    for i, (start, h) in enumerate(calls):
+    for i, (start, h, _) in enumerate(calls):
         assert np.array_equal(start, u)  # the run's last accepted state
         if math.log2(h / dt).is_integer() and h != rung_h:  # a new rung, not the shortened last step
             rung_h, base, count = h, t, 0
-        try:
-            new, predictor = stepper.advance(u, h)
-        except StepUnstable:
-            rung_h = None  # a rejection starts a rung
-            continue
+        new, error = Stepper(p, g, dt).ladder_step(u, h)
         scale = float(np.abs(new).max())
-        if not float(np.abs(new - predictor).max()) <= LADDER_TOL * scale:
-            rung_h = None
+        if not (math.isfinite(scale) and float(np.abs(error).max()) <= LADDER_TOL * scale):
+            rung_h = None  # a rejection starts a rung
             continue
         u, taken, count = new, taken + 1, count + 1
         t = base + count * rung_h if h == rung_h else t_end
@@ -906,6 +1001,43 @@ def test_ark_step_solves_the_stage_equations(generic_rates, bc):
     assert np.abs(error).max() > 1e-8 * scale  # the estimate is not trivially zero
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_ladder_step_solves_the_stage_equations(generic_rates, bc):
+    # ark_step's stage equations with the other split: L = D lap + A
+    # implicit, F = R - A u explicit (mean-projected on Neumann), on dense
+    # matrices in the component-major layout; the new state is projected
+    # on Neumann.  h is far beyond the explicit edge of A.
+    p = ModelParams(bc=bc, **generic_rates)
+    N = 32
+    g = make_grid(p, N)
+    h = 400.0 * dt_max(p, g)
+    u = _project(0.3 * np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, N)), p)
+    A = linearization_matrix(p)
+    L = np.kron(np.diag(p.diffusion), _dense_laplacian(g)) + np.kron(A, np.eye(N))
+    gamma = float(ARK_GAMMA)
+    explicit, implicit = ([[float(a) for a in row] for row in m] for m in _ark_tableau())
+
+    def F(v):
+        v = v.reshape(3, N)
+        return _project(_dense_terms(p, g, v)[1] - A @ v, p).reshape(-1)
+
+    stages = [u.reshape(-1)]
+    for i in (1, 2, 3):
+        rhs = stages[0] + h * sum(
+            explicit[i][j] * F(stages[j]) + implicit[i][j] * (L @ stages[j]) for j in range(i)
+        )
+        stages.append(np.linalg.solve(np.eye(3 * N) - gamma * h * L, rhs))
+    slopes = [F(v) + L @ v for v in stages]
+    new = stages[0] + h * sum(float(w) * k for w, k in zip(ARK_B, slopes))
+    error = h * sum(float(w - wh) * k for w, wh, k in zip(ARK_B, ARK_B_HAT, slopes))
+    got_new, got_error = Stepper(p, g, dt_max(p, g)).ladder_step(u, h)
+    scale = np.abs(u).max()
+    assert np.abs(got_new - _project(new.reshape(3, N), p)).max() <= 1e-12 * scale
+    # the estimate comes interleaved by node
+    assert np.abs(got_error - error.reshape(3, N).T.reshape(-1)).max() <= 1e-12 * scale
+    assert np.abs(error).max() > 1e-8 * scale  # the estimate is not trivially zero
+
+
 def _branch_steady_state(bc):
     """A nontrivial semi-discrete steady state, solved by Newton at N = 64.
 
@@ -927,15 +1059,18 @@ def _branch_steady_state(bc):
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
 def test_ark_step_fixed_points_are_semi_discrete_steady_states(bc):
     # Equal explicit and implicit row sums make a steady state a fixed point
-    # of the ARK step at every step size, to criterion 8's stepper bound.
+    # of both splits of the ARK step at every step size, to criterion 8's
+    # stepper bound; the ladder's split also at twice the README run's
+    # largest step, far beyond ark_step's edge.
     p, g, u = _branch_steady_state(bc)
     scale = np.abs(u).max()
     stepper = Stepper(p, g, dt_max(p, g))
     assert np.abs(stepper.residual(u)).max() <= 1e-12 * scale
-    for h in (dt_max(p, g), 16.0 * dt_max(p, g)):
-        u_next, error = stepper.ark_step(u, h)
-        assert np.abs(u_next - u).max() <= 1e-12 * scale
-        assert np.abs(error).max() <= 1e-12 * scale
+    for step, factors in ((stepper.ark_step, (1, 16)), (stepper.ladder_step, (1, 16, 1024))):
+        for factor in factors:
+            u_next, error = step(u, factor * dt_max(p, g))
+            assert np.abs(u_next - u).max() <= 1e-12 * scale
+            assert np.abs(error).max() <= 1e-12 * scale
 
 
 def _shipped(name):
