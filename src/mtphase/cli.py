@@ -41,6 +41,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Sequence
@@ -55,7 +56,9 @@ from .version import __version__
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mtphase",
         description="Phase transitions of a microtubule reaction-diffusion model: "

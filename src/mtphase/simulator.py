@@ -4,39 +4,36 @@ The simulator is the independent oracle for everything the linear and
 weakly-nonlinear analyses predict: growth rates, saturated branch
 amplitudes, and jump behavior.  Fields are deviations from the uniform
 steady state, so both boundary-condition variants are homogeneous.  Time
-stepping is IMEX with one of three steps.  :meth:`Stepper.advance` is
-second order: Crank-Nicolson diffusion and Heun reaction with a
-diffusion-consistent predictor.  :meth:`Stepper.ark_step` is third order:
-ARK3(2)4L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003), ESDIRK
-diffusion, explicit reaction, and an embedded second-order solution.
-:meth:`Stepper.ladder_step` is the same tableau with the whole linear part
-``L = D lap + A`` implicit and only the quadratic ``F`` explicit (Ascher,
-Ruuth & Spiteri, Appl. Numer. Math. 25, 1997), so that the stiff
-eigenvalues of ``A`` do not bound its step.  Fixed points of all three
-steps are exact steady states of the semi-discrete system for every step
-size, so saturated amplitudes carry spatial discretization error only.
+stepping is IMEX with one of two steps.  :meth:`Stepper.advance` is second
+order: Crank-Nicolson diffusion and Heun reaction with a
+diffusion-consistent predictor.  :meth:`Stepper.ladder_step` is third
+order: ARK3(2)4L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003)
+with the whole linear part ``L = D lap + A`` implicit (ESDIRK) and only the
+quadratic ``F`` explicit (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25,
+1997), so that the stiff eigenvalues of ``A`` do not bound its step, and
+an embedded second-order solution.  Fixed points of both steps are exact
+steady states of the semi-discrete system for every step size, so
+saturated amplitudes carry spatial discretization error only.
 
-The implicit solves of the first two steps are one LAPACK ``pttrs`` call
-each, on the three per-component tridiagonal systems stacked into one
+The implicit solves of :meth:`Stepper.advance` are one LAPACK ``pttrs``
+call each, on the three per-component tridiagonal systems stacked into one
 block-diagonal tridiagonal matrix ``I - c D lap``.  A :class:`Stepper`
 factors the matrix of each coefficient ``c`` once as ``L D L^T``, with one
 ``pttrf`` call, and keeps the factor: ``h`` and ``h/2`` for a step of size
-``h``, ``gamma h`` for an ARK step.  :meth:`Stepper.ladder_step` interleaves
-the unknowns by node, ``3 j + c``, where ``L`` is banded with three
-diagonals on either side; it factors ``I - gamma h L`` once per step size
-with one ``gbtrf`` call, from the template of the Jacobian band
-(:meth:`Stepper._jacobian_band`), and solves each stage with one ``gbtrs``
-call.  :func:`simulate` builds one :class:`Stepper` per run, so every
-factor is made once per run.
+``h``.  :meth:`Stepper.ladder_step` interleaves the unknowns by node, ``3 j
++ c``, where ``L`` is banded with three diagonals on either side; it
+factors ``I - gamma h L`` once per step size with one ``gbtrf`` call, from
+the template of the Jacobian band (:meth:`Stepper._jacobian_band`), and
+solves each stage with one ``gbtrs`` call.  :func:`simulate` builds one
+:class:`Stepper` per run, so every factor is made once per run.
 
 :func:`simulate` is the one time-stepping loop of the package;
 :class:`Stepper` takes single steps.  It has three paths:
 
-- fixed steps of a given size ``dt`` (:meth:`Stepper.advance`), which every
-  verification criterion uses and whose temporal order criterion 11
-  measures;
+- fixed steps of a given size ``dt`` (:meth:`Stepper.advance`), whose
+  temporal order criterion 11 measures;
 - for fixed-horizon runs with ``dt = auto`` (``dt=None``), an
-  error-controlled path of :meth:`Stepper.ark_step` steps of ``2**-k``
+  error-controlled path of :meth:`Stepper.ladder_step` steps of ``2**-k``
   record intervals: substeps of one interval for ``k >= 0``, and for
   ``k < 0`` steps over ``2**-k`` whole intervals whose inner records
   come from the cubic Hermite interpolant of the amplitude (Hairer,
@@ -67,14 +64,16 @@ it made about 75.  Its parts:
 - each half-step: one ``pttrs`` solve of the stacked factor.  A non-finite
   value anywhere in the step reaches the new state, which is checked once.
 
-Both ARK steps share one stage loop (:meth:`Stepper._ark_stages`), which
-applies the implicit operator only to the step's first stage.  A ladder
-step keeps its stage vectors interleaved: per stage it makes one ``gbtrs``
-solve and evaluates ``F`` node by node with two small matmuls and one
-product, and its new state is the (3, N) transpose of an interleaved
-array, so the next step interleaves it without a copy.  It costs about
-twice a Heun step at N = 64, and it takes about a tenth of the steps
-(README "Performance").
+A ladder step keeps its stage vectors interleaved and makes about 20
+calls, 35 with the mean projection, and its first stage about 10 more.
+That first stage (``u``, ``F(u)`` and ``L u``, one ``gbmv`` product)
+depends on no step size, so a retried step reuses it and the ``dt =
+auto`` path's Hermite slopes come from it.  Each later stage is one
+matmul for its right-hand side, one ``gbtrs`` solve in place and ``F``
+node by node (one matmul with ``(C M)^T`` and one product with ``u3``);
+one more matmul gives the new state and the error estimate.  The new
+state is the (3, N) transpose of an interleaved row, so the next step
+interleaves it without a transpose.
 
 README "Performance" has the measured cost of the steps and of
 ``mtphase simulate`` before and after this layout, the ``dt = auto``
@@ -96,7 +95,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -187,22 +185,37 @@ ARK_B_HAT = (
 )
 
 
-def _ark_weights() -> np.ndarray:
-    """The tableau as one (5, 8) matrix acting on the stage derivatives.
+def _ark_weights() -> tuple[np.ndarray, np.ndarray]:
+    """The tableau as the (5, 9) matrix ``W0 + h W1`` that forms a step of size ``h``.
 
-    The columns follow the rows of :meth:`Stepper._ark_stages`'s buffer:
-    the explicit and implicit terms of stage 1, then of stage 2, and so on.
-    Rows 0-2 form the right-hand sides of stages 2-4 (their unused columns
-    are zero), row 3 the step's increment and row 4 its error estimate
-    ``b - b_hat``.
+    Its columns act on the rows of :meth:`Stepper.ladder_step`'s buffer: the
+    state ``u``, ``F(u)`` and ``L u`` (the first stage), then ``F(U_i)`` and
+    ``U_i`` of stages 2-4.  The implicit term of stage ``i`` is not formed:
+    ``h L U_i = (U_i - rhs_i) / gamma``, where ``rhs_i`` is the stage's
+    right-hand side, so each ``h L U_i`` is a combination of the rows
+    before it, affine in ``h``.  Rows 0-2 of the matrix form ``rhs_2`` to
+    ``rhs_4`` (their unused columns are zero), row 3 the new state and row 4
+    its error estimate ``sum (b - b_hat) h (F + L U)``.  Computed in exact
+    rationals and rounded once.
     """
-    error = [b - b_hat for b, b_hat in zip(ARK_B, ARK_B_HAT)]
-    rows = [*zip(ARK_EXPLICIT[1:], ARK_IMPLICIT[1:]), (ARK_B, ARK_B), (error, error)]
-    out = np.zeros((5, 8))
-    for r, (explicit, implicit) in enumerate(rows):
-        out[r, 0 : 2 * len(explicit) : 2] = [float(a) for a in explicit]
-        out[r, 1 : 2 * len(implicit) : 2] = [float(a) for a in implicit]
-    return out
+    def term(k: int, times_h: bool = False) -> np.ndarray:
+        out = np.full((2, 9), Fraction(0))
+        out[int(times_h), k] = Fraction(1)
+        return out
+
+    h_f = [term(2 * i + 1, True) for i in range(4)]  # h F of each stage
+    h_l = [term(2, True)]  # h L of each stage
+    rows = []
+    for i in (1, 2, 3):
+        pairs = zip(ARK_EXPLICIT[i], ARK_IMPLICIT[i], h_f, h_l)
+        rhs = term(0) + sum(a * f + a_i * l for a, a_i, f, l in pairs)
+        rows.append(rhs)
+        h_l.append((term(2 * i + 2) - rhs) / ARK_GAMMA)
+    slopes = [f + l for f, l in zip(h_f, h_l)]
+    rows.append(term(0) + sum(b * s for b, s in zip(ARK_B, slopes)))
+    rows.append(sum((b - b_hat) * s for b, b_hat, s in zip(ARK_B, ARK_B_HAT, slopes)))
+    weights = np.array(rows, dtype=float)
+    return weights[:, 0], weights[:, 1]
 
 
 _ARK_WEIGHTS = _ark_weights()
@@ -427,15 +440,13 @@ class Stepper:
 
     ``D lap`` is the per-component diffusion operator and ``R`` the
     reaction part in deviation form, ``R(u) = A u + F(u)`` with ``F``
-    quadratic, which vanishes identically at zero.  Three steps:
+    quadratic, which vanishes identically at zero.  Two steps:
 
     - :meth:`advance`, second order: the predictor ``(I - dt*D lap) u~ =
       u + dt*R(u)`` (implicit Euler diffusion, explicit Euler reaction)
       and the corrector ``(I - dt/2*D lap) u' = (I + dt/2*D lap) u +
       dt/2*(R(u) + R(u~))`` (Crank-Nicolson / Heun);
-    - :meth:`ark_step`, ARK3(2)4L[2]SA with ``D lap`` implicit and ``R``
-      explicit;
-    - :meth:`ladder_step`, the same tableau with the whole linear part
+    - :meth:`ladder_step`, ARK3(2)4L[2]SA with the whole linear part
       ``L = D lap + A`` implicit and only ``F`` explicit.
 
     Parameters
@@ -473,11 +484,11 @@ class Stepper:
         self._d = np.array((p.d1, p.d2, p.d3))
         self._diffusion = self._d[:, None].repeat(grid.N, axis=1)
         self._bands: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._factors: dict[float, tuple[np.ndarray, np.ndarray] | None] = {}
+        self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None] = {}
         _, self._pttrs, self._gbsv, self._gbtrf, self._gbtrs, self._gbmv = _banded_lapack()
         self._jacobian = None  # the parts of _jacobian_band, built on first use
-        # F = C (u3 M u) node by node: M^T and C^T for node-interleaved fields
-        self._quadratic_matrices = (self._gather[3:6].T.copy(), self._combine[:, 3:].T.copy())
+        # F = u3 (C M u) node by node: (C M)^T for node-interleaved fields
+        self._quadratic_matrix = (self._combine[:, 3:] @ self._gather[3:6]).T.copy()
 
     def _band(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """The stacked factor of ``I - c D lap``, factored once per ``c``."""
@@ -552,7 +563,7 @@ class Stepper:
             if self.project:
                 template[[0, -1], :, 6] = -scaled + self._gather[:3].diagonal()
             index = 30 * np.arange(N)[:, None] + (10 * b + 6 + a - b).reshape(-1)
-            cm = self._combine[:, 3:] @ self._gather[3:6]
+            cm = self._quadratic_matrix.T
             self._jacobian = template.reshape(3 * N, 10), index.reshape(-1), cm
         return self._jacobian
 
@@ -607,8 +618,8 @@ class Stepper:
         the second-order corrector.
 
         The floating-point warnings of a blow-up are left to the caller, as
-        :meth:`ark_step` leaves them: :func:`simulate` suppresses them once
-        per run and :meth:`step_array` once per call.
+        :meth:`ladder_step` leaves them: :func:`simulate` suppresses them
+        once per run and :meth:`step_array` once per call.
 
         Raises
         ------
@@ -642,133 +653,81 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.advance(u)
 
-    def stage_rates(self, u: np.ndarray) -> np.ndarray:
-        """The reaction and diffusion terms at ``u`` as the rows of a (2, 3N) array.
+    def first_stage(self, u: np.ndarray) -> np.ndarray:
+        """The first stage of :meth:`ladder_step` at ``u``, which no step size enters.
 
-        They are :meth:`ark_step`'s first stage, which does not depend on
-        the step size, and their sum is :meth:`residual`.
+        The rows of a (3, 3N) array, interleaved by node: ``u``, ``F(u)``
+        and ``L u``.  ``F(u) + L u`` is :meth:`residual`, up to rounding.
         """
-        out = np.empty((2, u.size))
-        out[0] = self.reaction(u).reshape(-1)
-        out[1] = self._diffusion_term(u).reshape(-1)
+        n = u.size
+        out = np.empty((3, n))
+        np.copyto(out[0].reshape(-1, 3), u.T)
+        self._quadratic(out[0], out[1])
+        # the template read as a band with 3 sub- and 6 superdiagonals, the
+        # top three of them zero
+        out[2] = self._gbmv(n, n, 3, 6, 1.0, self._jacobian_band()[0].T, out[0])
         return out
 
-    def _ark_stages(
-        self,
-        flat: np.ndarray,
-        h: float,
-        terms: np.ndarray,
-        solve: Callable[[np.ndarray], np.ndarray],
-        explicit: Callable[[np.ndarray, np.ndarray], None],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The stage loop of ARK3(2)4L[2]SA: ``(flat + increment, error estimate)``.
+    def _step_factor(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The LU factor of ``I - gamma h L`` and the tableau's weights at ``h``.
 
-        ``flat`` is the state as one vector, and the first two rows of the
-        (8, ``flat.size``) array ``terms`` hold the explicit and the implicit
-        term at it, the first stage.  Stage ``i`` solves ``(I - gamma h J)
-        U_i = rhs_i`` with ``solve(rhs_i)``, where ``J`` is the implicit
-        operator; ``J U_i`` is then ``(U_i - rhs_i) / (gamma h)``, so ``J``
-        is applied only to ``flat``.  ``explicit(U_i, out)`` writes the
-        explicit term of ``U_i`` into its row of ``terms``.  The error
-        estimate is the difference from the embedded second-order solution,
-        at no extra cost.
+        Made once per ``h``: one ``gbtrf`` call on the band of
+        :meth:`_jacobian_band`'s template, interleaved by node, and the
+        (5, 9) matrix of :func:`_ark_weights`.  None when the factor is
+        singular.
         """
-        weights = h * _ARK_WEIGHTS
-        inv_gamma_h = 1.0 / (_ARK_GAMMA * h)
-        for i in (1, 2, 3):
-            rhs = flat + weights[i - 1, : 2 * i] @ terms[: 2 * i]
-            stage = solve(rhs)
-            np.subtract(stage, rhs, out=terms[2 * i + 1])
-            terms[2 * i + 1] *= inv_gamma_h
-            explicit(stage, terms[2 * i])
-        increment, error = weights[3:] @ terms
-        return flat + increment, error
-
-    def ark_step(
-        self, u: np.ndarray, h: float, rates: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One ARK3(2)4L[2]SA step of size ``h``: ``(new state, error estimate)``.
-
-        Reaction explicit, diffusion implicit (ESDIRK, L-stable, stiffly
-        accurate).  The first stage is ``u`` itself, whose terms
-        :meth:`stage_rates` gives; pass them as ``rates`` to reuse them
-        across retries of a step.  The three implicit stages solve ``(I -
-        gamma h D lap) U_i = rhs_i`` with one ``pttrs`` call on the stacked
-        factor of ``gamma h``, made on first use (:meth:`_ark_stages`).  The
-        error estimate's max norm is what :func:`simulate` compares with
-        ``ARK_TOL``.  A blow-up gives non-finite values and is left to the
-        caller, as are the floating-point warnings it would raise.
-        """
-        d, e = self._band(_ARK_GAMMA * h)
-        flat = u.reshape(-1)
-        terms = np.empty((8, flat.size))  # reaction, diffusion of each stage
-        terms[:2] = self.stage_rates(u) if rates is None else rates
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            stage, info = self._pttrs(d, e, rhs)
-            if info != 0:
-                raise ValueError(f"pttrs returned info = {info}")
-            return stage
-
-        def reaction(stage: np.ndarray, out: np.ndarray) -> None:
-            out[:] = self.reaction(stage.reshape(u.shape)).reshape(-1)
-
-        new, error = self._ark_stages(flat, h, terms, solve, reaction)
-        out = new.reshape(u.shape)
-        if self.project:
-            _remove_mean(out)
-        return out, error
-
-    def _linear_factor(self, c: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """The LU factor of ``I - c L``, ``L = D lap + A``, made once per ``c``.
-
-        One ``gbtrf`` call on the band of :meth:`_jacobian_band`'s template,
-        interleaved by node; None when the factor is singular.
-        """
-        if c not in self._factors:
-            band = self._jacobian_band()[0] * -c
+        if h not in self._factors:
+            band = self._jacobian_band()[0] * (-_ARK_GAMMA * h)
             band[:, 6] += 1.0
             lu, piv, info = self._gbtrf(band.T, 3, 3, overwrite_ab=1)
             if info < 0:
                 raise ValueError(f"gbtrf returned info = {info}")
-            self._factors[c] = (lu, piv) if info == 0 else None
-        return self._factors[c]
+            w0, w1 = _ARK_WEIGHTS
+            self._factors[h] = (lu, piv, w0 + h * w1) if info == 0 else None
+        return self._factors[h]
 
     def _quadratic(self, v: np.ndarray, out: np.ndarray) -> None:
         """Write ``F`` of the node-interleaved vector ``v`` into ``out``, interleaved.
 
-        ``F = C (u3 M u)`` of :func:`~mtphase.model.reaction_matrices`, node
-        by node, rounded as :func:`~mtphase.model.deviation_reaction` rounds
-        it; mean-projected when enabled.
+        ``F = u3 (C M u)`` of :func:`~mtphase.model.reaction_matrices`, node
+        by node: one product with ``(C M)^T`` and one with ``u3``;
+        mean-projected when enabled.
         """
-        m_t, c_t = self._quadratic_matrices
         w = v.reshape(-1, 3)
-        g = w @ m_t
-        g *= w[:, 2:]
-        f = np.matmul(g, c_t, out=out.reshape(-1, 3))
+        f = np.matmul(w, self._quadratic_matrix, out=out.reshape(-1, 3))
+        f *= w[:, 2:]
         if self.project:
             _remove_mean(f.T)
 
-    def ladder_step(self, u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """One ARK3(2)4L[2]SA step of size ``h`` with ``L = D lap + A`` implicit.
+    def ladder_step(
+        self, u: np.ndarray, h: float, first: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One ARK3(2)4L[2]SA step of size ``h``: ``(new state, error estimate)``.
 
-        The tableau of :meth:`ark_step` with another split: the whole
-        linear part ``L`` is implicit, so ``A``'s stiff eigenvalues do not
-        bound the step, and only the quadratic ``F`` is explicit.  Returns
-        ``(new state, error estimate)``.
+        The whole linear part ``L = D lap + A`` is implicit (ESDIRK,
+        L-stable, stiffly accurate), so ``A``'s stiff eigenvalues do not
+        bound the step, and only the quadratic ``F`` is explicit (Ascher,
+        Ruuth & Spiteri, Appl. Numer. Math. 25, 1997).  The first stage is
+        ``u`` itself, whose terms :meth:`first_stage` gives; pass them as
+        ``first`` to reuse them across retries of a step.  The error
+        estimate is the difference from the embedded second-order solution,
+        at no extra cost; its max norm is what :func:`simulate` compares with
+        its tolerance.
 
         The stage vectors are interleaved by node, ``3 j + c``, where ``L``
         is banded with three diagonals on either side.  Each stage is one
-        ``gbtrs`` solve with the factor of ``I - gamma h L``
-        (:meth:`_linear_factor`), and the first stage's ``L u`` is one
-        ``gbmv`` product with the same template.  The new state is the
-        (3, N) transpose of its interleaved array, a view, so a step from
-        it takes its interleaved vector without a copy; the error estimate
-        stays interleaved.  Under zero-average Neumann conditions ``L``
-        maps zero-mean fields to zero-mean fields (``A`` acts node by node,
-        and the Neumann Laplacian preserves means), so only ``F`` and the
-        new state are mean-projected.  Equal explicit and implicit row sums
-        keep the semi-discrete steady states fixed points for every ``h``.
+        ``gbtrs`` solve, in place, with the factor of ``I - gamma h L``
+        (:meth:`_step_factor`), and its implicit term is never formed (see
+        :func:`_ark_weights`): a stage costs one matmul for its right-hand
+        side, the solve and ``F``.  One more matmul gives the new state and
+        the error estimate.  The new state is the (3, N) transpose of an
+        interleaved row, a view, so the next step's first stage copies it
+        without a transpose; the error estimate stays interleaved.  Under
+        zero-average Neumann conditions ``L`` maps zero-mean fields to
+        zero-mean fields (``A`` acts node by node, and the Neumann Laplacian
+        preserves means), so only ``F`` and the new state are
+        mean-projected.  Equal explicit and implicit row sums keep the
+        semi-discrete steady states fixed points for every ``h``.
 
         A blow-up gives non-finite values and is left to the caller, as are
         the floating-point warnings it would raise.
@@ -778,25 +737,20 @@ class Stepper:
         StepUnstable
             If ``I - gamma h L`` is singular; ``last_state`` is None.
         """
-        factor = self._linear_factor(_ARK_GAMMA * h)
+        factor = self._step_factor(h)
         if factor is None:
             raise StepUnstable("singular factor of I - gamma h L", last_state=None)
-        lu, piv = factor
-        flat = u.T.reshape(-1)  # a view when u is a step's new state
-        n = flat.size
-        terms = np.empty((8, n))  # F and L of each stage
-        self._quadratic(flat, terms[0])
-        # the template read as a band with 3 sub- and 6 superdiagonals, the
-        # top three of them zero
-        terms[1] = self._gbmv(n, n, 3, 6, 1.0, self._jacobian_band()[0].T, flat)
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            stage, info = self._gbtrs(lu, 3, 3, rhs, piv)
+        lu, piv, weights = factor
+        terms = np.empty((9, u.size))  # u, F(u), L u, then F and U of each stage
+        terms[:3] = self.first_stage(u) if first is None else first
+        for i in (1, 2, 3):
+            stage = terms[2 * i + 2]
+            np.matmul(weights[i - 1, : 2 * i + 1], terms[: 2 * i + 1], out=stage)
+            _, info = self._gbtrs(lu, 3, 3, stage, piv, overwrite_b=1)
             if info != 0:
                 raise ValueError(f"gbtrs returned info = {info}")
-            return stage
-
-        new, error = self._ark_stages(flat, h, terms, solve, self._quadratic)
+            self._quadratic(stage, terms[2 * i + 1])
+        new, error = weights[3:] @ terms
         out = new.reshape(-1, 3).T
         if self.project:
             _remove_mean(out)
@@ -879,12 +833,13 @@ def simulate(
 
     Error-controlled path (``stop_on_saturation=False`` and ``dt=None``):
     the run is recorded at the times of the fixed path with the default
-    ``dt`` (half of :func:`dt_max`), bit for bit, with third-order IMEX
-    Runge-Kutta steps of ``2**-k`` record intervals, ``k`` chosen by the
-    embedded error estimate against ``ARK_TOL``.  For ``k >= 0`` they are
-    substeps of one interval; for ``k < 0`` one step spans ``2**-k`` whole
-    intervals, and the records inside it are interpolated (see
-    :func:`_simulate_ark`).
+    ``dt`` (half of :func:`dt_max`), bit for bit, with the saturation
+    runs' step, :meth:`Stepper.ladder_step`, over ``2**-k`` record
+    intervals, ``k`` chosen by the embedded error estimate against
+    ``ARK_TOL``.  For ``k >= 0`` they are substeps of one interval; for ``k
+    < 0`` one step spans ``2**-k`` whole intervals, and the records inside
+    it are interpolated.  A substep whose implicit factor is singular is
+    rejected as one that blows up (see :func:`_simulate_ark`).
 
     Saturation runs (``stop_on_saturation=True``) step on the ladder
     ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0, with
@@ -949,8 +904,9 @@ def simulate(
         saturation run's ``saturation_tol`` is not finite and positive.
     StepUnstable
         If a step blows up on the fixed path, on the floor rung or at the
-        smallest substep of the error-controlled path, or if the floor
-        rung's implicit factor is singular; it carries the last good state.
+        smallest substep of the error-controlled path, or if the implicit
+        factor of that rung or substep is singular; it carries the last
+        good state.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
@@ -992,9 +948,7 @@ def _simulate_steps(
     # relative bound and time of the last one
     checks, next_check = 0, 1
     correction, t_checked = math.inf, t
-    # the new state and its error estimate, interleaved by node, for one
-    # max-norm reduction per ladder step
-    stacked = np.empty((2, u.size))
+    first = None  # Stepper.first_stage(u), kept across the retries of a step
     changed = True
     while True:
         if changed:
@@ -1012,11 +966,11 @@ def _simulate_steps(
             if not adaptive:
                 u_new = stepper.advance(u, step)
             else:
-                u_new, error = stepper.ladder_step(u, step)
-                stacked[0] = u_new.T.reshape(-1)
-                stacked[1] = error
-                np.abs(stacked, out=stacked)
-                scale, estimate = stacked.max(axis=1).tolist()
+                if first is None:
+                    first = stepper.first_stage(u)
+                u_new, error = stepper.ladder_step(u, step, first)
+                scale = float(np.abs(u_new).max())
+                estimate = float(np.abs(error).max())
                 if not math.isfinite(scale):
                     raise StepUnstable("non-finite field values", last_state=None)
         except StepUnstable as exc:
@@ -1033,7 +987,7 @@ def _simulate_steps(
                 ceiling = rung
             rung, climbed, changed = rung - 1, False, True
             continue
-        u = u_new
+        u, first = u_new, None
         count += 1
         t = t_end if last_short else base + count * h
         accepted += 1
@@ -1081,7 +1035,7 @@ def _simulate_ark(
 
     The run is recorded at the times of the fixed path with steps
     ``dt = stepper.dt``, computed as that path computes them.  Its
-    :meth:`Stepper.ark_step` steps have level ``k``:
+    :meth:`Stepper.ladder_step` steps have level ``k``:
 
     - ``k >= 0``: substeps of ``length / 2**k`` of one record interval, so
       that the last one ends on the record time;
@@ -1090,23 +1044,27 @@ def _simulate_ark(
       and the step ends before the run's last interval, which is always
       covered by substeps.  The records inside it come from the cubic
       Hermite interpolant of ``y`` through ``y`` and ``y' =
-      mode.amplitude(residual)`` at both ends.  The residual at the new
-      state is the next step's first stage (:meth:`Stepper.stage_rates`),
-      so the interpolant costs no reaction or Laplacian evaluation.
+      mode.amplitude(F + L u)`` at both ends.  ``F + L u`` at the new
+      state is the sum of the next step's first stage
+      (:meth:`Stepper.first_stage`), so the interpolant costs no extra
+      evaluation.
 
-    A substep whose error estimate exceeds ``ARK_TOL`` times the new
-    field's max norm, a long step whose estimate exceeds an eighth of
-    that, or a step that blows up is rejected and retried at ``k + 1``:
+    Every step reuses its first stage across its retries.  A substep whose
+    error estimate exceeds ``ARK_TOL`` times the new field's max norm, a
+    long step whose estimate exceeds an eighth of that, or a step that
+    blows up or whose factor of ``I - gamma h L`` is singular is rejected
+    and retried at ``k + 1``:
     two substeps, or one step over half the span.  After a substep whose
     estimate is below an eighth of the tolerance, ``k`` drops by one (the
     estimate scales like ``h**3``) where the position lies on the coarser
     grid; from ``k <= 0``, where the coarser step must pass the stricter
     test, the estimate must be below a 64th.  A ``k`` that fails after a
-    drop has exposed the explicit stability edge rather than a fast
-    transient, and is not tried again.  ``k`` starts at 0, one substep per
-    record interval, and is carried from one interval to the next.
-    Substeps never fall below ``dt * 2**LADDER_FLOOR``: there an
-    over-tolerance substep is accepted and a blow-up raises.
+    drop has exposed the step's accuracy or stability limit rather than a
+    fast transient, and is not tried again.  ``k`` starts at 0, one
+    substep per record interval, and is carried from one interval to the
+    next.  Substeps never fall below ``dt * 2**LADDER_FLOOR``: there an
+    over-tolerance substep is accepted, and a blow-up or a singular factor
+    raises :class:`StepUnstable` with the last good state.
     """
     h = stepper.dt
     mode = critical_mode(stepper.p, stepper.grid)
@@ -1114,14 +1072,14 @@ def _simulate_ark(
     last = (n_left - 1) // record_every  # the run's last record interval
     u, t = initial.u.copy(), initial.t
     times, ys = [t], [mode.amplitude(u)]
-    rates = None  # Stepper.stage_rates(u), kept across the retries of a step
+    first = None  # Stepper.first_stage(u), kept across the retries of a step
     accepted = rejected = j = 0  # j: record intervals done
     sizes: set[float] = set()
     k, k_low, dropped = 0, -math.inf, False
 
-    def slope(rates: np.ndarray) -> float:
-        """``y'``: the amplitude of the residual, the sum of the stage rates."""
-        return mode.amplitude((rates[0] + rates[1]).reshape(initial.u.shape))
+    def slope(first: np.ndarray) -> float:
+        """``y'``: the amplitude of ``F + L u``, the time derivative."""
+        return mode.amplitude((first[1] + first[2]).reshape(-1, 3).T)
 
     while j <= last:
         done = j * record_every
@@ -1135,43 +1093,47 @@ def _simulate_ark(
         i = 0  # substeps of length / 2**k taken in this interval, k >= 0
         while i < 1 << max(k, 0):
             hs = math.ldexp(length, -k)
-            if rates is None:
-                rates = stepper.stage_rates(u)
-            u_new, error = stepper.ark_step(u, hs, rates)
-            scale = float(np.abs(u_new).max())
-            estimate = float(np.abs(error).max())
-            tol = ARK_TOL * scale
-            if not math.isfinite(scale):
+            if first is None:
+                first = stepper.first_stage(u)
+            try:
+                u_new, error = stepper.ladder_step(u, hs, first)
+                scale = float(np.abs(u_new).max())
+                if not math.isfinite(scale):
+                    raise StepUnstable("non-finite field values", last_state=None)
+            except StepUnstable as exc:
                 if k == k_top:
                     raise StepUnstable(
-                        f"non-finite field values in the step from t = {t + i * hs}",
+                        f"{exc} in the step from t = {t + i * hs}",
                         last_state=FieldState(t=t + i * hs, u=u),
-                    )
-            elif (8.0 * estimate if k < 0 else estimate) <= tol or k == k_top:
-                accepted += 1
-                sizes.add(hs)
-                new_rates = None
-                if k < 0:
-                    # records inside the step: the cubic Hermite interpolant
-                    # of y from y and y' at both ends
-                    span = 1 << -k
-                    new_rates = stepper.stage_rates(u_new)
-                    y0, y1 = ys[-1], mode.amplitude(u_new)
-                    dy0, dy1 = hs * slope(rates), hs * slope(new_rates)
-                    for q in range(1, span):
-                        s = q / span
-                        times.append(initial.t + (done + q * record_every) * h)
-                        ys.append((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0
-                                  + s * s * (3.0 - 2.0 * s) * y1
-                                  + s * (1.0 - s) * ((1.0 - s) * dy0 - s * dy1))
-                u, rates, i = u_new, new_rates, i + 1
-                if k > 0:
-                    if 8.0 * estimate <= tol and k > k_low and i % 2 == 0:
-                        k, i, dropped = k - 1, i // 2, True
-                elif (64.0 * estimate <= tol and k > k_low
-                      and (j + span) % (2 * span) == 0 and j + 3 * span <= last):
-                    k, dropped = k - 1, True
-                continue
+                    ) from None
+            else:
+                estimate = float(np.abs(error).max())
+                tol = ARK_TOL * scale
+                if (8.0 * estimate if k < 0 else estimate) <= tol or k == k_top:
+                    accepted += 1
+                    sizes.add(hs)
+                    new_first = None
+                    if k < 0:
+                        # records inside the step: the cubic Hermite
+                        # interpolant of y from y and y' at both ends
+                        span = 1 << -k
+                        new_first = stepper.first_stage(u_new)
+                        y0, y1 = ys[-1], mode.amplitude(u_new)
+                        dy0, dy1 = hs * slope(first), hs * slope(new_first)
+                        for q in range(1, span):
+                            s = q / span
+                            times.append(initial.t + (done + q * record_every) * h)
+                            ys.append((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0
+                                      + s * s * (3.0 - 2.0 * s) * y1
+                                      + s * (1.0 - s) * ((1.0 - s) * dy0 - s * dy1))
+                    u, first, i = u_new, new_first, i + 1
+                    if k > 0:
+                        if 8.0 * estimate <= tol and k > k_low and i % 2 == 0:
+                            k, i, dropped = k - 1, i // 2, True
+                    elif (64.0 * estimate <= tol and k > k_low
+                          and (j + span) % (2 * span) == 0 and j + 3 * span <= last):
+                        k, dropped = k - 1, True
+                    continue
             rejected += 1
             if dropped:
                 k_low, dropped = k + 1, False

@@ -599,11 +599,13 @@ def _defect(value: float, spec: str) -> str:
 def _jump_outcome(p: ModelParams, grid, y0: float, t_max: float) -> tuple[str, float]:
     """Run an aligned start of amplitude ``y0`` on the step ladder and read its fate.
 
-    ``("grew", t)`` at the first recorded ``|y| >= 10 |y0|``, or where the
+    ``("grew", t)`` where ``|y|`` first reaches ``10 |y0|``, or where the
     run blows up on the floor rung (the state left the small-amplitude
-    window growing); ``("decayed", t)`` at the first recorded
-    ``|y| <= 1e-8``; otherwise ``("timeout", t)`` at the final time, a
-    saturated stop included.  Every accepted step is recorded.
+    window growing); ``("decayed", t)`` where ``|y|`` first reaches
+    ``1e-8``; otherwise ``("timeout", t)`` at the final time, a saturated
+    stop included.  Every accepted step is recorded, and a level's time is
+    its crossing, log-linear in ``|y|`` between the two records that
+    bracket it, so that it follows the solution and not the step sizes.
     """
     ic = initial_state(p, grid, kind="aligned", amplitude=y0)
     try:
@@ -614,12 +616,18 @@ def _jump_outcome(p: ModelParams, grid, y0: float, t_max: float) -> tuple[str, f
     except StepUnstable as exc:
         return "grew", exc.last_state.t
     y = np.abs(result.series.y)
+    times = result.series.times
     grew = y >= 10.0 * abs(y0)
     hits = np.flatnonzero(grew | (y <= 1e-8))
     if hits.size == 0:
         return "timeout", result.final_state.t
     k = hits[0]
-    return ("grew" if grew[k] else "decayed"), float(result.series.times[k])
+    level = 10.0 * abs(y0) if grew[k] else 1e-8
+    t = float(times[k])
+    if k > 0:
+        s = np.log(level / y[k - 1]) / np.log(y[k] / y[k - 1])
+        t = float(times[k - 1] + s * (times[k] - times[k - 1]))
+    return ("grew" if grew[k] else "decayed"), t
 
 
 def criterion_9_jump_behavior(seed: int = DEFAULT_SEED) -> tuple[bool, str]:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mtphase import main, read_manifest, run_all, verification
 from mtphase.output import MANIFEST_NAME
+from mtphase.simulator import AmplitudeSeries, FieldState
 
 BUDGET_SECONDS = {
     1: 1.0,
@@ -107,6 +109,29 @@ def test_criterion_09_detail_names_the_outcome(monkeypatch, outcome_lo, passed, 
     verdict, detail = verification.criterion_9_jump_behavior()
     assert verdict is passed
     assert detail.endswith(f"; IC at 2.0x: grew (t=7.9), {tail}")
+
+
+@pytest.mark.parametrize(
+    "y, outcome, t",
+    [
+        ([0.1, 0.5, 2.0, 8.0], "grew", 1.5),  # 10 |y0| = 1 halfway in log|y|
+        ([-0.1, -1e-7, -1e-9], "decayed", 1.5),  # 1e-8 halfway in log|y|
+        ([0.1, 1e-9], "decayed", 0.875),
+        ([0.1, 0.2, 0.3], "timeout", 2.0),
+    ],
+)
+def test_criterion_09_times_are_interpolated_level_crossings(monkeypatch, y, outcome, t):
+    # A level's time is its crossing, log-linear in |y| between the two
+    # records that bracket it, not the first record past it.
+    class Result:
+        series = AmplitudeSeries(times=np.arange(float(len(y))), y=np.array(y))
+        final_state = FieldState(t=len(y) - 1.0, u=None)
+
+    for name in ("initial_state", "dt_max"):
+        monkeypatch.setattr(verification, name, lambda *args, **kwargs: None)
+    monkeypatch.setattr(verification, "simulate", lambda *args, **kwargs: Result)
+    got = verification._jump_outcome(None, None, abs(y[0]), t_max=10.0)
+    assert got[0] == outcome and got[1] == pytest.approx(t, rel=1e-12)
 
 
 def test_criterion_10_constrained_transition_number_identity():

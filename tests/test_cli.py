@@ -304,6 +304,31 @@ def test_verify_only_takes_its_indices_from_the_criteria_table(monkeypatch):
         cli._parse_only("4")
 
 
+def test_main_parses_each_call_alone_with_one_parser(monkeypatch):
+    # The parser is built once per process; calls with other subcommands
+    # and flags in between leave nothing of theirs in the next call's
+    # arguments.
+    seen = []
+
+    def record(args):
+        seen.append(vars(args).copy())
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_artifacts", record)
+    monkeypatch.setattr(cli, "_cmd_verify", record)
+    assert main(["simulate", "--config", "a.ini", "--seed", "5"]) == 0
+    assert main(["verify", "--only", "1,2", "--out", "v"]) == 0
+    assert main(["threshold", "--config", "b.ini"]) == 0
+    assert main(["simulate", "--config", "c.ini"]) == 0
+    assert seen == [
+        {"command": "simulate", "config": "a.ini", "out": None, "seed": 5},
+        {"command": "verify", "config": None, "out": "v", "seed": None, "only": "1,2"},
+        {"command": "threshold", "config": "b.ini", "out": None},
+        {"command": "simulate", "config": "c.ini", "out": None, "seed": None},
+    ]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_verify_requires_ray_and_sweep(tmp_path, capsys):
     path = tmp_path / "noray.ini"
     body = CANONICAL.split("[analysis]")[0]  # model + domain only

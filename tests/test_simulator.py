@@ -539,13 +539,13 @@ def _linear_operator(p, g):
 
 
 def _spy(monkeypatch, method):
-    """Record the arguments and result of every call of ``Stepper.<method>``."""
+    """Record the state, the step size and the result of every call of ``Stepper.<method>``."""
     calls = []
     original = getattr(Stepper, method)
 
-    def spy(self, *args):
-        out = original(self, *args)
-        calls.append((*args, out))
+    def spy(self, u, h, *args):
+        out = original(self, u, h, *args)
+        calls.append((u, h, out))
         return out
 
     monkeypatch.setattr(Stepper, method, spy)
@@ -969,44 +969,13 @@ def test_ark_tableau_satisfies_the_order_conditions():
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
-def test_ark_step_solves_the_stage_equations(generic_rates, bc):
-    # Stages (I - gamma h K) U_i = u + h sum_j (a_e[i][j] R(U_j) + a_i[i][j] K U_j),
-    # new state u + h sum_i b_i (R(U_i) + K U_i) (projected on Neumann), error
-    # h sum_i (b_i - b_hat_i)(R(U_i) + K U_i); dense solves, K = diag(d) (x) L.
-    p = ModelParams(bc=bc, **generic_rates)
-    N = 32
-    g = make_grid(p, N)
-    h = 4.0 * dt_max(p, g)
-    u = _project(0.3 * np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, N)), p)
-    K = np.kron(np.diag(p.diffusion), _dense_laplacian(g))
-    gamma = float(ARK_GAMMA)
-    explicit, implicit = ([[float(a) for a in row] for row in m] for m in _ark_tableau())
-
-    def R(v):
-        return _project(_dense_terms(p, g, v.reshape(3, N))[1], p).reshape(-1)
-
-    stages = [u.reshape(-1)]
-    for i in (1, 2, 3):
-        rhs = stages[0] + h * sum(
-            explicit[i][j] * R(stages[j]) + implicit[i][j] * (K @ stages[j]) for j in range(i)
-        )
-        stages.append(np.linalg.solve(np.eye(3 * N) - gamma * h * K, rhs))
-    slopes = [R(v) + K @ v for v in stages]
-    new = stages[0] + h * sum(float(w) * k for w, k in zip(ARK_B, slopes))
-    error = h * sum(float(w - wh) * k for w, wh, k in zip(ARK_B, ARK_B_HAT, slopes))
-    got_new, got_error = Stepper(p, g, dt_max(p, g)).ark_step(u, h)
-    scale = np.abs(u).max()
-    assert np.abs(got_new - _project(new.reshape(3, N), p)).max() <= 1e-12 * scale
-    assert np.abs(got_error - error).max() <= 1e-12 * scale
-    assert np.abs(error).max() > 1e-8 * scale  # the estimate is not trivially zero
-
-
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
 def test_ladder_step_solves_the_stage_equations(generic_rates, bc):
-    # ark_step's stage equations with the other split: L = D lap + A
-    # implicit, F = R - A u explicit (mean-projected on Neumann), on dense
-    # matrices in the component-major layout; the new state is projected
-    # on Neumann.  h is far beyond the explicit edge of A.
+    # Stages (I - gamma h L) U_i = u + h sum_j (a_e[i][j] F(U_j) + a_i[i][j] L U_j),
+    # new state u + h sum_i b_i (F(U_i) + L U_i) (projected on Neumann),
+    # error h sum_i (b_i - b_hat_i)(F(U_i) + L U_i), with L = D lap + A
+    # implicit and F = R - A u explicit (mean-projected on Neumann), on
+    # dense matrices in the component-major layout.  h is far beyond the
+    # explicit edge of A.  A first stage passed in gives the same step.
     p = ModelParams(bc=bc, **generic_rates)
     N = 32
     g = make_grid(p, N)
@@ -1030,12 +999,20 @@ def test_ladder_step_solves_the_stage_equations(generic_rates, bc):
     slopes = [F(v) + L @ v for v in stages]
     new = stages[0] + h * sum(float(w) * k for w, k in zip(ARK_B, slopes))
     error = h * sum(float(w - wh) * k for w, wh, k in zip(ARK_B, ARK_B_HAT, slopes))
-    got_new, got_error = Stepper(p, g, dt_max(p, g)).ladder_step(u, h)
+    stepper = Stepper(p, g, dt_max(p, g))
+    got_new, got_error = stepper.ladder_step(u, h)
     scale = np.abs(u).max()
     assert np.abs(got_new - _project(new.reshape(3, N), p)).max() <= 1e-12 * scale
     # the estimate comes interleaved by node
     assert np.abs(got_error - error.reshape(3, N).T.reshape(-1)).max() <= 1e-12 * scale
     assert np.abs(error).max() > 1e-8 * scale  # the estimate is not trivially zero
+    # the first stage: u, F(u) and L u, interleaved by node
+    first = stepper.first_stage(u)
+    dense = (stages[0], F(stages[0]), L @ stages[0])
+    interleaved = np.array([v.reshape(3, N).T.reshape(-1) for v in dense])
+    assert np.abs(first - interleaved).max() <= 1e-12 * scale
+    again_new, again_error = stepper.ladder_step(u, h, first)
+    assert np.array_equal(again_new, got_new) and np.array_equal(again_error, got_error)
 
 
 def _branch_steady_state(bc):
@@ -1057,20 +1034,18 @@ def _branch_steady_state(bc):
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
-def test_ark_step_fixed_points_are_semi_discrete_steady_states(bc):
+def test_ladder_step_fixed_points_are_semi_discrete_steady_states(bc):
     # Equal explicit and implicit row sums make a steady state a fixed point
-    # of both splits of the ARK step at every step size, to criterion 8's
-    # stepper bound; the ladder's split also at twice the README run's
-    # largest step, far beyond ark_step's edge.
+    # of the ARK step at every step size, to criterion 8's stepper bound:
+    # from dt_max to twice the README run's largest step.
     p, g, u = _branch_steady_state(bc)
     scale = np.abs(u).max()
     stepper = Stepper(p, g, dt_max(p, g))
     assert np.abs(stepper.residual(u)).max() <= 1e-12 * scale
-    for step, factors in ((stepper.ark_step, (1, 16)), (stepper.ladder_step, (1, 16, 1024))):
-        for factor in factors:
-            u_next, error = step(u, factor * dt_max(p, g))
-            assert np.abs(u_next - u).max() <= 1e-12 * scale
-            assert np.abs(error).max() <= 1e-12 * scale
+    for factor in (1, 16, 1024):
+        u_next, error = stepper.ladder_step(u, factor * dt_max(p, g))
+        assert np.abs(u_next - u).max() <= 1e-12 * scale
+        assert np.abs(error).max() <= 1e-12 * scale
 
 
 def _shipped(name):
@@ -1081,17 +1056,40 @@ def _shipped(name):
     return p, g, ic, sc
 
 
-def _radau(p, g, ic, times):
-    """Criterion 11's temporal reference at ``times``: Radau, rtol 1e-10, atol 1e-13."""
+def _radau(p, g, ic, times, rtol=1e-10):
+    """Criterion 11's temporal reference at ``times``: Radau, rtol 1e-10 by default, atol 1e-13."""
     shape = ic.u.shape
     rhs = Stepper(p, g, dt_max(p, g)).residual
     sol = solve_ivp(
         lambda t, y: rhs(y.reshape(shape)).reshape(-1), (times[0], times[-1]),
-        ic.u.reshape(-1), method="Radau", rtol=1e-10, atol=1e-13, t_eval=times,
+        ic.u.reshape(-1), method="Radau", rtol=rtol, atol=1e-13, t_eval=times,
         jac=lambda t, y: _rhs_jacobian(p, g, y.reshape(shape)),
     )
     assert sol.success
     return sol.y.T.reshape(len(times), *shape)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_ladder_step_is_third_order_in_time(bc):
+    # Criterion 11's point (sigma_11 = 0.02, N = 64) from its aligned
+    # start, under both boundary conditions with the same rates: fixed
+    # steps h = 0.4 ... 0.025 to T = 60 against Radau at rtol 1e-11.  The
+    # observed order between successive h lies in [2.6, 3.2].
+    tp = find_threshold(parse_config(CONFIGS / "canonical.ini").ray())
+    p = _solve_sigma(lambda c: tp.lambda0.replace(k7=c), 0.02, (2.0, 3.5)).replace(bc=bc)
+    g = make_grid(p, 64)
+    ic = initial_state(p, g, kind="aligned", amplitude=0.01)
+    T = 60.0
+    ref = _radau(p, g, ic, np.array([0.0, T]), rtol=1e-11)[-1]
+    stepper = Stepper(p, g, dt_max(p, g))
+    errors = []
+    for h in (0.4, 0.2, 0.1, 0.05, 0.025):
+        u = ic.u
+        for _ in range(round(T / h)):
+            u, _ = stepper.ladder_step(u, h)
+        errors.append(float(np.abs(u - ref).max()))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((orders >= 2.6) & (orders <= 3.2)), orders
 
 
 @pytest.mark.parametrize("name", ["canonical", "neumann-jump"])
@@ -1103,13 +1101,13 @@ def test_auto_dt_is_error_controlled_on_the_fixed_path_times(name, monkeypatch):
     dt = 0.5 * dt_max(p, g)
     fixed = simulate(p, g, ic, t_end=sc.T, dt=dt, record_every=sc.record_every)
     sizes = []
-    ark_step = Stepper.ark_step
+    ladder_step = Stepper.ladder_step
 
-    def spy(self, u, h, rates=None):
+    def spy(self, u, h, first=None):
         sizes.append(h)
-        return ark_step(self, u, h, rates)
+        return ladder_step(self, u, h, first)
 
-    monkeypatch.setattr(Stepper, "ark_step", spy)
+    monkeypatch.setattr(Stepper, "ladder_step", spy)
     auto = simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
     assert np.array_equal(auto.series.times, fixed.series.times)
     assert auto.final_state.t == fixed.final_state.t
@@ -1117,15 +1115,15 @@ def test_auto_dt_is_error_controlled_on_the_fixed_path_times(name, monkeypatch):
     assert auto.steps + auto.rejected == len(sizes)
     assert auto.steps < fixed.steps / 2
     # canonical's largest step is one record interval; neumann-jump's spans
-    # a power of two of them, and it takes under a third of the 1,640 steps
-    # of one or more substeps per interval
+    # a power of two of them, and it takes under a third of the 423 steps it
+    # took with only D lap implicit (and A explicit)
     interval = sc.record_every * dt
     if name == "canonical":
         assert auto.dt_range[1] == interval
     else:
         span = auto.dt_range[1] / interval
         assert span >= 2 and span == 2.0 ** round(math.log2(span))
-        assert auto.steps < 1640 / 3
+        assert auto.steps < 423 / 3
     assert auto.dt_range[0] in sizes and auto.dt_range[0] >= dt * 2.0**LADDER_FLOOR
     assert not auto.saturated and auto.checks == 0 and math.isnan(auto.correction)
     assert auto.residual == float(np.abs(Stepper(p, g, dt).residual(auto.final_state.u)).max())
@@ -1143,21 +1141,27 @@ def test_auto_dt_is_error_controlled_on_the_fixed_path_times(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["canonical", "neumann-jump"])
 def test_auto_dt_factors_only_its_substep_bands(name, monkeypatch):
-    # The error-controlled path factors one band per substep size, gamma h,
-    # and no band of the Heun step it never takes.
+    # The error-controlled path factors I - gamma h L once per substep size
+    # h, with one gbtrf call each, and no tridiagonal band of the Heun step
+    # it never takes.
     p, g, ic, sc = _shipped(name)
-    sizes = []
-    ark_step = Stepper.ark_step
+    calls = _spy(monkeypatch, "ladder_step")
+    diagonals = []
 
-    def spy(self, u, h, rates=None):
-        sizes.append(h)
-        return ark_step(self, u, h, rates)
+    def spy_gbtrf(gbtrf):
+        def spy(ab, kl, ku, **kwargs):
+            diagonals.append(float(ab[kl + ku, 0]))  # 1 - gamma h L[0, 0]
+            return gbtrf(ab, kl, ku, **kwargs)
+        return spy
 
-    monkeypatch.setattr(Stepper, "ark_step", spy)
-    factored = _count_bands(monkeypatch)
+    _patch_lapack(monkeypatch, gbtrf=spy_gbtrf)
+    tridiagonal = _count_bands(monkeypatch)
     simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
-    gamma = float(ARK_GAMMA)
-    assert sorted(factored) == sorted({tuple(gamma * h * p.diffusion) for h in sizes})
+    sizes = {h for _, h, _ in calls}
+    assert tridiagonal == [] and len(sizes) >= 3
+    l00 = _linear_operator(p, g)[0, 0]
+    expected = sorted(1.0 - float(ARK_GAMMA) * h * l00 for h in sizes)
+    assert np.allclose(sorted(diagonals), expected, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-6, -0.1, math.nan, math.inf])
@@ -1207,14 +1211,14 @@ def test_simulate_rejects_a_record_interval_below_one_step(unstable_params, dt):
 
 def test_auto_dt_refines_long_record_intervals_by_rejection():
     # record_every = 1000 makes the record interval about 3 on neumann-jump,
-    # ten times the explicit stability limit of the ARK step there: the run
-    # finds its substep by rejection, without StepUnstable, and stays on the
-    # zero-mean subspace.
+    # longer than any step the error test accepts there: the run finds its
+    # substep by rejection, without StepUnstable, and stays on the zero-mean
+    # subspace.
     p, g, ic, sc = _shipped("neumann-jump")
     result = simulate(p, g, ic, t_end=sc.T, record_every=1000)
     dt = 0.5 * dt_max(p, g)
     assert result.rejected >= 1
-    assert result.dt_range[1] < 0.1 * 1000 * dt
+    assert result.dt_range[1] <= 0.5 * 1000 * dt
     assert result.final_state.t == sc.T and np.all(np.isfinite(result.final_state.u))
     assert np.abs(result.final_state.u.mean(axis=1)).max() <= 1e-12
 
@@ -1239,17 +1243,17 @@ def test_auto_dt_blow_up_raises_at_the_smallest_substep(unstable_params, bc, mon
     g = make_grid(p, 32)
     dt = 0.5 * dt_max(p, g)
     sizes, good = [], []
-    ark_step = Stepper.ark_step
+    ladder_step = Stepper.ladder_step
 
-    def blows_up_after_one(self, u, h, rates=None):
+    def blows_up_after_one(self, u, h, first=None):
         sizes.append(h)
-        new, error = ark_step(self, u, h, rates)
+        new, error = ladder_step(self, u, h, first)
         if len(sizes) > 1:
             return np.full_like(new, np.inf), error
         good.append(new)
         return new, error
 
-    monkeypatch.setattr(Stepper, "ark_step", blows_up_after_one)
+    monkeypatch.setattr(Stepper, "ladder_step", blows_up_after_one)
     monkeypatch.setattr(simulator, "ARK_TOL", math.inf)  # only a blow-up rejects
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     with pytest.raises(StepUnstable) as excinfo:
@@ -1279,17 +1283,17 @@ def test_auto_dt_blow_up_in_a_multi_interval_step_retries_shorter_spans(
     dt = 0.5 * dt_max(p, g)
     interval = 10 * dt
     sizes, good = [], []
-    ark_step = Stepper.ark_step
+    ladder_step = Stepper.ladder_step
 
-    def blows_up_after_five(self, u, h, rates=None):
+    def blows_up_after_five(self, u, h, first=None):
         sizes.append(h)
-        new, error = ark_step(self, u, h, rates)
+        new, error = ladder_step(self, u, h, first)
         if len(sizes) > 5:
             return np.full_like(new, np.inf), error
         good.append(new)
         return new, error
 
-    monkeypatch.setattr(Stepper, "ark_step", blows_up_after_five)
+    monkeypatch.setattr(Stepper, "ladder_step", blows_up_after_five)
     monkeypatch.setattr(simulator, "ARK_TOL", math.inf)
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     with pytest.raises(StepUnstable) as excinfo:
@@ -1302,8 +1306,35 @@ def test_auto_dt_blow_up_in_a_multi_interval_step_retries_shorter_spans(
     assert last.t == 160 * dt
 
 
+def test_auto_dt_singular_factor_rejects_the_substep(monkeypatch):
+    # A gbtrf factor reported singular rejects its substep as a blow-up
+    # does, and its step size is not factored again: canonical's first
+    # substep, one record interval, is reported singular, so the run covers
+    # every interval in halves or less.
+    p, g, ic, sc = _shipped("canonical")
+    reported = _singular_gbtrf(monkeypatch, 1)
+    result = simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
+    interval = sc.record_every * 0.5 * dt_max(p, g)
+    assert reported[0] == 1 and reported.count(1) == 1
+    assert result.rejected >= 1 and result.dt_range[1] == interval / 2
+    assert result.final_state.t == sc.T and np.all(np.isfinite(result.final_state.u))
+
+
+def test_auto_dt_singular_factor_raises_at_the_smallest_substep(monkeypatch):
+    # With every factor singular the substeps of the first record interval
+    # halve down to the floor, where the run raises with its initial state.
+    p, g, ic, sc = _shipped("canonical")
+    reported = _singular_gbtrf(monkeypatch, math.inf)
+    with pytest.raises(StepUnstable, match="singular") as excinfo:
+        simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
+    # substeps of 10 dt / 2**k, k = 0 .. 3 - LADDER_FLOOR (at least dt * 2**LADDER_FLOOR)
+    assert len(reported) == 4 - LADDER_FLOOR
+    last = excinfo.value.last_state
+    assert last.t == 0.0 and np.array_equal(last.u, ic.u)
+
+
 def test_auto_dt_long_steps_are_aligned_and_interpolate_their_records(monkeypatch):
-    # Replays neumann-jump's dt = auto run from its ark_step calls.  A call
+    # Replays neumann-jump's dt = auto run from its ladder_step calls.  A call
     # was accepted when the next one starts from its new state (the run
     # keeps that array), or when its new state is the final one.  A step over
     # more than one record interval spans a power of two of them, starts on
@@ -1313,14 +1344,14 @@ def test_auto_dt_long_steps_are_aligned_and_interpolate_their_records(monkeypatc
     # interpolant of y and y' (the amplitude of the residual) at its ends.
     p, g, ic, sc = _shipped("neumann-jump")
     calls = []
-    ark_step = Stepper.ark_step
+    ladder_step = Stepper.ladder_step
 
-    def spy(self, u, h, rates=None):
-        new, error = ark_step(self, u, h, rates)
+    def spy(self, u, h, first=None):
+        new, error = ladder_step(self, u, h, first)
         calls.append((u, h, new, error))
         return new, error
 
-    monkeypatch.setattr(Stepper, "ark_step", spy)
+    monkeypatch.setattr(Stepper, "ladder_step", spy)
     result = simulate(p, g, ic, t_end=sc.T, record_every=sc.record_every)
     interval = sc.record_every * 0.5 * dt_max(p, g)
     residual = Stepper(p, g, interval).residual
@@ -1358,14 +1389,14 @@ def test_auto_dt_long_run_keeps_zero_means(monkeypatch):
     p, g, _, sc = _shipped("neumann-jump")
     ic = initial_state(p, g, kind="aligned", amplitude=0.01)
     worst = []
-    ark_step = Stepper.ark_step
+    ladder_step = Stepper.ladder_step
 
-    def spy(self, u, h, rates=None):
-        new, error = ark_step(self, u, h, rates)
+    def spy(self, u, h, first=None):
+        new, error = ladder_step(self, u, h, first)
         worst.append(np.abs(new.mean(axis=1)).max())
         return new, error
 
-    monkeypatch.setattr(Stepper, "ark_step", spy)
+    monkeypatch.setattr(Stepper, "ladder_step", spy)
     result = simulate(p, g, ic, t_end=200.0, record_every=sc.record_every)
     interval = sc.record_every * 0.5 * dt_max(p, g)
     assert result.final_state.t == 200.0 and result.dt_range[1] >= 4 * interval
