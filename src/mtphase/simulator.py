@@ -4,87 +4,63 @@ The simulator is the independent oracle for everything the linear and
 weakly-nonlinear analyses predict: growth rates, saturated branch
 amplitudes, and jump behavior.  Fields are deviations from the uniform
 steady state, so both boundary-condition variants are homogeneous.  Time
-stepping is IMEX with one of two steps.  :meth:`Stepper.advance` is second
-order: Crank-Nicolson diffusion and Heun reaction with a
-diffusion-consistent predictor.  :meth:`Stepper.ladder_step` is third
-order: ARK3(2)4L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003)
-with the whole linear part ``L = D lap + A`` implicit (ESDIRK) and only the
-quadratic ``F`` explicit (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25,
-1997), so that the stiff eigenvalues of ``A`` do not bound its step, and
-an embedded second-order solution.  Fixed points of both steps are exact
-steady states of the semi-discrete system for every step size, so
+stepping is IMEX with one step, :meth:`Stepper.ladder_step`: the third
+order ARK3(2)4L[2]SA (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003)
+with the whole linear part ``L = D lap + A`` implicit (ESDIRK) and only
+the quadratic ``F`` explicit (Ascher, Ruuth & Spiteri, Appl. Numer. Math.
+25, 1997), so that the stiff eigenvalues of ``A`` do not bound its step,
+and an embedded second-order solution.  Fixed points of the step are
+exact steady states of the semi-discrete system for every step size, so
 saturated amplitudes carry spatial discretization error only.
 
-The implicit solves of :meth:`Stepper.advance` are one LAPACK ``pttrs``
-call each, on the three per-component tridiagonal systems stacked into one
-block-diagonal tridiagonal matrix ``I - c D lap``.  A :class:`Stepper`
-factors the matrix of each coefficient ``c`` once as ``L D L^T``, with one
-``pttrf`` call, and keeps the factor: ``h`` and ``h/2`` for a step of size
-``h``.  :meth:`Stepper.ladder_step` interleaves the unknowns by node, ``3 j
-+ c``, where ``L`` is banded with three diagonals on either side; it
-factors ``I - gamma h L`` once per step size with one ``gbtrf`` call, from
-the template of the Jacobian band (:meth:`Stepper._jacobian_band`), and
-solves each stage with one ``gbtrs`` call.  :func:`simulate` builds one
-:class:`Stepper` per run, so every factor is made once per run.
+The step interleaves the unknowns by node, ``3 j + c``, where ``L`` is
+banded with three diagonals on either side.  It factors ``I - gamma h L``
+once per step size with one ``gbtrf`` call, from the template of the
+Jacobian band (:meth:`Stepper._jacobian_band`), and solves each stage
+with one ``gbtrs`` call.  :func:`simulate` builds one :class:`Stepper`
+per run, so every factor is made once per run.
 
 :func:`simulate` is the one time-stepping loop of the package;
-:class:`Stepper` takes single steps.  It has three paths:
+:class:`Stepper` takes single steps.  It has three paths, all of
+:meth:`Stepper.ladder_step` steps:
 
-- fixed steps of a given size ``dt`` (:meth:`Stepper.advance`), whose
-  temporal order criterion 11 measures;
+- fixed steps of a given size ``dt``, every one accepted, whose temporal
+  order criterion 11 measures;
 - for fixed-horizon runs with ``dt = auto`` (``dt=None``), an
-  error-controlled path of :meth:`Stepper.ladder_step` steps of ``2**-k``
-  record intervals: substeps of one interval for ``k >= 0``, and for
-  ``k < 0`` steps over ``2**-k`` whole intervals whose inner records
-  come from the cubic Hermite interpolant of the amplitude (Hairer,
-  Nørsett & Wanner, Solving ODEs I, §II.6), so that the run is recorded
-  at the fixed path's record times (:func:`_simulate_ark`);
-- for saturation runs, an error-controlled ladder ``dt * 2**k`` of
-  :meth:`Stepper.ladder_step` steps, controlled by their embedded error
-  estimate (the controller follows Söderlind, ACM TOMS 29, 2003), that
-  stops on a Newton-correction bound of its distance to the steady state
-  (:meth:`Stepper.newton_correction`).
+  error-controlled path of steps of ``2**-k`` record intervals: substeps
+  of one interval for ``k >= 0``, and for ``k < 0`` steps over ``2**-k``
+  whole intervals whose inner records come from the cubic Hermite
+  interpolant of the amplitude (Hairer, Nørsett & Wanner, Solving ODEs I,
+  §II.6), so that the run is recorded at the fixed path's record times
+  (:func:`_simulate_ark`);
+- for saturation runs, an error-controlled ladder ``dt * 2**k`` of steps,
+  controlled by their embedded error estimate (the controller follows
+  Söderlind, ACM TOMS 29, 2003), that stops on a Newton-correction bound
+  of its distance to the steady state (:meth:`Stepper.newton_correction`).
 
 A blow-up raises :class:`StepUnstable` carrying the last good state.
 
 Up to a few hundred grid points a step costs what its NumPy and LAPACK
-calls cost, not what they compute, so the steps make few of them.
-:meth:`Stepper.advance` makes about 30, 40 with the mean projection, where
-it made about 75.  Its parts:
+calls cost, not what they compute, so the step makes few of them.  It
+keeps its stage vectors interleaved and makes about 20 calls, 35 with the
+mean projection, and its first stage about 10 more.  That first stage
+(``u``, ``F(u)`` and ``L u``, one ``gbmv`` product) depends on no step
+size, so a retried step reuses it and the ``dt = auto`` path's Hermite
+slopes come from it.  Each later stage is one matmul for its right-hand
+side, one ``gbtrs`` solve in place and ``F`` node by node (one matmul
+with ``(C M)^T`` and one product with ``u3``); one more matmul gives the
+new state and the error estimate.  The new state is the (3, N) transpose
+of an interleaved row, so the next step interleaves it without a
+transpose.
 
-- reaction ``A u + F(u)``: :func:`~mtphase.model.deviation_reaction`, two
-  small matmuls around one product of equal-shaped blocks (``F`` is
-  quadratic and each of its terms carries ``u3``);
-- diffusion ``D lap u``: the flux differences of :func:`laplacian_apply`,
-  all three rows differenced as one flat array, times ``D`` held as a full
-  (3, N) array;
-- mean projection (zero-average Neumann): ``sum(axis=1) / N``, which
-  rounds as ``ndarray.mean`` does, on the two reaction terms and the new
-  state;
-- each half-step: one ``pttrs`` solve of the stacked factor.  A non-finite
-  value anywhere in the step reaches the new state, which is checked once.
-
-A ladder step keeps its stage vectors interleaved and makes about 20
-calls, 35 with the mean projection, and its first stage about 10 more.
-That first stage (``u``, ``F(u)`` and ``L u``, one ``gbmv`` product)
-depends on no step size, so a retried step reuses it and the ``dt =
-auto`` path's Hermite slopes come from it.  Each later stage is one
-matmul for its right-hand side, one ``gbtrs`` solve in place and ``F``
-node by node (one matmul with ``(C M)^T`` and one product with ``u3``);
-one more matmul gives the new state and the error estimate.  The new
-state is the (3, N) transpose of an interleaved row, so the next step
-interleaves it without a transpose.
-
-README "Performance" has the measured cost of the steps and of
-``mtphase simulate`` before and after this layout, the ``dt = auto``
-path and the ladder's ARK step.
+README "Performance" has the measured cost of the step and of
+``mtphase simulate``.
 
 ``import mtphase`` loads NumPy and no SciPy module.  ``scipy.linalg`` is
 imported when the first :class:`Stepper` is built, which fetches the
-``pttrf``, ``pttrs``, ``gbsv``, ``gbtrf``, ``gbtrs`` and ``gbmv`` wrappers
-once through :func:`_banded_lapack`, so only the commands that step
-(``mtphase simulate`` and ``mtphase verify``) pay for that import, about
-0.25 s.
+``gbsv``, ``gbtrf``, ``gbtrs`` and ``gbmv`` wrappers once through
+:func:`_banded_lapack`, so only the commands that step (``mtphase
+simulate`` and ``mtphase verify``) pay for that import, about 0.25 s.
 
 Amplitudes are biorthogonal projections onto the critical mode, built from
 the closed-form eigenpair of :mod:`mtphase.spectral`; the simulator uses
@@ -228,21 +204,18 @@ _NODE_ENTRIES = np.indices((3, 3))
 def _banded_lapack():
     """SciPy's float64 wrappers of the banded LAPACK and BLAS routines.
 
-    ``pttrf``, ``pttrs``, ``gbsv``, ``gbtrf``, ``gbtrs`` and ``gbmv``, in
-    that order.
+    ``gbsv``, ``gbtrf``, ``gbtrs`` and ``gbmv``, in that order.
 
-    The first two factor a symmetric positive definite tridiagonal matrix
-    as ``L D L^T`` and solve with the factor; ``gbsv`` factors a general
-    banded matrix with partial pivoting and solves with it, ``gbtrf`` and
-    ``gbtrs`` do the two apart, and the BLAS ``gbmv`` multiplies a banded
-    matrix into a vector.  ``scipy.linalg`` is imported on the first call,
-    when the first :class:`Stepper` is built, so that ``import mtphase``
-    loads no SciPy module.
+    ``gbsv`` factors a general banded matrix with partial pivoting and
+    solves with it, ``gbtrf`` and ``gbtrs`` do the two apart, and the BLAS
+    ``gbmv`` multiplies a banded matrix into a vector.  ``scipy.linalg`` is
+    imported on the first call, when the first :class:`Stepper` is built,
+    so that ``import mtphase`` loads no SciPy module.
     """
     from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
     empty = (np.empty(0),)
-    return (*get_lapack_funcs(("pttrf", "pttrs", "gbsv", "gbtrf", "gbtrs"), empty),
+    return (*get_lapack_funcs(("gbsv", "gbtrf", "gbtrs"), empty),
             get_blas_funcs("gbmv", empty))
 
 
@@ -320,12 +293,14 @@ def _remove_mean(u: np.ndarray) -> None:
 
 
 def dt_max(p: ModelParams, grid: Grid) -> float:
-    """Default step-size bound for the IMEX scheme.
+    """The step scale of :func:`simulate`: ``min(2.5*dx^2/max(d), 0.1/||A||_inf)``.
 
-    ``min(2.5*dx^2/max(d), 0.1/||A||_inf)``: the diffusion part is implicit
-    (the explicit parabolic bound enters only through accuracy, relaxed
-    tenfold), while the explicit reaction part limits the step through the
-    linearization magnitude.
+    Half of it is the default step ``dt``: it sets the record grid of a
+    ``dt = auto`` run (a record every ``record_every`` steps of that size)
+    and the first rung of a saturation run.  The step is implicit in ``D
+    lap + A``, so neither term bounds its stability; the rule is a time
+    scale of the grid's diffusion and of the linearization, and the record
+    times of the shipped configs rest on it.
     """
     diffusive = 2.5 * grid.dx**2 / max(p.d1, p.d2, p.d3)
     a_norm = float(np.abs(linearization_matrix(p)).sum(axis=1).max())
@@ -409,53 +384,22 @@ def initial_state(
     return FieldState(t=0.0, u=u)
 
 
-def _stacked_band(grid: Grid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``L D L^T`` factor of the block-diagonal tridiagonal matrix, one block per coefficient.
-
-    Block ``i`` is ``I - coeffs[i] * Laplacian``.  The off-diagonal entries
-    that would couple the last row of one block to the first row of the
-    next are zero, so one ``pttrf`` call on the stacked (3N,) diagonal and
-    (3N - 1,) off-diagonal gives each block's factor bit for bit, and one
-    ``pttrs`` solve of the stacked (3N,) right-hand side performs the
-    per-component solves with the same arithmetic.  Returns the factor's
-    diagonal ``D`` and the subdiagonal of its unit bidiagonal ``L``, the
-    two arrays ``pttrs`` takes.
-    """
-    scaled = coeffs[:, None] * (1.0 / grid.dx**2)
-    band = np.empty((2, len(coeffs), grid.N))
-    band[0] = 1.0 + 2.0 * scaled
-    band[1] = -scaled
-    band[1, :, -1] = 0.0
-    if grid.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
-        band[0][:, [0, -1]] = 1.0 + scaled
-    pttrf = _banded_lapack()[0]
-    d, e, info = pttrf(band[0].reshape(-1), band[1].reshape(-1)[:-1])
-    if info != 0:
-        raise np.linalg.LinAlgError(f"pttrf returned info = {info}")
-    return d, e
-
-
 class Stepper:
     """IMEX integrator for one (parameters, grid) pair, with a default step ``dt``.
 
     ``D lap`` is the per-component diffusion operator and ``R`` the
     reaction part in deviation form, ``R(u) = A u + F(u)`` with ``F``
-    quadratic, which vanishes identically at zero.  Two steps:
-
-    - :meth:`advance`, second order: the predictor ``(I - dt*D lap) u~ =
-      u + dt*R(u)`` (implicit Euler diffusion, explicit Euler reaction)
-      and the corrector ``(I - dt/2*D lap) u' = (I + dt/2*D lap) u +
-      dt/2*(R(u) + R(u~))`` (Crank-Nicolson / Heun);
-    - :meth:`ladder_step`, ARK3(2)4L[2]SA with the whole linear part
-      ``L = D lap + A`` implicit and only ``F`` explicit.
+    quadratic, which vanishes identically at zero.  The step,
+    :meth:`ladder_step`, is ARK3(2)4L[2]SA with the whole linear part ``L
+    = D lap + A`` implicit and only ``F`` explicit.
 
     Parameters
     ----------
     p : ModelParams
     grid : Grid
     dt : float
-        Default time step of :meth:`advance` and :meth:`step_array` (see
-        :func:`dt_max` for the default rule).
+        Default time step of :meth:`step_array` (see :func:`dt_max` for the
+        default rule).
     linear_only : bool, optional
         Drop the quadratic nonlinearity (linearized dynamics), used by
         growth-rate oracles.
@@ -466,7 +410,7 @@ class Stepper:
         If ``dt`` is not finite and positive.
 
     Under zero-average Neumann conditions the spatial mean is projected out
-    of the explicit term (``R``, or ``F`` in :meth:`ladder_step`) and the
+    of the explicit term ``F`` (and of ``R`` in :meth:`reaction`) and of the
     state (``project`` is True).
     """
 
@@ -482,20 +426,13 @@ class Stepper:
         if linear_only:
             self._gather[3:6] = 0.0
         self._d = np.array((p.d1, p.d2, p.d3))
+        # D as a full (3, N) array, so that D lap u has no broadcast
         self._diffusion = self._d[:, None].repeat(grid.N, axis=1)
-        self._bands: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None] = {}
-        _, self._pttrs, self._gbsv, self._gbtrf, self._gbtrs, self._gbmv = _banded_lapack()
+        self._gbsv, self._gbtrf, self._gbtrs, self._gbmv = _banded_lapack()
         self._jacobian = None  # the parts of _jacobian_band, built on first use
         # F = u3 (C M u) node by node: (C M)^T for node-interleaved fields
         self._quadratic_matrix = (self._combine[:, 3:] @ self._gather[3:6]).T.copy()
-
-    def _band(self, c: float) -> tuple[np.ndarray, np.ndarray]:
-        """The stacked factor of ``I - c D lap``, factored once per ``c``."""
-        band = self._bands.get(c)
-        if band is None:
-            band = self._bands[c] = _stacked_band(self.grid, c * self._d)
-        return band
 
     def reaction(self, u: np.ndarray) -> np.ndarray:
         """Reaction part ``A u + F(u)`` (mean-projected when enabled)."""
@@ -504,31 +441,13 @@ class Stepper:
             _remove_mean(out)
         return out
 
-    def _solve(self, band: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-        """Solve the three diffusion systems with one ``pttrs`` call; ``rhs`` is overwritten.
-
-        A non-finite ``rhs`` gives a non-finite solution, which
-        :meth:`advance` rejects: a zero off-diagonal entry times an
-        infinity is NaN, so it reaches the other blocks too.
-        """
-        d, e = band
-        x, info = self._pttrs(d, e, rhs.reshape(-1), overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"pttrs returned info = {info}")
-        return x.reshape(rhs.shape)
-
-    def _diffusion_term(self, u: np.ndarray) -> np.ndarray:
-        """``D lap u``, with ``D`` held as a full (3, N) array so that the
-        product has no broadcast."""
-        return self._diffusion * laplacian_apply(self.grid, u)
-
     def residual(self, u: np.ndarray) -> np.ndarray:
         """Semi-discrete residual ``D lap u + R(u)``, the time derivative at ``u``.
 
         It vanishes exactly at the steady states of the semi-discrete system
         and is mean-projected whenever the reaction term is.
         """
-        return self._diffusion_term(u) + self.reaction(u)
+        return self._diffusion * laplacian_apply(self.grid, u) + self.reaction(u)
 
     def _jacobian_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The parts of the banded Jacobian of :meth:`residual` that do not depend on ``u``.
@@ -611,47 +530,26 @@ class Stepper:
             x[0] += np.tensordot(mu, x[1:], 1)
         return x[0].T
 
-    def advance(self, u: np.ndarray, h: float | None = None) -> np.ndarray:
-        """One step of size ``h`` (default ``dt``): the new state.
-
-        The predictor is the first-order IMEX Euler state; the new state is
-        the second-order corrector.
-
-        The floating-point warnings of a blow-up are left to the caller, as
-        :meth:`ladder_step` leaves them: :func:`simulate` suppresses them
-        once per run and :meth:`step_array` once per call.
-
-        Raises
-        ------
-        StepUnstable
-            As :meth:`step_array`.
-        """
-        if h is None:
-            h = self.dt
-        r0 = self.reaction(u)
-        predictor = self._solve(self._band(h), u + h * r0)
-        residual = self._diffusion_term(u) + r0
-        r1 = self.reaction(predictor)
-        out = self._solve(self._band(0.5 * h), u + 0.5 * h * (residual + r1))
-        if self.project:
-            _remove_mean(out)
-        if not np.isfinite(out).all():
-            raise StepUnstable("non-finite field values", last_state=None)
-        return out
-
     def step_array(self, u: np.ndarray) -> np.ndarray:
-        """Advance a raw (3, N) array by one step (no bookkeeping).
+        """Advance a raw (3, N) array by one step of size ``dt`` (no bookkeeping).
+
+        The new state of :meth:`ladder_step`, as the fixed path of
+        :func:`simulate` takes it; the floating-point warnings of a blow-up
+        are suppressed.
 
         Raises
         ------
         StepUnstable
-            If the new state is not finite: the quadratic reaction can blow
+            If the new state is not finite (the quadratic reaction can blow
             up in finite time when the state leaves the stable region, and
-            a non-finite value anywhere in the step reaches the new state.
-            ``last_state`` is None; :func:`simulate` attaches it.
+            a non-finite value anywhere in the step reaches the new state),
+            or if ``I - gamma dt L`` is singular.  ``last_state`` is None.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.advance(u)
+            out = self.ladder_step(u, self.dt)[0]
+            if not np.isfinite(out).all():
+                raise StepUnstable("non-finite field values", last_state=None)
+        return out
 
     def first_stage(self, u: np.ndarray) -> np.ndarray:
         """The first stage of :meth:`ladder_step` at ``u``, which no step size enters.
@@ -825,27 +723,29 @@ def simulate(
 ) -> SimulationResult:
     """Integrate to ``t_end``, recording the critical-mode amplitude.
 
+    Every path steps with :meth:`Stepper.ladder_step`: ARK3(2)4L[2]SA with
+    the linear part ``D lap + A`` implicit and the quadratic ``F``
+    explicit, whose embedded second-order solution gives a free local error
+    estimate.
+
     Fixed path (``stop_on_saturation=False`` with a given ``dt``): every
     step has size ``dt``, except that the last one is shortened so that the
     run ends exactly at ``t_end``.  When ``(t_end - t0)/dt`` is within 1e-12
     of a whole number, every step is a full one and the run ends at
-    ``t0 + n*dt``.
+    ``t0 + n*dt``.  Every step is accepted, whatever its error estimate; a
+    step that blows up or whose implicit factor is singular raises.
 
     Error-controlled path (``stop_on_saturation=False`` and ``dt=None``):
     the run is recorded at the times of the fixed path with the default
-    ``dt`` (half of :func:`dt_max`), bit for bit, with the saturation
-    runs' step, :meth:`Stepper.ladder_step`, over ``2**-k`` record
-    intervals, ``k`` chosen by the embedded error estimate against
+    ``dt`` (half of :func:`dt_max`), bit for bit, with steps over ``2**-k``
+    record intervals, ``k`` chosen by the embedded error estimate against
     ``ARK_TOL``.  For ``k >= 0`` they are substeps of one interval; for ``k
     < 0`` one step spans ``2**-k`` whole intervals, and the records inside
     it are interpolated.  A substep whose implicit factor is singular is
     rejected as one that blows up (see :func:`_simulate_ark`).
 
     Saturation runs (``stop_on_saturation=True``) step on the ladder
-    ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0, with
-    :meth:`Stepper.ladder_step`: ARK3(2)4L[2]SA with the linear part ``D
-    lap + A`` implicit and the quadratic ``F`` explicit, whose embedded
-    second-order solution gives a free local error estimate.  A step whose
+    ``dt * 2**k``, ``k >= LADDER_FLOOR``, from rung 0.  A step whose
     estimate's max norm exceeds ``LADDER_TOL`` times the new field's, that
     blows up, or whose implicit factor is singular is rejected and retried
     one rung lower.  After a step whose estimate is below an eighth of
@@ -903,10 +803,9 @@ def simulate(
         positive, ``t_end`` is not finite or precedes ``initial.t``, or a
         saturation run's ``saturation_tol`` is not finite and positive.
     StepUnstable
-        If a step blows up on the fixed path, on the floor rung or at the
-        smallest substep of the error-controlled path, or if the implicit
-        factor of that rung or substep is singular; it carries the last
-        good state.
+        If a step blows up or its implicit factor is singular on the fixed
+        path, on the floor rung or at the smallest substep of the
+        error-controlled path; it carries the last good state.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
@@ -963,16 +862,13 @@ def _simulate_steps(
         last_short = short_last and count + 1 == n_left
         step = t_end - t if last_short else h
         try:
-            if not adaptive:
-                u_new = stepper.advance(u, step)
-            else:
-                if first is None:
-                    first = stepper.first_stage(u)
-                u_new, error = stepper.ladder_step(u, step, first)
-                scale = float(np.abs(u_new).max())
-                estimate = float(np.abs(error).max())
-                if not math.isfinite(scale):
-                    raise StepUnstable("non-finite field values", last_state=None)
+            if first is None:
+                first = stepper.first_stage(u)
+            u_new, error = stepper.ladder_step(u, step, first)
+            scale = float(np.abs(u_new).max())
+            estimate = float(np.abs(error).max())
+            if not math.isfinite(scale):
+                raise StepUnstable("non-finite field values", last_state=None)
         except StepUnstable as exc:
             if not adaptive or rung == LADDER_FLOOR:
                 raise StepUnstable(
