@@ -239,6 +239,100 @@ def test_residual_matches_dense_operators(generic_rates, bc, N, size):
     assert np.abs(stepper.residual(u) - expected).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("stiffness", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("N", [16, 64, 512])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann-zero-average"])
+def test_step_factor_solve_matches_dense_solves(generic_rates, bc, N, stiffness):
+    # The banded LU factor of I - gamma h L (gbtrf) and its gbtrs solve
+    # against a dense LU solve, with gamma h max(d) / dx**2 = stiffness and
+    # L = D lap + A interleaved by node.  A couples the components and is
+    # not definite, so the systems are not M-matrices: two backward-stable
+    # solves agree within a few ulps of the infinity-norm condition number,
+    # relative to the largest entry.  The residual, a backward error, is a
+    # few ulps at every stiffness.
+    p = ModelParams(bc=bc, **generic_rates)
+    g = make_grid(p, N)
+    stepper = Stepper(p, g, dt_max(p, g))
+    h = stiffness * g.dx**2 / (float(ARK_GAMMA) * max(p.diffusion))
+    lu, piv, _ = stepper._step_factor(h)
+    rhs = np.random.default_rng(N).uniform(-1.0, 1.0, size=3 * N)
+    x, info = stepper._gbtrs(lu, 3, 3, rhs.copy(), piv)
+    assert info == 0
+    M = np.eye(3 * N) - float(ARK_GAMMA) * h * _linear_operator(p, g)
+    dense = np.linalg.solve(M, rhs)
+    norm = np.abs(M).sum(axis=1).max()
+    condition = norm * np.abs(np.linalg.inv(M)).sum(axis=1).max()
+    eps = np.finfo(float).eps
+    assert np.abs(x - dense).max() <= 4.0 * eps * condition * np.abs(dense).max()
+    assert np.abs(M @ x - rhs).max() <= 8.0 * eps * (norm * np.abs(x).max() + 1.0)
+
+
+def _sparse_reference_step(stepper):
+    """``stepper``'s ARK step of size ``dt`` on SuperLU and sparse matrices.
+
+    The tableau's stages and weights as published, ``F = R - A u`` from the
+    absolute-field model and ``L = D lap + A`` in the component-major layout:
+    no part of the simulator's banded assembly, fused weights or ``gbtrs``.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    p, g, h, N = stepper.p, stepper.grid, stepper.dt, stepper.grid.N
+    A = linearization_matrix(p)
+    L = sparse.csc_matrix(np.kron(np.diag(p.diffusion), _dense_laplacian(g))
+                          + np.kron(A, np.eye(N)))
+    solve = splu(sparse.identity(3 * N, format="csc") - float(ARK_GAMMA) * h * L).solve
+    explicit, implicit = ([[float(a) for a in row] for row in m] for m in _ark_tableau())
+    base = steady_state(p).as_array()[:, None]
+
+    def F(v):
+        v = v.reshape(3, N)
+        out = np.zeros((3, N)) if stepper.linear_only else reaction_rhs(p, base + v) - A @ v
+        return _project(out, p).reshape(-1)
+
+    def step(u):
+        stages = [u.reshape(-1)]
+        for i in (1, 2, 3):
+            stages.append(solve(stages[0] + h * sum(
+                explicit[i][j] * F(stages[j]) + implicit[i][j] * (L @ stages[j])
+                for j in range(i)
+            )))
+        new = stages[0] + h * sum(float(w) * (F(v) + L @ v) for w, v in zip(ARK_B, stages))
+        return _project(new.reshape(3, N), p)
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "bc, N, options",
+    [
+        ("dirichlet", 64, {}),
+        ("dirichlet", 128, {}),
+        ("dirichlet", 512, {}),
+        ("neumann-zero-average", 64, {}),
+        ("dirichlet", 64, {"linear_only": True}),
+    ],
+    ids=["dirichlet-64", "dirichlet-128", "dirichlet-512", "neumann-projected",
+         "dirichlet-linear"],
+)
+def test_step_array_tracks_a_sparse_reference_step(unstable_params, bc, N, options):
+    # Over many steps of the nonlinear dynamics, step_array stays within
+    # rounding of the same scheme built independently on sparse matrices.
+    # The random start decays by two orders before the principal mode
+    # grows, so the relative gap reaches about 1e-12.
+    p = unstable_params.replace(bc=bc)
+    g = make_grid(p, N)
+    stepper = Stepper(p, g, dt=dt_max(p, g), **options)
+    reference_step = _sparse_reference_step(stepper)
+    u = initial_state(p, g, kind="random", amplitude=1e-2, seed=3).u
+    ref = u.copy()
+    for _ in range(1000):
+        u = stepper.step_array(u)
+        ref = reference_step(ref)
+        assert np.abs(u - ref).max() <= 1e-11 * np.abs(ref).max()
+    assert np.abs(u).max() > 0.0
+
+
 def test_chunked_restart_reproduces_single_run(unstable_params):
     p = unstable_params
     g = make_grid(p, 48)
