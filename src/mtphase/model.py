@@ -39,8 +39,6 @@ __all__ = [
     "linearization_matrix",
     "diffusion_matrix",
     "quadratic_nonlinearity",
-    "reaction_matrices",
-    "deviation_reaction",
     "cond2_margin",
 ]
 
@@ -324,57 +322,21 @@ def diffusion_matrix(p: ModelParams) -> np.ndarray:
     return np.diag(p.diffusion)
 
 
-#: ``[I | C]`` of :func:`reaction_matrices`: the same for every parameter point
-_COMBINE = np.hstack(
-    [np.eye(3), [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]
-)
-_COMBINE.setflags(write=False)
-#: the rows of ``gather`` that copy ``w3``
-_W3_COPIES = np.array([[0.0, 0.0, 1.0]] * 3)
-
-
-def reaction_matrices(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The reaction part in deviations as two small matrices ``(gather, combine)``.
-
-    The quadratic remainder carries the factor ``w3`` in every term: with
-    the products ``g = w3 * (M w) = w3 * (k5 w2, k7 w1, -k3 w1)`` it is
-    ``F(w) = (g1 - g2, g2 - g1, g3)``.  ``gather`` (9, 3) stacks ``A``
-    (:func:`linearization_matrix`), ``M`` and three rows that copy ``w3``;
-    ``combine`` (3, 6) is ``[I | C]``, read-only, and adds ``A w`` to ``F``.
-    :func:`deviation_reaction` applies them.
-    """
-    M = np.array([[0.0, p.k5, 0.0], [p.k7, 0.0, 0.0], [-p.k3, 0.0, 0.0]])
-    return np.concatenate((linearization_matrix(p), M, _W3_COPIES)), _COMBINE
-
-
-def deviation_reaction(gather: np.ndarray, combine: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``A w + F(w)`` for fields ``w`` of shape (3, n), from the matrices of
-    :func:`reaction_matrices`; with the ``A`` rows of ``gather`` zeroed it
-    is ``F(w)`` alone.
-
-    Two matmuls and one product of equal-shaped blocks.  Each entry of
-    ``M w`` and of the ``w3`` copies has one nonzero term, so ``g`` is
-    rounded as the elementwise ``(k5*w2)*w3`` and so on, and ``F`` alone as
-    ``g1 - g2``.
-    """
-    q = gather @ w  # A w, M w, w3, w3, w3
-    np.multiply(q[3:6], q[6:], out=q[3:6])
-    return combine @ q[:6]
-
-
 def quadratic_nonlinearity(p: ModelParams, w: Any) -> np.ndarray:
     """Exact quadratic remainder of the reaction part in deviations ``w``.
 
     Satisfies ``reaction_rhs(p, ss + w) == A @ w + quadratic_nonlinearity(p, w)``
     identically (the model is quadratic, so the Taylor expansion terminates).
-    The first two components are opposite by construction.  ``w`` has three
-    components along its first axis; it is :func:`deviation_reaction` with
-    the ``A`` block zeroed.
+    ``w`` has three components along its first axis, of any shape, and so
+    does the result.  Every term carries the factor ``w3``: with the
+    products ``g = w3 * (k5 w2, k7 w1, -k3 w1)`` it is ``F(w) = (g1 - g2,
+    g2 - g1, g3)``, elementwise, so the first two components are opposite
+    bit for bit and each column is rounded as it would be alone.
     """
-    w = np.asarray(w)
-    gather, combine = reaction_matrices(p)
-    gather[:3] = 0.0
-    return deviation_reaction(gather, combine, w.reshape(3, -1)).reshape(w.shape)
+    w1, w2, w3 = np.asarray(w)
+    g1 = (p.k5 * w2) * w3
+    g2 = (p.k7 * w1) * w3
+    return np.stack((g1 - g2, g2 - g1, (-p.k3 * w1) * w3))
 
 
 def cond2_margin(p: ModelParams | ParamBatch):

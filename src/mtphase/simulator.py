@@ -80,9 +80,7 @@ from .errors import GridTooCoarse, StepUnstable
 from .model import (
     BoundaryCondition,
     ModelParams,
-    deviation_reaction,
     linearization_matrix,
-    reaction_matrices,
     steady_state,
 )
 from .spectral import laplacian_mode, principal_mode_vectors
@@ -331,14 +329,14 @@ class SimulationResult:
     ``rejected`` the steps thrown away: each rejected step of the ladder or
     substep of the error-controlled path.  ``dt_range`` is the smallest
     and largest of the accepted steps (NaN when no step was taken).
-    ``residual`` is ``||D lap u + A u + F(u)||_inf`` at the final state,
-    mean-projected with the reaction term; it vanishes exactly at a steady
-    state.  ``checks`` counts the Newton corrections a saturation run took
-    to bound its distance to the steady state, and ``correction`` is the
-    last one's ``||delta||_inf / ||u||_inf``: at most ``saturation_tol``
-    when the run saturated, infinite when that check's factor was singular,
-    and NaN when no check was made (every run that does not stop on
-    saturation).
+    ``residual`` is ``||D lap u + A u + F(u)||_inf`` at the final state
+    (:meth:`Stepper.residual`, mean-projected under zero-average Neumann
+    conditions); it vanishes exactly at a steady state.  ``checks`` counts
+    the Newton corrections a saturation run took to bound its distance to
+    the steady state, and ``correction`` is the last one's ``||delta||_inf
+    / ||u||_inf``: at most ``saturation_tol`` when the run saturated,
+    infinite when that check's factor was singular, and NaN when no check
+    was made (every run that does not stop on saturation).
     """
 
     final_state: FieldState
@@ -387,11 +385,13 @@ def initial_state(
 class Stepper:
     """IMEX integrator for one (parameters, grid) pair, with a default step ``dt``.
 
-    ``D lap`` is the per-component diffusion operator and ``R`` the
-    reaction part in deviation form, ``R(u) = A u + F(u)`` with ``F``
-    quadratic, which vanishes identically at zero.  The step,
-    :meth:`ladder_step`, is ARK3(2)4L[2]SA with the whole linear part ``L
-    = D lap + A`` implicit and only ``F`` explicit.
+    The semi-discrete system is ``u' = L u + F(u)``: ``L = D lap + A`` is
+    its linear part, the per-component diffusion operator plus the
+    reaction Jacobian at the steady state, and ``F`` the quadratic
+    remainder of the reaction part in deviation form
+    (:func:`~mtphase.model.quadratic_nonlinearity`), which vanishes
+    identically at zero.  The step, :meth:`ladder_step`, is ARK3(2)4L[2]SA
+    with ``L`` implicit and only ``F`` explicit.
 
     Parameters
     ----------
@@ -410,8 +410,8 @@ class Stepper:
         If ``dt`` is not finite and positive.
 
     Under zero-average Neumann conditions the spatial mean is projected out
-    of the explicit term ``F`` (and of ``R`` in :meth:`reaction`) and of the
-    state (``project`` is True).
+    of the explicit term ``F``, of :meth:`residual` and of the state
+    (``project`` is True).
     """
 
     def __init__(self, p: ModelParams, grid: Grid, dt: float, linear_only: bool = False) -> None:
@@ -422,32 +422,28 @@ class Stepper:
         self.grid = grid
         self.linear_only = linear_only
         self.project = p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE
-        self._gather, self._combine = reaction_matrices(p)
-        if linear_only:
-            self._gather[3:6] = 0.0
-        self._d = np.array((p.d1, p.d2, p.d3))
-        # D as a full (3, N) array, so that D lap u has no broadcast
-        self._diffusion = self._d[:, None].repeat(grid.N, axis=1)
         self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None] = {}
         self._gbsv, self._gbtrf, self._gbtrs, self._gbmv = _banded_lapack()
         self._jacobian = None  # the parts of _jacobian_band, built on first use
-        # F = u3 (C M u) node by node: (C M)^T for node-interleaved fields
-        self._quadratic_matrix = (self._combine[:, 3:] @ self._gather[3:6]).T.copy()
+        # F = u3 (C M u) node by node, with C M = ((-k7, k5, 0), (k7, -k5,
+        # 0), (-k3, 0, 0)) (see quadratic_nonlinearity): (C M)^T for
+        # node-interleaved fields
+        cm_t = ((-p.k7, p.k7, -p.k3), (p.k5, -p.k5, 0.0), (0.0, 0.0, 0.0))
+        self._quadratic_matrix = np.zeros((3, 3)) if linear_only else np.array(cm_t)
 
-    def reaction(self, u: np.ndarray) -> np.ndarray:
-        """Reaction part ``A u + F(u)`` (mean-projected when enabled)."""
-        out = deviation_reaction(self._gather, self._combine, u)
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """The semi-discrete right-hand side ``F(u) + L u`` at (3, N) ``u``, its time derivative.
+
+        The sum of :meth:`first_stage`'s two terms, the step's own assembly,
+        as a (3, N) array; mean-projected under zero-average Neumann
+        conditions.  It vanishes exactly at the steady states of the
+        semi-discrete system.
+        """
+        first = self.first_stage(u)
+        out = (first[1] + first[2]).reshape(-1, 3).T
         if self.project:
             _remove_mean(out)
         return out
-
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        """Semi-discrete residual ``D lap u + R(u)``, the time derivative at ``u``.
-
-        It vanishes exactly at the steady states of the semi-discrete system
-        and is mean-projected whenever the reaction term is.
-        """
-        return self._diffusion * laplacian_apply(self.grid, u) + self.reaction(u)
 
     def _jacobian_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The parts of the banded Jacobian of :meth:`residual` that do not depend on ``u``.
@@ -459,28 +455,29 @@ class Stepper:
         ``[6 + i - k, k]`` of a (10, 3N) array whose rows 0-2 are the
         factor's workspace; the template is that array's transpose, in C
         order, holding the linear part ``L = D lap + A``.  It is the one
-        assembly of ``L``: :meth:`ladder_step` factors ``I - c L`` from it
-        and multiplies ``L`` into a vector with it.  ``F'(u_j) = u3_j C M +
-        (C M u_j) e3^T`` (``F = C (u3 M u)`` of
-        :func:`~mtphase.model.reaction_matrices`), so the template comes
-        with the flat positions of the (N, 3, 3) node blocks in it and with
-        ``C M``.
+        assembly of ``L``: :meth:`ladder_step` factors ``I - c L`` from it,
+        and :meth:`first_stage`, so :meth:`residual` too, multiplies ``L``
+        into a vector with it.  ``F'(u_j) = u3_j C M + (C M u_j) e3^T`` (``F
+        = u3 (C M u)`` node by node, as :meth:`_quadratic` forms it), so the
+        template comes with the flat positions of the (N, 3, 3) node blocks
+        in it and with ``C M``.
         """
         if self._jacobian is None:
             N = self.grid.N
-            scaled = self._d / self.grid.dx**2
+            scaled = self.p.diffusion / self.grid.dx**2
+            A = linearization_matrix(self.p)
             a, b = _NODE_ENTRIES
             # the columns 3 j + b of an inner node j; rows 3 and 9 hold the
             # entries (3 (j - 1) + b, 3 j + b) and (3 (j + 1) + b, 3 j + b)
             node = np.zeros((3, 10))
             node[:, 3] = node[:, 9] = scaled
             node[:, 6] = -2.0 * scaled
-            node[b, 6 + a - b] += self._gather[:3]  # A
+            node[b, 6 + a - b] += A
             template = np.empty((N, 3, 10))
             template[:] = node
             template[0, :, 3] = template[-1, :, 9] = 0.0  # no node beyond the ends
             if self.project:
-                template[[0, -1], :, 6] = -scaled + self._gather[:3].diagonal()
+                template[[0, -1], :, 6] = -scaled + A.diagonal()
             index = 30 * np.arange(N)[:, None] + (10 * b + 6 + a - b).reshape(-1)
             cm = self._quadratic_matrix.T
             self._jacobian = template.reshape(3 * N, 10), index.reshape(-1), cm
@@ -555,7 +552,7 @@ class Stepper:
         """The first stage of :meth:`ladder_step` at ``u``, which no step size enters.
 
         The rows of a (3, 3N) array, interleaved by node: ``u``, ``F(u)``
-        and ``L u``.  ``F(u) + L u`` is :meth:`residual`, up to rounding.
+        and ``L u``.  :meth:`residual` is their sum ``F(u) + L u``.
         """
         n = u.size
         out = np.empty((3, n))
@@ -587,9 +584,9 @@ class Stepper:
     def _quadratic(self, v: np.ndarray, out: np.ndarray) -> None:
         """Write ``F`` of the node-interleaved vector ``v`` into ``out``, interleaved.
 
-        ``F = u3 (C M u)`` of :func:`~mtphase.model.reaction_matrices`, node
-        by node: one product with ``(C M)^T`` and one with ``u3``;
-        mean-projected when enabled.
+        ``F = u3 (C M u)`` node by node, the ``(g1 - g2, g2 - g1, g3)`` of
+        :func:`~mtphase.model.quadratic_nonlinearity`: one product with
+        ``(C M)^T`` and one with ``u3``; mean-projected when enabled.
         """
         w = v.reshape(-1, 3)
         f = np.matmul(w, self._quadratic_matrix, out=out.reshape(-1, 3))
@@ -762,12 +759,12 @@ def simulate(
     The run stops at a check where one Newton correction ``delta = -K^{-1}
     r`` (:meth:`Stepper.newton_correction`) has ``||delta||_inf`` at most
     ``saturation_tol`` times the field's max norm.  ``r`` is the residual
-    ``D lap u + A u + F(u)`` (mean-projected with the reaction term) and
-    ``K`` its Jacobian, so ``||delta||_inf`` is the distance to the steady
-    state up to a term quadratic in it.  The first check is at the first
-    accepted step; each later one comes within ``_CHECK_CAP`` accepted
-    steps, sooner when the log-linear decay of the bound between the last
-    two checks predicts that it reaches ``saturation_tol``
+    ``D lap u + A u + F(u)`` (:meth:`Stepper.residual`) and ``K`` its
+    Jacobian, so ``||delta||_inf`` is the distance to the steady state up
+    to a term quadratic in it.  The first check is at the first accepted
+    step; each later one comes within ``_CHECK_CAP`` accepted steps,
+    sooner when the log-linear decay of the bound between the last two
+    checks predicts that it reaches ``saturation_tol``
     (:func:`_steps_to_check`).  A check whose factor is singular gives no
     bound, and the run goes on.  Fixed points of the scheme are the
     semi-discrete steady states for every step size, so the ladder changes

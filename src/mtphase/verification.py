@@ -18,8 +18,9 @@ path, and criterion 8's fixed-point check through
 :meth:`~mtphase.simulator.Stepper.step_array`.  The oracles stay
 independent of the stepper: a Newton solve of the semi-discrete steady
 state (criteria 8 and 11) and a Radau integration of the semi-discrete
-system (the temporal reference of criterion 11) share only the exact
-Jacobian of :func:`_rhs_jacobian`.
+system (the temporal reference of criterion 11) share only the
+right-hand side of :func:`_rhs` and its exact Jacobian
+:func:`_rhs_jacobian`, assembled apart from the stepper's band.
 
 Each criterion is a standalone function returning ``(passed, detail)``;
 :func:`run_all` wraps them with timing and collects
@@ -163,14 +164,28 @@ def _solve_sigma(make_p: Callable[[float], ModelParams], target: float,
     return make_p(coord)
 
 
+def _rhs(p: ModelParams, grid, u: np.ndarray) -> np.ndarray:
+    """The semi-discrete right-hand side ``D lap u + A u + F(u)`` at ``u``, (3, N).
+
+    Assembled from the model's functions and :func:`laplacian_apply`, apart
+    from the stepper's banded :meth:`Stepper.residual`; mean-projected
+    under zero-average Neumann conditions.
+    """
+    r = p.diffusion[:, None] * laplacian_apply(grid, u) + linearization_matrix(p) @ u
+    r += quadratic_nonlinearity(p, u)
+    if p.bc is BoundaryCondition.NEUMANN_ZERO_AVERAGE:
+        r -= r.mean(axis=1, keepdims=True)
+    return r
+
+
 def _rhs_jacobian(p: ModelParams, grid, u: np.ndarray) -> np.ndarray:
     """Exact Jacobian of the semi-discrete right-hand side at ``u``, (3N, 3N).
 
-    The right-hand side is ``D lap u + A u + F(u)`` (:meth:`Stepper.residual`
-    on the flattened field).  ``F`` is quadratic, so its derivative along
-    ``v`` is ``(F(u + v) - F(u - v)) / 2`` with no truncation error.  Under
-    zero-average Neumann conditions the right-hand side is mean-projected,
-    and so is each block row of the Jacobian.
+    The right-hand side is :func:`_rhs` on the flattened field.  ``F`` is
+    quadratic, so its derivative along ``v`` is ``(F(u + v) - F(u - v)) /
+    2`` with no truncation error.  Under zero-average Neumann conditions
+    the right-hand side is mean-projected, and so is each block row of the
+    Jacobian.
     """
     N = grid.N
     A = linearization_matrix(p)
@@ -198,12 +213,11 @@ def _rhs_jacobian(p: ModelParams, grid, u: np.ndarray) -> np.ndarray:
 def _newton_update(p: ModelParams, grid, u: np.ndarray) -> np.ndarray:
     """One dense Newton update of the semi-discrete steady state at ``u``, (3, N).
 
-    Solves ``J du = -r`` for the right-hand side ``r = D lap u + A u +
-    F(u)`` and its exact Jacobian :func:`_rhs_jacobian`.  Under
-    zero-average Neumann conditions ``r`` is mean-projected exactly as in
-    :class:`Stepper`, and the projected Jacobian, singular on the full
-    space, is bordered by the three component-mean constraints ``mean(u +
-    du) = 0``.
+    Solves ``J du = -r`` for the right-hand side ``r`` of :func:`_rhs` and
+    its exact Jacobian :func:`_rhs_jacobian`.  Under zero-average Neumann
+    conditions both are mean-projected, and the projected Jacobian,
+    singular on the full space, is bordered by the three component-mean
+    constraints ``mean(u + du) = 0``.
 
     Raises
     ------
@@ -212,12 +226,10 @@ def _newton_update(p: ModelParams, grid, u: np.ndarray) -> np.ndarray:
     """
     N = grid.N
     n = 3 * N
-    r = p.diffusion[:, None] * laplacian_apply(grid, u) + linearization_matrix(p) @ u
-    r += quadratic_nonlinearity(p, u)
+    r = _rhs(p, grid, u)
     jac = _rhs_jacobian(p, grid, u)
     if p.bc is not BoundaryCondition.NEUMANN_ZERO_AVERAGE:
         return np.linalg.solve(jac, -r.reshape(-1)).reshape(3, N)
-    r -= r.mean(axis=1, keepdims=True)
     means = np.kron(np.eye(3), np.ones((1, N)))  # one row per component
     bordered = np.block([[jac, means.T], [means, np.zeros((3, 3))]])
     rhs_vec = np.concatenate([-r.reshape(-1), -means @ u.reshape(-1)])
@@ -745,9 +757,8 @@ def criterion_11_convergence_orders(seed: int = DEFAULT_SEED) -> tuple[bool, str
     from scipy.integrate import solve_ivp
 
     shape = ic.u.shape
-    rhs = Stepper(p, grid, dt_max(p, grid)).residual
     reference = solve_ivp(
-        lambda t, y: rhs(y.reshape(shape)).reshape(-1),
+        lambda t, y: _rhs(p, grid, y.reshape(shape)).reshape(-1),
         (0.0, T),
         ic.u.reshape(-1),
         method="Radau",

@@ -80,15 +80,22 @@ def test_quadratic_remainder_makes_taylor_exact(w1, w2, w3):
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
 
 
-def test_quadratic_remainder_first_two_components_cancel():
+@pytest.mark.parametrize("shape", [(3,), (3, 17), (3, 5, 4)], ids=["3", "3x17", "3x5x4"])
+def test_quadratic_remainder_first_two_components_cancel(shape):
+    # F keeps the shape of w, the first two components are opposite bit for
+    # bit, and each column is rounded as the column alone is
     p = validate_params(
         dict(k1=1.2, k3=0.8, k5=1.5, k7=2.5, C1=1.1, E=0.9,
              d1=0.3, d2=0.4, d3=0.2, ell=3.5)
     )
     rng = np.random.default_rng(3)
-    w = rng.normal(size=(3, 17))
+    w = rng.normal(size=shape)
     F = quadratic_nonlinearity(p, w)
-    assert np.abs(F[0] + F[1]).max() == 0.0
+    assert F.shape == shape
+    assert np.array_equal(F[0], -F[1])
+    columns = w.reshape(3, -1).T
+    alone = np.array([quadratic_nonlinearity(p, column) for column in columns])
+    assert np.array_equal(F.reshape(3, -1).T, alone)
 
 
 def test_vectorized_reaction_matches_scalar_loop(canonical_params):

@@ -48,6 +48,7 @@ from mtphase.simulator import (
 from mtphase.verification import (
     _newton_steady_state,
     _newton_update,
+    _rhs,
     _rhs_jacobian,
     _solve_sigma,
     _unfolding_bracket,
@@ -1026,9 +1027,8 @@ def _shipped(name):
 def _radau(p, g, ic, times, rtol=1e-10):
     """Criterion 11's temporal reference at ``times``: Radau, rtol 1e-10 by default, atol 1e-13."""
     shape = ic.u.shape
-    rhs = Stepper(p, g, dt_max(p, g)).residual
     sol = solve_ivp(
-        lambda t, y: rhs(y.reshape(shape)).reshape(-1), (times[0], times[-1]),
+        lambda t, y: _rhs(p, g, y.reshape(shape)).reshape(-1), (times[0], times[-1]),
         ic.u.reshape(-1), method="Radau", rtol=rtol, atol=1e-13, t_eval=times,
         jac=lambda t, y: _rhs_jacobian(p, g, y.reshape(shape)),
     )
