@@ -12,19 +12,20 @@ continuation.
 one eigenvalue call and reports arrays; a sweep passes it a fixed-size
 slice of the grid at a time.
 
-The root finders evaluate det E1 from plain floats.  :func:`find_threshold`,
-the curve tracer's ``F(u, v)`` and the bracket search and root solve of a
-curve vertex read the base point's fields once; each evaluation then sets
-the fields the ray or plane moves, runs the domain checks of
-:class:`ModelParams` (:func:`~mtphase.model.domain_error`: the same
-errors, in the same field order) and builds E1 with the float operations
-of ``linearization_matrix(p) - rho_1 * diffusion_matrix(p)``, so every
+The root finders evaluate det E1 from plain floats.  :func:`find_threshold`
+and the curve tracer's scan, gradients and vertex solves read the base
+point's fields once; each evaluation then sets the fields the ray or plane
+moves, runs the domain checks of :class:`ModelParams`
+(:func:`~mtphase.model.domain_error`: the same errors, in the same field
+order) and builds E1 with the float operations of
+``linearization_matrix(p) - rho_1 * diffusion_matrix(p)``, so every
 value is the one a :class:`ModelParams` gives, bit for bit.  No
 :class:`ModelParams` is built per evaluation; a threshold builds one, its
 ``lambda0``, and solves its mode-1 block once for ``sigma11`` and the
-stability report together.  A curve vertex is solved by the same root
-solve as a threshold, and builds one :class:`ModelParams` for the same
-mode-1 check that ``sigma11`` is real there.
+stability report together.  A curve vertex is solved once, by the same
+root solve as a threshold along one plane axis: that solve is the
+continuation's corrector.  Each vertex builds one :class:`ModelParams` for
+the same mode-1 check that ``sigma11`` is real there.
 """
 
 from __future__ import annotations
@@ -608,138 +609,135 @@ def cond1_ok(p: ModelParams) -> bool:
 # continuation of the critical curve through a 2-parameter slice
 
 
-def _initial_vertex(F):
-    """A first root of ``F`` in the unit square: 17 rows, then 17 columns,
-    each sampled at 33 points, are scanned for a sign change."""
-    samples = np.linspace(0.0, 1.0, 33)
-    for point in (lambda x, w: (x, w), lambda x, w: (w, x)):  # on a row, on a column
-        for w in np.linspace(0.0, 1.0, 17):
-            f = lambda x: F(*point(x, w))
-            vals = np.array([f(x) for x in samples])
+@dataclass(frozen=True)
+class _Window:
+    """A plane's window: normalized point ``x`` is at plane coordinate
+    ``lo[k] + x[k] * span[k]`` on axis ``k``; ``det`` takes plane coordinates."""
+
+    det: Callable[[float, float], float]
+    lo: tuple[float, float]
+    span: tuple[float, float]
+
+    def value(self, u: float, v: float) -> float:
+        """det E1 at the normalized point ``(u, v)``; NaN where it is infeasible."""
+        try:
+            return self.det(self.lo[0] + u * self.span[0], self.lo[1] + v * self.span[1])
+        except (NonPositiveParameter, K1NotPositive):
+            return math.nan
+
+    def solve(self, x, k: int, bracket) -> tuple[list[float], list[float]]:
+        """The root of det E1 on the line through the normalized point ``x``
+        along axis ``k``, between the plane coordinates ``bracket(f, c)`` (f
+        det E1 on the line, c x's coordinate), as plane and normalized
+        coordinates.  Only axis k, along which det E1 varies, is mapped back."""
+        p = [self.lo[0] + x[0] * self.span[0], self.lo[1] + x[1] * self.span[1]]
+        f = lambda c: self.det(*p[:k], c, *p[k + 1:])
+        p[k] = _root_in_bracket(f, *bracket(f, p[k]), 1e-10)
+        x = list(x)
+        x[k] = (p[k] - self.lo[k]) / self.span[k]
+        return p, x
+
+
+def _initial_vertex(window: _Window) -> tuple[list[float], list[float]]:
+    """A first vertex, as plane and normalized coordinates: 17 rows, then 17
+    columns, each sampled at 33 points, are scanned for a sign change, which
+    is solved between its two samples."""
+    samples = np.linspace(0.0, 1.0, 33).tolist()
+    for k in (0, 1):  # on a row, along axis 0, then on a column
+        for w in np.linspace(0.0, 1.0, 17).tolist():
+            point = (lambda c: (c, w)) if k == 0 else (lambda c: (w, c))
+            vals = np.array([window.value(*point(c)) for c in samples])
             idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
             if idx.size:
                 i = int(idx[0])
-                root = brentq(f, samples[i], samples[i + 1], xtol=1e-13, rtol=1e-12)
-                return point(root, float(w))
+                end = window.lo[k] + samples[i + 1] * window.span[k]
+                return window.solve(point(samples[i]), k, lambda f, c: (c, end))
     raise CurveLeftDomain("no sign change of det E1 found inside the parameter window")
 
 
-def _gradient(F, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _gradient(F, x, h: float = 1e-6) -> tuple[float, float]:
     gu = (F(x[0] + h, x[1]) - F(x[0] - h, x[1])) / (2.0 * h)
     gv = (F(x[0], x[1] + h) - F(x[0], x[1] - h)) / (2.0 * h)
-    return np.array([gu, gv])
+    return gu, gv
 
 
-def _correct(F, x_pred: np.ndarray, g_unit: np.ndarray, h: float):
-    """1-D root solve along the gradient direction through the predictor."""
-    phi = lambda c: F(*(x_pred + c * g_unit))
-    c_lo, c_hi = -0.75 * h, 0.75 * h
-    f_lo, f_hi = phi(c_lo), phi(c_hi)
-    for _ in range(5):
-        if np.sign(f_lo) * np.sign(f_hi) < 0:
-            c_root = brentq(phi, c_lo, c_hi, xtol=1e-13, rtol=1e-12)
-            return x_pred + c_root * g_unit
-        c_lo *= 2.0
-        c_hi *= 2.0
-        f_lo, f_hi = phi(c_lo), phi(c_hi)
-    return None
+def _march(window: _Window, x0, g0, tau0, budget: int):
+    """Follow the zero curve from the normalized vertex x0, with gradient
+    g0, in direction tau0 until it exits [0,1]^2 or ``budget`` vertices are
+    found.  Each vertex is solved on the line through the predictor ``x + h
+    * tau`` along the axis in which det E1 varied faster at the last one;
+    ``h`` is halved when that fails or jumps more than ``3 * h``.
 
-
-def _march(F, x0: np.ndarray, tau0: np.ndarray, budget: int):
-    """Follow the zero curve from x0 in direction tau0 until it exits [0,1]^2
-    or ``budget`` vertices are found.
-
-    Returns ``(vertices, collapsed)``: each vertex as ``(x, gradient of F
-    at x)``, and whether the step control gave up before leaving the
-    window.
+    Returns ``(points, collapsed)``: the vertices' plane coordinates, and
+    whether the step control gave up before leaving the window.
     """
-    vertices: list[tuple[np.ndarray, np.ndarray]] = []
-    x, tau, h = x0.copy(), tau0.copy(), _INITIAL_STEP
+    points: list[list[float]] = []
+    x, g, tau, h = x0, g0, tau0, _INITIAL_STEP
     h_min, h_max = 1e-6, 0.05
-    while len(vertices) < budget:
-        stepped = False
-        while h >= h_min:
-            x_pred = x + h * tau
-            g = _gradient(F, x_pred)
-            norm = np.linalg.norm(g)
-            if not np.isfinite(norm) or norm == 0.0:
+    while len(points) < budget:
+        k = 0 if abs(g[0]) >= abs(g[1]) else 1
+        while True:
+            if h < h_min:
+                return points, True
+            pred = (x[0] + h * tau[0], x[1] + h * tau[1])
+            bracket = lambda f, c: _expand_bracket(f, c, 0.75 * h * abs(window.span[k]))
+            try:
+                point, x_new = window.solve(pred, k, bracket)
+            except NoSignChange:
                 h /= 2.0
                 continue
-            x_new = _correct(F, x_pred, g / norm, h)
-            if x_new is not None and np.linalg.norm(x_new - x) <= 3.0 * h:
-                stepped = True
+            if math.hypot(x_new[0] - x[0], x_new[1] - x[1]) <= 3.0 * h:
                 break
             h /= 2.0
-        if not stepped:
-            return vertices, True
         if not (-1e-9 <= x_new[0] <= 1.0 + 1e-9 and -1e-9 <= x_new[1] <= 1.0 + 1e-9):
             break  # left the requested window: normal termination
-        g_new = _gradient(F, x_new)
-        tau_new = np.array([-g_new[1], g_new[0]])
-        n = np.linalg.norm(tau_new)
-        if not np.isfinite(n) or n == 0.0:
+        g_new = _gradient(window.value, x_new)
+        n = math.hypot(*g_new)
+        if not math.isfinite(n) or n == 0.0:
             break
-        tau_new /= n
-        if tau_new @ tau < 0.0:
-            tau_new = -tau_new
-        vertices.append((x_new.copy(), g_new))
-        x, tau = x_new, tau_new
+        tau_new = (-g_new[1] / n, g_new[0] / n)
+        if tau_new[0] * tau[0] + tau_new[1] * tau[1] < 0.0:
+            tau_new = (-tau_new[0], -tau_new[1])
+        points.append(point)
+        x, g, tau = x_new, g_new, tau_new
         h = min(h * 1.3, h_max)
-    return vertices, False
+    return points, False
 
 
 def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> np.ndarray:
     """Trace the critical curve det E1 = 0 through a 2-parameter window.
 
-    Pseudo-arclength continuation in window-normalized coordinates, with
-    step halving on corrector failure, marches from a first root in both
-    directions.  Each direction has its own budget of ``n_points - 1``
-    vertices, so the curve has at most ``2 * n_points - 1``.  Each vertex
-    is then solved along the axis in which the determinant varies faster,
-    over a bracket from :func:`_expand_bracket`, by the root solve of
-    :func:`find_threshold` at its default ``tol``; sigma11 there must be
-    real.
+    Pseudo-arclength continuation in window-normalized coordinates marches
+    from a first root in both directions.  Each direction has its own
+    budget of ``n_points - 1`` vertices, so the curve has at most ``2 *
+    n_points - 1``.  Each vertex is one root solve along one plane axis, by
+    the root solve of :func:`find_threshold` at its default ``tol``: the
+    first over the scan's bracket, each later one over a bracket from
+    :func:`_expand_bracket` around its predictor.  sigma11 must be real at
+    every vertex.
 
     Returns the vertices' plane coordinates ``(coord1, coord2)`` as an
     ``(n, 2)`` float array ordered along the curve.  Raises
-    :class:`CurveLeftDomain` if no crossing exists in the window,
-    :class:`NoSignChange` if a vertex cannot be bracketed and
+    :class:`CurveLeftDomain` if no crossing exists in the window and
     :class:`ComplexCrossing` if sigma11 is complex at a vertex.  If
-    continuation stalls, every vertex is solved and checked first, and
-    then :class:`StepCollapse` is raised with them as ``points``.
+    continuation stalls, every vertex is checked first, and then
+    :class:`StepCollapse` is raised with them as ``points``.
     """
     (a1, b1), (a2, b2) = plane.range1, plane.range2
-    span1, span2 = b1 - a1, b2 - a2
-    det = _det_along(plane.base, plane.axis1, plane.axis2)
-
-    def F(u: float, v: float) -> float:
-        try:
-            return det(a1 + u * span1, a2 + v * span2)
-        except (NonPositiveParameter, K1NotPositive):
-            return np.nan  # infeasible territory: treated as unbrackatable
-
-    x0 = np.array(_initial_vertex(F))
-    g0 = _gradient(F, x0)
-    n0 = np.linalg.norm(g0)
-    if not np.isfinite(n0) or n0 == 0.0:
+    window = _Window(_det_along(plane.base, plane.axis1, plane.axis2), (a1, a2), (b1 - a1, b2 - a2))
+    p0, x0 = _initial_vertex(window)
+    g0 = _gradient(window.value, x0)
+    n0 = math.hypot(*g0)
+    if not math.isfinite(n0) or n0 == 0.0:
         raise StepCollapse("degenerate gradient at the initial vertex", points=np.empty((0, 2)))
-    tau0 = np.array([-g0[1], g0[0]]) / n0
+    tau0 = (-g0[1] / n0, g0[0] / n0)
 
     budget = max(n_points - 1, 0)
-    fwd, collapsed_f = _march(F, x0, tau0, budget)
-    back, collapsed_b = _march(F, x0, -tau0, budget)
-    vertices = [*reversed(back), (x0, g0), *fwd]
-    curve = np.empty((len(vertices), 2))
-    for k, ((u, v), g) in enumerate(vertices):
-        s, t = a1 + u * span1, a2 + v * span2
-        if abs(g[0]) >= abs(g[1]):
-            along = lambda c: det(c, t)
-            s = _root_in_bracket(along, *_expand_bracket(along, s, 1e-4 * abs(span1)), 1e-10)
-        else:
-            along = lambda c: det(s, c)
-            t = _root_in_bracket(along, *_expand_bracket(along, t, 1e-4 * abs(span2)), 1e-10)
+    fwd, collapsed_f = _march(window, x0, g0, tau0, budget)
+    back, collapsed_b = _march(window, x0, g0, (-tau0[0], -tau0[1]), budget)
+    curve = np.array([*reversed(back), p0, *fwd], dtype=float)
+    for s, t in curve.tolist():
         _mode1_spectrum(plane.at(s, t))  # raises ComplexCrossing
-        curve[k] = s, t
     if collapsed_f or collapsed_b:
         raise StepCollapse(
             "continuation step collapsed before leaving the window", points=curve

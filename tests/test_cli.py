@@ -207,8 +207,9 @@ def test_critical_curve_up_to_the_infeasible_edge(tmp_path, range1, range2):
     # In these windows the critical curve runs toward d = 0, where the
     # bracket of a vertex's solve reaches negative diffusivities.  The
     # tracer must keep to feasible points and finish the curve: the arc
-    # toward d = 0 fills its budget of 99 vertices, and the arc the other
-    # way, which has a budget of its own, runs up to the window's top edge.
+    # toward d = 0 steps back from infeasible bracket ends and gets within
+    # 5e-6 of that edge in a few dozen vertices, and the arc the other way
+    # runs up to the window's top edge.
     path = tmp_path / "edge.ini"
     path.write_text(CANONICAL.replace("range1 = 0.08,0.4", "range1 = %r,%r" % range1)
                     .replace("range2 = 1.5,2.5", "range2 = %r,%r" % range2))
@@ -218,17 +219,42 @@ def test_critical_curve_up_to_the_infeasible_edge(tmp_path, range1, range2):
     plane = parse_config(str(path)).plane()
     with open(os.path.join(out, "critical-curve.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) > 100
+    assert len(rows) <= 60
+    assert min(float(row["coord1"]) for row in rows) < 5e-6
     assert max(float(row["coord2"]) for row in rows) > range2[1] - 0.1
     for row in rows:
         p = plane.at(float(row["coord1"]), float(row["coord2"]))  # raises if infeasible
         assert abs(principal_eigenvalue(p).real) <= 1e-8
 
 
+def test_a_zero_width_window_traces_its_crossing_without_a_runtime_warning(tmp_path):
+    # range1 has zero width: det E1 does not vary along axis 1, so every
+    # vertex is solved along axis 2, and no coordinate is divided by the
+    # zero span
+    path = tmp_path / "zero-width.ini"
+    path.write_text(CANONICAL.replace("range1 = 0.08,0.4", "range1 = 0.1,0.1"))
+    out = str(tmp_path / "pd")
+    env = {**os.environ, "PYTHONPATH": str(Path(mtphase.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mtphase.cli", "phase-diagram",
+         "--config", str(path), "--out", out],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    plane = parse_config(str(path)).plane()
+    with open(os.path.join(out, "critical-curve.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        assert float(row["coord1"]) == 0.1
+        p = plane.at(0.1, float(row["coord2"]))
+        assert abs(principal_eigenvalue(p).real) <= 1e-8
+
+
 CONFIGS = Path(__file__).parents[1] / "configs"
 CRITICAL_CURVE_SHA256 = {
-    "canonical": "8ffd0d558f81bd99b953501257b95170b40154c61054c212e4d12535b3947648",
-    "neumann-jump": "db778b90280a3729f3b73361f2f0e02d4da410ef341aa6749346ba1c44f32b4b",
+    "canonical": "2446887d8ff1523221bdeca4fe75f494f8b48e7bfb8dd124deaf1d5f7adfb6bb",
+    "neumann-jump": "c4d62244b756216ae9839a3c67f621baf0db6a3813485565911dec29f1ce952c",
 }
 
 
@@ -268,7 +294,9 @@ def test_analysis_csvs_of_the_shipped_configs_are_pinned(tmp_path, name):
 
 def test_a_curve_vertex_that_cannot_be_bracketed_exits_3(tmp_path, monkeypatch, capsys):
     # only CurveLeftDomain means "no crossing in the window"; any other
-    # failure of the tracer is a numerical failure, not an empty curve
+    # failure of the tracer is a numerical failure, not an empty curve:
+    # here the first vertex is solved, every later one fails to bracket,
+    # and the step halves down to its floor, which raises StepCollapse
     def no_bracket(f, center, h):
         raise NoSignChange(f"could not bracket a root around {center!r}")
 

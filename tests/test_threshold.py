@@ -400,13 +400,30 @@ def test_trace_threshold_curve_starts_on_a_column_when_no_row_crosses_it(canonic
 
 
 def test_each_direction_of_the_curve_has_its_own_vertex_budget():
-    # From its first vertex at k7 = 1.25 the curve runs down toward the
-    # corner K1 = 0, d = 0, which takes any budget, and up to k7 = 2.97.
+    # From its first vertex the curve runs down to the corner K1 = 0, d = 0
+    # in 15 vertices and up to k7 = 2.96 in 20.  With a budget of 20 for
+    # each direction, the curve holds more vertices than one budget allows.
     plane = dataclasses.replace(_shipped_plane("canonical"), range1=(-0.1, 0.4), range2=(0.2, 3.0))
-    curve = trace_threshold_curve(plane, n_points=30)
-    assert len(curve) <= 2 * 30 - 1
+    curve = trace_threshold_curve(plane, n_points=21)
+    assert 21 < len(curve) <= 2 * 21 - 1
     assert curve[:, 1].max() > 2.9
     assert curve[:, 1].min() < 1.05
+
+
+@pytest.mark.parametrize("name", ["canonical", "neumann-jump"])
+def test_each_curve_vertex_is_one_root_solve(monkeypatch, name):
+    # the march's corrector is the vertex's own bracketed solve: one Brent
+    # solve per vertex, and one for each arc's step out of the window
+    brentq, calls = mtphase.threshold.brentq, 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(mtphase.threshold, "brentq", counted)
+    curve = trace_threshold_curve(_shipped_plane(name))
+    assert calls <= len(curve) + 2
 
 
 def _stall(monkeypatch):
