@@ -1,7 +1,9 @@
 """Subcommand cores: produce analysis artifacts for a validated RunConfig.
 
 Each runner takes a configuration and an output directory, writes its CSV
-files, and returns the list of written paths (for the manifest).
+files, and returns the list of written paths (for the manifest).  The
+simulator, the sweep and the transition analysis are imported by the
+runner that uses them, so a subcommand loads only what it runs.
 :data:`SUBCOMMANDS` lists them in one order and :func:`run` calls one by
 its subcommand name: the CLI wraps it with argument parsing and exit-code
 mapping, and the reproducibility check of the verification suite replays
@@ -11,10 +13,10 @@ every subcommand in that order.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import CurveLeftDomain
 from .model import cond2_margin, steady_state
 from .output import (
@@ -33,11 +35,11 @@ from .output import (
     transition_columns,
     write_csv,
 )
-from .simulator import initial_state, make_grid, simulate
 from .spectral import mode_spectra
-from .sweep import sweep
 from .threshold import find_threshold, trace_threshold_curve
-from .transition import classify_transition
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 __all__ = [
     "SUBCOMMANDS",
@@ -92,6 +94,8 @@ def run_threshold(config: RunConfig, out_dir: str) -> list[str]:
 
 def run_transition(config: RunConfig, out_dir: str) -> list[str]:
     """Classify the transition at the located threshold; write ``transition.csv``."""
+    from .transition import classify_transition
+
     tp = _located_threshold(config)
     report = classify_transition(tp)
     path = write_csv(
@@ -106,6 +110,8 @@ def run_simulate(
     config: RunConfig, out_dir: str, seed: int | None = None
 ) -> list[str]:
     """Integrate the configured run; write amplitude series and final state."""
+    from .simulator import initial_state, make_grid, simulate
+
     p = config.params
     sc = config.simulate
     grid = make_grid(p, sc.N)
@@ -139,6 +145,8 @@ def run_phase_diagram(config: RunConfig, out_dir: str) -> list[str]:
     curve does not cross the requested window (:class:`CurveLeftDomain`);
     any other failure of the tracer is raised.
     """
+    from .sweep import sweep
+
     plane = config.plane()
     grid = sweep(plane, config.sweep.resolution)
     grid_path = write_csv(

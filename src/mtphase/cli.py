@@ -44,14 +44,13 @@ import argparse
 import functools
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import artifacts
-from .config import RunConfig, config_sha256, parse_config
 from .errors import ConfigError, MTPhaseError, NumericalError
-from .output import MANIFEST_NAME, VERIFY_COLUMNS, write_csv, write_manifest
-from .verification import CRITERIA, DEFAULT_SEED, default_verify_config, run_all
 from .version import __version__
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 __all__ = ["main"]
 
@@ -111,12 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None):
-        return parse_config(args.config)
-    return default_verify_config()
-
-
 def _out_dir(args: argparse.Namespace, config: RunConfig) -> str:
     out = args.out if args.out else config.output.directory
     os.makedirs(out, exist_ok=True)
@@ -124,6 +117,10 @@ def _out_dir(args: argparse.Namespace, config: RunConfig) -> str:
 
 
 def _finish(out_dir: str, config: RunConfig, files: list[str]) -> int:
+    """Write the manifest of ``files`` and print every written path."""
+    from .config import config_sha256
+    from .output import MANIFEST_NAME, write_manifest
+
     write_manifest(out_dir, config_sha256(config), files)
     for path in files + [os.path.join(out_dir, MANIFEST_NAME)]:
         print(f"wrote {path}")
@@ -137,13 +134,18 @@ def _seed(args: argparse.Namespace) -> int | None:
 
 
 def _cmd_artifacts(args: argparse.Namespace) -> int:
+    from . import artifacts
+    from .config import parse_config
+
     seed = _seed(args) if args.command == "simulate" else None
-    config = _load_config(args)
+    config = parse_config(args.config)
     out = _out_dir(args, config)
     return _finish(out, config, artifacts.run(args.command, config, out, seed=seed))
 
 
 def _parse_only(text: str | None) -> list[int] | None:
+    from .verification import CRITERIA
+
     if text is None:
         return None
     try:
@@ -157,8 +159,12 @@ def _parse_only(text: str | None) -> list[int] | None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .config import parse_config
+    from .output import VERIFY_COLUMNS, write_csv
+    from .verification import DEFAULT_SEED, default_verify_config, run_all
+
     seed = _seed(args)
-    config = _load_config(args)
+    config = parse_config(args.config) if args.config else default_verify_config()
     # The reproducibility criterion replays the full artifact pipeline, so the
     # configuration must define both a ray and a sweep plane; fail fast here.
     config.ray()
@@ -178,11 +184,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         [[[r.index for r in results], [r.name for r in results],
           [r.passed for r in results], [r.detail for r in results]]],
     )
-    write_manifest(out, config_sha256(config), [csv_path])
     n_failed = sum(not r.passed for r in results)
     print(f"{len(results) - n_failed}/{len(results)} criteria passed")
-    for path in (csv_path, os.path.join(out, MANIFEST_NAME)):
-        print(f"wrote {path}")
+    _finish(out, config, [csv_path])
     return 0 if n_failed == 0 else 3
 
 

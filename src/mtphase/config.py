@@ -32,8 +32,13 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import ParseError, UnknownKey, ValidationError
-from .model import POSITIVE_FIELDS, BoundaryCondition, ModelParams, validate_params
-from .simulator import MIN_GRID_POINTS
+from .model import (
+    MIN_GRID_POINTS,
+    POSITIVE_FIELDS,
+    BoundaryCondition,
+    ModelParams,
+    validate_params,
+)
 from .threshold import _BRENT_RTOL, ParameterPlane, ParameterRay, _axis_overlap
 
 __all__ = [

@@ -62,6 +62,9 @@ class BoundaryCondition(str, Enum):
 
 #: the numeric fields of a parameter point, in the order they are checked
 POSITIVE_FIELDS = ("k1", "k3", "k5", "k7", "C1", "E", "d1", "d2", "d3", "ell")
+#: the fewest nodes of a simulation grid (``[simulate] N``); the simulator
+#: exports it
+MIN_GRID_POINTS = 16
 
 
 def _k1(k1, k3, k5, k7, C1, E):

@@ -51,15 +51,17 @@ import hashlib
 import os
 from collections import defaultdict
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ModelParams, SteadyState
-from .spectral import ModeSpectrum
-from .sweep import PhaseGrid
-from .threshold import ThresholdPoint
 from .version import __version__
+
+if TYPE_CHECKING:
+    from .model import ModelParams, SteadyState
+    from .spectral import ModeSpectrum
+    from .sweep import PhaseGrid
+    from .threshold import ThresholdPoint
 
 __all__ = [
     "format_value",

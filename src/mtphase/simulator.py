@@ -56,11 +56,12 @@ transpose.
 README "Performance" has the measured cost of the step and of
 ``mtphase simulate``.
 
-``import mtphase`` loads NumPy and no SciPy module.  ``scipy.linalg`` is
-imported when the first :class:`Stepper` is built, which fetches the
-``gbsv``, ``gbtrf``, ``gbtrs`` and ``gbmv`` wrappers once through
-:func:`_banded_lapack`, so only the commands that step (``mtphase
-simulate`` and ``mtphase verify``) pay for that import, about 0.25 s.
+Importing this module loads NumPy and no SciPy module.  The first
+:class:`Stepper` fetches the ``gbsv``, ``gbtrf``, ``gbtrs`` and ``gbmv``
+wrappers once through :func:`_banded_lapack`, from SciPy's ``_flapack``
+and ``_fblas`` extension modules alone: the ``scipy.linalg`` package,
+whose import took 0.29-0.33 s of a cold ``mtphase simulate``, is not
+imported.
 
 Amplitudes are biorthogonal projections onto the critical mode, built from
 the closed-form eigenpair of :mod:`mtphase.spectral`; the simulator uses
@@ -70,7 +71,11 @@ nothing of the threshold or transition analyses it is checking.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,6 +83,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, StepUnstable
 from .model import (
+    MIN_GRID_POINTS,
     BoundaryCondition,
     ModelParams,
     linearization_matrix,
@@ -104,7 +110,6 @@ __all__ = [
     "simulate",
 ]
 
-MIN_GRID_POINTS = 16
 #: step ladder of saturation runs: a step is rejected when the max norm of
 #: its local error estimate (third-order step minus the embedded
 #: second-order solution) exceeds this times ||u||_inf
@@ -198,6 +203,32 @@ _ARK_GAMMA = float(ARK_GAMMA)
 _NODE_ENTRIES = np.indices((3, 3))
 
 
+def _scipy_linalg_extension(name: str):
+    """SciPy's extension module ``scipy.linalg.<name>``, without the package.
+
+    Taken from ``sys.modules`` when loaded, so there is never a second
+    copy.  Else its file is found through ``importlib.util.find_spec``,
+    which imports nothing, and loaded with ``ExtensionFileLoader`` under
+    its own name.  ``None`` when the file is not there.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec("scipy")
+    paths = [os.path.join(root, "linalg", name + suffix)
+             for root in (spec.submodule_search_locations if spec else ())
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        return None
+    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(fullname, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[fullname] = module
+    return module
+
+
 @functools.cache
 def _banded_lapack():
     """SciPy's float64 wrappers of the banded LAPACK and BLAS routines.
@@ -206,15 +237,21 @@ def _banded_lapack():
 
     ``gbsv`` factors a general banded matrix with partial pivoting and
     solves with it, ``gbtrf`` and ``gbtrs`` do the two apart, and the BLAS
-    ``gbmv`` multiplies a banded matrix into a vector.  ``scipy.linalg`` is
-    imported on the first call, when the first :class:`Stepper` is built,
-    so that ``import mtphase`` loads no SciPy module.
+    ``gbmv`` multiplies a banded matrix into a vector.  They are the
+    objects ``get_lapack_funcs`` and ``get_blas_funcs`` return, taken from
+    the ``_flapack`` and ``_fblas`` extension modules on the first call,
+    when the first :class:`Stepper` is built, without importing the
+    ``scipy.linalg`` package (:func:`_scipy_linalg_extension`).  Only when
+    those files are missing does it import ``scipy.linalg``.
     """
-    from scipy.linalg import get_blas_funcs, get_lapack_funcs
+    flapack, fblas = (_scipy_linalg_extension(name) for name in ("_flapack", "_fblas"))
+    if flapack is None or fblas is None:
+        from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-    empty = (np.empty(0),)
-    return (*get_lapack_funcs(("gbsv", "gbtrf", "gbtrs"), empty),
-            get_blas_funcs("gbmv", empty))
+        empty = (np.empty(0),)
+        return (*get_lapack_funcs(("gbsv", "gbtrf", "gbtrs"), empty),
+                get_blas_funcs("gbmv", empty))
+    return flapack.dgbsv, flapack.dgbtrf, flapack.dgbtrs, fblas.dgbmv
 
 
 @dataclass(frozen=True)
@@ -921,6 +958,26 @@ def _simulate_steps(
     )
 
 
+@functools.cache
+def _hermite_basis(span: int) -> tuple[tuple[float, ...], ...]:
+    """Per inner record ``s = q / span``, ``0 < q < span``, of a step over
+    ``span`` record intervals: the weights ``(1 + 2s)(1 - s)**2``, ``s s (3 -
+    2s)`` and ``s (1 - s)`` of :func:`_hermite_records`, then ``1 - s`` and
+    ``s``."""
+    return tuple(((1.0 + 2.0 * s) * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s), s * (1.0 - s),
+                  1.0 - s, s) for s in (q / span for q in range(1, span)))
+
+
+def _hermite_records(span: int, y0: float, y1: float, dy0: float, dy1: float) -> list[float]:
+    """The cubic Hermite interpolant of ``y`` at the inner records of a step
+    over ``span`` record intervals, from ``y`` and ``h y'`` at its ends: ``a
+    y0 + b y1 + c ((1 - s) dy0 - s dy1)`` over the cached basis, the float
+    operations of the scalar formula in its order, so each record has its
+    bits.  Plain floats: up to a span of 16 NumPy's per-call cost exceeds
+    the arithmetic."""
+    return [a * y0 + b * y1 + c * (om * dy0 - s * dy1) for a, b, c, om, s in _hermite_basis(span)]
+
+
 def _simulate_ark(
     stepper: Stepper, initial: FieldState, t_end: float, record_every: int
 ) -> SimulationResult:
@@ -1013,12 +1070,9 @@ def _simulate_ark(
                         new_first = stepper.first_stage(u_new)
                         y0, y1 = ys[-1], mode.amplitude(u_new)
                         dy0, dy1 = hs * slope(first), hs * slope(new_first)
-                        for q in range(1, span):
-                            s = q / span
-                            times.append(initial.t + (done + q * record_every) * h)
-                            ys.append((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0
-                                      + s * s * (3.0 - 2.0 * s) * y1
-                                      + s * (1.0 - s) * ((1.0 - s) * dy0 - s * dy1))
+                        times += [initial.t + (done + q * record_every) * h
+                                  for q in range(1, span)]
+                        ys += _hermite_records(span, y0, y1, dy0, dy1)
                     u, first, i = u_new, new_first, i + 1
                     if k > 0:
                         if 8.0 * estimate <= tol and k > k_low and i % 2 == 0:

@@ -638,20 +638,28 @@ class _Window:
         return p, x
 
 
+#: normalized points at which a scan line samples det E1
+_SAMPLES = np.linspace(0.0, 1.0, 33).tolist()
+
+
+def _line_crossings(window: _Window, k: int, w: float):
+    """The crossings on the line along axis ``k`` at normalized coordinate
+    ``w`` on the other axis, as plane and normalized coordinates, in order:
+    each sign change of det E1 between 33 samples is solved between them."""
+    point = (lambda c: (c, w)) if k == 0 else (lambda c: (w, c))
+    vals = np.array([window.value(*point(c)) for c in _SAMPLES])
+    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0].tolist():
+        end = window.lo[k] + _SAMPLES[i + 1] * window.span[k]
+        yield window.solve(point(_SAMPLES[i]), k, lambda f, c: (c, end))
+
+
 def _initial_vertex(window: _Window) -> tuple[list[float], list[float]]:
-    """A first vertex, as plane and normalized coordinates: 17 rows, then 17
-    columns, each sampled at 33 points, are scanned for a sign change, which
-    is solved between its two samples."""
-    samples = np.linspace(0.0, 1.0, 33).tolist()
+    """A first vertex, as plane and normalized coordinates: the first
+    crossing on 17 rows, then 17 columns (:func:`_line_crossings`)."""
     for k in (0, 1):  # on a row, along axis 0, then on a column
         for w in np.linspace(0.0, 1.0, 17).tolist():
-            point = (lambda c: (c, w)) if k == 0 else (lambda c: (w, c))
-            vals = np.array([window.value(*point(c)) for c in samples])
-            idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-            if idx.size:
-                i = int(idx[0])
-                end = window.lo[k] + samples[i + 1] * window.span[k]
-                return window.solve(point(samples[i]), k, lambda f, c: (c, end))
+            for vertex in _line_crossings(window, k, w):
+                return vertex
     raise CurveLeftDomain("no sign change of det E1 found inside the parameter window")
 
 
@@ -713,8 +721,10 @@ def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> np.ndar
     n_points - 1``.  Each vertex is one root solve along one plane axis, by
     the root solve of :func:`find_threshold` at its default ``tol``: the
     first over the scan's bracket, each later one over a bracket from
-    :func:`_expand_bracket` around its predictor.  sigma11 must be real at
-    every vertex.
+    :func:`_expand_bracket` around its predictor.  A window with a
+    zero-width range is a segment, and its crossings are the curve, one
+    vertex each, in order along it (:func:`_line_crossings`).  sigma11 must
+    be real at every vertex.
 
     Returns the vertices' plane coordinates ``(coord1, coord2)`` as an
     ``(n, 2)`` float array ordered along the curve.  Raises
@@ -725,17 +735,24 @@ def trace_threshold_curve(plane: ParameterPlane, n_points: int = 100) -> np.ndar
     """
     (a1, b1), (a2, b2) = plane.range1, plane.range2
     window = _Window(_det_along(plane.base, plane.axis1, plane.axis2), (a1, a2), (b1 - a1, b2 - a2))
-    p0, x0 = _initial_vertex(window)
-    g0 = _gradient(window.value, x0)
-    n0 = math.hypot(*g0)
-    if not math.isfinite(n0) or n0 == 0.0:
-        raise StepCollapse("degenerate gradient at the initial vertex", points=np.empty((0, 2)))
-    tau0 = (-g0[1] / n0, g0[0] / n0)
+    collapsed_f = collapsed_b = False
+    if 0.0 in window.span:  # a segment: the curve is its crossings
+        k = 0 if window.span[0] else 1
+        curve = np.array([p for p, _ in _line_crossings(window, k, 0.0)], dtype=float)
+        if not len(curve):
+            raise CurveLeftDomain("no sign change of det E1 found on the parameter segment")
+    else:
+        p0, x0 = _initial_vertex(window)
+        g0 = _gradient(window.value, x0)
+        n0 = math.hypot(*g0)
+        if not math.isfinite(n0) or n0 == 0.0:
+            raise StepCollapse("degenerate gradient at the initial vertex", points=np.empty((0, 2)))
+        tau0 = (-g0[1] / n0, g0[0] / n0)
 
-    budget = max(n_points - 1, 0)
-    fwd, collapsed_f = _march(window, x0, g0, tau0, budget)
-    back, collapsed_b = _march(window, x0, g0, (-tau0[0], -tau0[1]), budget)
-    curve = np.array([*reversed(back), p0, *fwd], dtype=float)
+        budget = max(n_points - 1, 0)
+        fwd, collapsed_f = _march(window, x0, g0, tau0, budget)
+        back, collapsed_b = _march(window, x0, g0, (-tau0[0], -tau0[1]), budget)
+        curve = np.array([*reversed(back), p0, *fwd], dtype=float)
     for s, t in curve.tolist():
         _mode1_spectrum(plane.at(s, t))  # raises ComplexCrossing
     if collapsed_f or collapsed_b:

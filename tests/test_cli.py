@@ -24,7 +24,7 @@ from mtphase import (
     read_manifest,
     sha256_file,
 )
-from mtphase import cli
+from mtphase import cli, verification
 from mtphase.model import cond2_margin
 from mtphase.output import MANIFEST_NAME, PHASE_DIAGRAM_COLUMNS, format_value
 from mtphase.threshold import SIGMA_ZERO_BAND
@@ -228,9 +228,8 @@ def test_critical_curve_up_to_the_infeasible_edge(tmp_path, range1, range2):
 
 
 def test_a_zero_width_window_traces_its_crossing_without_a_runtime_warning(tmp_path):
-    # range1 has zero width: det E1 does not vary along axis 1, so every
-    # vertex is solved along axis 2, and no coordinate is divided by the
-    # zero span
+    # range1 has zero width: the window is a segment along axis 2, its one
+    # crossing is written once, and no coordinate is divided by the zero span
     path = tmp_path / "zero-width.ini"
     path.write_text(CANONICAL.replace("range1 = 0.08,0.4", "range1 = 0.1,0.1"))
     out = str(tmp_path / "pd")
@@ -244,7 +243,7 @@ def test_a_zero_width_window_traces_its_crossing_without_a_runtime_warning(tmp_p
     plane = parse_config(str(path)).plane()
     with open(os.path.join(out, "critical-curve.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows
+    assert len(rows) == 1
     for row in rows:
         assert float(row["coord1"]) == 0.1
         p = plane.at(0.1, float(row["coord2"]))
@@ -326,7 +325,7 @@ def test_verify_only_takes_its_indices_from_the_criteria_table(monkeypatch):
     assert cli._parse_only("12,1") == [12, 1]
     with pytest.raises(ConfigError, match=r"1\.\.12"):
         cli._parse_only("13")
-    monkeypatch.setattr(cli, "CRITERIA", cli.CRITERIA[:3])
+    monkeypatch.setattr(verification, "CRITERIA", verification.CRITERIA[:3])
     assert cli._parse_only("3") == [3]
     with pytest.raises(ConfigError, match=r"1\.\.3"):
         cli._parse_only("4")
@@ -368,8 +367,9 @@ def test_verify_requires_ray_and_sweep(tmp_path, capsys):
 
 _PACKAGE_DIR = Path(mtphase.__file__).resolve().parent
 
-#: run in a fresh interpreter: SciPy is loaded with the first Stepper, not
-#: on import
+#: run in a fresh interpreter: SciPy's banded LAPACK and BLAS extension
+#: modules are loaded with the first Stepper, not on import, and without
+#: the scipy.linalg package
 _IMPORT_GUARD = """
 import sys
 import mtphase.cli
@@ -378,8 +378,9 @@ if loaded:
     sys.exit(f"import mtphase.cli loaded {loaded}")
 p = mtphase.ModelParams(k1=1, k3=1, k5=1, k7=2, C1=1, E=1, d1=1, d2=1, d3=1, ell=3.0)
 mtphase.Stepper(p, mtphase.make_grid(p, 16), 0.01)
-if "scipy.linalg" not in sys.modules or "scipy.optimize" in sys.modules:
-    sys.exit("a Stepper should load scipy.linalg and not scipy.optimize")
+if ("scipy.linalg._flapack" not in sys.modules or "scipy.linalg" in sys.modules
+        or "scipy.optimize" in sys.modules):
+    sys.exit("a Stepper should load scipy.linalg._flapack and not scipy.linalg or scipy.optimize")
 """
 
 
@@ -390,6 +391,70 @@ def test_import_loads_no_scipy_until_the_first_stepper():
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def _modules_after(code: str) -> set[str]:
+    """The NumPy, SciPy and package modules loaded after ``code`` runs in a
+    fresh interpreter."""
+    code += (
+        "\nimport sys\nprint(' '.join(m for m in sys.modules"
+        " if m.split('.')[0] in ('numpy', 'scipy', 'mtphase')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_PACKAGE_DIR.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_only_the_errors_and_version_modules():
+    loaded = _modules_after("import mtphase")
+    assert loaded <= {"mtphase", "mtphase.errors", "mtphase.version"}
+
+
+def test_help_loads_no_numpy():
+    loaded = _modules_after(
+        "import contextlib, io, mtphase.cli\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    mtphase.cli.main(['--help'])"
+    )
+    assert "mtphase.cli" in loaded and "numpy" not in loaded
+
+
+@pytest.mark.parametrize(
+    "command", ["steady-state", "spectrum", "threshold", "transition", "phase-diagram", "simulate"]
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(config_path, tmp_path, command):
+    loaded = _modules_after(
+        "import contextlib, io, mtphase.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert mtphase.cli.main({[command, '--config', config_path, '--out', str(tmp_path)]})"
+        " == 0"
+    )
+    assert "mtphase.verification" not in loaded
+    scipy = {m for m in loaded if m.split(".")[0] == "scipy"}
+    if command == "simulate":
+        assert "mtphase.simulator" in loaded
+        assert scipy == {"scipy.linalg._flapack", "scipy.linalg._fblas"}
+    else:
+        assert "mtphase.simulator" not in loaded
+        assert not scipy
+
+
+def test_every_exported_name_is_its_submodules_object():
+    names = {}
+    exec("from mtphase import *", names)
+    assert set(names) - {"__builtins__"} == set(mtphase.__all__)
+    for name in mtphase.__all__:
+        module = sys.modules[f"mtphase.{mtphase._SOURCE[name]}"]
+        assert getattr(mtphase, name) is getattr(module, name) is names[name], name
+    assert set(mtphase.__all__) <= set(dir(mtphase))
+    assert {"threshold", "simulator", "cli"} <= set(dir(mtphase))
+    assert mtphase.threshold is sys.modules["mtphase.threshold"]
+    # the function, not the submodule of the same name
+    assert mtphase.sweep is sys.modules["mtphase.sweep"].sweep
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mtphase.no_such_name
 
 
 def test_run_as_a_module_without_a_runtime_warning():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -475,6 +478,47 @@ def test_ladder_run_started_on_the_steady_state_stops_at_once(saturating_params)
     assert result.saturated
     assert result.steps < 100
     assert _relative_distance(result.final_state.u, ref) <= 20.0 * tol
+
+
+def _scipy_wrappers():
+    from scipy.linalg import get_blas_funcs, get_lapack_funcs
+
+    empty = (np.empty(0),)
+    return (*get_lapack_funcs(("gbsv", "gbtrf", "gbtrs"), empty), get_blas_funcs("gbmv", empty))
+
+
+@pytest.mark.parametrize("files", ["found", "missing"])
+def test_banded_wrappers_are_scipy_linalgs_own(monkeypatch, files):
+    # scipy.linalg is loaded here, so its extension modules are taken, not
+    # loaded again; without the files the wrappers come from scipy.linalg
+    if files == "missing":
+        monkeypatch.setattr(simulator, "_scipy_linalg_extension", lambda name: None)
+    simulator._banded_lapack.cache_clear()
+    try:
+        got = simulator._banded_lapack()
+    finally:
+        simulator._banded_lapack.cache_clear()
+    assert all(a is b for a, b in zip(got, _scipy_wrappers(), strict=True))
+
+
+def test_scipy_linalg_imported_after_a_stepper_takes_its_extension_modules():
+    code = (
+        "import sys\nimport numpy as np\nimport mtphase\n"
+        "p = mtphase.ModelParams(k1=1, k3=1, k5=1, k7=2, C1=1, E=1, d1=1, d2=1, d3=1, ell=3.0)\n"
+        "mtphase.Stepper(p, mtphase.make_grid(p, 16), 0.01)\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "from mtphase.simulator import _banded_lapack\n"
+        "from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, lu_solve\n"
+        "e = (np.empty(0),)\n"
+        "want = (*get_lapack_funcs(('gbsv', 'gbtrf', 'gbtrs'), e), get_blas_funcs('gbmv', e))\n"
+        "assert all(a is b for a, b in zip(_banded_lapack(), want))\n"
+        "assert lu_solve(lu_factor([[2.0, 1.0], [1.0, 3.0]]), [3.0, 4.0]).round(12).tolist()"
+        " == [1.0, 1.0]\n"
+    )
+    src = Path(simulator.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def _patch_lapack(monkeypatch, **wrappers):
@@ -1352,6 +1396,21 @@ def test_auto_dt_long_steps_are_aligned_and_interpolate_their_records(monkeypatc
             long_steps += 1
         position += span
     assert long_steps >= 100
+
+
+@pytest.mark.parametrize("span", [2, 4, 16, 128, 3, 100])
+def test_auto_dt_hermite_records_are_the_scalar_formula_bit_for_bit(span):
+    # the scalar loop the records were computed by, kept as the reference
+    rng = np.random.default_rng(span)
+    for y0, y1, dy0, dy1 in rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-8, 3, (50, 4)):
+        y0, y1, dy0, dy1 = float(y0), float(y1), float(dy0), float(dy1)
+        reference = []
+        for q in range(1, span):
+            s = q / span
+            reference.append((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0
+                             + s * s * (3.0 - 2.0 * s) * y1
+                             + s * (1.0 - s) * ((1.0 - s) * dy0 - s * dy1))
+        assert simulator._hermite_records(span, y0, y1, dy0, dy1) == reference
 
 
 def test_auto_dt_long_run_keeps_zero_means(monkeypatch):

@@ -426,6 +426,24 @@ def test_each_curve_vertex_is_one_root_solve(monkeypatch, name):
     assert calls <= len(curve) + 2
 
 
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("name", ["canonical", "neumann-jump"])
+def test_a_zero_width_window_is_a_segment_with_one_vertex_per_crossing(name, axis):
+    # the shipped window narrowed to its middle on one axis crosses the
+    # curve once; with both ranges a point there is no crossing
+    plane = _shipped_plane(name)
+    lo, hi = getattr(plane, f"range{axis}")
+    middle = lo + 0.5 * (hi - lo)
+    segment = dataclasses.replace(plane, **{f"range{axis}": (middle, middle)})
+    curve = trace_threshold_curve(segment)
+    assert curve.shape == (1, 2)
+    assert curve[0, axis - 1] == middle
+    assert abs(principal_eigenvalue(segment.at(*curve[0])).real) <= 1e-12
+    point = dataclasses.replace(segment, range1=(curve[0, 0],) * 2, range2=(curve[0, 1],) * 2)
+    with pytest.raises(CurveLeftDomain):
+        trace_threshold_curve(point)
+
+
 def _stall(monkeypatch):
     """Make each march of the curve tracer report a collapsed step."""
     march = mtphase.threshold._march
